@@ -863,98 +863,6 @@ func mustFigure1Scenario(b *testing.B) *network.Network {
 	return nw
 }
 
-// deepRingSystem builds the near-critical 12-switch ring the
-// accelerated-fixpoint work is calibrated on (mirroring the scenario
-// pinned by internal/core's TestAcceleratedDeepChainIterations): the
-// ring closes a directed interference cycle, so jitter circulates in
-// laps and the plain holistic iteration converges by slow geometric
-// damping — the regime Anderson extrapolation collapses.
-func deepRingSystem(b *testing.B) *gmfnet.System {
-	b.Helper()
-	const switches = 12
-	topo := gmfnet.NewTopology()
-	for s := 0; s < switches; s++ {
-		topo.AddSwitch(gmfnet.NodeID(fmt.Sprintf("sw%d", s)), gmfnet.DefaultSwitchParams())
-	}
-	for s := 0; s < switches; s++ {
-		a := gmfnet.NodeID(fmt.Sprintf("sw%d", s))
-		z := gmfnet.NodeID(fmt.Sprintf("sw%d", (s+1)%switches))
-		if err := topo.AddDuplexLink(a, z, 100*gmfnet.Mbps, gmfnet.Microsecond); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for s := 0; s < switches; s++ {
-		sw := gmfnet.NodeID(fmt.Sprintf("sw%d", s))
-		for h := 0; h < 2; h++ {
-			host := gmfnet.NodeID(fmt.Sprintf("h%d_%d", s, h))
-			topo.AddHost(host)
-			if err := topo.AddDuplexLink(host, sw, 100*gmfnet.Mbps, gmfnet.Microsecond); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	sys := gmfnet.NewSystem(topo)
-	for s := 0; s < switches; s++ {
-		src := gmfnet.NodeID(fmt.Sprintf("h%d_0", s))
-		dst := gmfnet.NodeID(fmt.Sprintf("h%d_1", (s+switches-3)%switches))
-		route, err := topo.Route(src, dst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys.MustAddFlow(&gmfnet.FlowSpec{
-			Flow:     gmfnet.CBRVideo(fmt.Sprintf("video%d", s), 65000, 30*gmfnet.Millisecond, 2*gmfnet.Second),
-			Route:    route,
-			Priority: 1,
-		})
-	}
-	return sys
-}
-
-// benchDeepRing converges the deep ring from cold once per iteration
-// and reports the convergence breakdown next to the wall clock:
-// sweeps/op are the advancing holistic sweeps (Result.Iterations),
-// rounds/op every worklist round including safeguard verification
-// sweeps — the number that must drop for acceleration to be a real
-// speedup rather than an accounting one.
-func benchDeepRing(b *testing.B, cfg gmfnet.AnalysisConfig) {
-	b.Helper()
-	sys := deepRingSystem(b)
-	var stats gmfnet.ConvergenceStats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng, err := sys.NewEngine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		view, err := eng.AnalyzeView()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !view.Schedulable() {
-			b.Fatal("deep ring must be schedulable")
-		}
-		stats = view.Stats()
-		view.Close()
-	}
-	b.ReportMetric(float64(stats.Iterations), "sweeps/op")
-	b.ReportMetric(float64(stats.WorklistRounds), "rounds/op")
-	b.ReportMetric(float64(stats.AccelSteps), "acceljumps/op")
-}
-
-// BenchmarkAdmissionDeepRingPlain is the unaccelerated baseline of the
-// deep-ring convergence pair.
-func BenchmarkAdmissionDeepRingPlain(b *testing.B) {
-	benchDeepRing(b, gmfnet.AnalysisConfig{})
-}
-
-// BenchmarkAdmissionDeepRingAccel is the same closure under the
-// safeguarded Anderson acceleration: identical bounds and verdicts,
-// ≥30% fewer advancing sweeps and fewer total rounds than Plain.
-func BenchmarkAdmissionDeepRingAccel(b *testing.B) {
-	benchDeepRing(b, gmfnet.AnalysisConfig{Accel: true})
-}
-
 // BenchmarkAdmissionOpenLoop4096 replays a synthesized open-loop
 // workload — 4096 requests with exponential holds over a 512-group
 // backbone, the thousand-closure regime cmd/gmfnet-load drives at

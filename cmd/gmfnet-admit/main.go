@@ -26,10 +26,8 @@
 // incremental engine-backed controller, mixing in departures with
 // probability -depart after each request. It reports the decision mix and
 // the end-to-end admission throughput; -cold runs the same stream through
-// the from-scratch baseline controller for comparison, -workers lets the
-// incremental engine run large delta worklists as parallel Jacobi
-// rounds, and -batch B admits requests in batches of B through
-// Controller.RequestBatch (one converged worklist per batch, departures
+// the from-scratch baseline controller for comparison, and -batch B
+// admits requests in batches of B through Controller.RequestBatch (one converged worklist per batch, departures
 // flush the pending batch first). -shards runs the closure-sharded
 // controller instead: requests are decided inside their interference
 // closure's private shard engine, batch groups spanning disjoint
@@ -43,8 +41,8 @@
 //
 // With -trace the command replays such a recorded trace
 // deterministically and prints one decision line per operation —
-// timing-free output, so the sequential, -workers and -batch runs of the
-// same trace are byte-identical (RequestBatch decisions equal one-by-one
+// timing-free output, so the sequential, -shards, -parallel and -batch
+// runs of the same trace are byte-identical (RequestBatch decisions equal one-by-one
 // decisions by construction). The trace format (internal/workload) is
 // shared with gmfnet-load; a header may name any generated topology —
 // campus, backbone, fronthaul or clos — not just the campus streams this
@@ -99,10 +97,9 @@ func run(args []string) error {
 	cold := fs.Bool("cold", false, "stream/trace mode: use the from-scratch baseline controller")
 	shards := fs.Bool("shards", false, "stream/trace mode: use the closure-sharded controller")
 	parallel := fs.Bool("parallel", false, "stream/trace mode: use the multi-core scheduled sharded controller")
-	workers := fs.Int("workers", 0, "stream/trace mode: parallel delta worklist workers (0/1 sequential, -1 GOMAXPROCS); with -parallel, the shard worker-pool size (0 GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "stream/trace mode, with -parallel or -shards: the shard worker-pool size (0 GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "stream/trace mode: admit requests in batches of this size through RequestBatch")
 	record := fs.String("record", "", "stream mode: record the operation stream as a replayable trace file")
-	accel := fs.Bool("accel", false, "stream/trace mode: Anderson-accelerate the holistic fixpoint (identical decisions, fewer sweeps)")
 	stats := fs.Bool("stats", false, "stream/trace mode: report aggregated convergence statistics")
 	traceFile := fs.String("trace", "", "replay a recorded request trace deterministically")
 	connect := fs.String("connect", "", "replay the trace against a running gmfnet-admitd (host:port or unix socket path)")
@@ -125,11 +122,14 @@ func run(args []string) error {
 	if *parallel && *shards {
 		return fmt.Errorf("-parallel and -shards are mutually exclusive (-parallel is the scheduled form of -shards)")
 	}
+	if *workers != 0 && !*parallel && !*shards {
+		return fmt.Errorf("-workers sizes the shard worker pool; it needs -parallel or -shards")
+	}
 	if *connect != "" {
 		if *traceFile == "" {
 			return fmt.Errorf("-connect needs -trace")
 		}
-		if *cold || *shards || *parallel || *accel || *stats || *workers != 0 {
+		if *cold || *shards || *parallel || *stats || *workers != 0 {
 			return fmt.Errorf("-connect replays through the daemon's controller; drop the local engine flags")
 		}
 		if *stream > 0 || *record != "" {
@@ -143,7 +143,7 @@ func run(args []string) error {
 	}
 	err = func() error {
 		opts := runOpts{cold: *cold, shards: *shards, parallel: *parallel,
-			workers: *workers, batch: *batch, accel: *accel, stats: *stats}
+			workers: *workers, batch: *batch, stats: *stats}
 		if *traceFile != "" {
 			if *connect != "" {
 				return runTraceConnect(os.Stdout, *traceFile, *connect, *batch)
@@ -284,12 +284,11 @@ func (a *admitter) release(d admission.Decision) {
 }
 
 // runStream drives a randomized online request/departure stream through
-// an admission controller and reports throughput. workers > 1 (or -1 for
-// GOMAXPROCS) lets the incremental engine run large delta worklists as
-// parallel Jacobi rounds; batch > 0 admits requests in batches of that
-// size through RequestBatch, flushing the pending batch before every
-// departure so victims are always decided flows. record, when set, logs
-// the executed operations as a replayable trace.
+// an admission controller and reports throughput. batch > 0 admits
+// requests in batches of that size through RequestBatch, flushing the
+// pending batch before every departure so victims are always decided
+// flows. record, when set, logs the executed operations as a replayable
+// trace.
 func runStream(n int, seed int64, depart float64, switches, hostsPer int, o runOpts, record string) error {
 	if switches < 1 || hostsPer < 2 {
 		return fmt.Errorf("stream mode needs at least 1 switch and 2 hosts per switch")
@@ -385,9 +384,6 @@ func runStream(n int, seed int64, depart float64, switches, hostsPer int, o runO
 	if o.parallel {
 		mode = "parallel"
 	}
-	if o.accel {
-		mode += ", accel"
-	}
 	if o.batch > 0 {
 		mode = fmt.Sprintf("%s, batch=%d", mode, o.batch)
 	}
@@ -409,8 +405,6 @@ func runStream(n int, seed int64, depart float64, switches, hostsPer int, o runO
 	if o.stats {
 		t.AddRowf("fixpoint sweeps", conv.Iterations)
 		t.AddRowf("worklist rounds", conv.WorklistRounds)
-		t.AddRowf("accel steps", conv.AccelSteps)
-		t.AddRowf("accel fallbacks", conv.Fallbacks)
 	}
 	if err := t.Render(os.Stdout); err != nil {
 		return err
@@ -420,8 +414,8 @@ func runStream(n int, seed int64, depart float64, switches, hostsPer int, o runO
 
 // runTrace replays a recorded request trace deterministically: one
 // decision line per operation, no timing, so runs of the same trace
-// through the sequential, parallel-worklist and batched controllers can
-// be compared byte for byte. A departure flushes the pending batch
+// through the sequential, sharded and batched controllers can be
+// compared byte for byte. A departure flushes the pending batch
 // first, exactly like the recording side, so decision order is the
 // request order regardless of batching.
 func runTrace(w io.Writer, path string, o runOpts) error {
@@ -489,8 +483,7 @@ func runTrace(w io.Writer, path string, o runOpts) error {
 	if o.stats {
 		// Off the golden path: the decision log above is pinned byte for
 		// byte across controller variants, the stats line is diagnostic.
-		fmt.Fprintf(out, "stats sweeps=%d rounds=%d accel=%d fallbacks=%d\n",
-			conv.Iterations, conv.WorklistRounds, conv.AccelSteps, conv.Fallbacks)
+		fmt.Fprintf(out, "stats sweeps=%d rounds=%d\n", conv.Iterations, conv.WorklistRounds)
 	}
 	return out.Flush()
 }
@@ -607,10 +600,10 @@ func runTraceConnect(w io.Writer, path, addr string, batch int) error {
 // shardCtl is non-nil only with -shards, parCtl only with -parallel
 // (the caller must Close it).
 func buildController(topo *network.Topology, o runOpts) (requester, batchRequester, *admission.ShardedController, *admission.ParallelController, error) {
-	cfg := core.Config{Workers: o.workers, Accel: o.accel}
+	cfg := core.Config{Workers: o.workers}
 	switch {
 	case o.cold:
-		ctl, err := admission.NewColdController(network.New(topo), core.Config{Accel: o.accel})
+		ctl, err := admission.NewColdController(network.New(topo), core.Config{})
 		return ctl, nil, nil, nil, err
 	case o.parallel:
 		ctl, err := admission.NewParallelController(network.New(topo), cfg)
@@ -628,10 +621,6 @@ func buildController(topo *network.Topology, o runOpts) (requester, batchRequest
 type runOpts struct {
 	cold, shards, parallel bool
 	workers, batch         int
-	// accel turns on the safeguarded Anderson acceleration of the
-	// holistic fixpoint; decisions are identical by construction, only
-	// the sweep counts change.
-	accel bool
 	// stats reports aggregated ConvergenceStats over the whole run.
 	stats bool
 }

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	gmfnet-admitd [-listen ADDR] [-unix PATH] [-topo KIND] [-switches K] [-fanout F] [-hosts H] [-queue N] [-workers W] [-accel]
+//	gmfnet-admitd [-listen ADDR] [-unix PATH] [-topo KIND] [-switches K] [-fanout F] [-hosts H] [-queue N] [-workers W]
 //	gmfnet-admitd -status ADDR
 //
 // The daemon serves exactly one topology, fixed at startup; client
@@ -57,7 +57,6 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) error {
 	hosts := fs.Int("hosts", 4, "hosts per topology group")
 	queue := fs.Int("queue", 128, "per-connection outbound queue bound; overflow disconnects the peer")
 	workers := fs.Int("workers", 0, "controller worker-pool size (0 = GOMAXPROCS)")
-	accel := fs.Bool("accel", false, "Anderson-accelerate the holistic fixpoint (identical decisions)")
 	status := fs.String("status", "", "print a running daemon's counters (address or unix socket path) and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,7 +78,7 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) error {
 	srv, err := admitd.New(admitd.Config{
 		Topo:  spec,
 		Queue: *queue,
-		Core:  core.Config{Workers: *workers, Accel: *accel},
+		Core:  core.Config{Workers: *workers},
 	})
 	if err != nil {
 		return err

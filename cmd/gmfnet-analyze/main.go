@@ -32,7 +32,6 @@ func run(args []string) error {
 	mode := fs.String("mode", "sound", "analysis mode: sound or paper (DESIGN.md F3-F5)")
 	stages := fs.Bool("stages", false, "print the per-stage decomposition of every frame")
 	util := fs.Bool("util", false, "print the per-resource utilisation (bottleneck) report")
-	parallel := fs.Int("parallel", 1, "holistic analysis workers (>1 enables the Jacobi parallel iteration)")
 	example := fs.Bool("example", false, "analyse the built-in Figure 1 scenario")
 	dump := fs.Bool("dump", false, "print the built-in Figure 1 scenario as JSON and exit")
 	if err := fs.Parse(args); err != nil {
@@ -90,12 +89,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var res *core.Result
-	if *parallel > 1 {
-		res, err = an.AnalyzeParallel(*parallel)
-	} else {
-		res, err = an.Analyze()
-	}
+	res, err := an.Analyze()
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ func TestRunExample(t *testing.T) {
 }
 
 func TestRunExampleWithAllFlags(t *testing.T) {
-	if err := run([]string{"-example", "-stages", "-util", "-mode", "paper", "-parallel", "4"}); err != nil {
+	if err := run([]string{"-example", "-stages", "-util", "-mode", "paper"}); err != nil {
 		t.Fatalf("full flags failed: %v", err)
 	}
 }

@@ -14,9 +14,9 @@
 //	            [-switches K] [-fanout F] [-hosts H]
 //	            [-seed S] [-hold T] [-local P] [-heavy P]
 //	            [-diurnal A] [-flash F] [-tenants T] [-tenant-churn P]
-//	            [-batch B] [-depth D] [-workers W] [-accel]
+//	            [-batch B] [-depth D] [-workers W]
 //	            [-record FILE] [-json] [-name LABEL]
-//	gmfnet-load -trace FILE [-batch B] [-depth D] [-workers W] [-accel] [-json]
+//	gmfnet-load -trace FILE [-batch B] [-depth D] [-workers W] [-json]
 //
 // Both modes accept -cpuprofile, -memprofile, -mutexprofile and
 // -blockprofile FILE to write pprof profiles of the replay. The mutex
@@ -81,7 +81,6 @@ func run(args []string, stdout io.Writer) error {
 	depth := fs.Int("depth", 4, "pipelined submissions in flight")
 	flushEvery := fs.Int("flush", 4096, "re-split shards every this many requests (0: only at end)")
 	workers := fs.Int("workers", 0, "shard worker-pool size (0: GOMAXPROCS)")
-	accel := fs.Bool("accel", false, "Anderson-accelerate the holistic fixpoint")
 	record := fs.String("record", "", "write the synthesized trace to this file before replaying")
 	traceFile := fs.String("trace", "", "replay a recorded trace instead of synthesizing")
 	jsonOut := fs.Bool("json", false, "emit one JSON metrics object instead of the table")
@@ -133,7 +132,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := replay(h, ops, *batch, *depth, *flushEvery, core.Config{Workers: *workers, Accel: *accel})
+	m, err := replay(h, ops, *batch, *depth, *flushEvery, core.Config{Workers: *workers})
 	if perr := prof.Stop(); err == nil {
 		err = perr
 	}

@@ -74,10 +74,8 @@ type (
 	Figure1Options = network.Figure1Options
 	// AnalysisConfig tunes the response-time analysis.
 	AnalysisConfig = core.Config
-	// ConvergenceStats breaks down how the holistic fixpoint of one
-	// analysis was reached: plain sweeps, total worklist rounds,
-	// accepted Anderson jumps and safeguard rollbacks (AnalysisConfig
-	// Accel).
+	// ConvergenceStats counts the sweeps (worklist rounds) one analysis
+	// took to reach the holistic fixpoint.
 	ConvergenceStats = core.ConvergenceStats
 	// ErrNoConvergence records an analysis abandoned at the holistic
 	// iteration cap (AnalysisConfig.MaxHolisticIter) — found on
@@ -207,17 +205,6 @@ func (s *System) Analyze(cfg AnalysisConfig) (*AnalysisResult, error) {
 	return an.Analyze()
 }
 
-// AnalyzeParallel runs the holistic analysis with Jacobi-style parallel
-// iterations (workers <= 0 selects GOMAXPROCS). It reaches the same
-// fixpoint as Analyze and pays off on networks with many flows.
-func (s *System) AnalyzeParallel(cfg AnalysisConfig, workers int) (*AnalysisResult, error) {
-	an, err := core.NewAnalyzer(s.nw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return an.AnalyzeParallel(workers)
-}
-
 // Simulate runs the discrete-event simulator on the system.
 func (s *System) Simulate(cfg SimConfig) (*SimResult, error) {
 	sm, err := sim.New(s.nw, cfg)
@@ -241,9 +228,7 @@ func (s *System) CompareModels(cfg AnalysisConfig) (*ModelComparison, error) {
 // tokens instead of recompute or deep copies. RequestBatch decides a
 // whole batch with one converged delta worklist — identical decisions
 // to one-by-one RequestAll, with violators evicted in request order via
-// journaled rollback that spans the eviction departures. Set
-// AnalysisConfig.Workers to run large delta worklists as parallel
-// Jacobi rounds.
+// journaled rollback that spans the eviction departures.
 func (s *System) NewAdmissionController(cfg AnalysisConfig) (*admission.Controller, error) {
 	return admission.NewController(s.nw, cfg)
 }
@@ -290,8 +275,7 @@ func (s *System) NewParallelAdmissionController(cfg AnalysisConfig) (*admission.
 // copy-on-read: Engine.AnalyzeView returns an O(1) AnalysisView sharing
 // the engine's live per-flow results (Engine.Analyze remains the
 // detached-copy compatibility shim, Engine.Refresh converges without
-// publishing). Set AnalysisConfig.Workers to parallelise large delta
-// worklists. Mutate the flow set only through the engine (or call
+// publishing). Mutate the flow set only through the engine (or call
 // Engine.Invalidate after out-of-band changes).
 func (s *System) NewEngine(cfg AnalysisConfig) (*Engine, error) {
 	return core.NewEngine(s.nw, cfg)

@@ -76,7 +76,9 @@ func TestAssignPrioritiesDMThroughFacade(t *testing.T) {
 	}
 }
 
-func TestAnalyzeParallelThroughFacade(t *testing.T) {
+// TestEngineMatchesColdThroughFacade: the warm engine and the cold
+// referee analysis, both reached through the facade, agree.
+func TestEngineMatchesColdThroughFacade(t *testing.T) {
 	sys := gmfnet.NewSystem(gmfnet.MustFigure1(gmfnet.Figure1Options{Rate: 100 * gmfnet.Mbps}))
 	for i, src := range []gmfnet.NodeID{"0", "1", "2"} {
 		sys.MustAddFlow(&gmfnet.FlowSpec{
@@ -85,19 +87,23 @@ func TestAnalyzeParallelThroughFacade(t *testing.T) {
 			Priority: gmfnet.Priority(i),
 		})
 	}
-	seq, err := sys.Analyze(gmfnet.AnalysisConfig{})
+	cold, err := sys.Analyze(gmfnet.AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sys.AnalyzeParallel(gmfnet.AnalysisConfig{}, 0)
+	eng, err := sys.NewEngine(gmfnet.AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Schedulable() != par.Schedulable() {
-		t.Fatal("parallel and sequential verdicts differ")
+	warm, err := eng.Analyze()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range seq.Flows {
-		if seq.Flows[i].MaxResponse() != par.Flows[i].MaxResponse() {
+	if cold.Schedulable() != warm.Schedulable() {
+		t.Fatal("engine and cold verdicts differ")
+	}
+	for i := range cold.Flows {
+		if cold.Flows[i].MaxResponse() != warm.Flows[i].MaxResponse() {
 			t.Fatalf("flow %d: bounds differ", i)
 		}
 	}

@@ -48,9 +48,10 @@ type Decision struct {
 	// analyse the whole network; ShardedController analyses the
 	// request's interference closure only (flows outside it cannot be
 	// affected, but their bounds are not in this view — read them via
-	// Sharded().AnalyzeAllViews). ColdController, which has no engine,
-	// leaves View nil and fills Result instead; read decisions through
-	// Analysis to be controller-agnostic.
+	// Sharded().AnalyzeAllViews). Controller and ShardedController fill
+	// View and leave Result nil; ColdController and ParallelController
+	// do the opposite (see Result). Read decisions through Analysis to
+	// be controller-agnostic.
 	//
 	// A live view pins a little engine bookkeeping, and the engine
 	// copies each header the view saw into it at most once as later
@@ -61,12 +62,14 @@ type Decision struct {
 	// keep a detached copy); admitted batch decisions share one view,
 	// for which Close is idempotent.
 	View *core.ResultView
-	// Result is the detached form of the analysis.
-	//
-	// Deprecated: only ColdController populates it eagerly; the
-	// engine-backed controllers publish View instead, precisely so the
-	// hot accept path copies no per-flow result headers. Use Analysis,
-	// which serves whichever form the deciding controller produced.
+	// Result is the detached form of the analysis, filled by the two
+	// controllers that cannot hand out a view: ColdController has no
+	// engine to share headers with, and ParallelController materializes
+	// every RetainAll decision on its shard goroutine (a view must not
+	// leave the goroutine that owns its engine) and closes the view.
+	// Under RetainCounters both fields are nil. The serial engine-backed
+	// controllers publish View instead, so their accept path copies no
+	// per-flow result headers.
 	Result *core.Result
 }
 

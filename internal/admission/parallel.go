@@ -246,8 +246,10 @@ func (c *ParallelController) SubmitBatch(specs []*network.FlowSpec) (*PendingBat
 
 // submit creates the ticket and hands the specs to the scheduler. The
 // ticket enters the fold queue before dispatch, so completions —
-// however fast — find it; prepare runs under the dispatch lock before
-// any group can complete, so remaining is set first.
+// however fast — find it; prepare runs before any group is dispatched,
+// so remaining is set before one can complete. It takes the controller
+// lock because an earlier ticket's fold may already be reading this
+// ticket's count.
 func (c *ParallelController) submit(specs []*network.FlowSpec, single bool) *PendingBatch {
 	t := &PendingBatch{
 		c:         c,
@@ -262,7 +264,11 @@ func (c *ParallelController) submit(specs []*network.FlowSpec, single bool) *Pen
 	c.tickets = append(c.tickets, t)
 	c.mu.Unlock()
 	c.sched.Submit(specs,
-		func(groups [][]int) { t.remaining = len(groups) },
+		func(groups [][]int) {
+			c.mu.Lock()
+			t.remaining = len(groups)
+			c.mu.Unlock()
+		},
 		func(members []int, eng *core.Engine, derr error) []bool {
 			return c.runGroup(t, members, eng, derr)
 		})

@@ -59,7 +59,7 @@ type Config struct {
 	// WriteTimeout bounds each wire write, so a stalled peer cannot
 	// pin a writer goroutine past it. Default 5s.
 	WriteTimeout time.Duration
-	// Core configures the controller's engine (workers, acceleration).
+	// Core configures the controller's engine (worker-pool size, analysis caps).
 	Core core.Config
 }
 

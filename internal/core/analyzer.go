@@ -156,22 +156,10 @@ type jitterState struct {
 	changedMark []bool
 	changedList []int
 
-	// decreased / maxDelta instrument the writes since the last
-	// resetChanged: whether any slot moved down, and the largest upward
-	// move. Plain Kleene sweeps only ascend, so a decrease during the
-	// verification sweep of an accelerated candidate means the
-	// extrapolation overshot the least fixpoint — the safeguard's
-	// rollback trigger (see accel.go). maxDelta is the residual
-	// ErrNoConvergence reports at cap exhaustion.
-	decreased bool
-	maxDelta  units.Time
-
-	// trackDec / decOffs additionally record WHICH arena slots moved
-	// down during a speculative verification sweep, so the accelerator
-	// can narrow an overshot candidate to its surviving bumps instead
-	// of discarding it wholesale. Armed only inside a spec epoch.
-	trackDec bool
-	decOffs  []int32
+	// maxDelta is the largest upward move written since the last
+	// resetChanged: the residual ErrNoConvergence reports at cap
+	// exhaustion.
+	maxDelta units.Time
 
 	// journal records (slot, old value) for every write since the last
 	// beginJournal, newest last; undoTo replays it backwards.
@@ -299,12 +287,7 @@ func (js *jitterState) set(j, pos, k int, v units.Time) {
 	}
 	js.arena[off] = v
 	js.changed = true
-	if v < old {
-		js.decreased = true
-		if js.trackDec {
-			js.decOffs = append(js.decOffs, off)
-		}
-	} else if d := v - old; d > js.maxDelta {
+	if d := v - old; d > js.maxDelta {
 		js.maxDelta = d
 	}
 	if !js.changedMark[j] {
@@ -363,80 +346,13 @@ func (js *jitterState) extraOf(j int, rid network.ResourceID) units.Time {
 	return 0
 }
 
-// validateExtras refreshes every invalidated extra cache. Parallel rounds
-// call it before fan-out so that concurrent extraOf reads of foreign
-// flows are strictly read-only.
-func (js *jitterState) validateExtras() {
-	for j := range js.blocks {
-		b := &js.blocks[j]
-		for pos := range b.rids {
-			if !js.extraValid[b.ebase+int32(pos)] {
-				js.extraAt(j, pos)
-			}
-		}
-	}
-}
-
 func (js *jitterState) resetChanged() {
 	js.changed = false
-	js.decreased = false
 	js.maxDelta = 0
 	for _, j := range js.changedList {
 		js.changedMark[j] = false
 	}
 	js.changedList = js.changedList[:0]
-}
-
-// specMark bounds one speculative write epoch: the journal length at
-// beginSpec plus whether the journal was armed privately for it.
-type specMark struct {
-	jlen  int
-	owned bool
-}
-
-// beginSpec opens a speculative write epoch for the accelerated
-// iteration: every subsequent write is journaled so rollbackSpec can
-// undo exactly the speculation. When an engine snapshot already has the
-// journal armed, the speculation shares it (the suffix since jlen is
-// the speculation); otherwise the journal is armed privately and
-// acceptSpec/rollbackSpec disarm it again. Structural changes
-// (add/remove flow) must not happen inside a spec epoch.
-func (js *jitterState) beginSpec() specMark {
-	m := specMark{jlen: len(js.journal), owned: !js.journalOn}
-	js.journalOn = true
-	js.trackDec = true
-	js.decOffs = js.decOffs[:0]
-	return m
-}
-
-// rollbackSpec undoes every write since beginSpec — the journal suffix
-// is replayed backwards (restoring slots and invalidating the touched
-// extra caches) and truncated. Cost O(writes since the mark). The
-// changed tracking is NOT rewound; callers re-sweep the touched flows,
-// which restores the headers and re-derives the worklist.
-func (js *jitterState) rollbackSpec(m specMark) {
-	for i := len(js.journal) - 1; i >= m.jlen; i-- {
-		e := js.journal[i]
-		js.arena[e.off] = e.old
-		js.extraValid[e.eidx] = false
-	}
-	js.journal = js.journal[:m.jlen]
-	if m.owned {
-		js.journalOn = false
-	}
-	js.trackDec = false
-}
-
-// acceptSpec commits the speculative writes: with a privately armed
-// journal the suffix is dropped and journaling disarmed; under an
-// outer snapshot the entries stay — they are real writes the snapshot
-// must be able to undo.
-func (js *jitterState) acceptSpec(m specMark) {
-	if m.owned {
-		js.journal = js.journal[:m.jlen]
-		js.journalOn = false
-	}
-	js.trackDec = false
 }
 
 // coldReset restores flow j's slots to the cold-start assignment. The

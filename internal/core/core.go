@@ -83,47 +83,18 @@ type Config struct {
 	// MaxHolisticIter caps the outer holistic jitter iteration of
 	// Section 3.5. Zero selects 256.
 	MaxHolisticIter int
-	// Workers is the one parallelism knob of the analysis layer. It
-	// bounds every fan-out that Config reaches: the size of the shard
+	// Workers bounds the shard-level fan-out: the size of the shard
 	// scheduler's worker pool, the per-shard fan-out of AnalyzeAll and
-	// the sharded batch groups (all via PoolWorkers), and the engine's
-	// parallel delta worklist — when > 1, delta iterations whose
-	// worklist is large enough run as Jacobi-style rounds across that
-	// many goroutines instead of the sequential Gauss-Seidel sweep;
-	// both reach the same least fixpoint. Zero or one keeps the
-	// engine iteration sequential; negative selects GOMAXPROCS.
-	//
-	// The two levels do not stack: a ShardedEngine hands each shard a
-	// sequential engine (shard-level concurrency already uses the
-	// budget), so delta-worklist parallelism applies to monolithic
-	// engines only and shard and worklist fan-out never oversubscribe
-	// each other.
+	// the sharded batch groups (all via PoolWorkers). Zero or negative
+	// selects GOMAXPROCS. A single Engine's iteration is always
+	// sequential.
 	Workers int
-	// Accel enables Anderson-accelerated convergence of the engine's
-	// holistic iteration: between plain sweeps the engine extrapolates
-	// the jitter assignment from its residual history and adjudicates
-	// the candidate with one safeguarded verification sweep, falling
-	// back to plain Kleene iteration whenever the candidate misbehaves
-	// (see accel.go). The converged assignment — and therefore every
-	// bound and admission verdict — is bit-identical to the
-	// unaccelerated least fixpoint; only iteration counts change.
-	// ShardedEngine and the scheduler pass the knob to every per-shard
-	// engine. The one-shot Analyzer ignores it (it is the cold
-	// reference the accelerated engine is differentially tested
-	// against).
-	Accel bool
-	// AccelDepth is the Anderson history window m: how many previous
-	// (iterate, residual) pairs the extrapolation mixes. Zero selects 4.
-	// Meaningful only with Accel set.
-	AccelDepth int
 }
 
 // PoolWorkers resolves Workers to a worker-pool size for shard-level
 // fan-out (the scheduler's pool, AnalyzeAll, sharded batch groups):
 // a positive value is taken literally, zero and negative select
-// GOMAXPROCS. Contrast the engine-internal worklist, where zero means
-// sequential — shard-level concurrency is on by default, worklist
-// parallelism is opt-in.
+// GOMAXPROCS.
 func (c Config) PoolWorkers() int {
 	if c.Workers > 0 {
 		return c.Workers
@@ -141,30 +112,19 @@ func (c Config) withDefaults() Config {
 	if c.MaxHolisticIter == 0 {
 		c.MaxHolisticIter = 256
 	}
-	if c.AccelDepth == 0 {
-		c.AccelDepth = 8
-	}
 	return c
 }
 
 // ConvergenceStats reports how the last holistic iteration converged.
-// The engine fills it on every analysis; with acceleration off,
-// WorklistRounds == Iterations and the accel counters are zero.
+// The engine fills it on every analysis. Every worklist round is one
+// sweep of the monotone ascent, so the two counters are always equal;
+// both stay because bench/ reads each (its contract surface).
 type ConvergenceStats struct {
-	// Iterations counts the sweeps that advanced the monotone ascent —
-	// the plain Kleene iterations plus the accepted accelerated steps.
-	// It equals Result.Iterations.
+	// Iterations counts the sweeps of the monotone (Kleene) ascent,
+	// bounded by Config.MaxHolisticIter. It equals Result.Iterations.
 	Iterations int
-	// WorklistRounds counts every worklist round executed, including
-	// verification sweeps of accelerated candidates that were rolled
-	// back — the total effort spent, bounded by Config.MaxHolisticIter.
+	// WorklistRounds counts the worklist rounds executed.
 	WorklistRounds int
-	// AccelSteps counts accelerated candidates whose verification sweep
-	// accepted them (the sweep is itself one of the Iterations).
-	AccelSteps int
-	// Fallbacks counts accelerated candidates the safeguard rejected
-	// and rolled back to the plain iterate.
-	Fallbacks int
 }
 
 // Add accumulates other into s; admission loops use it to aggregate
@@ -172,8 +132,6 @@ type ConvergenceStats struct {
 func (s *ConvergenceStats) Add(other ConvergenceStats) {
 	s.Iterations += other.Iterations
 	s.WorklistRounds += other.WorklistRounds
-	s.AccelSteps += other.AccelSteps
-	s.Fallbacks += other.Fallbacks
 }
 
 // ErrNoConvergence reports that the holistic iteration exhausted
@@ -329,8 +287,8 @@ type Result struct {
 	// Converged reports whether the jitter assignment reached a fixpoint
 	// within Config.MaxHolisticIter.
 	Converged bool
-	// Stats breaks the convergence down (worklist rounds, accelerated
-	// steps, safeguard fallbacks). Stats.Iterations == Iterations.
+	// Stats carries the convergence counters. Stats.Iterations ==
+	// Iterations.
 	Stats ConvergenceStats
 	// NoConvergence is non-nil when the analysis exhausted
 	// Config.MaxHolisticIter without reaching a fixpoint; it carries

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"gmfnet/internal/network"
-	"gmfnet/internal/units"
 )
 
 // Engine is a persistent, warm-startable analysis engine for online
@@ -23,16 +21,15 @@ import (
 //     to the exact least fixpoint after additions);
 //   - the network's resource→flows interference index, so a change to one
 //     flow re-analyses only the flows whose pipelines transitively share a
-//     resource with it (AnalyzeDelta), falling back to a full pass when
-//     the affected set is the whole network.
+//     resource with it, falling back to a full pass when the affected
+//     set is the whole network.
 //
 // Results are published copy-on-read: the engine keeps one live slice of
 // per-flow result headers, stamps each header with the generation that
-// last wrote it, and AnalyzeView/AnalyzeDeltaView return O(1) immutable
-// ResultViews sharing those headers (a write barrier preserves retained
-// views — see view.go). Analyze/AnalyzeDelta remain as compatibility
-// shims with the original detached-copy semantics; Refresh converges
-// without publishing anything.
+// last wrote it, and AnalyzeView returns O(1) immutable ResultViews
+// sharing those headers (a write barrier preserves retained views — see
+// view.go). Analyze keeps the original detached-copy semantics; Refresh
+// converges without publishing anything.
 //
 // Snapshots are O(1) tokens backed by undo journals: between Snapshot
 // and Restore the arena records (slot, old value) for every jitter
@@ -44,11 +41,6 @@ import (
 // and logs the removed spec, letting Restore re-insert the flow and
 // re-link the block — the rollback-across-departure speculative batch
 // admission needs.
-//
-// With Config.Workers > 1, large delta worklists run as Jacobi-style
-// parallel rounds (every worked flow analysed concurrently against the
-// previous round's jitters); small worklists keep the sequential
-// Gauss-Seidel sweep. Both reach the same least fixpoint.
 //
 // Mutate the flow set only through AddFlow/RemoveFlow so the engine can
 // track what changed; after any out-of-band change to the network or its
@@ -82,11 +74,6 @@ type Engine struct {
 	hdrJournal   []hdrOp
 	hdrJournalOn bool
 
-	// scratch is the reusable buffer parallel rounds write their
-	// per-flow results into before they are folded into flows through
-	// the write barrier.
-	scratch []FlowResult
-
 	// wlMark/wlEpoch/wlNext are the worklist iteration's reusable
 	// next-front scratch: wlMark[f] == wlEpoch marks flow f as already
 	// on the next round's worklist, wlNext accumulates the front in
@@ -96,17 +83,11 @@ type Engine struct {
 	wlEpoch int64
 	wlNext  []int
 
-	// lastIterations mirrors stats.Iterations for the pre-stats
-	// Result.Iterations field; stats carries the full breakdown of the
-	// last holistic analysis and noConv its abandonment record when
-	// MaxHolisticIter ran out (see ConvergenceStats, ErrNoConvergence).
-	lastIterations int
-	stats          ConvergenceStats
-	noConv         *ErrNoConvergence
-
-	// accel is the reusable Anderson-acceleration state, allocated on
-	// the first accelerated analysis (Config.Accel; see accel.go).
-	accel *accelState
+	// stats counts the sweeps of the last holistic analysis; noConv is
+	// its abandonment record when MaxHolisticIter ran out (see
+	// ConvergenceStats, ErrNoConvergence).
+	stats  ConvergenceStats
+	noConv *ErrNoConvergence
 
 	// snapSeq increments on every Snapshot, Restore, Discard and
 	// Invalidate: each snapshot truncates the undo journals, so only the
@@ -130,10 +111,6 @@ type removedFlow struct {
 	fs     *network.FlowSpec
 	demand []rateDemand
 }
-
-// minParallelWorklist is the smallest worklist worth a Jacobi round: below
-// it the goroutine fan-out costs more than the sweep.
-const minParallelWorklist = 8
 
 // NewEngine validates the network once and returns an engine over it.
 // Unlike the per-request core.NewAnalyzer path, later AddFlow calls
@@ -246,19 +223,17 @@ func (e *Engine) RemoveFlow(i int) error {
 // converge brings the engine's warm state up to date: with no pending
 // changes it is a no-op, with pending changes it runs the delta
 // worklist over them, and without warm state it runs a full cold pass.
-// It reports whether the current assignment is a converged fixpoint.
-func (e *Engine) converge() (bool, error) {
+// It reports whether the current assignment is a converged fixpoint;
+// it cannot fail — overload, divergence and cap exhaustion are verdicts
+// carried on the result (the callers' error returns are API).
+func (e *Engine) converge() bool {
 	if !e.valid {
 		return e.convergeFull()
 	}
 	if len(e.dirty) == 0 {
-		return true, nil
+		return true
 	}
-	changed := make([]int, 0, len(e.dirty))
-	for i := range e.dirty {
-		changed = append(changed, i)
-	}
-	return e.convergeDelta(changed...)
+	return e.convergeDelta()
 }
 
 // Analyze brings the engine's bounds up to date and returns them as a
@@ -267,11 +242,7 @@ func (e *Engine) converge() (bool, error) {
 // should prefer AnalyzeView, whose copy-on-read views cost O(1) to
 // create, or Refresh when the bounds need no reading at all.
 func (e *Engine) Analyze() (*Result, error) {
-	conv, err := e.converge()
-	if err != nil {
-		return nil, err
-	}
-	return e.result(conv), nil
+	return e.result(e.converge()), nil
 }
 
 // AnalyzeView brings the engine's bounds up to date and returns an
@@ -282,81 +253,25 @@ func (e *Engine) Analyze() (*Result, error) {
 // Call ResultView.Materialize for Analyze's detached *Result, or
 // ResultView.Close to discard a view early.
 func (e *Engine) AnalyzeView() (*ResultView, error) {
-	conv, err := e.converge()
-	if err != nil {
-		return nil, err
-	}
-	return e.newView(conv), nil
+	return e.newView(e.converge()), nil
 }
 
 // Refresh brings the engine's bounds up to date without publishing a
 // result — the cheapest way to re-converge after a departure when the
 // caller does not read the bounds.
 func (e *Engine) Refresh() error {
-	_, err := e.converge()
-	return err
-}
-
-// AnalyzeDelta re-analyses only the flows whose pipelines transitively
-// share a resource with the given changed flows, keeping every other
-// flow's converged bounds, and returns them as a detached *Result (the
-// compatibility path — see Analyze). AnalyzeDeltaView is the O(1)
-// copy-on-read form.
-func (e *Engine) AnalyzeDelta(changed ...int) (*Result, error) {
-	conv, err := e.convergeDelta(changed...)
-	if err != nil {
-		return nil, err
-	}
-	return e.result(conv), nil
-}
-
-// AnalyzeDeltaView is AnalyzeDelta returning an immutable copy-on-read
-// view instead of a detached copy; see AnalyzeView.
-func (e *Engine) AnalyzeDeltaView(changed ...int) (*ResultView, error) {
-	conv, err := e.convergeDelta(changed...)
-	if err != nil {
-		return nil, err
-	}
-	return e.newView(conv), nil
+	e.converge()
+	return nil
 }
 
 // convergeDelta converges the flows whose pipelines transitively share a
-// resource with the given changed flows. It is decision- and
+// resource with the pending (dirty) flows — all of them, since a
+// converged pass marks the whole engine state valid. It is decision- and
 // bound-equivalent to a full cold analysis of the current network:
 // unaffected flows' equations do not involve affected flows, and the
 // affected subsystem is iterated monotonically to its least fixpoint.
-// When the affected set is the whole network (or no warm state exists)
-// it falls back to a full pass.
-func (e *Engine) convergeDelta(changed ...int) (bool, error) {
+func (e *Engine) convergeDelta() bool {
 	nw := e.an.nw
-	n := nw.NumFlows()
-	seed := make(map[int]bool, len(changed)+len(e.dirty))
-	for _, i := range changed {
-		if i < 0 || i >= n {
-			return false, errIndex(i, n)
-		}
-		seed[i] = true
-	}
-	// Fold in every other pending change: a converged delta pass marks
-	// the whole engine state valid, which is only sound if no dirty flow
-	// is left un-analysed.
-	for i := range e.dirty {
-		seed[i] = true
-	}
-	if n == 0 {
-		e.bumpGen()
-		e.js = newJitterState(nw)
-		e.replaceHeaders(nil, true)
-		e.valid = true
-		e.dirty = make(map[int]bool)
-		e.lastIterations = 0
-		e.stats = ConvergenceStats{}
-		e.noConv = nil
-		return true, nil
-	}
-	if !e.valid {
-		return e.convergeFull()
-	}
 	// A changed flow alters the inputs of every flow sharing a directed
 	// link with it (its demand now appears in their interference sums),
 	// so those neighbours seed the worklist alongside the changed flows
@@ -364,15 +279,13 @@ func (e *Engine) convergeDelta(changed ...int) (bool, error) {
 	// actually move, never leaving the transitive interference closure —
 	// and degenerating to a full (warm-started) pass when that closure is
 	// the whole network.
-	work := make([]int, 0, len(seed))
-	for i := range seed {
-		work = append(work, i)
-	}
+	seed := make(map[int]bool, len(e.dirty))
 	grow := func(j int) { seed[j] = true }
-	for _, i := range work {
+	for i := range e.dirty {
+		grow(i)
 		nw.VisitInterferers(i, grow)
 	}
-	work = work[:0]
+	work := make([]int, 0, len(seed))
 	for i := range seed {
 		work = append(work, i)
 	}
@@ -382,7 +295,7 @@ func (e *Engine) convergeDelta(changed ...int) (bool, error) {
 
 // convergeFull runs the holistic analysis cold over every flow,
 // rebuilding all warm state.
-func (e *Engine) convergeFull() (bool, error) {
+func (e *Engine) convergeFull() bool {
 	nw := e.an.nw
 	e.bumpGen()
 	e.js = newJitterState(nw)
@@ -399,210 +312,60 @@ func (e *Engine) convergeFull() (bool, error) {
 }
 
 // analyzeOver runs a chaotic (worklist) iteration of the holistic
-// operator: each round re-analyses the flows on the worklist, and the
-// next round's worklist is the flows whose jitters changed plus every
-// flow sharing a directed link with one of them — the only flows whose
-// inputs moved. A flow whose interferers' jitters are all unchanged
-// recomputes to its previous result, so skipping it is exact: the
-// iteration converges to the same least fixpoint as a full Gauss-Seidel
-// sweep, while touching only the actual propagation front.
-//
-// With Config.Workers > 1, rounds whose worklist reaches
-// minParallelWorklist run Jacobi-style: every worked flow is analysed
-// concurrently against the previous round's jitters and the private
-// overlays are merged afterwards. Jacobi and Gauss-Seidel iterate the
-// same monotone operator from the same point, so the least fixpoint — and
-// therefore every bound and verdict — is identical; only the number of
-// rounds may differ.
+// operator: each round is one Gauss-Seidel sweep over the flows on the
+// worklist, and the next round's worklist is the flows whose jitters
+// changed plus every flow sharing a directed link with one of them — the
+// only flows whose inputs moved. A flow whose interferers' jitters are all
+// unchanged recomputes to its previous result, so skipping it is exact:
+// the iteration converges to the same least fixpoint as a full sweep over
+// every flow, while touching only the actual propagation front.
 //
 // Every header it rewrites goes through the engine's write barrier, so
 // retained ResultViews keep their pre-analysis values and the cost per
 // round is O(worked flows).
-//
-// With Config.Accel set, plain rounds additionally feed an Anderson
-// history (accel.go): between sweeps the engine may write an
-// extrapolated candidate into the jitter state under a speculative
-// journal epoch and use the next sweep as its safeguard — an accepted
-// sweep advanced the ascent from the candidate (one more Iteration, one
-// AccelStep), a rejected one is rolled back slotwise and the plain
-// ascent resumes where it was (a Fallback). The speculative round's
-// worklist is the plain next worklist W extended with the bumped flows
-// and their interferers, so after a rollback the very same worklist
-// covers both the plain continuation and every header the rolled-back
-// sweep rewrote. MaxHolisticIter caps the advancing sweeps
-// (stats.Iterations), exactly the plain iteration count — so whenever
-// the plain engine converges within the cap, the accelerated one does
-// too; rolled-back verification sweeps are extra effort
-// (stats.WorklistRounds), not extra cap pressure.
-func (e *Engine) analyzeOver(work []int) (bool, error) {
+func (e *Engine) analyzeOver(work []int) bool {
 	nw := e.an.nw
 	e.bumpGen()
-	workers := e.an.cfg.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var acc *accelState
-	if e.an.cfg.Accel {
-		if e.accel == nil {
-			e.accel = newAccelState(e.an.cfg.AccelDepth)
-		}
-		acc = e.accel
-		acc.reset()
-	}
-	var (
-		stats      ConvergenceStats
-		prewarmed  bool
-		spec       bool
-		mark       specMark
-		narrows    int
-		cooldown   int
-		decScratch []int32
-		valScratch []units.Time
-	)
 	e.noConv = nil
+	sweeps := 0
+	// finish publishes the stats; the warm state is a fixpoint of the
+	// current flow set exactly when the iteration converged.
+	finish := func(converged bool) bool {
+		e.valid = converged
+		e.stats = ConvergenceStats{Iterations: sweeps, WorklistRounds: sweeps}
+		return converged
+	}
 	maxIter := e.an.cfg.MaxHolisticIter
-	for stats.Iterations < maxIter {
-		stats.WorklistRounds++
-		if acc != nil {
-			// The packed candidate layout must stay frozen while a
-			// candidate is in flight: the verification sweep may pull
-			// new flows into the worklist, and growing the active set
-			// here would desynchronise z from the history it was built
-			// against. Newcomers are folded in on the next plain round.
-			if !spec {
-				acc.ensureActive(e.js, work)
-			}
-			acc.observe(e.js)
-		}
+	for sweeps < maxIter {
+		sweeps++
 		e.js.resetChanged()
-		errAt := e.sweepOnce(work, workers, &prewarmed)
-		if spec {
-			spec = false
-			if errAt >= 0 || e.js.decreased {
-				// The safeguard tripped: the extrapolated point
-				// overshot the least fixpoint (a slot moved down under
-				// F, or a stage blew up at the inflated jitters).
-				// Undo the candidate and its verification sweep; work
-				// still covers every header the sweep rewrote. A
-				// decrease pinpoints the refuted slots, so narrow the
-				// candidate to its surviving bumps and re-verify —
-				// the bumped set strictly shrinks, so this terminates.
-				// A stage blow-up names no slots; abandon wholesale
-				// and hold off proposing for a few rounds so a burst
-				// of hopeless candidates cannot double the sweep cost.
-				stats.Fallbacks++
-				decScratch = append(decScratch[:0], e.js.decOffs...)
-				valScratch = valScratch[:0]
-				for _, off := range decScratch {
-					valScratch = append(valScratch, e.js.arena[off])
-				}
-				e.js.rollbackSpec(mark)
-				if errAt < 0 && narrows < accelMaxNarrow {
-					narrows++
-					mark = e.js.beginSpec()
-					if acc.narrowCandidate(e.js, decScratch, valScratch) {
-						spec = true
-						continue
-					}
-					e.js.acceptSpec(mark)
-				}
-				cooldown = narrows + 2
-				narrows = 0
-				continue
+		for _, i := range work {
+			fr := e.an.flowPass(i, e.js)
+			e.setHeader(i, fr, true)
+			if fr.Err != nil {
+				// An overloaded or diverging stage dooms the whole
+				// configuration.
+				return finish(false)
 			}
-			e.js.acceptSpec(mark)
-			stats.AccelSteps++
-			narrows = 0
-		}
-		stats.Iterations++
-		if errAt >= 0 {
-			// An overloaded or diverging stage dooms the whole
-			// configuration; warm state is no longer a fixpoint.
-			e.valid = false
-			e.finishStats(stats)
-			return false, nil
-		}
-		if acc != nil {
-			acc.record(e.js)
 		}
 		if len(e.js.changedList) == 0 {
-			e.valid = true
 			e.dirty = make(map[int]bool)
-			e.finishStats(stats)
-			return true, nil
+			return finish(true)
 		}
 		front := e.nextFrontStart(nw.NumFlows())
 		for _, f := range e.js.changedList {
 			front(f)
 			nw.VisitInterferers(f, front)
 		}
-		if cooldown > 0 {
-			cooldown--
-		} else if acc != nil && stats.Iterations < maxIter && acc.ready() {
-			mark = e.js.beginSpec()
-			e.js.resetChanged()
-			if acc.propose(e.js) {
-				spec = true
-				for _, f := range e.js.changedList {
-					front(f)
-					nw.VisitInterferers(f, front)
-				}
-			} else {
-				e.js.acceptSpec(mark)
-			}
-		}
 		work = append(work[:0], e.wlNext...)
 		sort.Ints(work)
 	}
-	e.valid = false
 	e.noConv = &ErrNoConvergence{
 		Iterations: maxIter,
 		Residual:   e.js.maxDelta,
 		Pending:    len(e.js.changedList),
 	}
-	e.finishStats(stats)
-	return false, nil
-}
-
-// sweepOnce runs one worklist round — Jacobi-parallel when the worklist
-// is large enough, Gauss-Seidel otherwise — writing every result header
-// through the barrier. It returns the index of the first flow whose
-// pass failed (overload or divergence), or -1. On failure the parallel
-// branch has published every header but merged no overlay; both callers
-// cope (plain rounds mark the engine invalid, speculative rounds roll
-// the epoch back).
-func (e *Engine) sweepOnce(work []int, workers int, prewarmed *bool) int {
-	if workers > 1 && len(work) >= minParallelWorklist {
-		if !*prewarmed {
-			e.an.prewarmDemands()
-			*prewarmed = true
-		}
-		if cap(e.scratch) < len(e.flows) {
-			e.scratch = make([]FlowResult, len(e.flows))
-		}
-		scratch := e.scratch[:len(e.flows)]
-		overlays := e.an.parallelRound(e.js, work, workers, scratch)
-		for _, i := range work {
-			e.setHeader(i, scratch[i], true)
-		}
-		for _, i := range work {
-			if e.flows[i].Err != nil {
-				return i
-			}
-		}
-		for _, ov := range overlays {
-			ov.mergeInto(e.js)
-		}
-		return -1
-	}
-	for _, i := range work {
-		fr := e.an.flowPass(i, e.js)
-		e.setHeader(i, fr, true)
-		if fr.Err != nil {
-			return i
-		}
-	}
-	return -1
+	return finish(false)
 }
 
 // nextFrontStart begins a new next-worklist round — an O(1) epoch bump
@@ -625,19 +388,12 @@ func (e *Engine) nextFrontStart(n int) func(int) {
 	}
 }
 
-// finishStats publishes the analysis's convergence stats, keeping the
-// legacy lastIterations mirror in sync.
-func (e *Engine) finishStats(s ConvergenceStats) {
-	e.stats = s
-	e.lastIterations = s.Iterations
-}
-
 // result assembles a detached Result from the live per-flow headers —
 // the O(flows) copy the view path exists to avoid.
 func (e *Engine) result(converged bool) *Result {
 	out := &Result{
 		Flows:         make([]FlowResult, len(e.flows)),
-		Iterations:    e.lastIterations,
+		Iterations:    e.stats.Iterations,
 		Converged:     converged,
 		Stats:         e.stats,
 		NoConvergence: e.noConv,
@@ -695,12 +451,11 @@ type Snapshot struct {
 	mark  jitterMark
 	seq   uint64
 
-	dirty          []int
-	valid          bool
-	lastIterations int
-	stats          ConvergenceStats
-	noConv         *ErrNoConvergence
-	numFlows       int
+	dirty    []int
+	valid    bool
+	stats    ConvergenceStats
+	noConv   *ErrNoConvergence
+	numFlows int
 }
 
 // Snapshot captures the current engine state for a later Restore. Each
@@ -714,13 +469,12 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.snapLive = true
 	e.removedLog = nil
 	s := &Snapshot{
-		seq:            e.snapSeq,
-		valid:          e.valid,
-		lastIterations: e.lastIterations,
-		stats:          e.stats,
-		noConv:         e.noConv,
-		numFlows:       e.an.nw.NumFlows(),
-		dirty:          make([]int, 0, len(e.dirty)),
+		seq:      e.snapSeq,
+		valid:    e.valid,
+		stats:    e.stats,
+		noConv:   e.noConv,
+		numFlows: e.an.nw.NumFlows(),
+		dirty:    make([]int, 0, len(e.dirty)),
 	}
 	for i := range e.dirty {
 		s.dirty = append(s.dirty, i)
@@ -804,7 +558,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.js = s.jsRef
 	e.undoHeaders()
 	e.valid = s.valid
-	e.lastIterations = s.lastIterations
 	e.stats = s.stats
 	e.noConv = s.noConv
 	e.dirty = make(map[int]bool, len(s.dirty))

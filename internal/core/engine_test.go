@@ -191,28 +191,27 @@ func TestEngineSnapshotRestore(t *testing.T) {
 }
 
 // TestAnalyzeDeltaCoversPendingDirtyFlows guards against a converged
-// subset delta marking the engine valid while another freshly added (and
-// never analysed) flow still has placeholder results: the pending flow
-// must be folded into the pass.
+// delta pass marking the engine valid while a freshly added (and never
+// analysed) flow still has placeholder results: every pending flow must
+// be folded into the pass, even one no interference path leads to.
 func TestAnalyzeDeltaCoversPendingDirtyFlows(t *testing.T) {
 	topo := engineTopo(t)
 	eng, err := NewEngine(network.New(topo), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ia, err := eng.AddFlow(voipOn("a-side", "a1", "sA", "a2"))
-	if err != nil {
+	if _, err := eng.AddFlow(voipOn("a-side", "a1", "sA", "a2")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	// b-side is on a disjoint switch: analysing only a-side would not
-	// reach it through interference propagation.
+	// b-side is on a disjoint switch: interference propagation from
+	// a-side would not reach it.
 	if _, err := eng.AddFlow(voipOn("b-side", "b1", "sB", "b2")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.AnalyzeDelta(ia)
+	res, err := eng.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,16 +245,12 @@ func TestEngineRemoveFlowErrors(t *testing.T) {
 	if err := eng.RemoveFlow(0); err == nil {
 		t.Fatal("removing from empty engine succeeded")
 	}
-	if _, err := eng.AnalyzeDelta(5); err == nil {
-		t.Fatal("AnalyzeDelta with bad index succeeded")
-	}
 }
 
 // TestEngineReplayEquivalence is the randomized property test: a replayed
-// request/departure sequence through the incremental engine — sequential
-// and with the parallel delta worklist — must reach exactly the verdicts
-// and bounds of a cold Gauss-Seidel analysis and of the Jacobi-style
-// AnalyzeParallel, after every single operation.
+// request/departure sequence through the incremental engine must reach
+// exactly the verdicts and bounds of a cold analysis, after every single
+// operation.
 func TestEngineReplayEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -267,18 +262,11 @@ func TestEngineReplayEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			engPar, err := NewEngine(network.New(topo), Config{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
 			var live []*network.FlowSpec
 			for op := 0; op < 14; op++ {
 				if len(live) > 0 && r.Float64() < 0.3 {
 					i := r.Intn(len(live))
 					if err := eng.RemoveFlow(i); err != nil {
-						t.Fatal(err)
-					}
-					if err := engPar.RemoveFlow(i); err != nil {
 						t.Fatal(err)
 					}
 					live = append(live[:i], live[i+1:]...)
@@ -287,16 +275,9 @@ func TestEngineReplayEquivalence(t *testing.T) {
 					if _, err := eng.AddFlow(fs); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := engPar.AddFlow(fs); err != nil {
-						t.Fatal(err)
-					}
 					live = append(live, fs)
 				}
 				engRes, err := eng.Analyze()
-				if err != nil {
-					t.Fatal(err)
-				}
-				parEngRes, err := engPar.Analyze()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -315,15 +296,112 @@ func TestEngineReplayEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				compareResults(t, engRes, cold)
-				compareResults(t, parEngRes, cold)
-				par, err := seq.AnalyzeParallel(4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareResults(t, par, cold)
 			}
 		})
 	}
+}
+
+// deepChainSetup builds the deepest-converging closure we know: a ring
+// of software switches joined by 100 Mbit/s links, and video flows whose
+// three-hop routes overlap like shingles all the way around. The shingling closes a directed cycle in the interference
+// graph — each flow's response feeds the entry jitter of the next flow
+// around the ring — so the holistic jitter assignment circulates in
+// near-constant laps, gaining roughly one more preemption window per
+// sweep until the busy periods saturate. That staircase is the worst
+// case for the Kleene ascent: iterations proportional to the final
+// jitter over the per-lap increment.
+func deepChainSetup(t *testing.T) (*network.Topology, []*network.FlowSpec) {
+	t.Helper()
+	const switches = 12
+	topo := network.NewTopology()
+	for s := 0; s < switches; s++ {
+		sw := network.NodeID(fmt.Sprintf("sw%d", s))
+		if err := topo.AddSwitch(sw, network.DefaultSwitchParams()); err != nil {
+			t.Fatal(err)
+		}
+		if s > 0 {
+			prev := network.NodeID(fmt.Sprintf("sw%d", s-1))
+			if err := topo.AddDuplexLink(prev, sw, 100*units.Mbps, units.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for h := 0; h < 2; h++ {
+			id := network.NodeID(fmt.Sprintf("h%d_%d", s, h))
+			if err := topo.AddHost(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := topo.AddDuplexLink(id, sw, 100*units.Mbps, units.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	last := network.NodeID(fmt.Sprintf("sw%d", switches-1))
+	if err := topo.AddDuplexLink(last, "sw0", 100*units.Mbps, units.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	var specs []*network.FlowSpec
+	for s := 0; s < switches; s++ {
+		src := network.NodeID(fmt.Sprintf("h%d_0", s))
+		dst := network.NodeID(fmt.Sprintf("h%d_1", (s+switches-3)%switches))
+		route, err := topo.Route(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, &network.FlowSpec{
+			Flow: trace.CBRVideo(fmt.Sprintf("video%d", s), 65000,
+				30*units.Millisecond, 2*units.Second),
+			Route:    route,
+			Priority: 1,
+		})
+	}
+	return topo, specs
+}
+
+// TestDeepChainIterations records how many sweeps the deepest closure we
+// know needs, so neither a broken worklist nor a divergence regression
+// can pass silently — and so a proposal to speed the ascent up again has
+// a number to beat. Production-shaped closures take 2-5 sweeps (bench/
+// core.sweeps_max); this synthetic ring is the outlier.
+func TestDeepChainIterations(t *testing.T) {
+	topo, specs := deepChainSetup(t)
+	nw := network.New(topo)
+	eng, err := NewEngine(nw, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range specs {
+		if _, err := eng.AddFlow(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := eng.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("deep chain did not converge (stats %+v)", res.Stats)
+	}
+	t.Logf("sweeps=%d", res.Iterations)
+	// The chain needs roughly one sweep per hop of the longest ripple;
+	// the band is wide enough to absorb formula tweaks but tight enough
+	// to catch a broken worklist (1-2 iterations) or a divergence
+	// regression (hundreds).
+	if res.Iterations < 6 || res.Iterations > 64 {
+		t.Fatalf("iteration count %d outside the pinned band [6, 64]", res.Iterations)
+	}
+	// Every worklist round is one sweep of the ascent.
+	if st := res.Stats; st.WorklistRounds != st.Iterations || st.Iterations != res.Iterations {
+		t.Fatalf("stats %+v disagree with %d iterations", st, res.Iterations)
+	}
+	an, err := NewAnalyzer(nw, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := an.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, res, cold)
 }
 
 // randomEngineTopo chains 2-4 switches with 2-3 hosts each.

@@ -101,6 +101,85 @@ func TestHolisticIterationCap(t *testing.T) {
 	}
 }
 
+// TestErrNoConvergence pins the typed abandonment signal: exhausting
+// MaxHolisticIter yields Converged == false plus a NoConvergence record
+// carrying a positive residual — with a nil error from Analyze, since
+// cap exhaustion is a verdict, not a failure (the batch fallback in
+// admission depends on that; see Controller.RequestBatch).
+func TestErrNoConvergence(t *testing.T) {
+	topo, specs := deepChainSetup(t)
+	eng, err := NewEngine(network.New(topo), Config{MaxHolisticIter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range specs {
+		if _, err := eng.AddFlow(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := eng.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Schedulable() {
+		t.Fatalf("cap-starved analysis converged (iterations %d)", res.Iterations)
+	}
+	nc := res.NoConvergence
+	if nc == nil {
+		t.Fatal("Result.NoConvergence is nil after cap exhaustion")
+	}
+	if nc.Iterations != 2 || nc.Residual <= 0 || nc.Pending <= 0 {
+		t.Fatalf("NoConvergence = %+v, want iterations 2 and positive residual/pending", nc)
+	}
+	if nc.Error() == "" {
+		t.Fatal("NoConvergence.Error() empty")
+	}
+	v, err := eng.AnalyzeView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.NoConvergence() == nil {
+		t.Fatal("ResultView.NoConvergence() nil after cap exhaustion")
+	}
+	if mat := v.Materialize(); mat.NoConvergence == nil {
+		t.Fatal("materialized Result lost NoConvergence")
+	}
+	// A converged analysis clears the signal.
+	eng2, err := NewEngine(network.New(topo), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng2.AddFlow(specs[0]); err != nil {
+		t.Fatal(err)
+	}
+	res2, err := eng2.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res2.Converged || res2.NoConvergence != nil {
+		t.Fatalf("converged analysis carries NoConvergence %+v", res2.NoConvergence)
+	}
+	// The one-shot cold Analyzer reports the same signal.
+	ref := network.New(topo)
+	for _, fs := range specs {
+		if _, err := ref.AddFlow(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	an, err := NewAnalyzer(ref, Config{MaxHolisticIter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := an.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Converged || cold.NoConvergence == nil || cold.NoConvergence.Residual <= 0 {
+		t.Fatalf("cold analyzer after cap exhaustion: converged=%v noconv=%+v",
+			cold.Converged, cold.NoConvergence)
+	}
+}
+
 // TestJitterStatePanicsOnUnknownStage guards the internal invariant that
 // stages only record jitters at positions on the flow's own pipeline.
 func TestJitterStatePanicsOnUnknownStage(t *testing.T) {

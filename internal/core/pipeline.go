@@ -9,7 +9,7 @@ import (
 // flowPass runs Figure 6 for one flow: it walks the route, analyses each
 // stage with the current jitter state, accumulates RSUM/JSUM, and records
 // the flow's new entry jitters for the next holistic iteration.
-func (a *Analyzer) flowPass(i int, js jitterSource) FlowResult {
+func (a *Analyzer) flowPass(i int, js *jitterState) FlowResult {
 	fs := a.nw.Flow(i)
 	n := fs.Flow.N()
 	route := fs.Route

@@ -106,24 +106,10 @@ func NewShardedEngine(nw *network.Network, cfg Config) (*ShardedEngine, error) {
 	return se, nil
 }
 
-// shardEngineCfg is the config handed to per-shard engines: the
-// analysis knobs pass through, but Workers is clamped to 1 (sequential
-// delta worklists). Shard-level fan-out — AnalyzeAll, batch groups, the
-// scheduler's worker pool — already spends the Config.Workers budget,
-// so letting every shard also fan out its worklists would oversubscribe
-// the machine. Decisions are unaffected: the sequential and parallel
-// worklists reach the same least fixpoint. Closures are small by
-// construction anyway (a shard rarely reaches minParallelWorklist).
-func (se *ShardedEngine) shardEngineCfg() Config {
-	cfg := se.cfg
-	cfg.Workers = 1
-	return cfg
-}
-
 // newShard opens an empty shard. Its engine is converged trivially so
 // later fusions and splits can adopt warm blocks into it.
 func (se *ShardedEngine) newShard() (*shard, error) {
-	eng, err := NewEngine(network.New(se.topo), se.shardEngineCfg())
+	eng, err := NewEngine(network.New(se.topo), se.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +421,7 @@ func (se *ShardedEngine) Resplit() (int, error) {
 		detached := make([]*shard, 0, len(closures))
 		buildErr := func() error {
 			for _, members := range closures {
-				eng, err := NewEngine(network.New(se.topo), se.shardEngineCfg())
+				eng, err := NewEngine(network.New(se.topo), se.cfg)
 				if err != nil {
 					return err
 				}
@@ -651,8 +637,7 @@ func RunLimited(n int, f func(int)) {
 
 // RunLimitedWorkers is RunLimited with an explicit worker cap — the
 // same knob the shard scheduler's pool is sized by (Config.Workers via
-// PoolWorkers), so delta-worklist and shard-level fan-out cannot
-// oversubscribe each other. workers < 1 is treated as 1.
+// PoolWorkers). workers < 1 is treated as 1.
 func RunLimitedWorkers(n, workers int, f func(int)) {
 	if workers > n {
 		workers = n

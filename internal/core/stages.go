@@ -13,7 +13,7 @@ import (
 // constant while the busy-period and response-time windows iterate, so
 // hoisting them out of the fixpoint closures removes every demand-cache
 // lookup and pipeline scan from the innermost loops.
-func (a *Analyzer) hoistInterference(flows []int, rate units.BitRate, rid network.ResourceID, js jitterSource) ([]*gmf.Demand, []units.Time) {
+func (a *Analyzer) hoistInterference(flows []int, rate units.BitRate, rid network.ResourceID, js *jitterState) ([]*gmf.Demand, []units.Time) {
 	dems := a.demScratch[:0]
 	exts := a.extScratch[:0]
 	for _, j := range flows {
@@ -30,7 +30,7 @@ func (a *Analyzer) hoistInterference(flows []int, rate units.BitRate, rid networ
 // on the link interferes regardless of priority.
 //
 // It returns the bound including the link's propagation delay (eq. 19).
-func (a *Analyzer) firstHop(i, k int, js jitterSource) (units.Time, error) {
+func (a *Analyzer) firstHop(i, k int, js *jitterState) (units.Time, error) {
 	fs := a.nw.Flow(i)
 	from, to := fs.Route[0], fs.Route[1]
 	link := a.nw.Topo.Link(from, to)
@@ -109,7 +109,7 @@ func (a *Analyzer) firstHop(i, k int, js jitterSource) (units.Time, error) {
 // N = route[h]. Ethernet frames arriving on the input interface from
 // prec(τi,N) wait for their per-interface route task, which is serviced
 // once every CIRC(N); every fragment costs one service slot.
-func (a *Analyzer) ingress(i, k, h int, js jitterSource) (units.Time, error) {
+func (a *Analyzer) ingress(i, k, h int, js *jitterState) (units.Time, error) {
 	fs := a.nw.Flow(i)
 	node, pred := fs.Route[h], fs.Route[h-1]
 	res := Resource{Kind: KindIngress, Node: node, To: pred}
@@ -192,7 +192,7 @@ func (a *Analyzer) ingress(i, k, h int, js jitterSource) (units.Time, error) {
 // higher-or-equal-priority flows (transmission plus their stride slots), a
 // blocking term of one maximum-size frame already on the wire, and — in
 // ModeSound — the analysed flow's own stride slots (DESIGN.md F5).
-func (a *Analyzer) egress(i, k, h int, js jitterSource) (units.Time, error) {
+func (a *Analyzer) egress(i, k, h int, js *jitterState) (units.Time, error) {
 	fs := a.nw.Flow(i)
 	node, to := fs.Route[h], fs.Route[h+1]
 	link := a.nw.Topo.Link(node, to)

@@ -260,7 +260,7 @@ func (e *Engine) newView(converged bool) *ResultView {
 		gen:        e.gen,
 		arr:        arrID(e.flows),
 		flows:      e.flows,
-		iterations: e.lastIterations,
+		iterations: e.stats.Iterations,
 		stats:      e.stats,
 		noConv:     e.noConv,
 		converged:  converged,
@@ -283,12 +283,12 @@ func (e *Engine) dropView(v *ResultView) {
 }
 
 // ResultView is an immutable, generation-stamped view of one analysis
-// outcome. It is what AnalyzeView and AnalyzeDeltaView return: creation
-// is O(1) because unchanged headers are shared with the engine, and the
-// engine's write barrier copies a header into the view's private overlay
-// only at the moment a later mutation overwrites it — copy-on-read for
-// callers that retain a view across later engine activity, at total cost
-// O(headers the engine actually rewrote), never O(flows).
+// outcome. It is what AnalyzeView returns: creation is O(1) because
+// unchanged headers are shared with the engine, and the engine's write
+// barrier copies a header into the view's private overlay only at the
+// moment a later mutation overwrites it — copy-on-read for callers that
+// retain a view across later engine activity, at total cost O(headers
+// the engine actually rewrote), never O(flows).
 //
 // A view logically freezes the analysis at its creation: every accessor
 // keeps answering from that state no matter what the engine does next
@@ -362,9 +362,8 @@ func (v *ResultView) NumFlows() int { return len(v.flows) }
 // Iterations returns the number of holistic passes the analysis ran.
 func (v *ResultView) Iterations() int { return v.iterations }
 
-// Stats returns the convergence breakdown of the analysis at view time
-// (worklist rounds, accelerated steps, safeguard fallbacks). O(1) and
-// safe after Close — the stats are captured at view creation.
+// Stats returns the convergence counters of the analysis at view time.
+// O(1) and safe after Close — the stats are captured at view creation.
 func (v *ResultView) Stats() ConvergenceStats { return v.stats }
 
 // NoConvergence returns the abandonment record when the analysis

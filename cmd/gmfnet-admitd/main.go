@@ -9,6 +9,7 @@
 // Usage:
 //
 //	gmfnet-admitd [-listen ADDR] [-unix PATH] [-topo KIND] [-switches K] [-fanout F] [-hosts H] [-queue N] [-workers W]
+//	              [-cpuprofile F] [-memprofile F] [-mutexprofile F] [-blockprofile F]
 //	gmfnet-admitd -status ADDR
 //
 // The daemon serves exactly one topology, fixed at startup; client
@@ -16,6 +17,11 @@
 // drains gracefully: stop accepting, decide every request already
 // queued, tell every connection with a "drain" message, then flush and
 // close the controller.
+//
+// -cpuprofile, -memprofile, -mutexprofile and -blockprofile FILE write
+// pprof profiles of the daemon's whole serving life, from startup to
+// the end of the drain (`go tool pprof FILE`) — the way to see where a
+// load test's time went without patching the daemon.
 //
 // -status dials a running daemon as an observer (zero-TopoSpec hello),
 // fetches its counters snapshot and prints them — aggregate admission
@@ -34,6 +40,7 @@ import (
 	"gmfnet/internal/admitd"
 	"gmfnet/internal/admitd/client"
 	"gmfnet/internal/core"
+	"gmfnet/internal/profiling"
 	"gmfnet/internal/report"
 	"gmfnet/internal/workload"
 )
@@ -47,7 +54,7 @@ func main() {
 	}
 }
 
-func run(args []string, w io.Writer, stop <-chan os.Signal) error {
+func run(args []string, w io.Writer, stop <-chan os.Signal) (err error) {
 	fs := flag.NewFlagSet("gmfnet-admitd", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7070", "TCP listen address (empty to disable)")
 	unixPath := fs.String("unix", "", "unix socket path to listen on as well")
@@ -58,6 +65,10 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) error {
 	queue := fs.Int("queue", 128, "per-connection outbound queue bound; overflow disconnects the peer")
 	workers := fs.Int("workers", 0, "controller worker-pool size (0 = GOMAXPROCS)")
 	status := fs.String("status", "", "print a running daemon's counters (address or unix socket path) and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the daemon's run to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile after the drain to this file")
+	mutexprofile := fs.String("mutexprofile", "", "write a pprof mutex-contention profile after the drain to this file")
+	blockprofile := fs.String("blockprofile", "", "write a pprof blocking profile after the drain to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -70,6 +81,17 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) error {
 	if *listen == "" && *unixPath == "" {
 		return fmt.Errorf("nothing to listen on: set -listen and/or -unix")
 	}
+
+	prof, err := profiling.Start(*cpuprofile, *memprofile, *mutexprofile, *blockprofile)
+	if err != nil {
+		return err
+	}
+	// Stopped on every way out: after the drain, or when startup fails.
+	defer func() {
+		if perr := prof.Stop(); err == nil {
+			err = perr
+		}
+	}()
 
 	spec := workload.TopoSpec{Kind: *topoKind, Switches: *switches, Hosts: *hosts, Fanout: *fanout}
 	if spec.Kind == "campus" {

@@ -21,18 +21,22 @@ func (w lineWriter) Write(p []byte) (int, error) {
 }
 
 // TestRunLifecycle boots the daemon on an ephemeral TCP port plus a
-// unix socket, exercises -status against both, then delivers SIGTERM
-// and expects a clean drain: run returns nil and the socket file is
-// gone.
+// unix socket with all four pprof flags set, exercises -status against
+// both listeners, then delivers SIGTERM and expects a clean drain: run
+// returns nil, the socket file is gone and every profile was written.
 func TestRunLifecycle(t *testing.T) {
-	sock := filepath.Join(t.TempDir(), "admitd.sock")
+	dir := t.TempDir()
+	sock := filepath.Join(dir, "admitd.sock")
+	profiles := map[string]string{}
+	args := []string{"-listen", "127.0.0.1:0", "-unix", sock, "-switches", "2", "-hosts", "2"}
+	for _, kind := range []string{"cpu", "mem", "mutex", "block"} {
+		profiles[kind] = filepath.Join(dir, kind+".prof")
+		args = append(args, "-"+kind+"profile", profiles[kind])
+	}
 	stop := make(chan os.Signal, 1)
 	out := lineWriter{ch: make(chan string, 16)}
 	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-unix", sock,
-			"-switches", "2", "-hosts", "2"}, out, stop)
-	}()
+	go func() { done <- run(args, out, stop) }()
 
 	readLine := func(prefix string) string {
 		t.Helper()
@@ -75,6 +79,11 @@ func TestRunLifecycle(t *testing.T) {
 	if _, err := os.Stat(sock); !os.IsNotExist(err) {
 		t.Fatalf("socket file still present after drain: %v", err)
 	}
+	for kind, path := range profiles {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s profile after drain: %v (want a non-empty file)", kind, err)
+		}
+	}
 }
 
 func TestRunErrors(t *testing.T) {
@@ -85,6 +94,7 @@ func TestRunErrors(t *testing.T) {
 		{"-switches", "0"},
 		{"stray-arg"},
 		{"-status", "127.0.0.1:1"}, // nothing listening there
+		{"-cpuprofile", "/nonexistent-dir/cpu.prof"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out, nil); err == nil {

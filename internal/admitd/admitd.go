@@ -14,15 +14,20 @@
 //     overflows its queue and is disconnected, never blocking the
 //     dispatcher or the fold;
 //   - a single dispatcher goroutine owns all connection, subscription
-//     and closure-shadow state and serializes submissions into the
+//     and closure-book state and serializes submissions into the
 //     ParallelController in arrival order, so daemon decisions are
 //     byte-identical to an in-process replay of the same op sequence
 //     (the golden daemon tests pin this over the wire);
 //   - the controller's post-fold notification hook
 //     (admission.SetNotify) feeds the subscription manager, which
-//     mirrors resident flows into a shadow network.Network, diffs each
-//     fold's interference closure, and fans exactly one event out to
-//     the subscribers of every affected resident flow.
+//     enters each fold into the closure book (book.go: residents by
+//     spec, by name and by directed link) and fans exactly one event
+//     out to the subscribers of every resident flow sharing the fold's
+//     interference closure. A fold costs O(route length) while nobody
+//     is subscribed to anything and one walk of the touched closure —
+//     never of the resident set — when somebody is; network.Network's
+//     union-find is the oracle the book is tested against, not a
+//     second copy the daemon keeps.
 //
 // Drain (SIGTERM in the daemon, Server.Drain here) is graceful: stop
 // accepting, finish every submission already queued, notify all
@@ -63,9 +68,9 @@ type Config struct {
 	Core core.Config
 }
 
-// Server is one admission daemon: a ParallelController, its shadow
-// closure index, and the dispatcher that serializes wire submissions
-// into it.
+// Server is one admission daemon: a ParallelController, the closure
+// book of its residents, and the dispatcher that serializes wire
+// submissions into it.
 type Server struct {
 	cfg  Config
 	topo *network.Topology
@@ -81,9 +86,12 @@ type Server struct {
 
 	// notifMu guards the fold-event queue filled by the controller's
 	// SetNotify hook (which runs under the controller's lock, possibly
-	// on a shard goroutine) and drained by the dispatcher.
+	// on a shard goroutine) and drained by the dispatcher. taken is the
+	// dispatcher's half of the pair: the batch it last took, handed
+	// back as the empty queue by the next takeFolds.
 	notifMu sync.Mutex
 	notifQ  []admission.FoldEvent
+	taken   []admission.FoldEvent
 
 	readers sync.WaitGroup
 	connID  atomic.Int64
@@ -93,7 +101,8 @@ type Server struct {
 	closed    bool
 
 	// Dispatcher-owned state: touched only on the dispatcher goroutine.
-	shadow     *network.Network
+	book       *book
+	owed       []*resident // affected's scratch
 	conns      map[*conn]bool
 	order      []*conn // live conns in accept order, for stable stats
 	subs       map[string]map[*conn]bool
@@ -149,15 +158,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctl.SetRetention(admission.RetainCounters)
 	s := &Server{
-		cfg:    cfg,
-		topo:   topo,
-		ctl:    ctl,
-		ch:     make(chan dmsg, 256),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		shadow: network.New(topo),
-		conns:  make(map[*conn]bool),
-		subs:   make(map[string]map[*conn]bool),
+		cfg:   cfg,
+		topo:  topo,
+		ctl:   ctl,
+		ch:    make(chan dmsg, 256),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		book:  newBook(),
+		conns: make(map[*conn]bool),
+		subs:  make(map[string]map[*conn]bool),
 	}
 	ctl.SetNotify(s.enqueueFold)
 	go s.dispatch()
@@ -176,13 +185,17 @@ func (s *Server) enqueueFold(ev admission.FoldEvent) {
 	s.notifMu.Unlock()
 }
 
-// takeFolds hands the queued fold events to the dispatcher.
+// takeFolds hands the queued fold events to the dispatcher, valid until
+// the next call: the queue and the batch taken before this one swap
+// places, so no op allocates a queue under the controller's lock. The
+// consumed batch is cleared first — a buffer must not keep departed
+// specs alive.
 func (s *Server) takeFolds() []admission.FoldEvent {
+	clear(s.taken)
 	s.notifMu.Lock()
-	evs := s.notifQ
-	s.notifQ = nil
+	s.taken, s.notifQ = s.notifQ, s.taken[:0]
 	s.notifMu.Unlock()
-	return evs
+	return s.taken
 }
 
 // Serve starts accepting connections on l. It may be called more than

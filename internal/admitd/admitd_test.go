@@ -171,6 +171,50 @@ func TestSubscriptionDeltas(t *testing.T) {
 		t.Fatalf("release b: %v %v", ok, err)
 	}
 	check("release b after unsub/subB", subB, 1, "b", "b", admitd.EventAdmitted, 1)
+
+	// A bridging flow fuses two closures and splits them again when it
+	// departs: both watchers hear both changes, and after the split each
+	// is told the population of its own half. (r1 is still resident
+	// under sw0.)
+	if err := subB.Subscribe("b"); err != nil {
+		t.Fatal(err)
+	}
+	admit := func(name, src, dst string) {
+		t.Helper()
+		if ok, err := op.Add(voipOp(name, src, dst)); err != nil || !ok {
+			t.Fatalf("admit %s: %v %v", name, ok, err)
+		}
+	}
+	admit("a", "h0_0", "h0_1")
+	check("readmit a/subA", subA, 6, "a", "a", admitd.EventAdmitted, 2)
+	admit("b", "h1_0", "h1_1")
+	check("readmit b/subB", subB, 2, "b", "b", admitd.EventAdmitted, 1)
+	admit("x", "h0_0", "h1_1") // shares h0_0->sw0 with a, sw1->h1_1 with b
+	check("bridge x/subA", subA, 7, "a", "x", admitd.EventAdmitted, 4)
+	check("bridge x/subB", subB, 3, "b", "x", admitd.EventAdmitted, 4)
+	if ok, err := op.Release("x"); err != nil || !ok {
+		t.Fatalf("release x: %v %v", ok, err)
+	}
+	check("split/subA", subA, 8, "a", "x", admitd.EventReleased, 2)
+	check("split/subB", subB, 4, "b", "x", admitd.EventReleased, 1)
+
+	// Duplicate names: a second "a" is admitted into b's closure. The
+	// event for "a" reports the closure of the *first* resident of that
+	// name (still under sw0, population 2), not the closure that
+	// changed (population 3) ...
+	admit("d", "h1_0", "h1_1")
+	check("admit d/subB", subB, 5, "b", "d", admitd.EventAdmitted, 2)
+	admit("a", "h1_0", "h1_1")
+	check("second a/subA", subA, 9, "a", "a", admitd.EventAdmitted, 2)
+	check("second a/subB", subB, 6, "b", "a", admitd.EventAdmitted, 3)
+	// ... and when the first "a" departs, the second becomes the first:
+	// its closure is not the one that changed, and is still what a's
+	// watcher is told about. b's closure was not touched.
+	if ok, err := op.Release("a"); err != nil || !ok {
+		t.Fatalf("release first a: %v %v", ok, err)
+	}
+	check("release first a/subA", subA, 10, "a", "a", admitd.EventReleased, 3)
+	check("release first a/subB", subB, 6, "b", "a", admitd.EventAdmitted, 3)
 }
 
 // TestEventBeforeVerdict pins the per-connection ordering guarantee: a
@@ -354,8 +398,9 @@ func TestHelloValidation(t *testing.T) {
 }
 
 // TestWireErrors pins the op-level error replies: unknown ops, batches
-// with non-add members and nameless subscribes answer with an error
-// carrying the op's correlation ID, and the connection stays usable.
+// with non-add members or no members at all (no verdict would answer
+// one) and nameless subscribes answer with an error carrying the op's
+// correlation ID, and the connection stays usable.
 func TestWireErrors(t *testing.T) {
 	_, addr := newTestServer(t, admitd.Config{})
 	nc, err := net.Dial("tcp", addr)
@@ -389,13 +434,14 @@ func TestWireErrors(t *testing.T) {
 	expectErr(workload.Op{Op: "batch", ID: 2, Flows: []workload.Op{{Op: "del", Name: "x"}}})
 	expectErr(workload.Op{Op: "sub", ID: 3})
 	expectErr(workload.Op{Op: "add", ID: 4, Name: "x", Kind: "voip", Src: "h0_0", Dst: "nowhere"})
+	expectErr(workload.Op{Op: "batch", ID: 5})
 
 	// Still usable after every error.
-	if err := enc.Encode(workload.Op{Op: "stats", ID: 5}); err != nil {
+	if err := enc.Encode(workload.Op{Op: "stats", ID: 6}); err != nil {
 		t.Fatal(err)
 	}
 	var st admitd.Msg
-	if err := dec.Decode(&st); err != nil || st.Kind != admitd.KindStats || st.ID != 5 {
+	if err := dec.Decode(&st); err != nil || st.Kind != admitd.KindStats || st.ID != 6 {
 		t.Fatalf("stats after errors: %v %+v", err, st)
 	}
 }

@@ -2,6 +2,7 @@ package admitd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gmfnet/internal/admission"
@@ -10,7 +11,7 @@ import (
 )
 
 // dispatch is the daemon's single run loop: it owns every connection,
-// subscription and shadow-closure structure, and serializes wire
+// subscription and closure-book structure, and serializes wire
 // submissions into the controller in the order they arrive on s.ch.
 // That ordering invariant is the daemon's determinism guarantee — one
 // client replaying a trace sees exactly the decisions an in-process
@@ -43,7 +44,7 @@ func (s *Server) dispatch() {
 		}
 	}
 	s.drainErr = s.ctl.Close()
-	s.residents = append([]*network.FlowSpec(nil), s.shadow.Flows()...)
+	s.residents = s.book.residents()
 	// Readers may still be blocked sending to s.ch (their sockets close
 	// asynchronously, via the writers); keep the channel drained until
 	// the last one has exited, closing any connection that raced the
@@ -176,6 +177,11 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 		}
 		s.push(c, verdictMsg(op.ID, d))
 	case "batch":
+		if len(op.Flows) == 0 {
+			// No member means no verdict would answer the op.
+			s.push(c, errMsg(op.ID, fmt.Errorf("admitd: batch needs at least one flow")))
+			return
+		}
 		specs := make([]*network.FlowSpec, len(op.Flows))
 		for i := range op.Flows {
 			if op.Flows[i].Op != "add" {
@@ -239,32 +245,31 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 	}
 }
 
-// fanout drains the controller's post-fold notifications, mirrors them
-// into the shadow network, and pushes closure deltas to subscribers of
-// affected flows. The shadow network holds exactly the resident flow
-// set in admission order (the same specs the controller folded, by
-// pointer), so its incremental union-find answers "whose headroom did
-// this fold change" without touching any engine state.
+// fanout drains the controller's post-fold notifications into the
+// closure book and pushes closure deltas to subscribers of affected
+// flows. The book holds exactly the resident flow set (the same specs
+// the controller folded, by pointer — Release folds the exact pointer
+// that was admitted, so a departure is unambiguous even under duplicate
+// names). While nobody is subscribed to anything a fold only updates
+// the book's indices, O(route length); otherwise it also walks the one
+// closure the fold touched.
 func (s *Server) fanout() {
 	for _, ev := range s.takeFolds() {
 		switch ev.Kind {
 		case admission.FoldAdmitted:
-			idx, err := s.shadow.AddFlow(ev.Spec)
-			if err != nil {
-				continue // unreachable: the controller validated the spec
-			}
-			s.notifyClosure(ev.Spec.Flow.Name, EventAdmitted, s.closureNames(idx))
+			r := s.book.add(ev.Spec)
+			s.notify(r, EventAdmitted, s.affected(r))
 		case admission.FoldReleased:
-			idx := s.shadowIndex(ev.Spec)
-			if idx < 0 {
-				continue // unreachable: every resident was mirrored on fold
+			r := s.book.bySpec[ev.Spec]
+			if r == nil {
+				continue // unreachable: every resident was entered on fold
 			}
 			// Affected flows are the ones that shared the closure
 			// *before* the departure; their populations are reported
 			// after it (the closure may have split).
-			names := s.closureNames(idx)
-			s.shadow.RemoveFlow(idx)
-			s.notifyClosure(ev.Spec.Flow.Name, EventReleased, names)
+			owed := s.affected(r)
+			s.book.remove(r)
+			s.notify(r, EventReleased, owed)
 		case admission.FoldRejected:
 			// Never entered any closure; the requester already has the
 			// verdict, nobody's headroom changed.
@@ -272,67 +277,51 @@ func (s *Server) fanout() {
 	}
 }
 
-// shadowIndex finds the resident flow by spec identity — Release folds
-// the exact pointer that was admitted, so the match is unambiguous
-// even under duplicate names.
-func (s *Server) shadowIndex(fs *network.FlowSpec) int {
-	for i := 0; i < s.shadow.NumFlows(); i++ {
-		if s.shadow.Flow(i) == fs {
-			return i
+// affected walks r's interference closure and returns the members an
+// event is owed for: one per distinct subscribed name (the earliest
+// admitted, when a name repeats inside the closure), in admission order
+// — a deterministic fan-out order for the event stream. Only these are
+// sorted, not the closure. While the daemon has no subscription at all
+// nobody is owed anything and the walk is skipped. The slice is
+// scratch, valid until the next call.
+func (s *Server) affected(r *resident) []*resident {
+	if len(s.subs) == 0 {
+		return nil
+	}
+	owed := s.owed[:0]
+	for _, m := range s.book.closure(r) {
+		if len(s.subs[m.spec.Flow.Name]) > 0 && s.book.firstOfName(m) {
+			owed = append(owed, m)
 		}
 	}
-	return -1
+	slices.SortFunc(owed, bySeq)
+	s.owed = owed
+	return owed
 }
 
-// closureNames returns the distinct names of the resident flows in
-// flow idx's interference closure, in member (admission) order — a
-// deterministic fan-out order for the event stream.
-func (s *Server) closureNames(idx int) []string {
-	members := s.shadow.Closures()[s.shadow.ClosureOf(idx)]
-	seen := make(map[string]bool, len(members))
-	names := make([]string, 0, len(members))
-	for _, i := range members {
-		n := s.shadow.Flow(i).Flow.Name
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
+// notify sends exactly one event per affected subscribed flow name:
+// peer was admitted into (or departed) that flow's closure, and the
+// closure of the first resident by that name now holds Residents flows
+// — 0 when no resident by that name remains (the flow itself departed).
+// The book labels each closure it is asked about once per fold, so when
+// a departure has split the old closure, the events to the survivors of
+// one half cost one walk of that half between them.
+func (s *Server) notify(peer *resident, event string, owed []*resident) {
+	for _, m := range owed {
+		name := m.spec.Flow.Name
+		msg := Msg{
+			Kind:  KindEvent,
+			Flow:  name,
+			Peer:  peer.spec.Flow.Name,
+			Event: event,
+		}
+		if named := s.book.byName[name]; len(named) > 0 {
+			msg.Residents = s.book.population(named[0])
+		}
+		for c := range s.subs[name] {
+			s.push(c, msg)
 		}
 	}
-	return names
-}
-
-// notifyClosure sends exactly one event per affected subscribed flow
-// name: peer was admitted into (or departed) that flow's closure, and
-// the flow's closure now holds Residents flows.
-func (s *Server) notifyClosure(peer, event string, names []string) {
-	for _, name := range names {
-		set := s.subs[name]
-		if len(set) == 0 {
-			continue
-		}
-		m := Msg{
-			Kind:      KindEvent,
-			Flow:      name,
-			Peer:      peer,
-			Event:     event,
-			Residents: s.residentsOf(name),
-		}
-		for c := range set {
-			s.push(c, m)
-		}
-	}
-}
-
-// residentsOf returns the closure population of the first resident
-// flow with the given name, after the change — 0 when no resident by
-// that name remains (the flow itself departed).
-func (s *Server) residentsOf(name string) int {
-	for i := 0; i < s.shadow.NumFlows(); i++ {
-		if s.shadow.Flow(i).Flow.Name == name {
-			return len(s.shadow.Closures()[s.shadow.ClosureOf(i)])
-		}
-	}
-	return 0
 }
 
 // stats assembles the counters snapshot. Controller accessors take the

@@ -19,6 +19,7 @@ import "gmfnet/internal/workload"
 //	op       semantics                          reply
 //	add      admit one flow                     1 verdict: admit|reject
 //	batch    admit Flows as one RequestBatch    len(Flows) verdicts, in order
+//	                                            (an error when Flows is empty)
 //	del      release the named flow             1 verdict: ok|miss
 //	sub      subscribe to the named flow        1 verdict: sub
 //	unsub    drop the subscription              1 verdict: unsub

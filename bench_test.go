@@ -1,4 +1,4 @@
-// Benchmarks regenerating every experiment of DESIGN.md's index (E1-E9),
+// Benchmarks regenerating every experiment of DESIGN.md's index (E1-E13),
 // plus end-to-end benches of the three pillars: analysis, simulation and
 // admission control. Run with:
 //

@@ -1,4 +1,4 @@
-// Command gmfnet-experiments regenerates the experiment tables E1-E9
+// Command gmfnet-experiments regenerates the experiment tables E1-E13
 // indexed in DESIGN.md and recorded in EXPERIMENTS.md.
 //
 // Usage:
@@ -23,9 +23,16 @@ func main() {
 	}
 }
 
+// runUsage is the -run flag's help text; it names the id range of
+// exp.All, so it cannot fall behind the experiment list.
+func runUsage() string {
+	all := exp.All()
+	return fmt.Sprintf("run a single experiment by id (%s..%s)", all[0].ID, all[len(all)-1].ID)
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("gmfnet-experiments", flag.ContinueOnError)
-	only := fs.String("run", "", "run a single experiment by id (E1..E9)")
+	only := fs.String("run", "", runUsage())
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,12 +1,35 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"regexp"
+	"strconv"
+	"testing"
 
+	"gmfnet/internal/exp"
+)
+
+// TestRunSingleExperiment reads the id range the -run help text
+// advertises, runs every id in it through the command, and checks the
+// range covers every experiment the package defines.
 func TestRunSingleExperiment(t *testing.T) {
-	// E1/E2 are fast and deterministic.
-	for _, id := range []string{"E1", "E2", "E8"} {
+	m := regexp.MustCompile(`\(E(\d+)\.\.E(\d+)\)`).FindStringSubmatch(runUsage())
+	if m == nil {
+		t.Fatalf("help text %q lists no id range", runUsage())
+	}
+	lo, _ := strconv.Atoi(m[1])
+	hi, _ := strconv.Atoi(m[2])
+	listed := make(map[string]bool)
+	for n := lo; n <= hi; n++ {
+		id := fmt.Sprintf("E%d", n)
+		listed[id] = true
 		if err := run([]string{"-run", id}); err != nil {
-			t.Fatalf("%s failed: %v", id, err)
+			t.Fatalf("listed experiment %s failed: %v", id, err)
+		}
+	}
+	for _, e := range exp.All() {
+		if !listed[e.ID] {
+			t.Fatalf("experiment %s missing from the help text %q", e.ID, runUsage())
 		}
 	}
 }

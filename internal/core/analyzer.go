@@ -356,9 +356,12 @@ func (js *jitterState) resetChanged() {
 }
 
 // coldReset restores flow j's slots to the cold-start assignment. The
-// incremental engine applies it to every flow affected by a departure, so
-// that the subsequent delta iteration ascends to the least fixpoint from
-// below instead of descending from the stale (now too large) one. With a
+// incremental engine applies it to every flow affected by a departure
+// when the pipelines are cyclic (or additions are still pending), so that
+// the subsequent delta iteration ascends to the least fixpoint from below
+// instead of descending from the stale one, which there could stop at a
+// larger fixpoint; on acyclic pipelines the fixpoint is unique and the
+// engine descends instead (see Engine.RemoveFlow). With a
 // journal armed the overwritten values are recorded like any other write,
 // so a snapshot restore spanning the departure rolls them back too.
 func (js *jitterState) coldReset(j int, fs *network.FlowSpec) {

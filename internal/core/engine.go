@@ -18,7 +18,9 @@ import (
 //     (flow, pipeline stage, frame) — so a subsequent analysis warm
 //     starts at the previous fixpoint instead of at the cold-start point
 //     (the holistic operator is monotone, so warm iterates still converge
-//     to the exact least fixpoint after additions);
+//     to the exact least fixpoint after additions, and after departures
+//     on acyclic pipelines, whose fixpoint is unique, they descend to
+//     it — see RemoveFlow);
 //   - the network's resource→flows interference index, so a change to one
 //     flow re-analyses only the flows whose pipelines transitively share a
 //     resource with it, falling back to a full pass when the affected
@@ -52,7 +54,14 @@ type Engine struct {
 	flows []FlowResult // live per-flow result headers, aligned with network indices
 	meta  []hdrMeta    // per-header generation stamp + cached verdict flags
 	valid bool         // js and flows describe a fixpoint of the current flow set
-	dirty map[int]bool // flows changed since the last converged analysis
+	// descending reports that dirty holds a pending warm descent: the
+	// link-neighbours of flows that departed from a converged fixpoint of
+	// acyclic pipelines. Their inputs shrank but their own jitters did
+	// not move, so they seed the worklist without their interferers, and
+	// AddFlow converges them before it adds (descend before ascend).
+	// Snapshot state, like dirty.
+	descending bool
+	dirty      map[int]bool // flows changed since the last converged analysis
 
 	// gen is the header-write generation: bumped once per mutating entry
 	// point, stamped onto every header written under it. Views order
@@ -79,6 +88,7 @@ type Engine struct {
 	// on the next round's worklist, wlNext accumulates the front in
 	// visit order (sorted into work afterwards). Epoch stamping makes
 	// the reset O(1) per round instead of allocating a fresh set.
+	// Outside an analysis RemoveFlow borrows wlNext as its scratch.
 	wlMark  []int64
 	wlEpoch int64
 	wlNext  []int
@@ -139,6 +149,7 @@ func (e *Engine) Invalidate() {
 	e.unsched, e.errcnt = 0, 0
 	e.valid = false
 	e.dirty = make(map[int]bool)
+	e.descending = false
 	e.an.resetDemands()
 	e.snapSeq++ // outstanding snapshots become stale
 	e.snapLive = false
@@ -149,8 +160,14 @@ func (e *Engine) Invalidate() {
 
 // AddFlow validates the flow against the topology, registers it and marks
 // it for (re-)analysis. Only the incoming flow is validated; the rest of
-// the network was validated at construction.
+// the network was validated at construction. A pending warm descent left
+// by RemoveFlow is converged first: its jitters still sit above the
+// fixpoint, and adding a newcomer's demand on top of them could overshoot
+// into a spurious DivergenceError that an ascent from below never meets.
 func (e *Engine) AddFlow(fs *network.FlowSpec) (int, error) {
+	if e.descending {
+		e.converge()
+	}
 	i, err := e.an.nw.AddFlow(fs)
 	if err != nil {
 		return 0, err
@@ -165,13 +182,29 @@ func (e *Engine) AddFlow(fs *network.FlowSpec) (int, error) {
 }
 
 // RemoveFlow removes the i-th flow (a departure). Flows above i shift
-// down by one index, mirroring Network.RemoveFlow. The flows that shared
-// resources with the departed one — transitively — are reset to the
-// cold-start jitter assignment and re-analysed on the next Analyze; a
-// descent from the stale fixpoint could otherwise stop at a non-least
-// fixpoint and over-reject later admissions. A live snapshot survives
-// the removal: the departure is logged (and the arena block tombstoned
-// rather than compacted), so Restore can roll back across it.
+// down by one index, mirroring Network.RemoveFlow. A departure only
+// shrinks the interference sums of the flows sharing a directed link
+// with it, so the converged jitters are still an upper bound on the new
+// fixpoint; what happens next depends on the resource graph
+// (Network.PipelinesAcyclic):
+//
+//   - Acyclic pipelines have a unique fixpoint. Only the departed flow's
+//     link-neighbours are marked dirty and every other warm jitter is
+//     kept; the next analysis descends from the old fixpoint, and since
+//     the per-stage recurrences restart from their cold seed on every
+//     pass, uniqueness makes the descent land exactly on the cold
+//     analysis' answer.
+//   - Cyclic pipelines may have several fixpoints, and a descent could
+//     stop at a non-least one and over-reject later admissions. There
+//     the flows that shared resources with the departed one —
+//     transitively — are reset to the cold-start jitter assignment and
+//     re-ascend.
+//
+// A warm descent needs a converged starting point, so a departure while
+// additions are still pending takes the cold-reset path too. A live
+// snapshot survives the removal: the departure is logged (and the arena
+// block tombstoned rather than compacted), so Restore can roll back
+// across it.
 func (e *Engine) RemoveFlow(i int) error {
 	nw := e.an.nw
 	if i < 0 || i >= nw.NumFlows() {
@@ -189,34 +222,48 @@ func (e *Engine) RemoveFlow(i int) error {
 		nw.RemoveFlow(i)
 		e.an.removeFlowDemand(i)
 		e.dirty = make(map[int]bool) // indices shifted; cold pass re-covers all
+		e.descending = false
 		return nil
 	}
-	affected := e.affectedSet(map[int]bool{i: true})
+	// Collect the departing flow's neighbours and the pending set in one
+	// scratch slice before the removal renumbers them.
+	buf := e.wlNext[:0]
+	nw.VisitInterferers(i, func(j int) { buf = append(buf, j) })
+	nn := len(buf)
+	for j := range e.dirty {
+		if j != i {
+			buf = append(buf, j)
+		}
+	}
+	warm := len(e.dirty) == 0 || e.descending
 	nw.RemoveFlow(i)
 	e.an.removeFlowDemand(i)
 	e.js.removeFlow(i)
 	e.spliceHeader(i, true)
-	shift := func(j int) int {
+	for k, j := range buf {
 		if j > i {
-			return j - 1
-		}
-		return j
-	}
-	dirty := make(map[int]bool, len(e.dirty)+len(affected))
-	for j := range e.dirty {
-		if j != i {
-			dirty[shift(j)] = true
+			buf[k] = j - 1
 		}
 	}
-	for _, j := range affected {
-		if j == i {
-			continue
-		}
-		j = shift(j)
-		e.js.coldReset(j, nw.Flow(j))
-		dirty[j] = true
+	clear(e.dirty)
+	for _, j := range buf[nn:] {
+		e.dirty[j] = true
 	}
-	e.dirty = dirty
+	nbrs := buf[:nn]
+	if warm && nw.PipelinesAcyclic() {
+		for _, j := range nbrs {
+			e.dirty[j] = true
+		}
+		// A departure that shared no link leaves nothing to descend.
+		e.descending = len(e.dirty) > 0
+	} else {
+		for _, j := range e.affectedSet(nbrs) {
+			e.js.coldReset(j, nw.Flow(j))
+			e.dirty[j] = true
+		}
+		e.descending = false
+	}
+	e.wlNext = buf[:0]
 	return nil
 }
 
@@ -269,7 +316,8 @@ func (e *Engine) Refresh() error {
 // converged pass marks the whole engine state valid. It is decision- and
 // bound-equivalent to a full cold analysis of the current network:
 // unaffected flows' equations do not involve affected flows, and the
-// affected subsystem is iterated monotonically to its least fixpoint.
+// affected subsystem is iterated to its fixpoint — monotonically up to
+// the least one, or, for a warm descent, down to the unique one.
 func (e *Engine) convergeDelta() bool {
 	nw := e.an.nw
 	// A changed flow alters the inputs of every flow sharing a directed
@@ -278,17 +326,16 @@ func (e *Engine) convergeDelta() bool {
 	// themselves; the iteration then propagates only where jitters
 	// actually move, never leaving the transitive interference closure —
 	// and degenerating to a full (warm-started) pass when that closure is
-	// the whole network.
-	seed := make(map[int]bool, len(e.dirty))
-	grow := func(j int) { seed[j] = true }
+	// the whole network. A pending descent's flows are already those
+	// neighbours, so they seed alone.
+	add := e.nextFrontStart(nw.NumFlows())
 	for i := range e.dirty {
-		grow(i)
-		nw.VisitInterferers(i, grow)
+		add(i)
+		if !e.descending {
+			nw.VisitInterferers(i, add)
+		}
 	}
-	work := make([]int, 0, len(seed))
-	for i := range seed {
-		work = append(work, i)
-	}
+	work := append([]int(nil), e.wlNext...)
 	sort.Ints(work)
 	return e.analyzeOver(work)
 }
@@ -329,9 +376,12 @@ func (e *Engine) analyzeOver(work []int) bool {
 	e.noConv = nil
 	sweeps := 0
 	// finish publishes the stats; the warm state is a fixpoint of the
-	// current flow set exactly when the iteration converged.
+	// current flow set exactly when the iteration converged. A pending
+	// descent is resolved either way: converged, or invalid so that the
+	// next pass runs cold.
 	finish := func(converged bool) bool {
 		e.valid = converged
+		e.descending = false
 		e.stats = ConvergenceStats{Iterations: sweeps, WorklistRounds: sweeps}
 		return converged
 	}
@@ -409,13 +459,14 @@ func (e *Engine) result(converged bool) *Result {
 // is exactly the set of flows whose bounds can change. Cost is
 // O(closure), not O(flows): membership lives in a closure-sized map and
 // the result is collected during the walk, so a departure in a large
-// network touches only its own interference neighbourhood.
-func (e *Engine) affectedSet(seed map[int]bool) []int {
+// network touches only its own interference neighbourhood. Only
+// departures on cyclic pipelines need it (see RemoveFlow).
+func (e *Engine) affectedSet(seed []int) []int {
 	nw := e.an.nw
 	visited := make(map[int]bool, 2*len(seed))
 	queue := make([]int, 0, len(seed))
 	out := make([]int, 0, len(seed))
-	for i := range seed {
+	for _, i := range seed {
 		if !visited[i] {
 			visited[i] = true
 			queue = append(queue, i)
@@ -451,11 +502,12 @@ type Snapshot struct {
 	mark  jitterMark
 	seq   uint64
 
-	dirty    []int
-	valid    bool
-	stats    ConvergenceStats
-	noConv   *ErrNoConvergence
-	numFlows int
+	dirty      []int
+	descending bool
+	valid      bool
+	stats      ConvergenceStats
+	noConv     *ErrNoConvergence
+	numFlows   int
 }
 
 // Snapshot captures the current engine state for a later Restore. Each
@@ -469,12 +521,13 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.snapLive = true
 	e.removedLog = nil
 	s := &Snapshot{
-		seq:      e.snapSeq,
-		valid:    e.valid,
-		stats:    e.stats,
-		noConv:   e.noConv,
-		numFlows: e.an.nw.NumFlows(),
-		dirty:    make([]int, 0, len(e.dirty)),
+		seq:        e.snapSeq,
+		valid:      e.valid,
+		descending: e.descending,
+		stats:      e.stats,
+		noConv:     e.noConv,
+		numFlows:   e.an.nw.NumFlows(),
+		dirty:      make([]int, 0, len(e.dirty)),
 	}
 	for i := range e.dirty {
 		s.dirty = append(s.dirty, i)
@@ -564,5 +617,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	for _, i := range s.dirty {
 		e.dirty[i] = true
 	}
+	e.descending = s.descending
 	return nil
 }

@@ -119,7 +119,7 @@ func TestEngineAffectedSetIsLocal(t *testing.T) {
 	}
 	// a-local1 and a-local2 share link sA->a2? No: routes a1->sA->a2 and
 	// a2->sA->a3 share no directed link; both share nothing with b-local.
-	got := eng.affectedSet(map[int]bool{0: true})
+	got := eng.affectedSet([]int{0})
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("affectedSet(0) = %v, want [0]", got)
 	}
@@ -127,7 +127,7 @@ func TestEngineAffectedSetIsLocal(t *testing.T) {
 	if _, err := eng.AddFlow(voipOn("cross", "a1", "sA", "sB", "b2")); err != nil {
 		t.Fatal(err)
 	}
-	got = eng.affectedSet(map[int]bool{3: true})
+	got = eng.affectedSet([]int{3})
 	// cross shares a1->sA with a-local1 and sB->b2 with b-local.
 	want := []int{0, 2, 3}
 	if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -1,4 +1,4 @@
-// Package exp implements the reproducible experiments E1-E9 indexed in
+// Package exp implements the reproducible experiments E1-E13 indexed in
 // DESIGN.md. Each experiment regenerates one of the paper's worked
 // examples or claims as a report.Table; the tables are printed by
 // cmd/gmfnet-experiments and exercised by the root benchmarks, and their

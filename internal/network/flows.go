@@ -89,6 +89,10 @@ type Network struct {
 	// (see closures.go): a union-find over resource ids, merged
 	// incrementally on insertion and lazily rebuilt after removals.
 	closures closureIndex
+
+	// pipes is the resource graph's edge multiset (see pipegraph.go),
+	// answering PipelinesAcyclic.
+	pipes pipeGraph
 }
 
 // New returns a Network over the given topology.
@@ -136,6 +140,7 @@ func (nw *Network) AddFlow(fs *FlowSpec) (int, error) {
 	rids := nw.internFlowResources(fs)
 	nw.flowRes = append(nw.flowRes, rids)
 	nw.closureAddPipeline(rids)
+	nw.pipeAddPipeline(rids)
 	return i, nil
 }
 
@@ -150,6 +155,7 @@ func (nw *Network) RemoveFlow(i int) {
 		return
 	}
 	nw.closureRemove()
+	nw.pipeRemovePipeline(nw.flowRes[i])
 	fs := nw.flows[i]
 	nw.flows = append(nw.flows[:i], nw.flows[i+1:]...)
 	nw.flowRes = append(nw.flowRes[:i], nw.flowRes[i+1:]...)
@@ -215,6 +221,7 @@ func (nw *Network) InsertFlowAt(i int, fs *FlowSpec) error {
 	copy(nw.flowRes[i+1:], nw.flowRes[i:])
 	nw.flowRes[i] = nw.internFlowResources(fs)
 	nw.closureAddPipeline(nw.flowRes[i])
+	nw.pipeAddPipeline(nw.flowRes[i])
 	for h := 0; h < len(fs.Route)-1; h++ {
 		key := [2]NodeID{fs.Route[h], fs.Route[h+1]}
 		s := nw.onLink[key]

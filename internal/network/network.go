@@ -14,7 +14,9 @@
 // (FlowsOn, Interferers), dense interned pipeline ResourceIDs
 // (FlowResources), and the interference-closure partition (Closures,
 // ClosureOf) — a union-find over resources that tells the sharded
-// admission controller which flows can never exchange jitter. All are
+// admission controller which flows can never exchange jitter — and the
+// resource graph's acyclicity (PipelinesAcyclic), which tells the
+// incremental engine whether the holistic fixpoint is unique. All are
 // maintained incrementally under AddFlow, RemoveFlow and InsertFlowAt.
 // See docs/ARCHITECTURE.md for how the layers fit together.
 package network

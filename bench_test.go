@@ -662,72 +662,11 @@ func BenchmarkAdmissionVideoMix256(b *testing.B) {
 	b.ReportMetric(float64(len(specs)-admitted), "rejected")
 }
 
-// benchParallelBatch drives one contended RequestBatch per iteration
-// through the scheduler-backed ParallelController (fresh controller and
-// mailboxes each time, Close included in the measured work). Run with
-// -cpu 1,4,16 to read the scaling: the batch splits into independent
-// closure groups whose decisions run on the worker pool, so ns/op
-// should fall near-linearly until the group count or the machine runs
-// out. At -cpu 1 this measures the scheduler's overhead over the serial
-// sharded controller (same workload: BenchmarkAdmissionSharded1024 /
-// BenchmarkAdmissionSharded4096).
-func benchParallelBatch(b *testing.B, topo *network.Topology, specs []*network.FlowSpec) {
-	b.Helper()
-	b.ReportAllocs()
-	rejected := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctl, err := admission.NewParallelController(network.New(topo), core.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ds, err := ctl.RequestBatch(specs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ctl.Close(); err != nil {
-			b.Fatal(err)
-		}
-		rejected = 0
-		for _, d := range ds {
-			if !d.Admitted {
-				rejected++
-			}
-		}
-		if rejected == 0 {
-			b.Fatal("contended batch admitted everything; eviction path unexercised")
-		}
-	}
-	b.ReportMetric(float64(rejected), "rejected")
-}
-
-// BenchmarkAdmissionParallelBatch1024 is the multi-core side of the
-// 1024-flow contended-batch pair (vs BenchmarkAdmissionSharded1024):
-// the same ~6%-heavy batch into an empty 8-ary fat tree, decided by the
-// shard scheduler across the worker pool.
-func BenchmarkAdmissionParallelBatch1024(b *testing.B) {
-	topo, hosts, err := network.FatTree(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchParallelBatch(b, topo, contendedSpecs(b, topo, hosts, 1024))
-}
-
-// BenchmarkAdmissionParallelBatch4096 scales the contended batch to
-// 4096 flows on a 256-switch ring (256 independent 16-flow closures,
-// one heavy per closure): the closure-rich regime where shard
-// scheduling has the most concurrency to harvest.
-func BenchmarkAdmissionParallelBatch4096(b *testing.B) {
-	topo, hosts, err := network.Ring(256, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchParallelBatch(b, topo, contendedSpecs(b, topo, hosts, 4096))
-}
-
-// BenchmarkAdmissionSharded4096 is the serial baseline for
-// BenchmarkAdmissionParallelBatch4096: the identical contended batch
-// through the serial sharded controller.
+// BenchmarkAdmissionSharded4096 scales the contended batch to 4096
+// flows on a 256-switch ring (256 independent 16-flow closures, one
+// heavy per closure) through the sharded controller: the closure-rich
+// regime where the batch groups' concurrent decisions have the most to
+// harvest.
 func BenchmarkAdmissionSharded4096(b *testing.B) {
 	topo, hosts, err := network.Ring(256, 4)
 	if err != nil {
@@ -735,87 +674,6 @@ func BenchmarkAdmissionSharded4096(b *testing.B) {
 	}
 	benchBatchInto(b, topo, contendedSpecs(b, topo, hosts, 4096), true)
 }
-
-// benchParallelCycle measures the steady-state cycle through the
-// scheduler: per iteration, `probes` single-flow submissions into
-// distinct switch closures are pipelined (all submitted before any is
-// waited for), decided concurrently on the pool, then released, with
-// one Flush re-splitting after the departures. Residents are admitted
-// once in setup via a single batch.
-func benchParallelCycle(b *testing.B, switches, residents, probes int) {
-	b.Helper()
-	topo, hosts, err := network.Ring(switches, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctl, err := admission.NewParallelController(network.New(topo), core.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := ctl.RequestBatch(residentSpecs(b, topo, hosts, 4, residents))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, d := range ds {
-		if !d.Admitted {
-			b.Fatalf("resident %s rejected during setup", d.FlowName)
-		}
-	}
-	probeSpec := func(i, p int) *network.FlowSpec {
-		s := (p * switches) / probes // spread probes across the ring
-		return &network.FlowSpec{
-			Flow: trace.VoIP(fmt.Sprintf("probe%d_%d", i, p), trace.VoIPOptions{Deadline: 100 * units.Millisecond}),
-			Route: []network.NodeID{
-				network.NodeID(fmt.Sprintf("h%d_0", s)),
-				network.NodeID(fmt.Sprintf("sw%d", s)),
-				network.NodeID(fmt.Sprintf("h%d_1", s)),
-			},
-			Priority: 2,
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tickets := make([]*admission.PendingBatch, probes)
-		for p := 0; p < probes; p++ {
-			t, err := ctl.SubmitBatch([]*network.FlowSpec{probeSpec(i, p)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tickets[p] = t
-		}
-		for p, t := range tickets {
-			ds, err := t.Wait()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ds[0].Admitted {
-				b.Fatalf("probe %d rejected", p)
-			}
-		}
-		for p := 0; p < probes; p++ {
-			if _, err := ctl.Release(fmt.Sprintf("probe%d_%d", i, p)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := ctl.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := ctl.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkAdmissionParallelCycle1024 runs 16 pipelined probe/release
-// cycles per iteration against a 1024-flow steady state on a 64-switch
-// ring; pair with -cpu 1,4,16 for the steady-state scaling read.
-func BenchmarkAdmissionParallelCycle1024(b *testing.B) { benchParallelCycle(b, 64, 1024, 16) }
-
-// BenchmarkAdmissionParallelCycle4096 is the same pipelined cycle at a
-// 4096-flow steady state on a 256-switch ring.
-func BenchmarkAdmissionParallelCycle4096(b *testing.B) { benchParallelCycle(b, 256, 4096, 16) }
 
 // figure1Bounds computes the holistic bounds of the shared E3/E5 scenario.
 func figure1Bounds(b *testing.B) *core.Result {
@@ -866,7 +724,7 @@ func mustFigure1Scenario(b *testing.B) *network.Network {
 // BenchmarkAdmissionOpenLoop4096 replays a synthesized open-loop
 // workload — 4096 requests with exponential holds over a 512-group
 // backbone, the thousand-closure regime cmd/gmfnet-load drives at
-// million-request scale — through the parallel controller with
+// million-request scale — through the sharded controller with
 // counters-only retention. One iteration is the whole replay, so the
 // archive tracks the load harness's steady-state cost per commit.
 func BenchmarkAdmissionOpenLoop4096(b *testing.B) {
@@ -894,7 +752,7 @@ func BenchmarkAdmissionOpenLoop4096(b *testing.B) {
 	}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		ctl, err := admission.NewParallelController(network.New(topo), core.Config{})
+		ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

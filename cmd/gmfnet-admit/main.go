@@ -6,16 +6,15 @@
 // Usage:
 //
 //	gmfnet-admit [-sporadic] [-example] [scenario.json]
-//	gmfnet-admit -stream N [-seed S] [-depart P] [-switches K] [-hosts H] [-cold] [-shards] [-parallel] [-workers W] [-batch B] [-record FILE]
-//	gmfnet-admit -trace FILE [-cold] [-shards] [-parallel] [-workers W] [-batch B]
+//	gmfnet-admit -stream N [-seed S] [-depart P] [-switches K] [-hosts H] [-cold] [-shards [-workers W]] [-batch B] [-record FILE]
+//	gmfnet-admit -trace FILE [-cold] [-shards [-workers W]] [-batch B]
 //
 // Every mode accepts -cpuprofile, -memprofile, -mutexprofile and
 // -blockprofile FILE to write pprof profiles of the run (`go tool
 // pprof` reads them) — the way to see where admission time goes. CPU
-// and heap cover the fixpoint work; the mutex and block profiles are
-// the contention instruments for -parallel runs, attributing lock wait
-// time and scheduler blocking to stacks (README "Finding the
-// contention" walks through a session).
+// and heap cover the fixpoint work; the mutex and block profiles
+// attribute lock and channel waits to stacks (the concurrent batch
+// groups of -shards are the only waiting these runs do).
 //
 // With -sporadic every request is first collapsed to the sporadic model,
 // reproducing the capacity loss the paper's GMF model avoids.
@@ -31,17 +30,14 @@
 // flush the pending batch first). -shards runs the closure-sharded
 // controller instead: requests are decided inside their interference
 // closure's private shard engine, batch groups spanning disjoint
-// closures run concurrently, and decisions are provably identical to
-// the monolithic controller. -parallel runs the multi-core scheduled
-// form of the sharded controller: one serial mailbox goroutine per
-// closure shard, distinct closures decided concurrently on a worker
-// pool (sized by -workers, GOMAXPROCS when 0), same decisions again.
-// -record FILE writes the generated operation stream as a replayable
+// closures run concurrently (at most -workers at once, GOMAXPROCS when
+// 0), and decisions are provably identical to the monolithic
+// controller. -record FILE writes the generated operation stream as a replayable
 // JSON-lines trace.
 //
 // With -trace the command replays such a recorded trace
 // deterministically and prints one decision line per operation —
-// timing-free output, so the sequential, -shards, -parallel and -batch
+// timing-free output, so the sequential, -shards, -cold and -batch
 // runs of the same trace are byte-identical (RequestBatch decisions equal one-by-one
 // decisions by construction). The trace format (internal/workload) is
 // shared with gmfnet-load; a header may name any generated topology —
@@ -96,8 +92,7 @@ func run(args []string) error {
 	hosts := fs.Int("hosts", 4, "stream mode: hosts per switch")
 	cold := fs.Bool("cold", false, "stream/trace mode: use the from-scratch baseline controller")
 	shards := fs.Bool("shards", false, "stream/trace mode: use the closure-sharded controller")
-	parallel := fs.Bool("parallel", false, "stream/trace mode: use the multi-core scheduled sharded controller")
-	workers := fs.Int("workers", 0, "stream/trace mode, with -parallel or -shards: the shard worker-pool size (0 GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "stream/trace mode, with -shards: how many batch groups are decided at once (0 GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "stream/trace mode: admit requests in batches of this size through RequestBatch")
 	record := fs.String("record", "", "stream mode: record the operation stream as a replayable trace file")
 	stats := fs.Bool("stats", false, "stream/trace mode: report aggregated convergence statistics")
@@ -116,20 +111,14 @@ func run(args []string) error {
 	if *shards && *cold {
 		return fmt.Errorf("-shards and -cold are mutually exclusive")
 	}
-	if *parallel && *cold {
-		return fmt.Errorf("-parallel and -cold are mutually exclusive")
-	}
-	if *parallel && *shards {
-		return fmt.Errorf("-parallel and -shards are mutually exclusive (-parallel is the scheduled form of -shards)")
-	}
-	if *workers != 0 && !*parallel && !*shards {
-		return fmt.Errorf("-workers sizes the shard worker pool; it needs -parallel or -shards")
+	if *workers != 0 && !*shards {
+		return fmt.Errorf("-workers sizes the sharded batch fan-out; it needs -shards")
 	}
 	if *connect != "" {
 		if *traceFile == "" {
 			return fmt.Errorf("-connect needs -trace")
 		}
-		if *cold || *shards || *parallel || *stats || *workers != 0 {
+		if *cold || *shards || *stats || *workers != 0 {
 			return fmt.Errorf("-connect replays through the daemon's controller; drop the local engine flags")
 		}
 		if *stream > 0 || *record != "" {
@@ -142,7 +131,7 @@ func run(args []string) error {
 		return err
 	}
 	err = func() error {
-		opts := runOpts{cold: *cold, shards: *shards, parallel: *parallel,
+		opts := runOpts{cold: *cold, shards: *shards,
 			workers: *workers, batch: *batch, stats: *stats}
 		if *traceFile != "" {
 			if *connect != "" {
@@ -297,7 +286,7 @@ func runStream(n int, seed int64, depart float64, switches, hostsPer int, o runO
 	if err != nil {
 		return err
 	}
-	ctl, batchCtl, shardCtl, parCtl, err := buildController(topo, o)
+	ctl, batchCtl, shardCtl, err := buildController(topo, o)
 	if err != nil {
 		return err
 	}
@@ -362,10 +351,10 @@ func runStream(n int, seed int64, depart float64, switches, hostsPer int, o runO
 	if err := adm.flush(); err != nil {
 		return err
 	}
-	if parCtl != nil {
-		// Retire the mailboxes inside the timed region: pending
-		// departures are part of the stream's work.
-		if err := parCtl.Close(); err != nil {
+	if shardCtl != nil {
+		// Apply the queued departures inside the timed region: they are
+		// part of the stream's work.
+		if err := shardCtl.Flush(); err != nil {
 			return err
 		}
 	}
@@ -381,9 +370,6 @@ func runStream(n int, seed int64, depart float64, switches, hostsPer int, o runO
 	if o.shards {
 		mode = "sharded"
 	}
-	if o.parallel {
-		mode = "parallel"
-	}
 	if o.batch > 0 {
 		mode = fmt.Sprintf("%s, batch=%d", mode, o.batch)
 	}
@@ -395,9 +381,6 @@ func runStream(n int, seed int64, depart float64, switches, hostsPer int, o runO
 	t.AddRowf("resident flows", ctl.NumFlows())
 	if shardCtl != nil {
 		t.AddRowf("shards", shardCtl.NumShards())
-	}
-	if parCtl != nil {
-		t.AddRowf("shards", parCtl.NumShards())
 	}
 	t.AddRowf("switches x hosts", fmt.Sprintf("%d x %d", switches, hostsPer))
 	t.AddRowf("elapsed", elapsed.Round(time.Millisecond).String())
@@ -427,7 +410,7 @@ func runTrace(w io.Writer, path string, o runOpts) error {
 	if err != nil {
 		return err
 	}
-	ctl, batchCtl, _, parCtl, err := buildController(topo, o)
+	ctl, batchCtl, shardCtl, err := buildController(topo, o)
 	if err != nil {
 		return err
 	}
@@ -473,8 +456,8 @@ func runTrace(w io.Writer, path string, o runOpts) error {
 	if err := adm.flush(); err != nil {
 		return err
 	}
-	if parCtl != nil {
-		if err := parCtl.Close(); err != nil {
+	if shardCtl != nil {
+		if err := shardCtl.Flush(); err != nil {
 			return err
 		}
 	}
@@ -594,33 +577,29 @@ func runTraceConnect(w io.Writer, path, addr string, batch int) error {
 }
 
 // buildController assembles the stream/trace controller variant: the
-// from-scratch baseline, the closure-sharded controller, its
-// scheduler-backed parallel form, or the monolithic incremental one.
-// The batchRequester is non-nil for the engine-backed variants;
-// shardCtl is non-nil only with -shards, parCtl only with -parallel
-// (the caller must Close it).
-func buildController(topo *network.Topology, o runOpts) (requester, batchRequester, *admission.ShardedController, *admission.ParallelController, error) {
+// from-scratch baseline, the closure-sharded controller, or the
+// monolithic incremental one. The batchRequester is non-nil for the
+// engine-backed variants; shardCtl is non-nil only with -shards (the
+// caller Flushes it to apply its queued departures).
+func buildController(topo *network.Topology, o runOpts) (requester, batchRequester, *admission.ShardedController, error) {
 	cfg := core.Config{Workers: o.workers}
 	switch {
 	case o.cold:
 		ctl, err := admission.NewColdController(network.New(topo), core.Config{})
-		return ctl, nil, nil, nil, err
-	case o.parallel:
-		ctl, err := admission.NewParallelController(network.New(topo), cfg)
-		return ctl, ctl, nil, ctl, err
+		return ctl, nil, nil, err
 	case o.shards:
 		ctl, err := admission.NewShardedController(network.New(topo), cfg)
-		return ctl, ctl, ctl, nil, err
+		return ctl, ctl, ctl, err
 	default:
 		ctl, err := admission.NewController(network.New(topo), cfg)
-		return ctl, ctl, nil, nil, err
+		return ctl, ctl, nil, err
 	}
 }
 
 // runOpts selects the stream/trace controller variant and its reporting.
 type runOpts struct {
-	cold, shards, parallel bool
-	workers, batch         int
+	cold, shards   bool
+	workers, batch int
 	// stats reports aggregated ConvergenceStats over the whole run.
 	stats bool
 }

@@ -58,14 +58,17 @@ func TestRunStreamShardedBatch(t *testing.T) {
 	}
 }
 
+// TestRunStreamParallel streams batches through the sharded controller
+// with an explicit four-worker fan-out, so batch groups are decided
+// concurrently whatever the host's GOMAXPROCS.
 func TestRunStreamParallel(t *testing.T) {
-	if err := run([]string{"-stream", "40", "-seed", "3", "-switches", "4", "-hosts", "3", "-parallel", "-batch", "8"}); err != nil {
+	if err := run([]string{"-stream", "40", "-seed", "3", "-switches", "4", "-hosts", "3", "-shards", "-workers", "4", "-batch", "8"}); err != nil {
 		t.Fatalf("parallel batched stream mode failed: %v", err)
 	}
 }
 
 // TestRunProfiles smokes the pprof hooks: all four profile files must
-// be created and non-empty after a short parallel stream.
+// be created and non-empty after a short sharded stream.
 func TestRunProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.prof")
@@ -73,7 +76,7 @@ func TestRunProfiles(t *testing.T) {
 	mtx := filepath.Join(dir, "mutex.prof")
 	blk := filepath.Join(dir, "block.prof")
 	if err := run([]string{"-stream", "10", "-seed", "3", "-switches", "2", "-hosts", "2",
-		"-parallel", "-cpuprofile", cpu, "-memprofile", mem,
+		"-shards", "-cpuprofile", cpu, "-memprofile", mem,
 		"-mutexprofile", mtx, "-blockprofile", blk}); err != nil {
 		t.Fatalf("profiled stream failed: %v", err)
 	}
@@ -90,10 +93,12 @@ func TestRunProfiles(t *testing.T) {
 
 // TestTraceGoldenOutput is the determinism pin for stream mode: the
 // recorded request trace in testdata must produce byte-identical
-// admit/reject decision logs through the sequential, sharded and
-// scheduled controllers, batched admission (two batch sizes, one that
-// forces mid-batch eviction) and the cold baseline — all equal to the
-// checked-in golden file. The trace ends in a burst of ~53 Mbit/s video
+// admit/reject decision logs through the sequential and sharded
+// controllers, batched admission (two batch sizes, one that forces
+// mid-batch eviction) and the cold baseline — all equal to the
+// checked-in golden file. The parallel* variants run the sharded
+// controller with an explicit worker count, so its batch groups are
+// decided concurrently whatever the host's GOMAXPROCS. The trace ends in a burst of ~53 Mbit/s video
 // flows that saturate an edge link, so the batched runs exercise the
 // eviction path, and a departure between them exercises release.
 func TestTraceGoldenOutput(t *testing.T) {
@@ -112,10 +117,10 @@ func TestTraceGoldenOutput(t *testing.T) {
 		{name: "sharded", opts: runOpts{shards: true}},
 		{name: "sharded-batch16", opts: runOpts{shards: true, batch: 16}},
 		{name: "sharded-batch3", opts: runOpts{shards: true, batch: 3}},
-		{name: "parallel", opts: runOpts{parallel: true}},
-		{name: "parallel-batch16", opts: runOpts{parallel: true, batch: 16}},
-		{name: "parallel-batch3", opts: runOpts{parallel: true, batch: 3}},
-		{name: "parallel-workers2", opts: runOpts{parallel: true, workers: 2}},
+		{name: "parallel", opts: runOpts{shards: true, workers: 4}},
+		{name: "parallel-batch16", opts: runOpts{shards: true, workers: 4, batch: 16}},
+		{name: "parallel-batch3", opts: runOpts{shards: true, workers: 4, batch: 3}},
+		{name: "parallel-workers2", opts: runOpts{shards: true, workers: 2, batch: 3}},
 		{name: "cold", opts: runOpts{cold: true}},
 	}
 	for _, v := range variants {
@@ -138,8 +143,9 @@ func TestTraceGoldenOutput(t *testing.T) {
 // generator (recorded by gmfnet-load -record, heavy flows forcing
 // rejects and tenant churn forcing releases) must replay to the
 // byte-identical checked-in decision log through every controller
-// variant. This is what licenses the load harness's counters as "what
-// the serial controller would have decided" at million-request scale.
+// variant (parallel*: the sharded controller with four workers). This
+// is what licenses the load harness's counters as "what the serial
+// controller would have decided" at million-request scale.
 func TestGeneratorTraceGolden(t *testing.T) {
 	variants := []struct {
 		name string
@@ -149,8 +155,8 @@ func TestGeneratorTraceGolden(t *testing.T) {
 		{name: "batch3", opts: runOpts{batch: 3}},
 		{name: "sharded", opts: runOpts{shards: true}},
 		{name: "sharded-batch3", opts: runOpts{shards: true, batch: 3}},
-		{name: "parallel", opts: runOpts{parallel: true}},
-		{name: "parallel-batch3", opts: runOpts{parallel: true, batch: 3}},
+		{name: "parallel", opts: runOpts{shards: true, workers: 4}},
+		{name: "parallel-batch3", opts: runOpts{shards: true, workers: 4, batch: 3}},
 		{name: "cold", opts: runOpts{cold: true}},
 	}
 	for _, gen := range []string{"backbone", "fronthaul", "clos"} {
@@ -235,7 +241,7 @@ func TestTraceRecordReplay(t *testing.T) {
 	if err := runTrace(&shd, traceFile, runOpts{shards: true, batch: 4}); err != nil {
 		t.Fatalf("sharded replay failed: %v", err)
 	}
-	if err := runTrace(&par, traceFile, runOpts{parallel: true, batch: 4}); err != nil {
+	if err := runTrace(&par, traceFile, runOpts{shards: true, workers: 4, batch: 4}); err != nil {
 		t.Fatalf("parallel replay failed: %v", err)
 	}
 	if !bytes.Equal(seq.Bytes(), bat.Bytes()) {
@@ -257,9 +263,7 @@ func TestRunErrors(t *testing.T) {
 		{"-stream", "5", "-hosts", "1"},
 		{"-stream", "5", "-batch", "4", "-cold"},
 		{"-stream", "5", "-shards", "-cold"},
-		{"-stream", "5", "-parallel", "-cold"},
-		{"-stream", "5", "-parallel", "-shards"},
-		{"-stream", "5", "-workers", "2"}, // pool size without a sharded controller
+		{"-stream", "5", "-workers", "2"}, // fan-out without the sharded controller
 		{"-trace", "/nonexistent.trace"},
 		{"-example", "-cpuprofile", "/nonexistent-dir/cpu.prof"},
 	} {

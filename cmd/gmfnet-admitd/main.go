@@ -1,5 +1,5 @@
-// Command gmfnet-admitd serves the multi-core admission controller as
-// a long-running daemon: clients connect over TCP or a unix socket,
+// Command gmfnet-admitd serves the closure-sharded admission controller
+// as a long-running daemon: clients connect over TCP or a unix socket,
 // speak the JSON-lines wire protocol of internal/admitd (the
 // workload.Op trace schema behind a versioned hello), and receive
 // admission verdicts plus — for flows they subscribe to — pushed
@@ -63,7 +63,7 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) (err error) {
 	fanout := fs.Int("fanout", 2, "topology fanout (unused by campus)")
 	hosts := fs.Int("hosts", 4, "hosts per topology group")
 	queue := fs.Int("queue", 128, "per-connection outbound queue bound; overflow disconnects the peer")
-	workers := fs.Int("workers", 0, "controller worker-pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "batch groups the controller decides at once (0 = GOMAXPROCS)")
 	status := fs.String("status", "", "print a running daemon's counters (address or unix socket path) and exit")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the daemon's run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile after the drain to this file")

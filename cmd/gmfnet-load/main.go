@@ -1,9 +1,10 @@
 // Command gmfnet-load is the latency-SLO replay harness: it synthesizes
 // (or loads) an open-loop request trace over a production-scale
 // generated topology — ISP backbone, 5G fronthaul or multi-tenant Clos
-// — and replays it through the multi-core ParallelController, reporting
-// end-to-end admission throughput and p50/p99/p999 decision latency
-// from a fixed-footprint HDR-style histogram. Millions of requests run
+// — and replays it through the closure-sharded ShardedController (the
+// controller gmfnet-admitd runs), reporting end-to-end admission
+// throughput and p50/p99/p999 decision latency from a fixed-footprint
+// HDR-style histogram. Millions of requests run
 // in constant memory: the controller folds decisions into counters
 // (admission.RetainCounters) instead of a log, and the histogram never
 // allocates on the measurement path.
@@ -14,22 +15,17 @@
 //	            [-switches K] [-fanout F] [-hosts H]
 //	            [-seed S] [-hold T] [-local P] [-heavy P]
 //	            [-diurnal A] [-flash F] [-tenants T] [-tenant-churn P]
-//	            [-batch B] [-depth D] [-workers W]
+//	            [-batch B] [-flush N] [-workers W]
 //	            [-record FILE] [-json] [-name LABEL]
-//	gmfnet-load -trace FILE [-batch B] [-depth D] [-workers W] [-json]
+//	gmfnet-load -trace FILE [-batch B] [-flush N] [-workers W] [-json]
 //
 // Both modes accept -cpuprofile, -memprofile, -mutexprofile and
-// -blockprofile FILE to write pprof profiles of the replay. The mutex
-// and block profiles are the contention instruments: under -workers > 1
-// they attribute lock wait time and scheduler blocking to stacks, which
-// is how dispatch-path serialization is located (README "Finding the
-// contention").
+// -blockprofile FILE to write pprof profiles of the replay; the mutex
+// and block profiles attribute the waits of a batch's concurrently
+// decided groups (at most -workers at once) to stacks.
 //
-// Replay pipelines -batch-sized submissions -depth deep: later batches'
-// independent closures are decided while earlier batches are still in
-// flight, and a request's latency is measured from its batch's
-// submission until the batch's decisions fold (submission order), so
-// the percentiles include real queueing delay under load.
+// Replay decides the adds in -batch-sized RequestBatch calls, one after
+// another, and records each request's latency as its batch's call.
 //
 // The run is gated on the controller's own accounting: admitted +
 // rejected must equal the requests submitted, and the resident
@@ -77,10 +73,9 @@ func run(args []string, stdout io.Writer) error {
 	flash := fs.Int("flash", 0, "number of flash-crowd episodes")
 	tenants := fs.Int("tenants", 0, "carve locality groups into this many tenants")
 	tenantChurn := fs.Float64("tenant-churn", 0, "per-request probability of a whole-tenant departure")
-	batch := fs.Int("batch", 64, "requests per SubmitBatch submission")
-	depth := fs.Int("depth", 4, "pipelined submissions in flight")
-	flushEvery := fs.Int("flush", 4096, "re-split shards every this many requests (0: only at end)")
-	workers := fs.Int("workers", 0, "shard worker-pool size (0: GOMAXPROCS)")
+	batch := fs.Int("batch", 64, "requests per RequestBatch call")
+	flushEvery := fs.Int("flush", 4096, "flush departures and re-split shards every this many requests (0: only at end)")
+	workers := fs.Int("workers", 0, "batch groups decided at once (0: GOMAXPROCS)")
 	record := fs.String("record", "", "write the synthesized trace to this file before replaying")
 	traceFile := fs.String("trace", "", "replay a recorded trace instead of synthesizing")
 	jsonOut := fs.Bool("json", false, "emit one JSON metrics object instead of the table")
@@ -92,8 +87,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *batch < 1 || *depth < 1 {
-		return fmt.Errorf("-batch and -depth must be at least 1")
+	if *batch < 1 {
+		return fmt.Errorf("-batch must be at least 1")
 	}
 
 	var (
@@ -132,7 +127,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := replay(h, ops, *batch, *depth, *flushEvery, core.Config{Workers: *workers})
+	m, err := replay(h, ops, *batch, *flushEvery, core.Config{Workers: *workers})
 	if perr := prof.Stop(); err == nil {
 		err = perr
 	}
@@ -184,7 +179,7 @@ func (m *metrics) render(w io.Writer, h workload.Header) error {
 	if kind == "" {
 		kind = "campus"
 	}
-	t := report.NewTable("Load replay (parallel controller)", "metric", "value")
+	t := report.NewTable("Load replay (sharded controller)", "metric", "value")
 	t.AddRowf("topology", fmt.Sprintf("%s %dx%dx%d", kind, h.Topo.Switches, h.Topo.Fanout, h.Topo.Hosts))
 	t.AddRowf("cpus", m.CPU)
 	t.AddRowf("requests", m.Requests)
@@ -202,79 +197,48 @@ func (m *metrics) render(w io.Writer, h workload.Header) error {
 	return t.Render(w)
 }
 
-// inflight is one pipelined submission awaiting its fold.
-type inflight struct {
-	t     *admission.PendingBatch
-	start time.Time
-	n     int
-}
-
-// replay drives the operation stream through a ParallelController with
-// counters-only retention: adds are submitted in pipelined batches,
-// departures release by name (a departure of a rejected flow is a
-// deterministic miss). A single consumer goroutine waits on the
-// submissions in order and records each batch's submit-to-fold latency
-// once per request, so the histogram sees queueing delay under load,
-// not just shard compute time.
+// replay drives the operation stream through a ShardedController with
+// counters-only retention: adds are decided in batchSize-long
+// RequestBatch calls, departures release by name once the pending batch
+// is decided (a departure of a rejected flow is a deterministic miss).
+// Each batch's call time is recorded once per request in it.
 //
-// Every flushEvery requests the controller flushes, re-splitting shards
-// whose flows no longer form one interference closure. Without that
-// maintenance a long replay only ever fuses: transient cross-traffic
-// welds closures together permanently and per-decision cost creeps up
-// with shard size.
-func replay(h workload.Header, ops []workload.Op, batchSize, depth, flushEvery int, cfg core.Config) (*metrics, error) {
+// Every flushEvery requests the controller applies its queued
+// departures and re-splits shards whose flows no longer form one
+// interference closure. Without that maintenance a long replay only
+// ever fuses: transient cross-traffic welds closures together
+// permanently and per-decision cost creeps up with shard size.
+func replay(h workload.Header, ops []workload.Op, batchSize, flushEvery int, cfg core.Config) (*metrics, error) {
 	topo, _, err := h.Topo.Build()
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := admission.NewParallelController(network.New(topo), cfg)
+	ctl, err := admission.NewShardedController(network.New(topo), cfg)
 	if err != nil {
 		return nil, err
 	}
 	ctl.SetRetention(admission.RetainCounters)
 
 	var hist workload.Histogram
-	ch := make(chan inflight, depth)
-	waitErr := make(chan error, 1)
-	go func() {
-		var firstErr error
-		for f := range ch {
-			if _, err := f.t.Wait(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			lat := time.Since(f.start)
-			for i := 0; i < f.n; i++ {
-				hist.Record(lat)
-			}
-		}
-		waitErr <- firstErr
-	}()
-
-	// The archive keys scaling rows by the cores the replay actually had
-	// (-cpu N test variants and CI runners differ).
+	// The archive keys rows by the cores the replay actually had (-cpu
+	// N test variants and CI runners differ).
 	m := &metrics{CPU: runtime.GOMAXPROCS(0)}
 	start := time.Now()
-	var pending []*network.FlowSpec
+	pending := make([]*network.FlowSpec, 0, batchSize)
 	submit := func() error {
 		if len(pending) == 0 {
 			return nil
 		}
 		s := time.Now()
-		t, err := ctl.SubmitBatch(pending)
-		if err != nil {
+		if _, err := ctl.RequestBatch(pending); err != nil {
 			return err
 		}
-		ch <- inflight{t: t, start: s, n: len(pending)}
-		// SubmitBatch holds the slice until its Wait; a fresh one per
-		// batch keeps the pipeline sound.
-		pending = make([]*network.FlowSpec, 0, batchSize)
+		lat := time.Since(s)
+		for range pending {
+			hist.Record(lat)
+		}
+		pending = pending[:0]
 		return nil
-	}
-	fail := func(err error) (*metrics, error) {
-		close(ch)
-		<-waitErr
-		ctl.Close()
-		return nil, err
 	}
 	for i := range ops {
 		op := &ops[i]
@@ -282,30 +246,32 @@ func replay(h workload.Header, ops []workload.Op, batchSize, depth, flushEvery i
 		case "add":
 			fs, err := op.Spec(topo)
 			if err != nil {
-				return fail(err)
+				return nil, err
 			}
 			m.Requests++
 			pending = append(pending, fs)
 			if len(pending) >= batchSize {
 				if err := submit(); err != nil {
-					return fail(err)
+					return nil, err
 				}
 			}
 			if flushEvery > 0 && m.Requests%flushEvery == 0 {
 				if err := ctl.Flush(); err != nil {
-					return fail(err)
+					return nil, err
+				}
+				if _, err := ctl.Sharded().Resplit(); err != nil {
+					return nil, err
 				}
 			}
 		case "del":
-			// Submit the partial batch so the departing flow's admission
-			// is in flight; Release itself waits for every submission to
-			// fold before claiming the resident.
+			// Decide the partial batch first: the departing flow may be
+			// in it.
 			if err := submit(); err != nil {
-				return fail(err)
+				return nil, err
 			}
 			ok, err := ctl.Release(op.Name)
 			if err != nil {
-				return fail(err)
+				return nil, err
 			}
 			if ok {
 				m.Released++
@@ -313,15 +279,10 @@ func replay(h workload.Header, ops []workload.Op, batchSize, depth, flushEvery i
 		}
 	}
 	if err := submit(); err != nil {
-		return fail(err)
-	}
-	close(ch)
-	if err := <-waitErr; err != nil {
-		ctl.Close()
 		return nil, err
 	}
-	// Close retires the mailboxes inside the timed region: draining the
-	// pipeline is part of the replay's work.
+	// Close applies the last departures and re-splits inside the timed
+	// region: they are part of the replay's work.
 	if err := ctl.Close(); err != nil {
 		return nil, err
 	}

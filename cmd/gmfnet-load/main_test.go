@@ -114,7 +114,7 @@ func TestLoadRecordReplay(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "load.trace")
 	live := loadJSON(t, "-topo", "fronthaul", "-switches", "2", "-fanout", "3", "-hosts", "2",
 		"-requests", "1200", "-hold", "40", "-heavy", "0.15", "-record", trace)
-	replayed := loadJSON(t, "-trace", trace, "-batch", "7", "-depth", "2")
+	replayed := loadJSON(t, "-trace", trace, "-batch", "7")
 	if decisions(live) != decisions(replayed) {
 		t.Fatalf("replay diverged: live %v, trace %v", decisions(live), decisions(replayed))
 	}
@@ -136,7 +136,6 @@ func TestLoadErrors(t *testing.T) {
 		{"-requests", "0"},
 		{"-requests", "10", "-heavy", "2"},
 		{"-requests", "10", "-batch", "0"},
-		{"-requests", "10", "-depth", "0"},
 		{"-trace", "/nonexistent.trace"},
 		{"-requests", "10", "-tenants", "-1"},
 	} {

@@ -105,13 +105,6 @@ type (
 	// ShardedAdmissionController admits flows per interference closure,
 	// with concurrent shard analyses and identical decisions.
 	ShardedAdmissionController = admission.ShardedController
-	// ParallelAdmissionController runs the closure-sharded admission test
-	// on a worker pool: one serial mailbox goroutine per shard, distinct
-	// closures concurrent, batches pipelined, decisions identical.
-	ParallelAdmissionController = admission.ParallelController
-	// PendingAdmissionBatch is an in-flight pipelined batch submitted to
-	// a ParallelAdmissionController; Wait returns its decisions.
-	PendingAdmissionBatch = admission.PendingBatch
 	// Engine is the persistent, warm-startable analysis engine behind
 	// incremental admission control.
 	Engine = core.Engine
@@ -240,7 +233,8 @@ func (s *System) NewAdmissionController(cfg AnalysisConfig) (*admission.Controll
 // jitter, so each closure gets its own warm shard engine: requests
 // route to their closure's shard, batches spanning several closures
 // are decided concurrently, an arrival bridging two closures fuses
-// their shards with a warm arena splice, and departures re-split
+// their shards with a warm arena splice, departures are claimed in
+// O(1) and applied lazily in O(closure), and NumShards/Close re-split
 // shards whose flows no longer form one closure. Decisions and bounds
 // are identical to NewAdmissionController's monolithic controller —
 // pinned by differential tests — with speedups on topologies that
@@ -249,19 +243,12 @@ func (s *System) NewShardedAdmissionController(cfg AnalysisConfig) (*admission.S
 	return admission.NewShardedController(s.nw, cfg)
 }
 
-// NewParallelAdmissionController returns the multi-core form of the
-// closure-sharded controller: the same decomposition as
-// NewShardedAdmissionController, executed by a worker-pool shard
-// scheduler. Each shard's decisions run on a serial mailbox goroutine
-// (strictly ordered within a closure), distinct closures decide
-// concurrently across AnalysisConfig.Workers workers (zero selects
-// GOMAXPROCS), and SubmitBatch pipelines batches so one contended
-// closure's eviction bisection never stalls independent work.
-// Decisions are byte-identical to the serial controllers. Call Flush
-// at stream boundaries to surface asynchronous departure errors and
-// re-split fused shards; call Close when done.
-func (s *System) NewParallelAdmissionController(cfg AnalysisConfig) (*admission.ParallelController, error) {
-	return admission.NewParallelController(s.nw, cfg)
+// NewParallelAdmissionController returns the closure-sharded
+// controller, exactly like NewShardedAdmissionController. The name
+// stays because the repository benchmark (bench/) calls it; a change to
+// the benchmark renames it.
+func (s *System) NewParallelAdmissionController(cfg AnalysisConfig) (*admission.ShardedController, error) {
+	return admission.NewShardedController(s.nw, cfg)
 }
 
 // NewEngine returns a persistent, warm-startable analysis engine over the

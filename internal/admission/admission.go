@@ -18,14 +18,12 @@
 // ShardedController scales the same test out by interference closure:
 // requests are decided inside their closure's private shard engine
 // (core.ShardedEngine), batches spanning disjoint closures are decided
-// concurrently, and eviction searches stay inside one closure instead
-// of bisecting the whole batch. ParallelController runs that same
-// decomposition on a core.Scheduler worker pool: each shard's decisions
-// execute on a serial mailbox goroutine, distinct closures run
-// concurrently, and SubmitBatch pipelines batches so independent work
-// never waits. All four controllers produce byte-identical decisions on
-// the same request sequence; the differential tests in this package
-// assert it.
+// concurrently, eviction searches stay inside one closure instead of
+// bisecting the whole batch, and departures are claimed in O(1) and
+// applied lazily, each in O(closure). It is the controller the daemon
+// and the load harness run. All three controllers produce identical
+// decisions on the same request sequence; the differential tests in
+// this package and the golden replay traces assert it.
 package admission
 
 import (
@@ -49,9 +47,9 @@ type Decision struct {
 	// request's interference closure only (flows outside it cannot be
 	// affected, but their bounds are not in this view — read them via
 	// Sharded().AnalyzeAllViews). Controller and ShardedController fill
-	// View and leave Result nil; ColdController and ParallelController
-	// do the opposite (see Result). Read decisions through Analysis to
-	// be controller-agnostic.
+	// View and leave Result nil; ColdController does the opposite (see
+	// Result). Read decisions through Analysis to be
+	// controller-agnostic.
 	//
 	// A live view pins a little engine bookkeeping, and the engine
 	// copies each header the view saw into it at most once as later
@@ -59,17 +57,15 @@ type Decision struct {
 	// per-decision Result copy this replaced, but it does accrue with
 	// the decision log. High-volume services that do not revisit old
 	// analyses should release them (View.Close, or View.Materialize to
-	// keep a detached copy); admitted batch decisions share one view,
-	// for which Close is idempotent.
+	// keep a detached copy, or ShardedController's RetainCounters);
+	// admitted batch decisions share one view, for which Close is
+	// idempotent.
 	View *core.ResultView
-	// Result is the detached form of the analysis, filled by the two
-	// controllers that cannot hand out a view: ColdController has no
-	// engine to share headers with, and ParallelController materializes
-	// every RetainAll decision on its shard goroutine (a view must not
-	// leave the goroutine that owns its engine) and closes the view.
-	// Under RetainCounters both fields are nil. The serial engine-backed
-	// controllers publish View instead, so their accept path copies no
-	// per-flow result headers.
+	// Result is the detached form of the analysis, filled by
+	// ColdController, which has no engine to share headers with. Under
+	// ShardedController's RetainCounters both fields are nil. The
+	// engine-backed controllers publish View instead, so their accept
+	// path copies no per-flow result headers.
 	Result *core.Result
 }
 
@@ -133,14 +129,27 @@ func (c *Controller) NumFlows() int { return c.eng.Network().NumFlows() }
 // headers. The returned error reports malformed requests; a sound
 // rejection returns a Decision with Admitted == false and a nil error.
 func (c *Controller) Request(fs *network.FlowSpec) (Decision, error) {
-	snap := c.eng.Snapshot()
-	if _, err := c.eng.AddFlow(fs); err != nil {
-		c.eng.Discard(snap) // nothing was admitted; disarm the journal
+	d, err := decide(c.eng, fs)
+	if err != nil {
 		return Decision{}, err
 	}
-	v, err := c.eng.AnalyzeView()
+	c.decisions = append(c.decisions, d)
+	return d, nil
+}
+
+// decide runs Request's snapshot / delta analysis / rollback protocol
+// on one engine without recording anything: the shared core of
+// Controller.Request and ShardedController.Request, which applies it to
+// the request's shard engine.
+func decide(eng *core.Engine, fs *network.FlowSpec) (Decision, error) {
+	snap := eng.Snapshot()
+	if _, err := eng.AddFlow(fs); err != nil {
+		eng.Discard(snap) // nothing was admitted; disarm the journal
+		return Decision{}, err
+	}
+	v, err := eng.AnalyzeView()
 	if err != nil {
-		if rerr := c.eng.Restore(snap); rerr != nil {
+		if rerr := eng.Restore(snap); rerr != nil {
 			return Decision{}, fmt.Errorf("admission: rollback failed: %v (after %w)", rerr, err)
 		}
 		return Decision{}, err
@@ -153,15 +162,14 @@ func (c *Controller) Request(fs *network.FlowSpec) (Decision, error) {
 	if !d.Admitted {
 		// The rollback's undo writes pass through the write barrier, so
 		// the retained view keeps showing the violating analysis.
-		if rerr := c.eng.Restore(snap); rerr != nil {
+		if rerr := eng.Restore(snap); rerr != nil {
 			v.Close()
 			return Decision{}, fmt.Errorf("admission: rollback failed: %v", rerr)
 		}
 	} else {
 		// Committed: release the snapshot so the journals stop recording.
-		c.eng.Discard(snap)
+		eng.Discard(snap)
 	}
-	c.decisions = append(c.decisions, d)
 	return d, nil
 }
 

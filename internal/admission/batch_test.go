@@ -70,10 +70,8 @@ func copySpecs(specs []*network.FlowSpec) []*network.FlowSpec {
 
 // runBatchDifferential drives the same request list through RequestBatch
 // (one batch and chunked), one-by-one RequestAll, the closure-sharded
-// controller (chunked batches), the scheduler-backed parallel controller
-// (the same chunks, pipelined: every chunk submitted before the first is
-// waited for), and the from-scratch ColdController, then asserts
-// identical accept sets and identical final jitter bounds.
+// controller (chunked batches) and the from-scratch ColdController,
+// then asserts identical accept sets and identical final jitter bounds.
 func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network.FlowSpec, chunk int) {
 	t.Helper()
 	batchCtl, err := NewController(network.New(topo), core.Config{})
@@ -93,10 +91,6 @@ func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network
 		t.Fatal(err)
 	}
 	shardCtl, err := NewShardedController(network.New(topo), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parCtl, err := NewParallelController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,30 +129,6 @@ func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network
 		}
 		shardDs = append(shardDs, ds...)
 	}
-	par := copySpecs(specs)
-	var tickets []*PendingBatch
-	for at := 0; at < len(par); at += chunk {
-		end := at + chunk
-		if end > len(par) {
-			end = len(par)
-		}
-		pb, err := parCtl.SubmitBatch(par[at:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, pb)
-	}
-	var parDs []Decision
-	for _, pb := range tickets {
-		ds, err := pb.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		parDs = append(parDs, ds...)
-	}
-	if err := parCtl.Close(); err != nil {
-		t.Fatal(err)
-	}
 	var coldDs []Decision
 	for _, fs := range copySpecs(specs) {
 		d, err := coldCtl.Request(fs)
@@ -169,19 +139,18 @@ func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network
 	}
 
 	if len(batchDs) != len(specs) || len(chunkDs) != len(specs) ||
-		len(seqDs) != len(specs) || len(shardDs) != len(specs) || len(parDs) != len(specs) {
-		t.Fatalf("decision counts: batch=%d chunked=%d seq=%d sharded=%d parallel=%d, want %d",
-			len(batchDs), len(chunkDs), len(seqDs), len(shardDs), len(parDs), len(specs))
+		len(seqDs) != len(specs) || len(shardDs) != len(specs) {
+		t.Fatalf("decision counts: batch=%d chunked=%d seq=%d sharded=%d, want %d",
+			len(batchDs), len(chunkDs), len(seqDs), len(shardDs), len(specs))
 	}
 	for i := range specs {
 		if batchDs[i].Admitted != seqDs[i].Admitted ||
 			chunkDs[i].Admitted != seqDs[i].Admitted ||
 			coldDs[i].Admitted != seqDs[i].Admitted ||
-			shardDs[i].Admitted != seqDs[i].Admitted ||
-			parDs[i].Admitted != seqDs[i].Admitted {
-			t.Fatalf("spec %d (%s): decisions diverged: batch=%v chunked=%v seq=%v cold=%v sharded=%v parallel=%v",
+			shardDs[i].Admitted != seqDs[i].Admitted {
+			t.Fatalf("spec %d (%s): decisions diverged: batch=%v chunked=%v seq=%v cold=%v sharded=%v",
 				i, specs[i].Flow.Name, batchDs[i].Admitted, chunkDs[i].Admitted,
-				seqDs[i].Admitted, coldDs[i].Admitted, shardDs[i].Admitted, parDs[i].Admitted)
+				seqDs[i].Admitted, coldDs[i].Admitted, shardDs[i].Admitted)
 		}
 	}
 	if batchCtl.Rejected() == 0 {
@@ -230,16 +199,12 @@ func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network
 		}
 	}
 
-	// The sharded and parallel controllers have no global flow order;
-	// compare their admitted sets and bounds by flow name.
+	// The sharded controller has no global flow order; compare its
+	// admitted set and bounds by flow name.
 	if shardCtl.NumFlows() != nets[0].NumFlows() {
 		t.Fatalf("sharded: %d admitted flows, want %d", shardCtl.NumFlows(), nets[0].NumFlows())
 	}
 	checkShardedBounds(t, shardCtl, want)
-	if parCtl.NumFlows() != nets[0].NumFlows() {
-		t.Fatalf("parallel: %d admitted flows, want %d", parCtl.NumFlows(), nets[0].NumFlows())
-	}
-	checkEngineBounds(t, parCtl.Sharded(), want)
 }
 
 // checkShardedBounds asserts the sharded controller's per-shard bounds

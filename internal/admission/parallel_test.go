@@ -1,10 +1,7 @@
 package admission
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 	"testing"
 
 	"gmfnet/internal/core"
@@ -13,269 +10,88 @@ import (
 	"gmfnet/internal/units"
 )
 
-// stressSpec builds one request for the fusion stress test: mostly
-// local traffic under one ring switch, every third request bridging the
-// backbone to a far switch (forcing closure fusion), every fifth a
-// deliberately heavy CBR flow (forcing rejections, and therefore
-// fused-rejection re-splits).
-func stressSpec(t *testing.T, topo *network.Topology, hosts []network.NodeID, hostsPer, switches, g, phase, k int) *network.FlowSpec {
-	t.Helper()
-	name := fmt.Sprintf("p%dg%df%d", phase, g, k)
-	src := hosts[(g%switches)*hostsPer+k%hostsPer]
-	dstSwitch := g % switches
-	if k%3 == 2 {
-		dstSwitch = (g + switches/2) % switches // cross the backbone: fuse
-	}
-	dst := hosts[dstSwitch*hostsPer+(k+1)%hostsPer]
-	if src == dst {
-		dst = hosts[dstSwitch*hostsPer+(k+2)%hostsPer]
-	}
-	route, err := topo.Route(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fs *network.FlowSpec
-	if k%5 == 4 {
-		// ~53 Mbit/s: a handful of these overload a 100 Mbit/s host link.
-		fs = &network.FlowSpec{
-			Flow: trace.CBRVideo(name, 200000, 30*units.Millisecond, 250*units.Millisecond),
-		}
-	} else {
-		fs = &network.FlowSpec{
-			Flow: trace.VoIP(name, trace.VoIPOptions{Deadline: 100 * units.Millisecond}),
-			RTP:  true,
-		}
-	}
-	fs.Route = route
-	fs.Priority = network.Priority(1 + k%3)
-	return fs
-}
+// The tests in this file drive ShardedController batches whose
+// interference groups are decided in parallel on the worker pool
+// (core.Config.Workers > 1) and pin what the controller folds from
+// them: the notify hook's order, the retention modes, the error
+// contract, and equality with serial group decisions.
 
-// residentSpecs snapshots the controller's resident flows, sorted by
-// name for deterministic iteration.
-func residentSpecs(ctl *ParallelController) []*network.FlowSpec {
-	ctl.mu.Lock()
-	var out []*network.FlowSpec
+// checkPartition asserts that the shards partition exactly the
+// controller's resident flows: every resident in exactly one shard, no
+// strays. It applies queued departures first (through Sharded).
+func checkPartition(t *testing.T, ctl *ShardedController) {
+	t.Helper()
+	want := make(map[*network.FlowSpec]bool)
 	for _, q := range ctl.residents {
-		out = append(out, q...)
+		for _, fs := range q {
+			want[fs] = true
+		}
 	}
-	ctl.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Flow.Name < out[j].Flow.Name })
-	return out
-}
-
-// checkParallelPartition asserts, at quiescence, that the shards
-// partition exactly the controller's resident flows: every resident in
-// exactly one shard, no strays.
-func checkParallelPartition(t *testing.T, ctl *ParallelController) {
-	t.Helper()
-	want := make(map[string]int)
-	for _, fs := range residentSpecs(ctl) {
-		want[fs.Flow.Name]++
-	}
-	got := make(map[string]int)
-	for _, eng := range ctl.se.Shards() {
+	got := make(map[*network.FlowSpec]int)
+	for _, eng := range ctl.Sharded().Shards() {
 		nw := eng.Network()
 		for i := 0; i < nw.NumFlows(); i++ {
-			got[nw.Flow(i).Flow.Name]++
+			got[nw.Flow(i)]++
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("partition holds %d distinct flows, residents list %d", len(got), len(want))
+		t.Fatalf("partition holds %d flows, residents list %d", len(got), len(want))
 	}
-	for name, n := range want {
-		if got[name] != n {
-			t.Fatalf("flow %q: %d copies across shards, want %d", name, got[name], n)
+	for fs, n := range got {
+		if n != 1 || !want[fs] {
+			t.Fatalf("flow %q: %d copies across shards, resident=%v", fs.Flow.Name, n, want[fs])
 		}
 	}
 }
 
-// TestParallelFusionStress is the correctness gate for fusion as
-// ownership transfer: concurrent submitters whose pipelines repeatedly
-// bridge closures (fusing shards mid-flight), heavy flows forcing
-// rejections and deferred re-splits, concurrent departures, and
-// pipelined batches — hammered through the scheduler, then checked
-// against a from-scratch cold analysis of whatever was admitted. Run
-// under -race (the CI race job picks it up) this pins that no engine
-// state is ever touched by two goroutines at once.
-func TestParallelFusionStress(t *testing.T) {
-	const (
-		switches = 8
-		hostsPer = 4
-		workers  = 4
-		gors     = 6
-		phases   = 3
-		perPhase = 8
-	)
-	topo, hosts, err := network.Ring(switches, hostsPer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := NewParallelController(network.New(topo), core.Config{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for phase := 0; phase < phases; phase++ {
-		var wg sync.WaitGroup
-		for g := 0; g < gors; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var batch []*network.FlowSpec
-				for k := 0; k < perPhase; k++ {
-					fs := stressSpec(t, topo, hosts, hostsPer, switches, g, phase, k)
-					if k%2 == 0 {
-						// Pipelined two-spec batches, never waited for:
-						// later submissions overlap their decisions.
-						batch = append(batch, fs)
-						if len(batch) == 2 {
-							if _, err := ctl.SubmitBatch(batch); err != nil {
-								t.Error(err)
-								return
-							}
-							batch = nil
-						}
-					} else if _, err := ctl.Request(fs); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				if len(batch) > 0 {
-					if _, err := ctl.SubmitBatch(batch); err != nil {
-						t.Error(err)
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-
-		// Concurrent departures: each goroutine releases a slice of this
-		// phase's admitted flows while the others do the same.
-		ctl.mu.Lock()
-		for len(ctl.tickets) > 0 {
-			ctl.cond.Wait()
-		}
-		ctl.mu.Unlock()
-		var names []string
-		for _, fs := range residentSpecs(ctl) {
-			names = append(names, fs.Flow.Name)
-		}
-		var rg sync.WaitGroup
-		for g := 0; g < gors; g++ {
-			rg.Add(1)
-			go func(g int) {
-				defer rg.Done()
-				for i := g; i < len(names); i += gors {
-					if i%3 != 0 {
-						continue
-					}
-					if _, err := ctl.Release(names[i]); err != nil {
-						t.Error(err)
-					}
-				}
-			}(g)
-		}
-		rg.Wait()
-		if err := ctl.Flush(); err != nil {
-			t.Fatalf("phase %d flush: %v", phase, err)
-		}
-		wantFlows := ctl.NumResidents()
-		if got := ctl.NumFlows(); got != wantFlows {
-			t.Fatalf("phase %d: %d flows across shards, residents list %d", phase, got, wantFlows)
-		}
-		checkParallelPartition(t, ctl)
-	}
-
-	if err := ctl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ctl.Admitted()+ctl.Rejected() != len(ctl.Decisions()) {
-		t.Fatalf("counters disagree: %d + %d != %d decisions",
-			ctl.Admitted(), ctl.Rejected(), len(ctl.Decisions()))
-	}
-
-	// The admitted set must be schedulable and every shard's bounds must
-	// equal a from-scratch cold analysis of exactly that set.
-	ref := network.New(topo)
-	for _, fs := range residentSpecs(ctl) {
-		if _, err := ref.AddFlow(fs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	an, err := core.NewAnalyzer(ref, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := an.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Schedulable() {
-		t.Fatal("admitted set is not schedulable")
-	}
-	checkEngineBounds(t, ctl.Sharded(), want)
-}
-
-// TestParallelMatchesShardedSerially pins the serial-client contract:
-// one goroutine issuing the same randomized Request/Release stream to
-// the parallel and the serial sharded controller gets byte-identical
-// decisions and identical final bounds.
+// TestParallelMatchesShardedSerially pins that deciding a batch's
+// groups in parallel changes nothing: one randomized stream of batches
+// and releases through a four-worker and a one-worker controller gets
+// identical decisions, release outcomes and final bounds.
 func TestParallelMatchesShardedSerially(t *testing.T) {
 	topo, hosts, err := network.Ring(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
-	specs := batchSpecs(t, r, topo, hosts, 24, "pm-")
-	parCtl, err := NewParallelController(network.New(topo), core.Config{})
+	specs := batchSpecs(t, r, topo, hosts, 36, "pm-")
+	par, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardCtl, err := NewShardedController(network.New(topo), core.Config{})
+	ser, err := NewShardedController(network.New(topo), core.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, fs := range specs {
-		pd, err := parCtl.Request(fs)
+	for at := 0; at < len(specs); at += 6 {
+		chunk := specs[at : at+6]
+		pds, err := par.RequestBatch(chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := *fs
-		sd, err := shardCtl.Request(&cp)
+		sds, err := ser.RequestBatch(copySpecs(chunk))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pd.Admitted != sd.Admitted {
-			t.Fatalf("spec %d (%s): parallel=%v sharded=%v", i, fs.Flow.Name, pd.Admitted, sd.Admitted)
+		for i := range chunk {
+			if pds[i].Admitted != sds[i].Admitted {
+				t.Fatalf("spec %s: parallel=%v serial=%v", chunk[i].Flow.Name, pds[i].Admitted, sds[i].Admitted)
+			}
 		}
-		if pd.Admitted && i%4 == 0 {
-			pok, err := parCtl.Release(fs.Flow.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sok, err := shardCtl.Release(fs.Flow.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pok != sok {
-				t.Fatalf("release %q: parallel=%v sharded=%v", fs.Flow.Name, pok, sok)
-			}
+		name := chunk[r.Intn(len(chunk))].Flow.Name
+		pok, _ := par.Release(name)
+		sok, _ := ser.Release(name)
+		if pok != sok {
+			t.Fatalf("release %q: parallel=%v serial=%v", name, pok, sok)
 		}
 	}
-	if err := parCtl.Close(); err != nil {
+	if err := par.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if parCtl.NumFlows() != shardCtl.NumFlows() {
-		t.Fatalf("final flows: parallel=%d sharded=%d", parCtl.NumFlows(), shardCtl.NumFlows())
+	if par.NumFlows() != ser.NumFlows() || par.Released() != ser.Released() {
+		t.Fatalf("flows %d/%d released %d/%d", par.NumFlows(), ser.NumFlows(), par.Released(), ser.Released())
 	}
-	if parCtl.Released() != shardCtl.Released() {
-		t.Fatalf("released: parallel=%d sharded=%d", parCtl.Released(), shardCtl.Released())
-	}
-	results, err := shardCtl.Sharded().AnalyzeAll()
+	results, err := ser.Sharded().AnalyzeAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,38 +99,21 @@ func TestParallelMatchesShardedSerially(t *testing.T) {
 	for _, res := range results {
 		want.Flows = append(want.Flows, res.Flows...)
 	}
-	checkEngineBounds(t, parCtl.Sharded(), want)
+	checkEngineBounds(t, par.Sharded(), want)
 }
 
 // TestParallelErrorContract pins malformed-input behavior: a bad batch
-// fails synchronously with no decisions recorded, a bad single request
-// surfaces its error through Wait, and the controller keeps working
-// afterwards.
+// fails with no decisions recorded, a bad single request returns its
+// error, and the controller keeps working afterwards.
 func TestParallelErrorContract(t *testing.T) {
 	topo, hosts, err := network.Ring(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewParallelController(network.New(topo), core.Config{})
+	ctl, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctl.Close()
-
-	bad := &network.FlowSpec{
-		Flow:  trace.VoIP("bad", trace.VoIPOptions{Deadline: 100 * units.Millisecond}),
-		Route: []network.NodeID{"nope1", "nope2"},
-	}
-	if _, err := ctl.RequestBatch([]*network.FlowSpec{bad}); err == nil {
-		t.Fatal("batch with malformed spec: want validation error")
-	}
-	if n := len(ctl.Decisions()); n != 0 {
-		t.Fatalf("failed batch recorded %d decisions", n)
-	}
-	if _, err := ctl.Request(bad); err == nil {
-		t.Fatal("malformed single request: want error")
-	}
-
 	route, err := topo.Route(hosts[0], hosts[1])
 	if err != nil {
 		t.Fatal(err)
@@ -324,6 +123,19 @@ func TestParallelErrorContract(t *testing.T) {
 		Route:    route,
 		RTP:      true,
 		Priority: 2,
+	}
+	bad := &network.FlowSpec{
+		Flow:  trace.VoIP("bad", trace.VoIPOptions{Deadline: 100 * units.Millisecond}),
+		Route: []network.NodeID{"nope1", "nope2"},
+	}
+	if _, err := ctl.RequestBatch([]*network.FlowSpec{good, bad}); err == nil {
+		t.Fatal("batch with malformed spec: want validation error")
+	}
+	if n := len(ctl.Decisions()); n != 0 || ctl.Admitted()+ctl.Rejected() != 0 {
+		t.Fatalf("failed batch recorded %d decisions", n)
+	}
+	if _, err := ctl.Request(bad); err == nil {
+		t.Fatal("malformed single request: want error")
 	}
 	d, err := ctl.Request(good)
 	if err != nil {
@@ -335,43 +147,42 @@ func TestParallelErrorContract(t *testing.T) {
 	if err := ctl.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if ctl.NumFlows() != 1 {
-		t.Fatalf("NumFlows = %d, want 1", ctl.NumFlows())
+	if ctl.NumFlows() != 1 || ctl.NumShards() != 1 {
+		t.Fatalf("NumFlows = %d, NumShards = %d, want 1 and 1", ctl.NumFlows(), ctl.NumShards())
 	}
 }
 
-// TestParallelEmptyBatch pins the trivial edges: empty submissions
-// decide nothing and Wait returns immediately.
+// TestParallelEmptyBatch pins the trivial edges: an empty batch decides
+// nothing, and releasing an unknown name claims nothing and queues
+// nothing.
 func TestParallelEmptyBatch(t *testing.T) {
 	topo, _, err := network.Ring(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewParallelController(network.New(topo), core.Config{})
+	ctl, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctl.Close()
 	ds, err := ctl.RequestBatch(nil)
 	if err != nil || ds != nil {
 		t.Fatalf("empty RequestBatch = (%v, %v), want (nil, nil)", ds, err)
 	}
-	pb, err := ctl.SubmitBatch(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds, err := pb.Wait(); err != nil || ds != nil {
-		t.Fatalf("empty SubmitBatch Wait = (%v, %v), want (nil, nil)", ds, err)
-	}
 	if ok, err := ctl.Release("ghost"); ok || err != nil {
 		t.Fatalf("Release(ghost) = (%v, %v), want (false, nil)", ok, err)
 	}
+	if len(ctl.departing) != 0 || ctl.Released() != 0 {
+		t.Fatalf("a miss queued %d departures, counted %d", len(ctl.departing), ctl.Released())
+	}
+	if err := ctl.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestParallelRetentionCounters pins the lean retention mode the load
-// harness replays under: decisions and departures are identical to
-// RetainAll, the counters agree, but no decision log (and no
-// materialized analyses) accumulate.
+// TestParallelRetentionCounters pins the lean retention mode the daemon
+// and the load harness run under: decisions and departures are
+// identical to RetainAll, the O(1) counters agree exactly, but no
+// decision log — and no open analysis view — accumulates.
 func TestParallelRetentionCounters(t *testing.T) {
 	topo, hosts, err := network.Ring(6, 3)
 	if err != nil {
@@ -379,59 +190,69 @@ func TestParallelRetentionCounters(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(11))
 	specs := batchSpecs(t, r, topo, hosts, 48, "rt-")
-	full, err := NewParallelController(network.New(topo), core.Config{})
+	full, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := NewParallelController(network.New(topo), core.Config{})
+	lean, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lean.SetRetention(RetainCounters)
-	for i, fs := range specs {
-		fd, err := full.Request(fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := *fs
-		ld, err := lean.Request(&cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fd.Admitted != ld.Admitted {
-			t.Fatalf("spec %d (%s): full=%v lean=%v", i, fs.Flow.Name, fd.Admitted, ld.Admitted)
-		}
-		if ld.Result != nil || ld.View != nil {
-			t.Fatalf("spec %d: lean decision kept an analysis", i)
-		}
-		if fd.Admitted && i%3 == 0 {
-			fok, err := full.Release(fs.Flow.Name)
-			if err != nil {
+	admitted := 0
+	for at := 0; at < len(specs); at += 4 {
+		chunk := specs[at : at+4]
+		var fds, lds []Decision
+		if at%8 == 0 {
+			// Alternate single requests and parallel batches.
+			for _, fs := range chunk {
+				fd, err := full.Request(fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp := *fs
+				ld, err := lean.Request(&cp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fds, lds = append(fds, fd), append(lds, ld)
+			}
+		} else {
+			if fds, err = full.RequestBatch(chunk); err != nil {
 				t.Fatal(err)
 			}
-			lok, err := lean.Release(fs.Flow.Name)
-			if err != nil {
+			if lds, err = lean.RequestBatch(copySpecs(chunk)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		for i := range chunk {
+			if fds[i].Admitted != lds[i].Admitted {
+				t.Fatalf("spec %s: full=%v lean=%v", chunk[i].Flow.Name, fds[i].Admitted, lds[i].Admitted)
+			}
+			if lds[i].Result != nil || lds[i].View != nil {
+				t.Fatalf("spec %s: lean decision kept an analysis", chunk[i].Flow.Name)
+			}
+			if fds[i].Admitted {
+				admitted++
+			}
+		}
+		if fds[0].Admitted {
+			fok, _ := full.Release(chunk[0].Flow.Name)
+			lok, _ := lean.Release(chunk[0].Flow.Name)
 			if !fok || !lok {
-				t.Fatalf("release %q: full=%v lean=%v", fs.Flow.Name, fok, lok)
+				t.Fatalf("release %q: full=%v lean=%v", chunk[0].Flow.Name, fok, lok)
 			}
 		}
 	}
-	if err := full.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lean.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if full.Admitted() != lean.Admitted() || full.Rejected() != lean.Rejected() ||
-		full.Released() != lean.Released() {
-		t.Fatalf("counters: full %d/%d/%d, lean %d/%d/%d",
+	if full.Admitted() != admitted || full.Admitted() != lean.Admitted() ||
+		full.Rejected() != lean.Rejected() || full.Released() != lean.Released() {
+		t.Fatalf("counters: full %d/%d/%d, lean %d/%d/%d, want %d admitted",
 			full.Admitted(), full.Rejected(), full.Released(),
-			lean.Admitted(), lean.Rejected(), lean.Released())
+			lean.Admitted(), lean.Rejected(), lean.Released(), admitted)
 	}
-	if len(full.Decisions()) != len(specs) {
-		t.Fatalf("full log = %d decisions, want %d", len(full.Decisions()), len(specs))
+	if full.Admitted()+full.Rejected() != len(specs) || len(full.Decisions()) != len(specs) {
+		t.Fatalf("full log = %d decisions, counters %d, want %d",
+			len(full.Decisions()), full.Admitted()+full.Rejected(), len(specs))
 	}
 	if n := len(lean.Decisions()); n != 0 {
 		t.Fatalf("lean log = %d decisions, want none", n)
@@ -443,5 +264,116 @@ func TestParallelRetentionCounters(t *testing.T) {
 	if lean.NumFlows() != lean.NumResidents() {
 		t.Fatalf("shard flows %d != residents %d", lean.NumFlows(), lean.NumResidents())
 	}
-	checkParallelPartition(t, lean)
+	checkPartition(t, lean)
+}
+
+// TestParallelNotifyOrder pins the notification hook that feeds
+// gmfnet-admitd's subscription manager: every decided request fires
+// exactly one event carrying the exact submitted spec pointer; a batch
+// whose groups are decided in parallel fires one event per member in
+// request order; Release fires FoldReleased with the pointer that was
+// admitted at claim time, before the removal it queues has run.
+func TestParallelNotifyOrder(t *testing.T) {
+	topo, hosts, err := network.Campus(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []FoldEvent
+	ctl.SetNotify(func(ev FoldEvent) { evs = append(evs, ev) })
+
+	voip := func(name string, a, b int) *network.FlowSpec {
+		route, err := topo.Route(hosts[a], hosts[b])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &network.FlowSpec{
+			Flow:     trace.VoIP(name, trace.VoIPOptions{Deadline: 100 * units.Millisecond}),
+			Route:    route,
+			Priority: 1,
+			RTP:      true,
+		}
+	}
+	heavy := func(name string, a, b int) *network.FlowSpec {
+		route, err := topo.Route(hosts[a], hosts[b])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &network.FlowSpec{
+			Flow:     trace.CBRVideo(name, 250000, 30*units.Millisecond, 250*units.Millisecond),
+			Route:    route,
+			Priority: 1,
+		}
+	}
+	expect := func(step string, want []FoldEvent) {
+		t.Helper()
+		got := evs
+		evs = nil
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d events, want %d: %+v", step, len(got), len(want), got)
+		}
+		for i := range want {
+			if got[i].Spec != want[i].Spec || got[i].Kind != want[i].Kind {
+				t.Fatalf("%s: event %d = {%s %d}, want {%s %d}",
+					step, i, got[i].Spec.Flow.Name, got[i].Kind,
+					want[i].Spec.Flow.Name, want[i].Kind)
+			}
+		}
+	}
+
+	a := voip("a", 0, 1)
+	if d, err := ctl.Request(a); err != nil || !d.Admitted {
+		t.Fatalf("admit a: %+v %v", d, err)
+	}
+	expect("admit", []FoldEvent{{Spec: a, Kind: FoldAdmitted}})
+
+	// Heavy CBR beside the VoIP call: rejected, still exactly one event.
+	r := heavy("r", 0, 1)
+	if d, err := ctl.Request(r); err != nil || d.Admitted {
+		t.Fatalf("reject r: %+v %v", d, err)
+	}
+	expect("reject", []FoldEvent{{Spec: r, Kind: FoldRejected}})
+
+	// b and c share switch 1's links; x runs the other way under switch
+	// 0, disjoint from a: two groups, decided in parallel, events in
+	// request order.
+	b, x, c := voip("b", 2, 3), voip("x", 1, 0), voip("c", 2, 3)
+	ds, err := ctl.RequestBatch([]*network.FlowSpec{b, x, c})
+	if err != nil || !ds[0].Admitted || !ds[1].Admitted || !ds[2].Admitted {
+		t.Fatalf("batch: %+v %v", ds, err)
+	}
+	expect("batch", []FoldEvent{{Spec: b, Kind: FoldAdmitted}, {Spec: x, Kind: FoldAdmitted}, {Spec: c, Kind: FoldAdmitted}})
+
+	// Release fires with the admitted spec pointer at claim time: the
+	// resident count drops at once, the shard still holds b until the
+	// next call applies the queued removal. A miss fires nothing.
+	if ok, err := ctl.Release("b"); err != nil || !ok {
+		t.Fatalf("release b: %v %v", ok, err)
+	}
+	expect("release", []FoldEvent{{Spec: b, Kind: FoldReleased}})
+	if ctl.NumResidents() != 3 || ctl.se.NumFlows() != 4 || len(ctl.departing) != 1 {
+		t.Fatalf("after claim: %d residents, %d shard flows, %d queued; want 3, 4, 1",
+			ctl.NumResidents(), ctl.se.NumFlows(), len(ctl.departing))
+	}
+	if ok, err := ctl.Release("ghost"); err != nil || ok {
+		t.Fatalf("release ghost: %v %v", ok, err)
+	}
+	expect("miss", nil)
+	if err := ctl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	expect("flush", nil)
+	if ctl.se.NumFlows() != 3 || len(ctl.departing) != 0 {
+		t.Fatalf("after flush: %d shard flows, %d queued; want 3, 0", ctl.se.NumFlows(), len(ctl.departing))
+	}
+
+	// Clearing the hook silences it.
+	ctl.SetNotify(nil)
+	if _, err := ctl.Request(voip("d", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	expect("cleared", nil)
 }

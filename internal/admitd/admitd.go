@@ -1,4 +1,4 @@
-// Package admitd turns the multi-core admission controller into a
+// Package admitd turns the closure-sharded admission controller into a
 // long-running network service: gmfnet-admitd serves concurrent
 // admission streams over TCP or a unix socket behind a JSON-lines wire
 // protocol (the workload.Op trace schema plus a versioned hello), and
@@ -13,17 +13,21 @@
 //     *bounded* outbound queue — a subscriber that stops reading
 //     overflows its queue and is disconnected, never blocking the
 //     dispatcher or the fold;
-//   - a single dispatcher goroutine owns all connection, subscription
-//     and closure-book state and serializes submissions into the
-//     ParallelController in arrival order, so daemon decisions are
-//     byte-identical to an in-process replay of the same op sequence
-//     (the golden daemon tests pin this over the wire);
-//   - the controller's post-fold notification hook
-//     (admission.SetNotify) feeds the subscription manager, which
-//     enters each fold into the closure book (book.go: residents by
-//     spec, by name and by directed link) and fans exactly one event
-//     out to the subscribers of every resident flow sharing the fold's
-//     interference closure. A fold costs O(route length) while nobody
+//   - a single dispatcher goroutine owns the controller and all
+//     connection, subscription and closure-book state, and calls the
+//     ShardedController in-line, one op at a time in arrival order, so
+//     daemon decisions are byte-identical to an in-process replay of
+//     the same op sequence (the golden daemon tests pin this over the
+//     wire). Whenever it finds its inbox empty it yields once, so the
+//     writers it just woke put their verdicts on the wire, and then
+//     flushes the departures the controller queued, off the next op's
+//     latency;
+//   - the controller's notification hook (SetNotify) runs on the
+//     dispatcher inside the call that caused the fold: it enters the
+//     fold into the closure book (book.go: residents by spec, by name
+//     and by directed link) and fans exactly one event out to the
+//     subscribers of every resident flow sharing the fold's
+//     interference closure, before the op's verdict is queued. A fold costs O(route length) while nobody
 //     is subscribed to anything and one walk of the touched closure —
 //     never of the resident set — when somebody is; network.Network's
 //     union-find is the oracle the book is tested against, not a
@@ -32,7 +36,7 @@
 // Drain (SIGTERM in the daemon, Server.Drain here) is graceful: stop
 // accepting, finish every submission already queued, notify all
 // connections with a "drain" message, flush and close their queues,
-// then flush and close the controller.
+// then close the controller.
 package admitd
 
 import (
@@ -64,17 +68,17 @@ type Config struct {
 	// WriteTimeout bounds each wire write, so a stalled peer cannot
 	// pin a writer goroutine past it. Default 5s.
 	WriteTimeout time.Duration
-	// Core configures the controller's engine (worker-pool size, analysis caps).
+	// Core configures the controller's engines (analysis caps, batch fan-out).
 	Core core.Config
 }
 
-// Server is one admission daemon: a ParallelController, the closure
+// Server is one admission daemon: a ShardedController, the closure
 // book of its residents, and the dispatcher that serializes wire
 // submissions into it.
 type Server struct {
 	cfg  Config
 	topo *network.Topology
-	ctl  *admission.ParallelController
+	ctl  *admission.ShardedController
 
 	// ch carries register/op/unregister messages from connection
 	// readers to the dispatcher; its FIFO order *is* the submission
@@ -84,15 +88,6 @@ type Server struct {
 	once sync.Once
 	done chan struct{}
 
-	// notifMu guards the fold-event queue filled by the controller's
-	// SetNotify hook (which runs under the controller's lock, possibly
-	// on a shard goroutine) and drained by the dispatcher. taken is the
-	// dispatcher's half of the pair: the batch it last took, handed
-	// back as the empty queue by the next takeFolds.
-	notifMu sync.Mutex
-	notifQ  []admission.FoldEvent
-	taken   []admission.FoldEvent
-
 	readers sync.WaitGroup
 	connID  atomic.Int64
 
@@ -100,7 +95,8 @@ type Server struct {
 	listeners []net.Listener
 	closed    bool
 
-	// Dispatcher-owned state: touched only on the dispatcher goroutine.
+	// Dispatcher-owned state, the controller included: touched only on
+	// the dispatcher goroutine.
 	book       *book
 	owed       []*resident // affected's scratch
 	conns      map[*conn]bool
@@ -137,7 +133,7 @@ type dmsg struct {
 	unreg bool
 }
 
-// New builds the served topology, the parallel controller (in
+// New builds the served topology, the sharded controller (in
 // counters-only retention — a daemon never re-reads its decision log,
 // so memory stays flat at any request volume) and starts the
 // dispatcher. Call Serve with one or more listeners, then Drain.
@@ -152,7 +148,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := admission.NewParallelController(network.New(topo), cfg.Core)
+	ctl, err := admission.NewShardedController(network.New(topo), cfg.Core)
 	if err != nil {
 		return nil, err
 	}
@@ -168,35 +164,13 @@ func New(cfg Config) (*Server, error) {
 		conns: make(map[*conn]bool),
 		subs:  make(map[string]map[*conn]bool),
 	}
-	ctl.SetNotify(s.enqueueFold)
+	ctl.SetNotify(s.onFold)
 	go s.dispatch()
 	return s, nil
 }
 
 // Topo returns the served topology spec (what hellos must match).
 func (s *Server) Topo() workload.TopoSpec { return s.cfg.Topo }
-
-// enqueueFold is the controller's post-fold hook: it runs under the
-// controller's lock, so it only appends to the queue the dispatcher
-// drains after each submission returns.
-func (s *Server) enqueueFold(ev admission.FoldEvent) {
-	s.notifMu.Lock()
-	s.notifQ = append(s.notifQ, ev)
-	s.notifMu.Unlock()
-}
-
-// takeFolds hands the queued fold events to the dispatcher, valid until
-// the next call: the queue and the batch taken before this one swap
-// places, so no op allocates a queue under the controller's lock. The
-// consumed batch is cleared first — a buffer must not keep departed
-// specs alive.
-func (s *Server) takeFolds() []admission.FoldEvent {
-	clear(s.taken)
-	s.notifMu.Lock()
-	s.taken, s.notifQ = s.notifQ, s.taken[:0]
-	s.notifMu.Unlock()
-	return s.taken
-}
 
 // Serve starts accepting connections on l. It may be called more than
 // once (the daemon listens on TCP and a unix socket at the same time);
@@ -333,9 +307,9 @@ func (c *conn) writeLoop(bw *bufio.Writer, timeout time.Duration) {
 // Drain stops the server gracefully: close the listeners, let the
 // dispatcher finish every submission already queued, notify every
 // connection with a "drain" message, flush and close the outbound
-// queues, then flush and close the controller. It blocks until the
-// dispatcher has exited and returns the controller's close error, if
-// any. Safe to call more than once.
+// queues, then close the controller. It blocks until the dispatcher
+// has exited and returns the first controller error (a departure or
+// re-split failure), if any. Safe to call more than once.
 func (s *Server) Drain() error {
 	s.lmu.Lock()
 	s.closed = true

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -490,5 +491,54 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if len(st.PerConn) != 1 || st.PerConn[0].Ops != st.Ops {
 		t.Fatalf("per-conn stats = %+v", st.PerConn)
+	}
+}
+
+// TestGoroutinesIndependentOfClosures pins the daemon's concurrency
+// shape: the dispatcher decides in-line on one goroutine, so a daemon
+// holding ~1 000 interference closures runs exactly as many goroutines
+// as one holding ten — no per-closure worker or mailbox exists.
+func TestGoroutinesIndependentOfClosures(t *testing.T) {
+	spec := workload.TopoSpec{Kind: "backbone", Switches: 16, Fanout: 16, Hosts: 4}
+	_, hosts, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := newTestServer(t, admitd.Config{Topo: spec})
+	cli := dialTest(t, addr, spec)
+	// One flow per directed host pair of each 4-host access group: every
+	// flow is its own closure.
+	admit := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			g, pair := i/4, [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}}[i%4]
+			op := voipOp(fmt.Sprintf("f%d", i), string(hosts[g*4+pair[0]]), string(hosts[g*4+pair[1]]))
+			if ok, err := cli.Add(op); err != nil || !ok {
+				t.Fatalf("admit f%d: %v %v", i, ok, err)
+			}
+		}
+	}
+	// settled reads the goroutine count once it holds still, so a
+	// goroutine on its way out of a finished test does not count.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 50; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+		return n
+	}
+	admit(0, 10)
+	few := settled()
+	admit(10, 1000)
+	if st := barrier(t, cli); st.Resident != 1000 {
+		t.Fatalf("%d residents, want 1000", st.Resident)
+	}
+	if many := settled(); many != few {
+		t.Fatalf("goroutines: %d with 10 closures, %d with 1000", few, many)
 	}
 }

@@ -229,8 +229,8 @@ func FuzzClosureBook(f *testing.F) {
 	})
 }
 
-// foldServer is a Server reduced to what fanout touches — the fold
-// queue, the book, the subscription table — with no controller, no
+// foldServer is a Server reduced to what onFold touches — the book
+// and the subscription table — with no controller, no
 // dispatcher goroutine and no sockets, so folds can be fed and timed
 // directly. With subscribed set, one connection (a large queue nobody
 // reads; drain empties it) subscribes to that name.
@@ -250,8 +250,7 @@ func foldServer(subscribed string) (*Server, *conn) {
 }
 
 func (s *Server) fold(fs *network.FlowSpec, k admission.FoldKind) {
-	s.enqueueFold(admission.FoldEvent{Spec: fs, Kind: k})
-	s.fanout()
+	s.onFold(admission.FoldEvent{Spec: fs, Kind: k})
 }
 
 func drain(c *conn) (n int) {
@@ -282,8 +281,7 @@ func tinyClosures(t testing.TB, s *Server, n int) (*network.Topology, []network.
 // it is exact: with no subscriber an admit + release fold pair
 // allocates 3 objects — the resident, its hop list, its name-index
 // entry — whether 64 or 4 096 residents (in disjoint closures) are on
-// the book; the fold queue, the link entries and the walk state are
-// reused.
+// the book; the link entries and the walk state are reused.
 func TestFoldCostIndependentOfResidents(t *testing.T) {
 	const want = 3
 	for _, n := range []int{64, 4096} {

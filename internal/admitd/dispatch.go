@@ -2,6 +2,7 @@ package admitd
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -10,40 +11,57 @@ import (
 	"gmfnet/internal/workload"
 )
 
-// dispatch is the daemon's single run loop: it owns every connection,
-// subscription and closure-book structure, and serializes wire
-// submissions into the controller in the order they arrive on s.ch.
-// That ordering invariant is the daemon's determinism guarantee — one
-// client replaying a trace sees exactly the decisions an in-process
-// replay of the same op sequence produces, byte for byte.
+// dispatch is the daemon's single run loop: it owns the controller and
+// every connection, subscription and closure-book structure, and
+// serializes wire submissions into the controller in the order they
+// arrive on s.ch. That ordering invariant is the daemon's determinism
+// guarantee — one client replaying a trace sees exactly the decisions
+// an in-process replay of the same op sequence produces, byte for byte.
 func (s *Server) dispatch() {
 	defer close(s.done)
 	stopCh := s.stop
 	draining := false
+	drain := func() {
+		stopCh = nil
+		draining = true
+		// Flush in-flight work: every submission already queued is
+		// decided before anyone is told about the drain.
+		for flushed := false; !flushed; {
+			select {
+			case m := <-s.ch:
+				s.handle(m, false)
+			default:
+				flushed = true
+			}
+		}
+		for _, c := range append([]*conn(nil), s.order...) {
+			s.push(c, Msg{Kind: KindDrain})
+			s.unregister(c)
+		}
+	}
 	for !(draining && len(s.conns) == 0) {
 		select {
 		case m := <-s.ch:
 			s.handle(m, draining)
+			continue
 		case <-stopCh:
-			stopCh = nil
-			draining = true
-			// Flush in-flight work: every submission already queued is
-			// decided before anyone is told about the drain.
-			for flushed := false; !flushed; {
-				select {
-				case m := <-s.ch:
-					s.handle(m, false)
-				default:
-					flushed = true
-				}
-			}
-			for _, c := range append([]*conn(nil), s.order...) {
-				s.push(c, Msg{Kind: KindDrain})
-				s.unregister(c)
-			}
+			drain()
+			continue
+		default:
+		}
+		// Idle: yield once so the writers just woken put their verdicts
+		// on the wire first, then apply the departures the controller
+		// queued, so the next op does not wait for them.
+		runtime.Gosched()
+		s.keepErr(s.ctl.Flush())
+		select {
+		case m := <-s.ch:
+			s.handle(m, draining)
+		case <-stopCh:
+			drain()
 		}
 	}
-	s.drainErr = s.ctl.Close()
+	s.keepErr(s.ctl.Close())
 	s.residents = s.book.residents()
 	// Readers may still be blocked sending to s.ch (their sockets close
 	// asynchronously, via the writers); keep the channel drained until
@@ -57,6 +75,13 @@ func (s *Server) dispatch() {
 		if m.reg {
 			close(m.c.out)
 		}
+	}
+}
+
+// keepErr records the first controller error for Drain to return.
+func (s *Server) keepErr(err error) {
+	if err != nil && s.drainErr == nil {
+		s.drainErr = err
 	}
 }
 
@@ -158,8 +183,9 @@ func verdictMsg(id int64, d admission.Decision) Msg {
 }
 
 // handleOp decides one wire operation. Subscription events caused by
-// the op are fanned out *before* its verdict is enqueued, so a client
-// reading its own connection in order always sees cause before
+// the op are fanned out by the controller's notify hook (onFold) inside
+// the controller call, *before* the op's verdict is enqueued, so a
+// client reading its own connection in order always sees cause before
 // acknowledgement.
 func (s *Server) handleOp(c *conn, op *workload.Op) {
 	switch op.Op {
@@ -170,7 +196,6 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 			return
 		}
 		d, err := s.ctl.Request(spec)
-		s.fanout()
 		if err != nil {
 			s.push(c, errMsg(op.ID, err))
 			return
@@ -196,7 +221,6 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 			specs[i] = spec
 		}
 		ds, err := s.ctl.RequestBatch(specs)
-		s.fanout()
 		if err != nil {
 			s.push(c, errMsg(op.ID, err))
 			return
@@ -206,7 +230,6 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 		}
 	case "del":
 		ok, err := s.ctl.Release(op.Name)
-		s.fanout()
 		if err != nil {
 			s.push(c, errMsg(op.ID, err))
 			return
@@ -245,7 +268,7 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 	}
 }
 
-// fanout drains the controller's post-fold notifications into the
+// onFold is the controller's notify hook: it enters one fold into the
 // closure book and pushes closure deltas to subscribers of affected
 // flows. The book holds exactly the resident flow set (the same specs
 // the controller folded, by pointer — Release folds the exact pointer
@@ -253,27 +276,25 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 // names). While nobody is subscribed to anything a fold only updates
 // the book's indices, O(route length); otherwise it also walks the one
 // closure the fold touched.
-func (s *Server) fanout() {
-	for _, ev := range s.takeFolds() {
-		switch ev.Kind {
-		case admission.FoldAdmitted:
-			r := s.book.add(ev.Spec)
-			s.notify(r, EventAdmitted, s.affected(r))
-		case admission.FoldReleased:
-			r := s.book.bySpec[ev.Spec]
-			if r == nil {
-				continue // unreachable: every resident was entered on fold
-			}
-			// Affected flows are the ones that shared the closure
-			// *before* the departure; their populations are reported
-			// after it (the closure may have split).
-			owed := s.affected(r)
-			s.book.remove(r)
-			s.notify(r, EventReleased, owed)
-		case admission.FoldRejected:
-			// Never entered any closure; the requester already has the
-			// verdict, nobody's headroom changed.
+func (s *Server) onFold(ev admission.FoldEvent) {
+	switch ev.Kind {
+	case admission.FoldAdmitted:
+		r := s.book.add(ev.Spec)
+		s.notify(r, EventAdmitted, s.affected(r))
+	case admission.FoldReleased:
+		r := s.book.bySpec[ev.Spec]
+		if r == nil {
+			return // unreachable: every resident was entered on fold
 		}
+		// Affected flows are the ones that shared the closure *before*
+		// the departure; their populations are reported after it (the
+		// closure may have split).
+		owed := s.affected(r)
+		s.book.remove(r)
+		s.notify(r, EventReleased, owed)
+	case admission.FoldRejected:
+		// Never entered any closure; the requester already has the
+		// verdict, nobody's headroom changed.
 	}
 }
 
@@ -324,8 +345,8 @@ func (s *Server) notify(peer *resident, event string, owed []*resident) {
 	}
 }
 
-// stats assembles the counters snapshot. Controller accessors take the
-// controller's own lock; everything else is dispatcher-owned.
+// stats assembles the counters snapshot; the controller and everything
+// else it reads are dispatcher-owned.
 func (s *Server) stats() *Stats {
 	st := &Stats{
 		Admitted:   s.ctl.Admitted(),

@@ -96,7 +96,7 @@ type Msg struct {
 // daemon's connection/subscription bookkeeping.
 type Stats struct {
 	// Controller accounting (identical semantics to the in-process
-	// ParallelController counters).
+	// ShardedController counters).
 	Admitted int `json:"admitted"`
 	Rejected int `json:"rejected"`
 	Released int `json:"released"`

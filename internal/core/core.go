@@ -26,7 +26,9 @@
 //     over an arena-backed jitter state with O(1) undo-journal snapshots
 //     (Snapshot/Restore/Discard) that survive departures;
 //   - ShardedEngine partitions the arena by interference closure, one
-//     Engine per closure, with warm shard fusion and re-splitting.
+//     Engine per closure, with warm shard fusion and re-splitting; a
+//     resource-to-shard route table finds a flow's closure for
+//     placement and departure in O(closure).
 //
 // All three compute identical bounds — the repo's differential and fuzz
 // tests pin that. The state layout and its invariants (arena blocks,
@@ -83,18 +85,17 @@ type Config struct {
 	// MaxHolisticIter caps the outer holistic jitter iteration of
 	// Section 3.5. Zero selects 256.
 	MaxHolisticIter int
-	// Workers bounds the shard-level fan-out: the size of the shard
-	// scheduler's worker pool, the per-shard fan-out of AnalyzeAll and
-	// the sharded batch groups (all via PoolWorkers). Zero or negative
-	// selects GOMAXPROCS. A single Engine's iteration is always
-	// sequential.
+	// Workers bounds the shard-level fan-out: how many shards
+	// AnalyzeAll converges at once and how many interference groups of
+	// one sharded batch are decided at once (both via PoolWorkers).
+	// Zero or negative selects GOMAXPROCS. A single Engine's iteration,
+	// and every single request, is always sequential.
 	Workers int
 }
 
-// PoolWorkers resolves Workers to a worker-pool size for shard-level
-// fan-out (the scheduler's pool, AnalyzeAll, sharded batch groups):
-// a positive value is taken literally, zero and negative select
-// GOMAXPROCS.
+// PoolWorkers resolves Workers to a worker count for shard-level
+// fan-out (AnalyzeAll, sharded batch groups): a positive value is
+// taken literally, zero and negative select GOMAXPROCS.
 func (c Config) PoolWorkers() int {
 	if c.Workers > 0 {
 		return c.Workers

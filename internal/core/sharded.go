@@ -28,9 +28,10 @@ import (
 //     the merged engine is immediately at its fixpoint — the disjoint
 //     union of fixpoints is the fixpoint of the union precisely because
 //     the fused closures shared no resource;
-//   - a departure can split a closure; Resplit detects shards whose
-//     flows now fall into several closures and splices each closure
-//     out into its own warm shard.
+//   - a departure (Remove) leaves its shard whole even when it split
+//     the closure; Resplit detects shards whose flows now fall into
+//     several closures and splices each closure out into its own warm
+//     shard.
 //
 // Because every per-shard analysis is the unmodified Engine iterating
 // the same equations over exactly the flows of one closure, per-flow
@@ -38,16 +39,19 @@ import (
 // engine over the union — the property the sharded admission
 // controller's differential tests pin.
 //
-// A ShardedEngine is not safe for concurrent use in general; AnalyzeAll
-// parallelises internally over shards, and the routing table (routes)
-// is striped so the Scheduler's dispatch fast path can look up and
-// claim resources concurrently — see routeTable for the locking model.
+// A ShardedEngine is not safe for concurrent use; AnalyzeAll and the
+// sharded batch path parallelise internally over shards, which share
+// only the read-only topology.
 type ShardedEngine struct {
 	topo *network.Topology
 	cfg  Config
 
 	shards []*shard
-	routes routeTable
+	// routes maps every pipeline resource a committed flow crosses to
+	// the shard holding that flow: the partition's index, consulted by
+	// placement and by departures (a flow's shard is the owner of any
+	// of its resources).
+	routes map[Resource]*shard
 	seq    int
 }
 
@@ -55,24 +59,12 @@ type ShardedEngine struct {
 type shard struct {
 	eng *Engine
 	seq int
-	// mu guards owned against the scheduler's concurrent claims; the
-	// stripe lock of the key being (dis)owned nests outside it (see
-	// routeTable). Paths holding the scheduler's exclusive dispatch
-	// lock take it too, for uniformity.
-	mu sync.Mutex
-	// owned mirrors this shard's routeTable entries as an enumeration
-	// index: pipeline resource → how many of the shard's committed (or
-	// eagerly routed in-flight) flows cross it. Fusion and drop need
-	// "all keys of this shard" without scanning every stripe; Resplit
-	// rebuilds the counts from scratch for shards it splits.
+	// owned counts, per resource routed to this shard, how many of the
+	// shard's flows cross it; a key leaves the route table when its
+	// count drops to zero. Fusion and drop enumerate it for "all keys
+	// of this shard"; Resplit counts it from scratch for the shards it
+	// creates.
 	owned map[Resource]int
-}
-
-// ownedEmpty reports whether the shard owns no resource routes.
-func (s *shard) ownedEmpty() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.owned) == 0
 }
 
 // NewShardedEngine partitions the network's flows by interference
@@ -87,8 +79,9 @@ func NewShardedEngine(nw *network.Network, cfg Config) (*ShardedEngine, error) {
 		return nil, err
 	}
 	se := &ShardedEngine{
-		topo: nw.Topo,
-		cfg:  cfg,
+		topo:   nw.Topo,
+		cfg:    cfg,
+		routes: make(map[Resource]*shard),
 	}
 	for _, members := range nw.Closures() {
 		s, err := se.newShard()
@@ -127,44 +120,36 @@ func (se *ShardedEngine) newShard() (*shard, error) {
 // placement fuses bridging shards first.
 func (se *ShardedEngine) own(s *shard, keys []Resource) {
 	for _, k := range keys {
-		se.routes.route(k, s)
+		se.routes[k] = s
+		s.owned[k]++
 	}
 }
 
-// tryOwn atomically routes the keys to s, failing — and undoing the
-// claims already made — when any key is owned by another shard. The
-// scheduler's dispatch fast path uses it to detect racing dispatches
-// without a global lock: a conflict means the partition is shifting
-// under the group, and the dispatch retries under exclusion.
-func (se *ShardedEngine) tryOwn(s *shard, keys []Resource) bool {
-	for n, k := range keys {
-		if !se.routes.claim(k, s) {
-			for _, u := range keys[:n] {
-				se.routes.release(u, s)
-			}
-			return false
-		}
-	}
-	return true
-}
-
-// disown releases one departed flow's pipeline resources: refcounts
+// disown releases one departed flow's pipeline resources: counts
 // drop, and keys no remaining flow of the shard crosses are unrouted,
 // so a later newcomer on those resources opens a fresh closure instead
 // of being pulled into this shard.
 func (se *ShardedEngine) disown(s *shard, keys []Resource) {
 	for _, k := range keys {
-		se.routes.release(k, s)
+		if se.routes[k] != s {
+			continue
+		}
+		if n := s.owned[k] - 1; n > 0 {
+			s.owned[k] = n
+		} else {
+			delete(s.owned, k)
+			delete(se.routes, k)
+		}
 	}
 }
 
 // drop unregisters a shard and its resource routes.
 func (se *ShardedEngine) drop(s *shard) {
-	s.mu.Lock()
 	for k := range s.owned {
-		se.routes.unroute(k, s)
+		if se.routes[k] == s {
+			delete(se.routes, k)
+		}
 	}
-	s.mu.Unlock()
 	for i, t := range se.shards {
 		if t == s {
 			se.shards = append(se.shards[:i], se.shards[i+1:]...)
@@ -189,7 +174,7 @@ func specKeys(fs *network.FlowSpec) []Resource {
 func (se *ShardedEngine) touching(keys []Resource) []*shard {
 	var out []*shard
 	for _, k := range keys {
-		s := se.routes.owner(k)
+		s := se.routes[k]
 		if s == nil {
 			continue
 		}
@@ -213,18 +198,13 @@ func (se *ShardedEngine) touching(keys []Resource) []*shard {
 // path, including rejection (with no specs) — so the shard map stays
 // consistent.
 type Placement struct {
-	se    *ShardedEngine
-	s     *shard
-	fused int
+	se *ShardedEngine
+	s  *shard
 }
 
 // Engine returns the shard engine the placed request(s) must be
 // admitted into.
 func (p *Placement) Engine() *Engine { return p.s.eng }
-
-// Fused returns how many pre-existing shards the placement fused
-// (zero when the request landed in one shard or opened a fresh one).
-func (p *Placement) Fused() int { return p.fused }
 
 // Commit finalises a placement: the pipelines of the specs that were
 // actually admitted are routed to the shard, and a shard left with no
@@ -269,7 +249,7 @@ func (se *ShardedEngine) placeKeys(keys []Resource) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Placement{se: se, s: dst, fused: len(touched) - 1}, nil
+	return &Placement{se: se, s: dst}, nil
 }
 
 // BatchPlacement is one interference group of a batch together with
@@ -340,10 +320,15 @@ func (se *ShardedEngine) PlaceBatch(specs []*network.FlowSpec) ([]*BatchPlacemen
 }
 
 // fuse merges the shards into the one with the most flows (ties to the
-// oldest), splicing the others' converged arena blocks in, and returns
-// the survivor.
+// oldest), splicing the others' converged arena blocks in and moving
+// their resource routes over, and returns the survivor.
 func (se *ShardedEngine) fuse(list []*shard) (*shard, error) {
-	dst := fusionSurvivor(list, func(s *shard) int { return s.eng.Network().NumFlows() })
+	dst := list[0]
+	for _, s := range list[1:] {
+		if n, m := s.eng.Network().NumFlows(), dst.eng.Network().NumFlows(); n > m || (n == m && s.seq < dst.seq) {
+			dst = s
+		}
+	}
 	for _, s := range list {
 		if s == dst {
 			continue
@@ -351,43 +336,14 @@ func (se *ShardedEngine) fuse(list []*shard) (*shard, error) {
 		if err := dst.eng.adoptFrom(s.eng); err != nil {
 			return nil, fmt.Errorf("core: shard fusion: %w", err)
 		}
-		se.fuseRoutes(dst, s)
+		for k, n := range s.owned {
+			se.routes[k] = dst
+			dst.owned[k] += n
+		}
+		s.owned = nil // already re-routed; keep drop from deleting them
+		se.drop(s)
 	}
 	return dst, nil
-}
-
-// fusionSurvivor picks the shard a fusion keeps: the one with the most
-// flows, ties to the oldest. flows abstracts the count so the scheduler
-// can use its own bookkeeping instead of reading engines that may be
-// mid-task on their mailboxes.
-func fusionSurvivor(list []*shard, flows func(*shard) int) *shard {
-	dst := list[0]
-	for _, s := range list[1:] {
-		if n, m := flows(s), flows(dst); n > m || (n == m && s.seq < dst.seq) {
-			dst = s
-		}
-	}
-	return dst
-}
-
-// fuseRoutes transfers victim's resource routes to dst and unregisters
-// victim — the pure bookkeeping half of a fusion, touching only the
-// shard map, never an engine. The arena splice (adoptFrom) is the
-// caller's job: fuse runs it inline; the scheduler defers it to dst's
-// mailbox so routing moves on immediately while the victim's queue
-// drains.
-func (se *ShardedEngine) fuseRoutes(dst, victim *shard) {
-	victim.mu.Lock()
-	moved := victim.owned
-	victim.owned = nil // already re-routed; keep drop from deleting them
-	victim.mu.Unlock()
-	for k, n := range moved {
-		se.routes.reroute(k, victim, dst)
-		dst.mu.Lock()
-		dst.owned[k] += n
-		dst.mu.Unlock()
-	}
-	se.drop(victim)
 }
 
 // Resplit re-partitions shards whose flows no longer form a single
@@ -450,8 +406,8 @@ func (se *ShardedEngine) Resplit() (int, error) {
 			ns.seq = se.seq
 			se.seq++
 			se.shards = append(se.shards, ns)
-			for k, n := range ns.owned {
-				se.routes.set(k, ns, n)
+			for k := range ns.owned {
+				se.routes[k] = ns
 			}
 		}
 		created += len(detached) - 1
@@ -459,64 +415,47 @@ func (se *ShardedEngine) Resplit() (int, error) {
 	return created, nil
 }
 
-// Find returns the shard engine holding the first flow with the given
-// name (shards scanned in creation order, flows in admission order)
-// and its index within that engine. When several admitted flows share
-// a name, shard-creation order need not match global admission order;
-// use FindSpec with the exact spec for admission-order semantics.
-func (se *ShardedEngine) Find(name string) (*Engine, int, bool) {
-	for _, s := range se.shards {
-		nw := s.eng.Network()
-		for i := 0; i < nw.NumFlows(); i++ {
-			if nw.Flow(i).Flow.Name == name {
-				return s.eng, i, true
-			}
-		}
+// Remove departs the committed flow fs, matched by pointer identity
+// (shards re-register the caller's *FlowSpec values, so the pointer
+// survives fusion and re-splitting). Its shard is the route owner of
+// any of its resources, so the lookup costs one scan of that closure,
+// not of every flow. The flow leaves its shard's engine, its resource
+// routes are released — departed flows leave no stale routes that
+// would pull unrelated newcomers into the shard — and the shard is
+// re-converged, or dropped when it is left empty. A shard whose flows
+// no longer form one closure stays whole until Resplit: it decides
+// exactly as its split closures would.
+func (se *ShardedEngine) Remove(fs *network.FlowSpec) error {
+	keys := specKeys(fs)
+	var s *shard
+	if len(keys) > 0 {
+		s = se.routes[keys[0]]
 	}
-	return nil, 0, false
-}
-
-// FindSpec locates the exact spec (by pointer identity — shards
-// re-register the caller's *FlowSpec values, so the pointer survives
-// fusion and re-splitting) and returns its shard engine and index.
-func (se *ShardedEngine) FindSpec(fs *network.FlowSpec) (*Engine, int, bool) {
-	for _, s := range se.shards {
-		nw := s.eng.Network()
-		for i := 0; i < nw.NumFlows(); i++ {
-			if nw.Flow(i) == fs {
-				return s.eng, i, true
-			}
-		}
+	if s == nil {
+		return fmt.Errorf("core: Remove of a flow no shard holds")
 	}
-	return nil, 0, false
-}
-
-// Remove removes flow i from the given shard engine (a departure) and
-// releases the flow's resource routes: keys no remaining flow of the
-// shard crosses are unrouted, so departed flows do not accumulate
-// stale routes that would pull unrelated newcomers into the shard. Use
-// it instead of calling the engine's RemoveFlow directly.
-func (se *ShardedEngine) Remove(eng *Engine, i int) error {
-	var sh *shard
-	for _, s := range se.shards {
-		if s.eng == eng {
-			sh = s
+	nw := s.eng.Network()
+	at := -1
+	for i := 0; i < nw.NumFlows(); i++ {
+		if nw.Flow(i) == fs {
+			at = i
 			break
 		}
 	}
-	if sh == nil {
-		return fmt.Errorf("core: Remove on an engine that is not a live shard")
+	if at < 0 {
+		return fmt.Errorf("core: flow %q missing from the shard its routes point to", fs.Flow.Name)
 	}
-	nw := eng.Network()
-	if i < 0 || i >= nw.NumFlows() {
-		return errIndex(i, nw.NumFlows())
-	}
-	keys := specKeys(nw.Flow(i))
-	if err := eng.RemoveFlow(i); err != nil {
+	if err := s.eng.RemoveFlow(at); err != nil {
 		return err
 	}
-	se.disown(sh, keys)
-	return nil
+	se.disown(s, keys)
+	if nw.NumFlows() == 0 {
+		se.drop(s)
+		return nil
+	}
+	// Removal only shrinks interference; Refresh re-converges the
+	// survivors without publishing a result.
+	return s.eng.Refresh()
 }
 
 // NumShards returns the number of live shards.
@@ -598,7 +537,7 @@ func (se *ShardedEngine) groupByKeys(keys [][]Resource) [][]int {
 			} else {
 				keyOwner[k] = i
 			}
-			if s := se.routes.owner(k); s != nil {
+			if s := se.routes[k]; s != nil {
 				if j, ok := shardOwner[s]; ok {
 					union(i, j)
 				} else {
@@ -635,9 +574,8 @@ func RunLimited(n int, f func(int)) {
 	RunLimitedWorkers(n, runtime.GOMAXPROCS(0), f)
 }
 
-// RunLimitedWorkers is RunLimited with an explicit worker cap — the
-// same knob the shard scheduler's pool is sized by (Config.Workers via
-// PoolWorkers). workers < 1 is treated as 1.
+// RunLimitedWorkers is RunLimited with an explicit worker cap
+// (Config.Workers via PoolWorkers). workers < 1 is treated as 1.
 func RunLimitedWorkers(n, workers int, f func(int)) {
 	if workers > n {
 		workers = n

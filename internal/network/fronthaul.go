@@ -19,8 +19,8 @@ import (
 // traffic (RU to RU under one DU) forms many fine closures per cell,
 // while flows that climb to the CU or cross hubs chain closures along
 // the midhaul and backhaul — churn-heavy traces fuse and re-split
-// closures constantly, which is exactly the stress the shard scheduler
-// needs.
+// closures constantly, which is exactly the stress the sharded
+// admission controller needs.
 func Fronthaul(hubs, cellsPer, ruPer int) (*Topology, []NodeID, error) {
 	if hubs < 1 || cellsPer < 1 || ruPer < 1 {
 		return nil, nil, fmt.Errorf("network: fronthaul needs at least 1 hub, 1 cell per hub and 1 radio unit per cell")

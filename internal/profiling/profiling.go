@@ -2,10 +2,8 @@
 // line tools: one Session per run, started from the -cpuprofile,
 // -memprofile, -mutexprofile and -blockprofile flags and stopped on the
 // way out. The mutex and block profiles are the contention instruments
-// — they attribute lock hold-ups (sync.Mutex wait time) and scheduler
-// blocking (channel waits, Wait calls) to stacks, which is how the
-// dispatch-path lock split was found and is how a regression of it
-// would be found again (see README "Finding the contention").
+// — they attribute lock hold-ups (sync.Mutex wait time) and runtime
+// blocking (channel waits, Wait calls) to stacks.
 package profiling
 
 import (

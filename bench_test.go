@@ -479,8 +479,8 @@ func BenchmarkAdmissionBatch1024(b *testing.B) {
 // independent groups (one per interference closure), so the eviction
 // bisection runs inside 8-flow groups — and closures without violators
 // never probe at all. Decisions are identical to the monolithic path
-// (differential-tested); on a single core the win is the scoped
-// eviction search, on many cores group convergence parallelises on top.
+// (differential-tested); the win is the scoped eviction search, on any
+// core count, since the groups are decided one after another.
 func BenchmarkAdmissionSharded1024(b *testing.B) {
 	benchFatTreeBatch(b, true)
 }
@@ -665,8 +665,7 @@ func BenchmarkAdmissionVideoMix256(b *testing.B) {
 // BenchmarkAdmissionSharded4096 scales the contended batch to 4096
 // flows on a 256-switch ring (256 independent 16-flow closures, one
 // heavy per closure) through the sharded controller: the closure-rich
-// regime where the batch groups' concurrent decisions have the most to
-// harvest.
+// regime, 256 groups each decided and evicted inside its own closure.
 func BenchmarkAdmissionSharded4096(b *testing.B) {
 	topo, hosts, err := network.Ring(256, 4)
 	if err != nil {

@@ -98,7 +98,6 @@ func TestConnectFlagErrors(t *testing.T) {
 		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-cold"},
 		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-parallel"},
 		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-shards"},
-		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-workers", "2"},
 		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-stats"},
 		{"-connect", "127.0.0.1:1", "-stream", "5"},
 	} {

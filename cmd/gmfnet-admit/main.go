@@ -6,15 +6,13 @@
 // Usage:
 //
 //	gmfnet-admit [-sporadic] [-example] [scenario.json]
-//	gmfnet-admit -stream N [-seed S] [-depart P] [-switches K] [-hosts H] [-cold] [-shards [-workers W]] [-batch B] [-record FILE]
-//	gmfnet-admit -trace FILE [-cold] [-shards [-workers W]] [-batch B]
+//	gmfnet-admit -stream N [-seed S] [-depart P] [-switches K] [-hosts H] [-cold] [-shards] [-batch B] [-record FILE]
+//	gmfnet-admit -trace FILE [-cold] [-shards] [-batch B]
 //
-// Every mode accepts -cpuprofile, -memprofile, -mutexprofile and
-// -blockprofile FILE to write pprof profiles of the run (`go tool
-// pprof` reads them) — the way to see where admission time goes. CPU
-// and heap cover the fixpoint work; the mutex and block profiles
-// attribute lock and channel waits to stacks (the concurrent batch
-// groups of -shards are the only waiting these runs do).
+// Every mode accepts -cpuprofile and -memprofile FILE to write pprof
+// profiles of the run (`go tool pprof` reads them) — the way to see
+// where admission time goes. The run decides on one goroutine, so CPU
+// and heap cover all of it.
 //
 // With -sporadic every request is first collapsed to the sporadic model,
 // reproducing the capacity loss the paper's GMF model avoids.
@@ -29,10 +27,9 @@
 // admits requests in batches of B through Controller.RequestBatch (one converged worklist per batch, departures
 // flush the pending batch first). -shards runs the closure-sharded
 // controller instead: requests are decided inside their interference
-// closure's private shard engine, batch groups spanning disjoint
-// closures run concurrently (at most -workers at once, GOMAXPROCS when
-// 0), and decisions are provably identical to the monolithic
-// controller. -record FILE writes the generated operation stream as a replayable
+// closure's private shard engine, a batch spanning disjoint closures is
+// decided group by group, and decisions are provably identical to the
+// monolithic controller. -record FILE writes the generated operation stream as a replayable
 // JSON-lines trace.
 //
 // With -trace the command replays such a recorded trace
@@ -92,7 +89,6 @@ func run(args []string) error {
 	hosts := fs.Int("hosts", 4, "stream mode: hosts per switch")
 	cold := fs.Bool("cold", false, "stream/trace mode: use the from-scratch baseline controller")
 	shards := fs.Bool("shards", false, "stream/trace mode: use the closure-sharded controller")
-	workers := fs.Int("workers", 0, "stream/trace mode, with -shards: how many batch groups are decided at once (0 GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "stream/trace mode: admit requests in batches of this size through RequestBatch")
 	record := fs.String("record", "", "stream mode: record the operation stream as a replayable trace file")
 	stats := fs.Bool("stats", false, "stream/trace mode: report aggregated convergence statistics")
@@ -100,8 +96,6 @@ func run(args []string) error {
 	connect := fs.String("connect", "", "replay the trace against a running gmfnet-admitd (host:port or unix socket path)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	mutexprofile := fs.String("mutexprofile", "", "write a pprof mutex-contention profile at exit to this file")
-	blockprofile := fs.String("blockprofile", "", "write a pprof blocking profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -111,14 +105,11 @@ func run(args []string) error {
 	if *shards && *cold {
 		return fmt.Errorf("-shards and -cold are mutually exclusive")
 	}
-	if *workers != 0 && !*shards {
-		return fmt.Errorf("-workers sizes the sharded batch fan-out; it needs -shards")
-	}
 	if *connect != "" {
 		if *traceFile == "" {
 			return fmt.Errorf("-connect needs -trace")
 		}
-		if *cold || *shards || *stats || *workers != 0 {
+		if *cold || *shards || *stats {
 			return fmt.Errorf("-connect replays through the daemon's controller; drop the local engine flags")
 		}
 		if *stream > 0 || *record != "" {
@@ -126,13 +117,12 @@ func run(args []string) error {
 		}
 	}
 
-	prof, err := profiling.Start(*cpuprofile, *memprofile, *mutexprofile, *blockprofile)
+	prof, err := profiling.Start(*cpuprofile, *memprofile, "")
 	if err != nil {
 		return err
 	}
 	err = func() error {
-		opts := runOpts{cold: *cold, shards: *shards,
-			workers: *workers, batch: *batch, stats: *stats}
+		opts := runOpts{cold: *cold, shards: *shards, batch: *batch, stats: *stats}
 		if *traceFile != "" {
 			if *connect != "" {
 				return runTraceConnect(os.Stdout, *traceFile, *connect, *batch)
@@ -582,24 +572,23 @@ func runTraceConnect(w io.Writer, path, addr string, batch int) error {
 // engine-backed variants; shardCtl is non-nil only with -shards (the
 // caller Flushes it to apply its queued departures).
 func buildController(topo *network.Topology, o runOpts) (requester, batchRequester, *admission.ShardedController, error) {
-	cfg := core.Config{Workers: o.workers}
 	switch {
 	case o.cold:
 		ctl, err := admission.NewColdController(network.New(topo), core.Config{})
 		return ctl, nil, nil, err
 	case o.shards:
-		ctl, err := admission.NewShardedController(network.New(topo), cfg)
+		ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 		return ctl, ctl, ctl, err
 	default:
-		ctl, err := admission.NewController(network.New(topo), cfg)
+		ctl, err := admission.NewController(network.New(topo), core.Config{})
 		return ctl, ctl, nil, err
 	}
 }
 
 // runOpts selects the stream/trace controller variant and its reporting.
 type runOpts struct {
-	cold, shards   bool
-	workers, batch int
+	cold, shards bool
+	batch        int
 	// stats reports aggregated ConvergenceStats over the whole run.
 	stats bool
 }

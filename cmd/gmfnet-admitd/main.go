@@ -8,8 +8,8 @@
 //
 // Usage:
 //
-//	gmfnet-admitd [-listen ADDR] [-unix PATH] [-topo KIND] [-switches K] [-fanout F] [-hosts H] [-queue N] [-workers W]
-//	              [-cpuprofile F] [-memprofile F] [-mutexprofile F] [-blockprofile F]
+//	gmfnet-admitd [-listen ADDR] [-unix PATH] [-topo KIND] [-switches K] [-fanout F] [-hosts H] [-queue N]
+//	              [-cpuprofile F] [-memprofile F] [-blockprofile F]
 //	gmfnet-admitd -status ADDR
 //
 // The daemon serves exactly one topology, fixed at startup; client
@@ -18,10 +18,12 @@
 // queued, tell every connection with a "drain" message, then flush and
 // close the controller.
 //
-// -cpuprofile, -memprofile, -mutexprofile and -blockprofile FILE write
-// pprof profiles of the daemon's whole serving life, from startup to
-// the end of the drain (`go tool pprof FILE`) — the way to see where a
-// load test's time went without patching the daemon.
+// -cpuprofile, -memprofile and -blockprofile FILE write pprof profiles
+// of the daemon's whole serving life, from startup to the end of the
+// drain (`go tool pprof FILE`) — the way to see where a load test's time
+// went without patching the daemon. Every request is decided on the
+// dispatcher goroutine; the blocking profile attributes the reader →
+// dispatcher → writer hand-offs around it to stacks.
 //
 // -status dials a running daemon as an observer (zero-TopoSpec hello),
 // fetches its counters snapshot and prints them — aggregate admission
@@ -39,7 +41,6 @@ import (
 
 	"gmfnet/internal/admitd"
 	"gmfnet/internal/admitd/client"
-	"gmfnet/internal/core"
 	"gmfnet/internal/profiling"
 	"gmfnet/internal/report"
 	"gmfnet/internal/workload"
@@ -63,11 +64,9 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) (err error) {
 	fanout := fs.Int("fanout", 2, "topology fanout (unused by campus)")
 	hosts := fs.Int("hosts", 4, "hosts per topology group")
 	queue := fs.Int("queue", 128, "per-connection outbound queue bound; overflow disconnects the peer")
-	workers := fs.Int("workers", 0, "batch groups the controller decides at once (0 = GOMAXPROCS)")
 	status := fs.String("status", "", "print a running daemon's counters (address or unix socket path) and exit")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the daemon's run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile after the drain to this file")
-	mutexprofile := fs.String("mutexprofile", "", "write a pprof mutex-contention profile after the drain to this file")
 	blockprofile := fs.String("blockprofile", "", "write a pprof blocking profile after the drain to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,7 +81,7 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) (err error) {
 		return fmt.Errorf("nothing to listen on: set -listen and/or -unix")
 	}
 
-	prof, err := profiling.Start(*cpuprofile, *memprofile, *mutexprofile, *blockprofile)
+	prof, err := profiling.Start(*cpuprofile, *memprofile, *blockprofile)
 	if err != nil {
 		return err
 	}
@@ -100,7 +99,6 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) (err error) {
 	srv, err := admitd.New(admitd.Config{
 		Topo:  spec,
 		Queue: *queue,
-		Core:  core.Config{Workers: *workers},
 	})
 	if err != nil {
 		return err

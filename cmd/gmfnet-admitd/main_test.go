@@ -21,7 +21,7 @@ func (w lineWriter) Write(p []byte) (int, error) {
 }
 
 // TestRunLifecycle boots the daemon on an ephemeral TCP port plus a
-// unix socket with all four pprof flags set, exercises -status against
+// unix socket with all three pprof flags set, exercises -status against
 // both listeners, then delivers SIGTERM and expects a clean drain: run
 // returns nil, the socket file is gone and every profile was written.
 func TestRunLifecycle(t *testing.T) {
@@ -29,7 +29,7 @@ func TestRunLifecycle(t *testing.T) {
 	sock := filepath.Join(dir, "admitd.sock")
 	profiles := map[string]string{}
 	args := []string{"-listen", "127.0.0.1:0", "-unix", sock, "-switches", "2", "-hosts", "2"}
-	for _, kind := range []string{"cpu", "mem", "mutex", "block"} {
+	for _, kind := range []string{"cpu", "mem", "block"} {
 		profiles[kind] = filepath.Join(dir, kind+".prof")
 		args = append(args, "-"+kind+"profile", profiles[kind])
 	}

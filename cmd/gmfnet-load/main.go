@@ -15,17 +15,16 @@
 //	            [-switches K] [-fanout F] [-hosts H]
 //	            [-seed S] [-hold T] [-local P] [-heavy P]
 //	            [-diurnal A] [-flash F] [-tenants T] [-tenant-churn P]
-//	            [-batch B] [-flush N] [-workers W]
+//	            [-batch B] [-flush N]
 //	            [-record FILE] [-json] [-name LABEL]
-//	gmfnet-load -trace FILE [-batch B] [-flush N] [-workers W] [-json]
+//	gmfnet-load -trace FILE [-batch B] [-flush N] [-json]
 //
-// Both modes accept -cpuprofile, -memprofile, -mutexprofile and
-// -blockprofile FILE to write pprof profiles of the replay; the mutex
-// and block profiles attribute the waits of a batch's concurrently
-// decided groups (at most -workers at once) to stacks.
+// Both modes accept -cpuprofile and -memprofile FILE to write pprof
+// profiles of the replay.
 //
 // Replay decides the adds in -batch-sized RequestBatch calls, one after
-// another, and records each request's latency as its batch's call.
+// another on one goroutine (a batch's interference groups in order), and
+// records each request's latency as its batch's call.
 //
 // The run is gated on the controller's own accounting: admitted +
 // rejected must equal the requests submitted, and the resident
@@ -75,15 +74,12 @@ func run(args []string, stdout io.Writer) error {
 	tenantChurn := fs.Float64("tenant-churn", 0, "per-request probability of a whole-tenant departure")
 	batch := fs.Int("batch", 64, "requests per RequestBatch call")
 	flushEvery := fs.Int("flush", 4096, "flush departures and re-split shards every this many requests (0: only at end)")
-	workers := fs.Int("workers", 0, "batch groups decided at once (0: GOMAXPROCS)")
 	record := fs.String("record", "", "write the synthesized trace to this file before replaying")
 	traceFile := fs.String("trace", "", "replay a recorded trace instead of synthesizing")
 	jsonOut := fs.Bool("json", false, "emit one JSON metrics object instead of the table")
 	name := fs.String("name", "", "label for the JSON metrics entry")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the replay to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	mutexprofile := fs.String("mutexprofile", "", "write a pprof mutex-contention profile at exit to this file")
-	blockprofile := fs.String("blockprofile", "", "write a pprof blocking profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -123,11 +119,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	prof, err := profiling.Start(*cpuprofile, *memprofile, *mutexprofile, *blockprofile)
+	prof, err := profiling.Start(*cpuprofile, *memprofile, "")
 	if err != nil {
 		return err
 	}
-	m, err := replay(h, ops, *batch, *flushEvery, core.Config{Workers: *workers})
+	m, err := replay(h, ops, *batch, *flushEvery)
 	if perr := prof.Stop(); err == nil {
 		err = perr
 	}
@@ -208,12 +204,12 @@ func (m *metrics) render(w io.Writer, h workload.Header) error {
 // interference closure. Without that maintenance a long replay only
 // ever fuses: transient cross-traffic welds closures together
 // permanently and per-decision cost creeps up with shard size.
-func replay(h workload.Header, ops []workload.Op, batchSize, flushEvery int, cfg core.Config) (*metrics, error) {
+func replay(h workload.Header, ops []workload.Op, batchSize, flushEvery int) (*metrics, error) {
 	topo, _, err := h.Topo.Build()
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := admission.NewShardedController(network.New(topo), cfg)
+	ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -62,21 +62,18 @@ func TestLoadReplayAccounting(t *testing.T) {
 	}
 }
 
-// TestLoadProfiles smokes the pprof hooks: all four profile files must
-// be created and non-empty after a short replay.
+// TestLoadProfiles smokes the pprof hooks: both profile files must be
+// created and non-empty after a short replay.
 func TestLoadProfiles(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{
 		filepath.Join(dir, "cpu.prof"),
 		filepath.Join(dir, "mem.prof"),
-		filepath.Join(dir, "mutex.prof"),
-		filepath.Join(dir, "block.prof"),
 	}
 	var out bytes.Buffer
 	err := run([]string{"-topo", "campus", "-switches", "2", "-hosts", "2",
 		"-requests", "200", "-json",
-		"-cpuprofile", paths[0], "-memprofile", paths[1],
-		"-mutexprofile", paths[2], "-blockprofile", paths[3]}, &out)
+		"-cpuprofile", paths[0], "-memprofile", paths[1]}, &out)
 	if err != nil {
 		t.Fatalf("profiled replay failed: %v", err)
 	}

@@ -103,7 +103,7 @@ type (
 	// AdmissionController admits flows against a network incrementally.
 	AdmissionController = admission.Controller
 	// ShardedAdmissionController admits flows per interference closure,
-	// with concurrent shard analyses and identical decisions.
+	// one closure's shard at a time, with identical decisions.
 	ShardedAdmissionController = admission.ShardedController
 	// Engine is the persistent, warm-startable analysis engine behind
 	// incremental admission control.
@@ -232,8 +232,8 @@ func (s *System) NewAdmissionController(cfg AnalysisConfig) (*admission.Controll
 // whose pipelines (transitively) share no resource never exchange
 // jitter, so each closure gets its own warm shard engine: requests
 // route to their closure's shard, batches spanning several closures
-// are decided concurrently, an arrival bridging two closures fuses
-// their shards with a warm arena splice, departures are claimed in
+// are decided closure by closure, an arrival bridging two closures
+// fuses their shards with a warm arena splice, departures are claimed in
 // O(1) and applied lazily in O(closure), and NumShards/Close re-split
 // shards whose flows no longer form one closure. Decisions and bounds
 // are identical to NewAdmissionController's monolithic controller —

@@ -17,9 +17,9 @@
 //
 // ShardedController scales the same test out by interference closure:
 // requests are decided inside their closure's private shard engine
-// (core.ShardedEngine), batches spanning disjoint closures are decided
-// concurrently, eviction searches stay inside one closure instead of
-// bisecting the whole batch, and departures are claimed in O(1) and
+// (core.ShardedEngine), a batch spanning disjoint closures is decided
+// closure by closure, eviction searches stay inside one closure instead
+// of bisecting the whole batch, and departures are claimed in O(1) and
 // applied lazily, each in O(closure). It is the controller the daemon
 // and the load harness run. All three controllers produce identical
 // decisions on the same request sequence; the differential tests in
@@ -46,7 +46,7 @@ type Decision struct {
 	// analyse the whole network; ShardedController analyses the
 	// request's interference closure only (flows outside it cannot be
 	// affected, but their bounds are not in this view — read them via
-	// Sharded().AnalyzeAllViews). Controller and ShardedController fill
+	// Sharded().AnalyzeAll). Controller and ShardedController fill
 	// View and leave Result nil; ColdController does the opposite (see
 	// Result). Read decisions through Analysis to be
 	// controller-agnostic.

@@ -366,8 +366,8 @@ func TestBatchMatchesSequentialIndustrialRing(t *testing.T) {
 
 // TestBatchMatchesSequentialVideoMix runs the differential property on
 // the video-mix generator: a closure-rich star of per-switch streams
-// plus random cross-switch requests, so the parallel variant exercises
-// many concurrent shards and a few fusions in one run.
+// plus random cross-switch requests, so the sharded variant exercises
+// many shards and a few fusions in one run.
 func TestBatchMatchesSequentialVideoMix(t *testing.T) {
 	topo, base, err := network.VideoMix(4, 3, 8)
 	if err != nil {

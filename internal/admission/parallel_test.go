@@ -10,11 +10,12 @@ import (
 	"gmfnet/internal/units"
 )
 
-// The tests in this file drive ShardedController batches whose
-// interference groups are decided in parallel on the worker pool
-// (core.Config.Workers > 1) and pin what the controller folds from
-// them: the notify hook's order, the retention modes, the error
-// contract, and equality with serial group decisions.
+// The tests in this file drive ShardedController batches that span
+// several interference groups — decided one after another on the
+// caller's goroutine — and pin what the controller folds from them: the
+// notify hook's order, the retention modes and the error contract.
+// Equality of batch and one-by-one decisions is pinned by
+// runBatchDifferential and the golden replay traces.
 
 // checkPartition asserts that the shards partition exactly the
 // controller's resident flows: every resident in exactly one shard, no
@@ -44,64 +45,6 @@ func checkPartition(t *testing.T, ctl *ShardedController) {
 	}
 }
 
-// TestParallelMatchesShardedSerially pins that deciding a batch's
-// groups in parallel changes nothing: one randomized stream of batches
-// and releases through a four-worker and a one-worker controller gets
-// identical decisions, release outcomes and final bounds.
-func TestParallelMatchesShardedSerially(t *testing.T) {
-	topo, hosts, err := network.Ring(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(7))
-	specs := batchSpecs(t, r, topo, hosts, 36, "pm-")
-	par, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err := NewShardedController(network.New(topo), core.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for at := 0; at < len(specs); at += 6 {
-		chunk := specs[at : at+6]
-		pds, err := par.RequestBatch(chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sds, err := ser.RequestBatch(copySpecs(chunk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range chunk {
-			if pds[i].Admitted != sds[i].Admitted {
-				t.Fatalf("spec %s: parallel=%v serial=%v", chunk[i].Flow.Name, pds[i].Admitted, sds[i].Admitted)
-			}
-		}
-		name := chunk[r.Intn(len(chunk))].Flow.Name
-		pok, _ := par.Release(name)
-		sok, _ := ser.Release(name)
-		if pok != sok {
-			t.Fatalf("release %q: parallel=%v serial=%v", name, pok, sok)
-		}
-	}
-	if err := par.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if par.NumFlows() != ser.NumFlows() || par.Released() != ser.Released() {
-		t.Fatalf("flows %d/%d released %d/%d", par.NumFlows(), ser.NumFlows(), par.Released(), ser.Released())
-	}
-	results, err := ser.Sharded().AnalyzeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &core.Result{Converged: true}
-	for _, res := range results {
-		want.Flows = append(want.Flows, res.Flows...)
-	}
-	checkEngineBounds(t, par.Sharded(), want)
-}
-
 // TestParallelErrorContract pins malformed-input behavior: a bad batch
 // fails with no decisions recorded, a bad single request returns its
 // error, and the controller keeps working afterwards.
@@ -110,7 +53,7 @@ func TestParallelErrorContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
+	ctl, err := NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +103,7 @@ func TestParallelEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
+	ctl, err := NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +133,11 @@ func TestParallelRetentionCounters(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(11))
 	specs := batchSpecs(t, r, topo, hosts, 48, "rt-")
-	full, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
+	full, err := NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
+	lean, err := NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +147,7 @@ func TestParallelRetentionCounters(t *testing.T) {
 		chunk := specs[at : at+4]
 		var fds, lds []Decision
 		if at%8 == 0 {
-			// Alternate single requests and parallel batches.
+			// Alternate single requests and multi-group batches.
 			for _, fs := range chunk {
 				fd, err := full.Request(fs)
 				if err != nil {
@@ -270,15 +213,14 @@ func TestParallelRetentionCounters(t *testing.T) {
 // TestParallelNotifyOrder pins the notification hook that feeds
 // gmfnet-admitd's subscription manager: every decided request fires
 // exactly one event carrying the exact submitted spec pointer; a batch
-// whose groups are decided in parallel fires one event per member in
-// request order; Release fires FoldReleased with the pointer that was
+// spanning several groups fires one event per member in request order; Release fires FoldReleased with the pointer that was
 // admitted at claim time, before the removal it queues has run.
 func TestParallelNotifyOrder(t *testing.T) {
 	topo, hosts, err := network.Campus(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := NewShardedController(network.New(topo), core.Config{Workers: 4})
+	ctl, err := NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +280,7 @@ func TestParallelNotifyOrder(t *testing.T) {
 	expect("reject", []FoldEvent{{Spec: r, Kind: FoldRejected}})
 
 	// b and c share switch 1's links; x runs the other way under switch
-	// 0, disjoint from a: two groups, decided in parallel, events in
+	// 0, disjoint from a: two groups, decided in turn, events in
 	// request order.
 	b, x, c := voip("b", 2, 3), voip("x", 1, 0), voip("c", 2, 3)
 	ds, err := ctl.RequestBatch([]*network.FlowSpec{b, x, c})

@@ -9,9 +9,9 @@ import (
 // routes every request to the interference closure it belongs to and
 // decides it inside that closure's private shard engine, so requests
 // into disjoint closures (different fat-tree pods, separate ring
-// segments) never share analysis state and batches spanning several
-// closures are decided concurrently. It is the production controller:
-// gmfnet-admitd and gmfnet-load run it directly.
+// segments) never share analysis state and a batch spanning several
+// closures is decided closure by closure. It is the production
+// controller: gmfnet-admitd and gmfnet-load run it directly.
 //
 // Decisions are identical to the monolithic Controller's: a flow's
 // bounds depend only on the flows its pipeline transitively shares
@@ -53,8 +53,8 @@ import (
 // the request's interference closure, not the whole network; see
 // Decision.
 //
-// A ShardedController is not safe for concurrent use; RequestBatch
-// parallelises internally over independent groups.
+// A ShardedController is not safe for concurrent use, and it starts no
+// goroutine: every call decides on the caller's goroutine.
 type ShardedController struct {
 	se *core.ShardedEngine
 
@@ -231,10 +231,10 @@ func (c *ShardedController) RequestAll(specs []*network.FlowSpec) ([]Decision, e
 
 // RequestBatch decides a batch shard-by-shard: the specs are
 // partitioned into interference groups (specs sharing a resource with
-// each other or with a common shard), each group is placed — fusing
+// each other or with a common shard), every group is placed — fusing
 // the shards it bridges, so the group's engine is monolithic for the
-// group — and the groups are decided concurrently through the standard
-// batched protocol (one converged worklist per group, violators
+// group — and then the groups are decided in order through the
+// standard batched protocol (one converged worklist per group, violators
 // evicted in request order). Groups are independent by construction,
 // so the combined decisions equal deciding the whole batch in one
 // monolithic engine, in request order.
@@ -250,47 +250,33 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 	if err != nil {
 		return nil, err
 	}
-	type result struct {
-		ds  []Decision
-		err error
-	}
-	results := make([]result, len(groups))
-	groupSpecs := make([][]*network.FlowSpec, len(groups))
-	for gi, g := range groups {
-		groupSpecs[gi] = make([]*network.FlowSpec, len(g.Indices))
-		for at, i := range g.Indices {
-			groupSpecs[gi][at] = specs[i]
-		}
-	}
-	core.RunLimitedWorkers(len(groups), c.se.PoolWorkers(), func(gi int) {
-		results[gi].ds, results[gi].err = (&Controller{eng: groups[gi].Engine()}).RequestBatch(groupSpecs[gi])
-	})
-	var firstErr error
-	for gi, g := range groups {
-		admitted := make([]bool, len(g.Indices))
-		for at, d := range results[gi].ds {
-			admitted[at] = d.Admitted
-		}
-		g.Commit(admitted)
-		if results[gi].err != nil && firstErr == nil {
-			firstErr = results[gi].err
-		}
-	}
-	// Scatter per-group decisions back to batch positions; a group
-	// that errored contributed none.
 	out := make([]Decision, len(specs))
 	decided := make([]bool, len(specs))
-	for gi, g := range groups {
-		for at, d := range results[gi].ds {
+	var firstErr error
+	for _, g := range groups {
+		gspecs := make([]*network.FlowSpec, len(g.Indices))
+		for at, i := range g.Indices {
+			gspecs[at] = specs[i]
+		}
+		ds, err := (&Controller{eng: g.Engine()}).RequestBatch(gspecs)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		// On error ds holds only what the group decided before failing
+		// (nothing when it rolled back).
+		admitted := make([]bool, len(g.Indices))
+		for at, d := range ds {
+			admitted[at] = d.Admitted
 			out[g.Indices[at]] = d
 			decided[g.Indices[at]] = true
 		}
+		g.Commit(admitted)
 	}
 	// Groups that finished keep their admissions even when another
 	// failed (unlike the monolithic controller, which rolls the whole
-	// batch back on error), so their decisions are folded either way:
-	// Release, Decisions and the counters stay consistent with the shard
-	// engines.
+	// batch back on error), so their decisions are folded either way, in
+	// request order: Release, Decisions and the counters stay consistent
+	// with the shard engines.
 	for i := range out {
 		if decided[i] {
 			c.fold(specs[i], &out[i])

@@ -68,7 +68,7 @@ type Config struct {
 	// WriteTimeout bounds each wire write, so a stalled peer cannot
 	// pin a writer goroutine past it. Default 5s.
 	WriteTimeout time.Duration
-	// Core configures the controller's engines (analysis caps, batch fan-out).
+	// Core configures the controller's engines (analysis mode and caps).
 	Core core.Config
 }
 

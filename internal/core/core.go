@@ -39,7 +39,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"gmfnet/internal/network"
 	"gmfnet/internal/units"
@@ -85,22 +84,6 @@ type Config struct {
 	// MaxHolisticIter caps the outer holistic jitter iteration of
 	// Section 3.5. Zero selects 256.
 	MaxHolisticIter int
-	// Workers bounds the shard-level fan-out: how many shards
-	// AnalyzeAll converges at once and how many interference groups of
-	// one sharded batch are decided at once (both via PoolWorkers).
-	// Zero or negative selects GOMAXPROCS. A single Engine's iteration,
-	// and every single request, is always sequential.
-	Workers int
-}
-
-// PoolWorkers resolves Workers to a worker count for shard-level
-// fan-out (AnalyzeAll, sharded batch groups): a positive value is
-// taken literally, zero and negative select GOMAXPROCS.
-func (c Config) PoolWorkers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (c Config) withDefaults() Config {

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"gmfnet/internal/network"
 )
@@ -14,9 +12,9 @@ import (
 // jitter, so the holistic fixpoint decomposes exactly over the closures
 // of network.Closures. Each closure gets its own shard — a private
 // Engine over its own network (all shards share one read-only
-// Topology) — so shard fixpoints run independently and concurrently,
-// and an admission snapshot/rollback touches one shard's arena, not
-// the whole system.
+// Topology) — so shard fixpoints run independently of each other, and
+// an admission snapshot/rollback touches one shard's arena, not the
+// whole system.
 //
 // The shard map is maintained online:
 //
@@ -39,9 +37,9 @@ import (
 // engine over the union — the property the sharded admission
 // controller's differential tests pin.
 //
-// A ShardedEngine is not safe for concurrent use; AnalyzeAll and the
-// sharded batch path parallelise internally over shards, which share
-// only the read-only topology.
+// A ShardedEngine is not safe for concurrent use. It runs on the
+// caller's goroutine: AnalyzeAll and the sharded batch path visit the
+// shards one after another.
 type ShardedEngine struct {
 	topo *network.Topology
 	cfg  Config
@@ -284,7 +282,7 @@ func (bp *BatchPlacement) Commit(admitted []bool) {
 // directly, through a chain of batch specs, or through a common
 // existing shard — and places every group, fusing the shards it
 // bridges. Distinct groups touch disjoint shards and disjoint
-// resources, so they can be decided independently (and concurrently)
+// resources, so they can be decided independently, one after another,
 // with decisions identical to deciding the whole batch in one engine.
 // Groups are ordered by first member. Pipeline keys are computed once
 // here and reused by Commit.
@@ -563,95 +561,20 @@ func (se *ShardedEngine) groupByKeys(keys [][]Resource) [][]int {
 	return out
 }
 
-// RunLimited runs f(0), …, f(n-1) concurrently, at most GOMAXPROCS in
-// flight, and returns when all have finished. It is the fan-out used
-// for independent per-shard work (AnalyzeAll, the sharded batch
-// groups): the tasks must touch disjoint state or only write to
-// distinct indices. Callers holding a Config should use
-// RunLimitedWorkers with Config.PoolWorkers so every layer draws from
-// the same worker budget.
-func RunLimited(n int, f func(int)) {
-	RunLimitedWorkers(n, runtime.GOMAXPROCS(0), f)
-}
-
-// RunLimitedWorkers is RunLimited with an explicit worker cap
-// (Config.Workers via PoolWorkers). workers < 1 is treated as 1.
-func RunLimitedWorkers(n, workers int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// PoolWorkers returns the shard-level worker budget of this engine's
-// Config (see Config.PoolWorkers).
-func (se *ShardedEngine) PoolWorkers() int { return se.cfg.PoolWorkers() }
-
-// AnalyzeAll converges every shard — concurrently, up to GOMAXPROCS
-// shards in flight — and returns the per-shard results in shard
-// (creation) order. Distinct shards share only the read-only topology,
-// so their fixpoints are independent. Each result is a detached copy
-// (O(closure) headers per shard); AnalyzeAllViews is the copy-free
-// form.
+// AnalyzeAll converges every shard, one after another, and returns the
+// per-shard results in shard (creation) order. Distinct shards share
+// only the read-only topology, so their fixpoints are independent. Each
+// result is a detached copy (O(closure) headers per shard).
 func (se *ShardedEngine) AnalyzeAll() ([]*Result, error) {
 	out := make([]*Result, len(se.shards))
-	errs := make([]error, len(se.shards))
-	engines := se.Shards()
-	RunLimitedWorkers(len(engines), se.PoolWorkers(), func(i int) {
-		out[i], errs[i] = engines[i].Analyze()
-	})
-	for _, err := range errs {
+	for i, s := range se.shards {
+		res, err := s.eng.Analyze()
 		if err != nil {
 			return nil, err
 		}
+		out[i] = res
 	}
 	return out, nil
-}
-
-// AnalyzeAllViews converges every shard concurrently and composes the
-// outcome as one copy-on-read view per closure, in shard (creation)
-// order — no header is copied anywhere. The network-wide verdict is the
-// conjunction of the per-view verdicts (closures are independent, so
-// their fixpoints compose exactly); ShardsSchedulable folds it. Close or
-// Materialize the views like any other ResultView.
-func (se *ShardedEngine) AnalyzeAllViews() ([]*ResultView, error) {
-	out := make([]*ResultView, len(se.shards))
-	errs := make([]error, len(se.shards))
-	engines := se.Shards()
-	RunLimitedWorkers(len(engines), se.PoolWorkers(), func(i int) {
-		out[i], errs[i] = engines[i].AnalyzeView()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// ShardsSchedulable folds per-closure views into the network-wide
-// admission verdict: every closure converged and schedulable.
-func ShardsSchedulable(views []*ResultView) bool {
-	for _, v := range views {
-		if !v.Schedulable() {
-			return false
-		}
-	}
-	return true
 }
 
 // adoptFrom splices every flow of src into e at its converged jitter

@@ -9,7 +9,7 @@ package network
 // *interference closures*: disjoint groups that never exchange jitter,
 // so the holistic fixpoint decomposes exactly over them. The sharded
 // admission controller (core.ShardedEngine) keeps one analysis arena per
-// closure and admits into closures concurrently.
+// closure and decides each request inside its own closure.
 //
 // The partition is maintained as a union-find over ResourceIDs:
 //

@@ -111,8 +111,8 @@ type Topology struct {
 	adj   map[NodeID][]NodeID // outgoing neighbours, sorted
 
 	// ifCount memoizes Interfaces per node. AddLink updates it eagerly
-	// for both endpoints, so reads never write — the analysis queries
-	// CIRC (and through it Interfaces) from concurrent workers.
+	// for both endpoints, so reads never write — a Topology shared by
+	// engines on different goroutines stays safe to read.
 	ifCount map[NodeID]int
 }
 

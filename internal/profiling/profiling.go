@@ -1,9 +1,9 @@
 // Package profiling is the shared pprof plumbing of the gmfnet command
 // line tools: one Session per run, started from the -cpuprofile,
-// -memprofile, -mutexprofile and -blockprofile flags and stopped on the
-// way out. The mutex and block profiles are the contention instruments
-// — they attribute lock hold-ups (sync.Mutex wait time) and runtime
-// blocking (channel waits, Wait calls) to stacks.
+// -memprofile and -blockprofile flags and stopped on the way out. The
+// block profile attributes runtime blocking (channel waits, Wait calls)
+// to stacks; only gmfnet-admitd, whose connections hand requests between
+// goroutines, offers it.
 package profiling
 
 import (
@@ -16,16 +16,16 @@ import (
 // Session holds the profile state of one run. The zero value is inert;
 // use Start.
 type Session struct {
-	cpu               *os.File
-	mem, mutex, block string
+	cpu        *os.File
+	mem, block string
 }
 
 // Start opens the requested pprof outputs, starts CPU profiling and
-// arms the mutex/block samplers; any path may be empty. Mutex events
-// are sampled at fraction 1 and block events at rate 1 (every event):
-// profiling runs are explicit diagnostics, so fidelity beats overhead.
-func Start(cpu, mem, mutex, block string) (*Session, error) {
-	s := &Session{mem: mem, mutex: mutex, block: block}
+// arms the block sampler; any path may be empty. Block events are
+// sampled at rate 1 (every event): profiling runs are explicit
+// diagnostics, so fidelity beats overhead.
+func Start(cpu, mem, block string) (*Session, error) {
+	s := &Session{mem: mem, block: block}
 	if cpu != "" {
 		f, err := os.Create(cpu)
 		if err != nil {
@@ -37,17 +37,14 @@ func Start(cpu, mem, mutex, block string) (*Session, error) {
 		}
 		s.cpu = f
 	}
-	if mutex != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
 	if block != "" {
 		runtime.SetBlockProfileRate(1)
 	}
 	return s, nil
 }
 
-// Stop finishes the CPU profile, writes the heap, mutex and block
-// profiles, and disarms the samplers. It returns the first error.
+// Stop finishes the CPU profile, writes the heap and block profiles,
+// and disarms the block sampler. It returns the first error.
 func (s *Session) Stop() error {
 	var firstErr error
 	keep := func(flag string, err error) {
@@ -62,10 +59,6 @@ func (s *Session) Stop() error {
 	if s.mem != "" {
 		runtime.GC() // settle the heap so the profile reflects live data
 		keep("-memprofile", writeLookup("heap", s.mem))
-	}
-	if s.mutex != "" {
-		keep("-mutexprofile", writeLookup("mutex", s.mutex))
-		runtime.SetMutexProfileFraction(0)
 	}
 	if s.block != "" {
 		keep("-blockprofile", writeLookup("block", s.block))

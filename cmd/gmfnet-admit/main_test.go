@@ -93,8 +93,7 @@ func TestRunProfiles(t *testing.T) {
 // admit/reject decision logs through the sequential and sharded
 // controllers, batched admission (two batch sizes, one that forces
 // mid-batch eviction) and the cold baseline — all equal to the
-// checked-in golden file. The parallel* variants repeat sharded* under
-// their long-standing names, so test lists that name them stay valid. The trace ends in a burst of ~53 Mbit/s video
+// checked-in golden file. The trace ends in a burst of ~53 Mbit/s video
 // flows that saturate an edge link, so the batched runs exercise the
 // eviction path, and a departure between them exercises release.
 func TestTraceGoldenOutput(t *testing.T) {
@@ -113,10 +112,6 @@ func TestTraceGoldenOutput(t *testing.T) {
 		{name: "sharded", opts: runOpts{shards: true}},
 		{name: "sharded-batch16", opts: runOpts{shards: true, batch: 16}},
 		{name: "sharded-batch3", opts: runOpts{shards: true, batch: 3}},
-		{name: "parallel", opts: runOpts{shards: true}},
-		{name: "parallel-batch16", opts: runOpts{shards: true, batch: 16}},
-		{name: "parallel-batch3", opts: runOpts{shards: true, batch: 3}},
-		{name: "parallel-workers2", opts: runOpts{shards: true, batch: 3}},
 		{name: "cold", opts: runOpts{cold: true}},
 	}
 	for _, v := range variants {
@@ -139,10 +134,8 @@ func TestTraceGoldenOutput(t *testing.T) {
 // generator (recorded by gmfnet-load -record, heavy flows forcing
 // rejects and tenant churn forcing releases) must replay to the
 // byte-identical checked-in decision log through every controller
-// variant (parallel*: sharded* again, under their long-standing
-// names). This
-// is what licenses the load harness's counters as "what the serial
-// controller would have decided" at million-request scale.
+// variant. This is what licenses the load harness's counters as "what
+// the serial controller would have decided" at million-request scale.
 func TestGeneratorTraceGolden(t *testing.T) {
 	variants := []struct {
 		name string
@@ -152,8 +145,6 @@ func TestGeneratorTraceGolden(t *testing.T) {
 		{name: "batch3", opts: runOpts{batch: 3}},
 		{name: "sharded", opts: runOpts{shards: true}},
 		{name: "sharded-batch3", opts: runOpts{shards: true, batch: 3}},
-		{name: "parallel", opts: runOpts{shards: true}},
-		{name: "parallel-batch3", opts: runOpts{shards: true, batch: 3}},
 		{name: "cold", opts: runOpts{cold: true}},
 	}
 	for _, gen := range []string{"backbone", "fronthaul", "clos"} {

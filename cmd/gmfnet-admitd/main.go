@@ -14,16 +14,19 @@
 //
 // The daemon serves exactly one topology, fixed at startup; client
 // hellos carrying a different TopoSpec are refused. SIGTERM or SIGINT
-// drains gracefully: stop accepting, decide every request already
-// queued, tell every connection with a "drain" message, then flush and
+// drains gracefully: stop accepting, answer every request already
+// decided, tell every connection with a "drain" message, then flush and
 // close the controller.
 //
 // -cpuprofile, -memprofile and -blockprofile FILE write pprof profiles
 // of the daemon's whole serving life, from startup to the end of the
 // drain (`go tool pprof FILE`) — the way to see where a load test's time
-// went without patching the daemon. Every request is decided on the
-// dispatcher goroutine; the blocking profile attributes the reader →
-// dispatcher → writer hand-offs around it to stacks.
+// went without patching the daemon. Every request is decided on its
+// connection's reader goroutine, holding the server mutex, and answered
+// from it with no hand-off; the blocking profile attributes the waits
+// that remain — readers of different connections contending for the
+// server mutex, writer goroutines woken for events pushed by another
+// connection's op — to stacks.
 //
 // -status dials a running daemon as an observer (zero-TopoSpec hello),
 // fetches its counters snapshot and prints them — aggregate admission

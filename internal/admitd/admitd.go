@@ -6,41 +6,44 @@
 // interference closure changes your headroom, and tenants hear about
 // it without polling.
 //
-// The shape is run-loop-owns-state with per-peer outbound queues:
+// The shape is lock-owns-state with per-peer outbound queues:
 //
-//   - every connection gets a reader goroutine (decodes ops, forwards
-//     them to the dispatcher) and a writer goroutine draining a
-//     *bounded* outbound queue — a subscriber that stops reading
-//     overflows its queue and is disconnected, never blocking the
-//     dispatcher or the fold;
-//   - a single dispatcher goroutine owns the controller and all
-//     connection, subscription and closure-book state, and calls the
-//     ShardedController in-line, one op at a time in arrival order, so
-//     daemon decisions are byte-identical to an in-process replay of
-//     the same op sequence (the golden daemon tests pin this over the
-//     wire). Whenever it finds its inbox empty it yields once, so the
-//     writers it just woke put their verdicts on the wire, and then
-//     flushes the departures the controller queued, off the next op's
-//     latency;
-//   - the controller's notification hook (SetNotify) runs on the
-//     dispatcher inside the call that caused the fold: it enters the
-//     fold into the closure book (book.go: residents by spec, by name
-//     and by directed link) and fans exactly one event out to the
-//     subscribers of every resident flow sharing the fold's
-//     interference closure, before the op's verdict is queued. A fold costs O(route length) while nobody
+//   - one mutex (Server.mu) guards the controller and all connection,
+//     subscription and closure-book state;
+//   - every connection's reader goroutine frames its lines (MaxLine
+//     bytes at most), decodes each op and decides it under Server.mu,
+//     calling the ShardedController in-line: one op at a time, in lock
+//     order, so one connection's decisions are byte-identical to an
+//     in-process replay of its op sequence (the golden daemon tests pin
+//     this over the wire). The reader queues its answers and writes
+//     them itself, in one write, once no complete line is left to read
+//     (then it flushes the departures the controller queued, off the
+//     next op's latency) or Queue answers are waiting;
+//   - a message for another connection (an event its subscriber is
+//     owed, the drain notice) goes into that connection's bounded queue
+//     and wakes its writer goroutine; a subscriber that stops reading
+//     overflows the queue and is disconnected, never blocking a
+//     decision. A per-connection write mutex keeps the reader's and the
+//     writer's writes in queue order;
+//   - the controller's notification hook (SetNotify) runs inside the
+//     call that caused the fold: it enters the fold into the closure
+//     book (book.go: residents by spec, by name and by directed link)
+//     and fans exactly one event out to the subscribers of every
+//     resident flow sharing the fold's interference closure, before the
+//     op's verdict is queued. A fold costs O(route length) while nobody
 //     is subscribed to anything and one walk of the touched closure —
 //     never of the resident set — when somebody is; network.Network's
 //     union-find is the oracle the book is tested against, not a
 //     second copy the daemon keeps.
 //
 // Drain (SIGTERM in the daemon, Server.Drain here) is graceful: stop
-// accepting, finish every submission already queued, notify all
-// connections with a "drain" message, flush and close their queues,
-// then close the controller.
+// accepting, queue a "drain" message behind the answers to every op
+// already decided, unregister every connection and close the controller.
 package admitd
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -62,81 +65,78 @@ type Config struct {
 	Topo workload.TopoSpec
 	// Queue bounds each connection's outbound message queue; a
 	// connection whose queue overflows — a subscriber not draining its
-	// events — is disconnected rather than ever blocking the
-	// dispatcher. Default 128.
+	// events — is disconnected rather than ever blocking a decision.
+	// Default 128.
 	Queue int
 	// WriteTimeout bounds each wire write, so a stalled peer cannot
-	// pin a writer goroutine past it. Default 5s.
+	// pin a goroutine past it. Default 5s.
 	WriteTimeout time.Duration
 	// Core configures the controller's engines (analysis mode and caps).
 	Core core.Config
 }
 
 // Server is one admission daemon: a ShardedController, the closure
-// book of its residents, and the dispatcher that serializes wire
-// submissions into it.
+// book of its residents, and the connections whose readers decide
+// their ops into it under one mutex.
 type Server struct {
 	cfg  Config
 	topo *network.Topology
-	ctl  *admission.ShardedController
 
-	// ch carries register/op/unregister messages from connection
-	// readers to the dispatcher; its FIFO order *is* the submission
-	// order the controller sees.
-	ch   chan dmsg
-	stop chan struct{}
-	once sync.Once
-	done chan struct{}
+	once   sync.Once
+	done   chan struct{}
+	connID atomic.Int64
 
-	readers sync.WaitGroup
-	connID  atomic.Int64
-
-	lmu       sync.Mutex
+	// mu guards everything below, the controller included: a reader
+	// holds it while it decides one of its connection's ops.
+	mu        sync.Mutex
 	listeners []net.Listener
-	closed    bool
-
-	// Dispatcher-owned state, the controller included: touched only on
-	// the dispatcher goroutine.
-	book       *book
-	owed       []*resident // affected's scratch
+	ctl       *admission.ShardedController
+	book      *book
+	owed      []*resident // affected's scratch
+	// cur is the connection whose op is being decided: messages to it
+	// are written by its own reader, so they neither overflow its
+	// queue nor wake its writer.
+	cur        *conn
 	conns      map[*conn]bool
 	order      []*conn // live conns in accept order, for stable stats
 	subs       map[string]map[*conn]bool
+	draining   bool
 	totalConns int64
 	dropped    int
 	ops        int64
 	verdicts   int64
 	events     int64
-
-	// Set by the dispatcher as it exits; read after Done.
-	drainErr  error
-	residents []*network.FlowSpec
+	drainErr   error               // first controller error
+	residents  []*network.FlowSpec // snapshot taken by Drain
 }
 
-// conn is one accepted connection. The counters and subscription set
-// are dispatcher-owned; out is closed exactly once, by the dispatcher,
-// when the connection is unregistered.
+// conn is one accepted connection.
 type conn struct {
-	id   int64
-	nc   net.Conn
-	out  chan Msg
-	subs map[string]bool
+	id int64
+	nc net.Conn
+	// kick wakes the writer goroutine after a push from another
+	// connection's op; unregister closes it.
+	kick chan struct{}
 
+	// Guarded by Server.mu: the outbound queue, in decision order, and
+	// the connection's subscriptions and counters.
+	q                     []Msg
+	subs                  map[string]bool
 	ops, verdicts, events int64
+
+	// wmu serialises the reader's and the writer's socket writes and is
+	// held from taking the queue until it is written, so messages reach
+	// the wire in queue order. It guards the fields below.
+	wmu   sync.Mutex
+	spare []Msg
+	buf   bytes.Buffer
+	enc   *json.Encoder
 }
 
-// dmsg is one message on the dispatcher channel.
-type dmsg struct {
-	c     *conn
-	op    *workload.Op
-	reg   bool
-	unreg bool
-}
-
-// New builds the served topology, the sharded controller (in
+// New builds the served topology and the sharded controller (in
 // counters-only retention — a daemon never re-reads its decision log,
-// so memory stays flat at any request volume) and starts the
-// dispatcher. Call Serve with one or more listeners, then Drain.
+// so memory stays flat at any request volume). It starts no goroutine.
+// Call Serve with one or more listeners, then Drain.
 func New(cfg Config) (*Server, error) {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 128
@@ -157,15 +157,12 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		topo:  topo,
 		ctl:   ctl,
-		ch:    make(chan dmsg, 256),
-		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 		book:  newBook(),
 		conns: make(map[*conn]bool),
 		subs:  make(map[string]map[*conn]bool),
 	}
 	ctl.SetNotify(s.onFold)
-	go s.dispatch()
 	return s, nil
 }
 
@@ -177,14 +174,13 @@ func (s *Server) Topo() workload.TopoSpec { return s.cfg.Topo }
 // all listeners are closed by Drain. A listener handed to a draining
 // server is closed immediately.
 func (s *Server) Serve(l net.Listener) {
-	s.lmu.Lock()
-	if s.closed {
-		s.lmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
 		l.Close()
 		return
 	}
 	s.listeners = append(s.listeners, l)
-	s.lmu.Unlock()
 	go s.acceptLoop(l)
 }
 
@@ -194,7 +190,6 @@ func (s *Server) acceptLoop(l net.Listener) {
 		if err != nil {
 			return // listener closed by Drain
 		}
-		s.readers.Add(1)
 		go s.serveConn(nc)
 	}
 }
@@ -216,120 +211,212 @@ func canonTopo(t workload.TopoSpec) workload.TopoSpec {
 	return t
 }
 
-// serveConn is the connection's reader goroutine: handshake, then ops
-// forwarded to the dispatcher until the peer hangs up (or the writer
-// closes the socket underneath us, which is how drops and drain
-// terminate a read loop).
-func (s *Server) serveConn(nc net.Conn) {
-	defer s.readers.Done()
-	dec := json.NewDecoder(bufio.NewReader(nc))
-	bw := bufio.NewWriter(nc)
-	enc := json.NewEncoder(bw)
-	reject := func(err error) {
-		// Best effort on a dying connection; the close is the message.
-		enc.Encode(Msg{Kind: KindError, Err: err.Error()})
-		bw.Flush()
-		nc.Close()
+var errLineTooLong = fmt.Errorf("admitd: line longer than %d bytes", MaxLine)
+
+// readLine returns the next line, newline included, or what precedes an
+// error. A line longer than the read buffer is assembled in *long, up
+// to MaxLine bytes. The line is valid until the next call.
+func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
 	}
+	*long = append((*long)[:0], line...)
+	for err == bufio.ErrBufferFull && len(*long) <= MaxLine {
+		line, err = br.ReadSlice('\n')
+		*long = append(*long, line...)
+	}
+	if len(*long) > MaxLine {
+		return nil, errLineTooLong
+	}
+	return *long, err
+}
+
+// serveConn is the connection's reader goroutine: handshake, then one
+// op decided per line until the peer hangs up, sends a line that is too
+// long or malformed (answered with one error message), or the socket is
+// closed underneath it, which is how drops and drain end a read loop.
+// Until c is registered nobody else touches it.
+func (s *Server) serveConn(nc net.Conn) {
+	br := bufio.NewReader(nc)
+	var long []byte
+	c := &conn{id: s.connID.Add(1), nc: nc, kick: make(chan struct{}, 1), subs: make(map[string]bool)}
+	c.enc = json.NewEncoder(&c.buf)
 	nc.SetReadDeadline(time.Now().Add(helloTimeout))
 	var h Hello
-	if err := dec.Decode(&h); err != nil {
+	line, err := readLine(br, &long)
+	if err == nil {
+		err = json.Unmarshal(line, &h)
+	}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("admitd: hello: %w", err)
+	case h.V != ProtocolVersion:
+		err = fmt.Errorf("admitd: protocol version %d, want %d", h.V, ProtocolVersion)
+	case h.Topo != (workload.TopoSpec{}) && canonTopo(h.Topo) != canonTopo(s.cfg.Topo):
+		err = fmt.Errorf("admitd: topology mismatch: daemon serves %+v", s.cfg.Topo)
+	}
+	if err != nil {
+		c.q = append(c.q, errMsg(0, err))
+		s.flush(c) // best effort on a dying connection; the close is the message
 		nc.Close()
-		return
-	}
-	if h.V != ProtocolVersion {
-		reject(fmt.Errorf("admitd: protocol version %d, want %d", h.V, ProtocolVersion))
-		return
-	}
-	if h.Topo != (workload.TopoSpec{}) && canonTopo(h.Topo) != canonTopo(s.cfg.Topo) {
-		reject(fmt.Errorf("admitd: topology mismatch: daemon serves %+v", s.cfg.Topo))
 		return
 	}
 	nc.SetReadDeadline(time.Time{})
 	topo := s.cfg.Topo
-	if err := enc.Encode(Msg{Kind: KindHello, V: ProtocolVersion, Topo: &topo}); err != nil {
+	c.q = append(c.q, Msg{Kind: KindHello, V: ProtocolVersion, Topo: &topo})
+	registered := s.register(c)
+	s.flush(c)
+	if !registered {
 		nc.Close()
 		return
 	}
-	if err := bw.Flush(); err != nil {
-		nc.Close()
-		return
-	}
-	c := &conn{
-		id:   s.connID.Add(1),
-		nc:   nc,
-		out:  make(chan Msg, s.cfg.Queue),
-		subs: make(map[string]bool),
-	}
-	go c.writeLoop(bw, s.cfg.WriteTimeout)
-	s.ch <- dmsg{c: c, reg: true}
+	go s.writeLoop(c)
+
+	var perr error // a framing or decoding fault, answered before the close
 	for {
-		var op workload.Op
-		if err := dec.Decode(&op); err != nil {
+		line, err := readLine(br, &long)
+		if err == errLineTooLong {
+			perr = err
 			break
 		}
-		s.ch <- dmsg{c: c, op: &op}
+		queued := 0
+		if len(bytes.TrimSpace(line)) > 0 {
+			var op workload.Op
+			if uerr := json.Unmarshal(line, &op); uerr != nil {
+				perr = fmt.Errorf("admitd: malformed op: %w", uerr)
+				break
+			}
+			var ok bool
+			if queued, ok = s.decide(c, &op); !ok {
+				break
+			}
+		}
+		if err != nil {
+			break
+		}
+		// Write when no complete line is left to read (the next read
+		// would block), then apply the departures the controller
+		// queued; or write once Queue answers are waiting.
+		if buf, _ := br.Peek(br.Buffered()); bytes.IndexByte(buf, '\n') < 0 {
+			s.flush(c)
+			s.mu.Lock()
+			if !s.draining { // a drained controller is closed
+				s.keepErr(s.ctl.Flush())
+			}
+			s.mu.Unlock()
+		} else if queued >= s.cfg.Queue {
+			s.flush(c)
+		}
 	}
-	s.ch <- dmsg{c: c, unreg: true}
+	s.mu.Lock()
+	if perr != nil {
+		s.push(c, Msg{Kind: KindError, Err: perr.Error()})
+	}
+	s.unregister(c)
+	s.mu.Unlock()
 }
 
-// writeLoop drains the bounded outbound queue onto the socket. Every
-// write rides a deadline, so a stalled peer costs at most one timeout;
-// after the first failure remaining messages are discarded (the
-// dispatcher has already given up on the connection by then, or will
-// as soon as the queue overflows). The writer owns closing the socket:
-// that is what unblocks the reader of a dropped or drained connection.
-func (c *conn) writeLoop(bw *bufio.Writer, timeout time.Duration) {
-	enc := json.NewEncoder(bw)
-	broken := false
-	for m := range c.out {
-		if broken {
-			continue
-		}
-		c.nc.SetWriteDeadline(time.Now().Add(timeout))
-		if enc.Encode(m) != nil {
-			broken = true
-			continue
-		}
-		// Flush when the queue is momentarily empty: consecutive
-		// messages batch into one write, the last never lingers.
-		if len(c.out) == 0 && bw.Flush() != nil {
-			broken = true
-		}
+// register enters c into the server's books. Once draining it queues
+// the drain notice instead — c raced the drain through the accept loop
+// — and reports false.
+func (s *Server) register(c *conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		c.q = append(c.q, Msg{Kind: KindDrain})
+		return false
 	}
-	if !broken {
-		c.nc.SetWriteDeadline(time.Now().Add(timeout))
-		bw.Flush() // the conn is closing either way
+	s.conns[c] = true
+	s.order = append(s.order, c)
+	s.totalConns++
+	return true
+}
+
+// decide decides one op of c's and reports how many messages c now
+// has queued; false when c is no longer registered (dropped or
+// drained), in which case nothing was decided.
+func (s *Server) decide(c *conn, op *workload.Op) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.conns[c] {
+		return 0, false
 	}
+	c.ops++
+	s.ops++
+	s.cur = c
+	s.handleOp(c, op)
+	s.cur = nil
+	return len(c.q), true
+}
+
+// flush writes everything queued for c to its socket in one write.
+// Every write rides a deadline, so a stalled peer costs at most one
+// timeout; a failed write closes the socket, which ends the reader.
+func (s *Server) flush(c *conn) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	s.mu.Lock()
+	q := c.q
+	c.q = c.spare[:0]
+	s.mu.Unlock()
+	c.spare = q
+	if len(q) == 0 {
+		return
+	}
+	for i := range q {
+		c.enc.Encode(&q[i])
+	}
+	clear(q)
+	c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	if _, err := c.nc.Write(c.buf.Bytes()); err != nil {
+		c.nc.Close()
+	}
+	c.buf.Reset()
+}
+
+// writeLoop is the connection's writer goroutine: it writes what other
+// connections' ops pushed. Once the connection is unregistered it
+// flushes what is left and closes the socket, which is what unblocks
+// the reader of a dropped or drained connection.
+func (s *Server) writeLoop(c *conn) {
+	for range c.kick {
+		s.flush(c)
+	}
+	s.flush(c)
 	c.nc.Close()
 }
 
-// Drain stops the server gracefully: close the listeners, let the
-// dispatcher finish every submission already queued, notify every
-// connection with a "drain" message, flush and close the outbound
-// queues, then close the controller. It blocks until the dispatcher
-// has exited and returns the first controller error (a departure or
-// re-split failure), if any. Safe to call more than once.
+// Drain stops the server gracefully: under Server.mu, close the
+// listeners, queue a "drain" message to every connection behind the
+// answers to the ops already decided, unregister it, close the
+// controller and snapshot the residents; later ops are not decided. It
+// returns the first controller error (a departure or re-split failure),
+// if any. Safe to call more than once.
 func (s *Server) Drain() error {
-	s.lmu.Lock()
-	s.closed = true
-	ls := s.listeners
-	s.listeners = nil
-	s.lmu.Unlock()
-	for _, l := range ls {
-		l.Close()
-	}
-	s.once.Do(func() { close(s.stop) })
-	<-s.done
+	s.once.Do(func() {
+		s.mu.Lock()
+		s.draining = true
+		for _, l := range s.listeners {
+			l.Close()
+		}
+		for _, c := range append([]*conn(nil), s.order...) {
+			s.push(c, Msg{Kind: KindDrain})
+			s.unregister(c)
+		}
+		s.keepErr(s.ctl.Close())
+		s.residents = s.book.residents()
+		s.mu.Unlock()
+		close(s.done)
+	})
 	return s.drainErr
 }
 
-// Done is closed when the dispatcher has exited (after Drain).
+// Done is closed once Drain has closed the controller.
 func (s *Server) Done() <-chan struct{} { return s.done }
 
-// Residents returns the resident flow specs in admission order. Only
-// valid after Drain has returned (the dispatcher owns this state while
-// running).
+// Residents returns the resident flow specs in admission order, as
+// snapshotted by Drain; it blocks until Drain has run.
 func (s *Server) Residents() []*network.FlowSpec {
 	<-s.done
 	return s.residents

@@ -2,10 +2,14 @@ package admitd_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,10 +89,96 @@ func barrier(t *testing.T, cli *client.Client) admitd.Stats {
 	return st
 }
 
+// awaitEvents waits, without sending anything on cli's connection,
+// until cli has received want events: the daemon's writer for an idle
+// connection must deliver what other connections' ops pushed to it.
+func awaitEvents(t *testing.T, cli *client.Client, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); cli.EventCount() < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle subscriber holds %d events, want %d", cli.EventCount(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// handshake speaks the hello on a raw connection and returns a decoder
+// positioned after the ack.
+func handshake(t *testing.T, nc net.Conn) *json.Decoder {
+	t.Helper()
+	if err := json.NewEncoder(nc).Encode(admitd.Hello{V: admitd.ProtocolVersion, Topo: campus22}); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bufio.NewReader(nc))
+	var ack admitd.Msg
+	if err := dec.Decode(&ack); err != nil || ack.Kind != admitd.KindHello {
+		t.Fatalf("handshake: %v %+v", err, ack)
+	}
+	return dec
+}
+
+// pipeListener hands the server the server ends of net.Pipe conns and
+// counts the server's writes on each, so a test can pin how many
+// writes its answers took.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// countedConn counts Write calls.
+type countedConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countedConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// dial connects through the listener: the client end of the pipe, and
+// the server end's write counter.
+func (l *pipeListener) dial(t *testing.T) (net.Conn, *countedConn) {
+	t.Helper()
+	srv, cli := net.Pipe()
+	sc := &countedConn{Conn: srv}
+	l.conns <- sc
+	t.Cleanup(func() { cli.Close() })
+	return cli, sc
+}
+
 // TestSubscriptionDeltas pins the fan-out semantics: an admission or
 // departure notifies exactly one event per affected subscribed flow —
 // the flows sharing the changed interference closure — and none for
-// flows in unaffected closures; rejected requests notify nobody.
+// flows in unaffected closures; rejected requests notify nobody. Each
+// event reaches its subscriber while the subscriber sends nothing: the
+// barrier only confirms that no further event was owed.
 func TestSubscriptionDeltas(t *testing.T) {
 	_, addr := newTestServer(t, admitd.Config{})
 	op := dialTest(t, addr, campus22)   // operator: submits all requests
@@ -103,6 +193,7 @@ func TestSubscriptionDeltas(t *testing.T) {
 
 	check := func(step string, cli *client.Client, wantCount int64, flow string, wantPeer, wantEvent string, wantResidents int) {
 		t.Helper()
+		awaitEvents(t, cli, wantCount)
 		barrier(t, cli)
 		if got := cli.EventCount(); got != wantCount {
 			t.Fatalf("%s: event count = %d, want %d", step, got, wantCount)
@@ -237,8 +328,8 @@ func TestEventBeforeVerdict(t *testing.T) {
 
 // TestSlowSubscriberDropped pins the bounded-queue contract: a
 // subscriber that stops reading overflows its outbound queue and is
-// disconnected, while the dispatcher keeps deciding other clients'
-// requests synchronously throughout.
+// disconnected, while other clients' requests keep being decided
+// synchronously throughout.
 func TestSlowSubscriberDropped(t *testing.T) {
 	_, addr := newTestServer(t, admitd.Config{Queue: 2, WriteTimeout: 50 * time.Millisecond})
 	op := dialTest(t, addr, campus22)
@@ -266,14 +357,7 @@ func TestSlowSubscriberDropped(t *testing.T) {
 		tc.SetReadBuffer(256)
 	}
 	enc := json.NewEncoder(nc)
-	dec := json.NewDecoder(bufio.NewReader(nc))
-	if err := enc.Encode(admitd.Hello{V: admitd.ProtocolVersion, Topo: campus22}); err != nil {
-		t.Fatal(err)
-	}
-	var ack admitd.Msg
-	if err := dec.Decode(&ack); err != nil || ack.Kind != admitd.KindHello {
-		t.Fatalf("handshake: %v %+v", err, ack)
-	}
+	dec := handshake(t, nc)
 	for i := 0; i < fanout; i++ {
 		if err := enc.Encode(workload.Op{Op: "sub", Name: fmt.Sprintf("a%d", i), ID: int64(i + 1)}); err != nil {
 			t.Fatal(err)
@@ -410,14 +494,7 @@ func TestWireErrors(t *testing.T) {
 	}
 	defer nc.Close()
 	enc := json.NewEncoder(nc)
-	dec := json.NewDecoder(bufio.NewReader(nc))
-	if err := enc.Encode(admitd.Hello{V: admitd.ProtocolVersion, Topo: campus22}); err != nil {
-		t.Fatal(err)
-	}
-	var ack admitd.Msg
-	if err := dec.Decode(&ack); err != nil || ack.Kind != admitd.KindHello {
-		t.Fatalf("handshake: %v %+v", err, ack)
-	}
+	dec := handshake(t, nc)
 	expectErr := func(op workload.Op) {
 		t.Helper()
 		if err := enc.Encode(op); err != nil {
@@ -494,10 +571,26 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// serverGoroutines counts the goroutines running a Server method:
+// accept loops, connection readers and writers.
+func serverGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("admitd.(*Server)")) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestGoroutinesIndependentOfClosures pins the daemon's concurrency
-// shape: the dispatcher decides in-line on one goroutine, so a daemon
-// holding ~1 000 interference closures runs exactly as many goroutines
-// as one holding ten — no per-closure worker or mailbox exists.
+// shape: every connection's reader decides its ops in-line under the
+// server mutex, so the daemon runs exactly one goroutine per listener
+// plus two per connection (reader and writer), whether it holds ten
+// interference closures or ~1 000 — no dispatcher, per-closure worker
+// or mailbox exists.
 func TestGoroutinesIndependentOfClosures(t *testing.T) {
 	spec := workload.TopoSpec{Kind: "backbone", Switches: 16, Fanout: 16, Hosts: 4}
 	_, hosts, err := spec.Build()
@@ -518,27 +611,126 @@ func TestGoroutinesIndependentOfClosures(t *testing.T) {
 			}
 		}
 	}
-	// settled reads the goroutine count once it holds still, so a
-	// goroutine on its way out of a finished test does not count.
-	settled := func() int {
-		n := runtime.NumGoroutine()
-		for i := 0; i < 50; i++ {
+	// expect waits for the count to settle on want, so goroutines on
+	// their way out of an earlier test's server do not count.
+	expect := func(what string, want int) {
+		t.Helper()
+		n := serverGoroutines()
+		for i := 0; i < 200 && n != want; i++ {
 			time.Sleep(10 * time.Millisecond)
-			m := runtime.NumGoroutine()
-			if m == n {
-				return n
-			}
-			n = m
+			n = serverGoroutines()
 		}
-		return n
+		if n != want {
+			t.Fatalf("%s: %d server goroutines, want %d", what, n, want)
+		}
 	}
 	admit(0, 10)
-	few := settled()
+	expect("1 listener, 1 conn, 10 closures", 1+2)
+	dialTest(t, addr, spec)
+	expect("1 listener, 2 conns, 10 closures", 1+2*2)
 	admit(10, 1000)
 	if st := barrier(t, cli); st.Resident != 1000 {
 		t.Fatalf("%d residents, want 1000", st.Resident)
 	}
-	if many := settled(); many != few {
-		t.Fatalf("goroutines: %d with 10 closures, %d with 1000", few, many)
+	expect("1 listener, 2 conns, 1000 closures", 1+2*2)
+}
+
+// TestPipelinedOpsOneWrite pins the reader's write batching: ops that
+// arrive together are decided back to back, and their answers leave in
+// the one write made once no complete line is left to read.
+func TestPipelinedOpsOneWrite(t *testing.T) {
+	srv, _ := newTestServer(t, admitd.Config{})
+	pl := newPipeListener()
+	srv.Serve(pl)
+	nc, sc := pl.dial(t)
+	dec := handshake(t, nc)
+	before := sc.writes.Load()
+
+	const n = 16
+	var lines bytes.Buffer
+	enc := json.NewEncoder(&lines)
+	for i := int64(1); i <= n; i++ {
+		op := workload.Op{Op: "stats", ID: i}
+		if i%2 == 0 {
+			op = workload.Op{Op: "unsub", Name: "x", ID: i}
+		}
+		if err := enc.Encode(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nc.Write(lines.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= n; i++ {
+		var m admitd.Msg
+		if err := dec.Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		want := admitd.KindStats
+		if i%2 == 0 {
+			want = admitd.KindVerdict
+		}
+		if m.ID != i || m.Kind != want {
+			t.Fatalf("answer %d = %+v, want %s with id %d", i, m, want, i)
+		}
+	}
+	if got := sc.writes.Load() - before; got != 1 {
+		t.Fatalf("%d pipelined answers took %d server writes, want 1", n, got)
+	}
+}
+
+// TestLineFraming pins the reader's line bound: a line longer than
+// MaxLine, and a line that does not decode, each get one error message
+// carrying no ID, and then the connection is closed. Another
+// connection keeps getting verdicts throughout.
+func TestLineFraming(t *testing.T) {
+	srv, addr := newTestServer(t, admitd.Config{})
+	healthy := dialTest(t, addr, campus22)
+	pl := newPipeListener()
+	srv.Serve(pl)
+	served := 0
+	verdict := func() {
+		t.Helper()
+		served++
+		name := fmt.Sprintf("v%d", served)
+		if ok, err := healthy.Add(voipOp(name, "h0_0", "h0_1")); err != nil || !ok {
+			t.Fatalf("admit %s: %v %v", name, ok, err)
+		}
+		if ok, err := healthy.Release(name); err != nil || !ok {
+			t.Fatalf("release %s: %v %v", name, ok, err)
+		}
+	}
+	refused := func(dec *json.Decoder, why string) {
+		t.Helper()
+		var m admitd.Msg
+		if err := dec.Decode(&m); err != nil || m.Kind != admitd.KindError || m.ID != 0 || !strings.Contains(m.Err, why) {
+			t.Fatalf("reply = %+v (%v), want one error about %q", m, err, why)
+		}
+		if err := dec.Decode(&m); err == nil {
+			t.Fatalf("connection still open after the error: read %+v", m)
+		}
+	}
+
+	// A stats op that would decode fine, but for its length.
+	long, _ := pl.dial(t)
+	longDec := handshake(t, long)
+	verdict()
+	line := fmt.Sprintf(`{"op":"stats","name":%q,"id":1}`+"\n", strings.Repeat("x", admitd.MaxLine))
+	go long.Write([]byte(line)) // fails once the daemon closes the pipe
+	verdict()
+	refused(longDec, "longer than")
+	verdict()
+
+	bad, _ := pl.dial(t)
+	badDec := handshake(t, bad)
+	if _, err := bad.Write([]byte("{\"op\":\"stats\",\n")); err != nil {
+		t.Fatal(err)
+	}
+	verdict()
+	refused(badDec, "malformed op")
+	verdict()
+
+	if st := barrier(t, healthy); st.Conns != 1 || st.Dropped != 0 {
+		t.Fatalf("after the refusals: %d live conns, %d dropped, want 1 and 0", st.Conns, st.Dropped)
 	}
 }

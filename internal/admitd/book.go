@@ -7,7 +7,7 @@ import (
 	"gmfnet/internal/network"
 )
 
-// book is the dispatcher's closure book: the resident flow set indexed
+// book is the server's closure book: the resident flow set indexed
 // three ways — by spec pointer, by name in admission order, and by
 // directed link — and nothing else. Interference closures (connected
 // components of residents over shared directed links, exactly
@@ -16,8 +16,7 @@ import (
 // the one closure it touched, and a fold nobody listens to only inserts
 // into or removes from the indices, O(route length) at any population.
 //
-// Like all dispatcher state it is touched only on the dispatcher
-// goroutine.
+// Like all server state it is guarded by Server.mu.
 type book struct {
 	bySpec map[*network.FlowSpec]*resident
 	byName map[string][]*resident // admission order

@@ -230,12 +230,13 @@ func FuzzClosureBook(f *testing.F) {
 }
 
 // foldServer is a Server reduced to what onFold touches — the book
-// and the subscription table — with no controller, no
-// dispatcher goroutine and no sockets, so folds can be fed and timed
-// directly. With subscribed set, one connection (a large queue nobody
-// reads; drain empties it) subscribes to that name.
+// and the subscription table — with no controller, no goroutine and
+// no sockets, so folds can be fed and timed directly. With subscribed
+// set, one connection (a large queue nobody reads; drain empties it)
+// subscribes to that name.
 func foldServer(subscribed string) (*Server, *conn) {
 	s := &Server{
+		cfg:   Config{Queue: 1024},
 		book:  newBook(),
 		conns: make(map[*conn]bool),
 		subs:  make(map[string]map[*conn]bool),
@@ -243,7 +244,7 @@ func foldServer(subscribed string) (*Server, *conn) {
 	if subscribed == "" {
 		return s, nil
 	}
-	c := &conn{out: make(chan Msg, 1024), subs: map[string]bool{subscribed: true}}
+	c := &conn{kick: make(chan struct{}, 1), subs: map[string]bool{subscribed: true}}
 	s.conns[c] = true
 	s.subs[subscribed] = map[*conn]bool{c: true}
 	return s, c
@@ -253,11 +254,9 @@ func (s *Server) fold(fs *network.FlowSpec, k admission.FoldKind) {
 	s.onFold(admission.FoldEvent{Spec: fs, Kind: k})
 }
 
-func drain(c *conn) (n int) {
-	for len(c.out) > 0 {
-		<-c.out
-		n++
-	}
+func drain(c *conn) int {
+	n := len(c.q)
+	c.q = c.q[:0]
 	return n
 }
 

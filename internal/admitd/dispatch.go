@@ -2,7 +2,6 @@ package admitd
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 
@@ -11,73 +10,6 @@ import (
 	"gmfnet/internal/workload"
 )
 
-// dispatch is the daemon's single run loop: it owns the controller and
-// every connection, subscription and closure-book structure, and
-// serializes wire submissions into the controller in the order they
-// arrive on s.ch. That ordering invariant is the daemon's determinism
-// guarantee — one client replaying a trace sees exactly the decisions
-// an in-process replay of the same op sequence produces, byte for byte.
-func (s *Server) dispatch() {
-	defer close(s.done)
-	stopCh := s.stop
-	draining := false
-	drain := func() {
-		stopCh = nil
-		draining = true
-		// Flush in-flight work: every submission already queued is
-		// decided before anyone is told about the drain.
-		for flushed := false; !flushed; {
-			select {
-			case m := <-s.ch:
-				s.handle(m, false)
-			default:
-				flushed = true
-			}
-		}
-		for _, c := range append([]*conn(nil), s.order...) {
-			s.push(c, Msg{Kind: KindDrain})
-			s.unregister(c)
-		}
-	}
-	for !(draining && len(s.conns) == 0) {
-		select {
-		case m := <-s.ch:
-			s.handle(m, draining)
-			continue
-		case <-stopCh:
-			drain()
-			continue
-		default:
-		}
-		// Idle: yield once so the writers just woken put their verdicts
-		// on the wire first, then apply the departures the controller
-		// queued, so the next op does not wait for them.
-		runtime.Gosched()
-		s.keepErr(s.ctl.Flush())
-		select {
-		case m := <-s.ch:
-			s.handle(m, draining)
-		case <-stopCh:
-			drain()
-		}
-	}
-	s.keepErr(s.ctl.Close())
-	s.residents = s.book.residents()
-	// Readers may still be blocked sending to s.ch (their sockets close
-	// asynchronously, via the writers); keep the channel drained until
-	// the last one has exited, closing any connection that raced the
-	// drain through the accept loop.
-	go func() {
-		s.readers.Wait()
-		close(s.ch)
-	}()
-	for m := range s.ch {
-		if m.reg {
-			close(m.c.out)
-		}
-	}
-}
-
 // keepErr records the first controller error for Drain to return.
 func (s *Server) keepErr(err error) {
 	if err != nil && s.drainErr == nil {
@@ -85,54 +17,28 @@ func (s *Server) keepErr(err error) {
 	}
 }
 
-// handle processes one dispatcher message.
-func (s *Server) handle(m dmsg, draining bool) {
-	switch {
-	case m.reg:
-		if draining {
-			// Raced the drain through the accept loop: turn it away.
-			m.c.out <- Msg{Kind: KindDrain}
-			close(m.c.out)
-			return
-		}
-		s.conns[m.c] = true
-		s.order = append(s.order, m.c)
-		s.totalConns++
-	case m.unreg:
-		s.unregister(m.c)
-	default:
-		if !s.conns[m.c] {
-			return // ops queued behind a drop
-		}
-		m.c.ops++
-		s.ops++
-		s.handleOp(m.c, m.op)
-	}
-}
-
-// unregister removes a connection from the dispatcher's books and
-// closes its outbound queue; the writer flushes what is queued and
-// closes the socket, which in turn unblocks the reader. Idempotent.
+// unregister removes a connection from the server's books and closes
+// its kick channel; the writer flushes what is queued and closes the
+// socket, which in turn unblocks the reader. Idempotent.
 func (s *Server) unregister(c *conn) {
 	if !s.conns[c] {
 		return
 	}
 	delete(s.conns, c)
-	for i, oc := range s.order {
-		if oc == c {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.order = slices.DeleteFunc(s.order, func(oc *conn) bool { return oc == c })
 	for name := range c.subs {
-		if set := s.subs[name]; set != nil {
-			delete(set, c)
-			if len(set) == 0 {
-				delete(s.subs, name)
-			}
-		}
+		s.unsub(c, name)
 	}
-	close(c.out)
+	close(c.kick)
+}
+
+// unsub drops c's subscription to name, if any.
+func (s *Server) unsub(c *conn, name string) {
+	delete(s.subs[name], c)
+	if len(s.subs[name]) == 0 {
+		delete(s.subs, name)
+	}
+	delete(c.subs, name)
 }
 
 // drop disconnects a connection whose outbound queue overflowed: the
@@ -140,33 +46,37 @@ func (s *Server) unregister(c *conn) {
 // socket is closed immediately so both its goroutines unwind without
 // waiting out a write timeout.
 func (s *Server) drop(c *conn) {
-	if !s.conns[c] {
-		return
-	}
 	s.dropped++
 	s.unregister(c)
 	c.nc.Close()
 }
 
-// push enqueues one message without ever blocking: the queue is
-// bounded, and overflow means the peer is too slow to keep — it is
-// dropped on the spot. Messages to already-unregistered connections
-// are discarded.
+// push queues one message without ever blocking. A message to the
+// connection whose op is being decided is written by its reader; any
+// other wakes the connection's writer, and overflowing the bounded
+// queue means the peer is too slow to keep — it is dropped on the
+// spot. Messages to already-unregistered connections are discarded.
 func (s *Server) push(c *conn, m Msg) {
 	if !s.conns[c] {
 		return
 	}
-	select {
-	case c.out <- m:
-		if m.Kind == KindEvent {
-			c.events++
-			s.events++
-		} else if m.Kind != KindDrain {
-			c.verdicts++
-			s.verdicts++
+	if c != s.cur {
+		if len(c.q) >= s.cfg.Queue {
+			s.drop(c)
+			return
 		}
-	default:
-		s.drop(c)
+		select {
+		case c.kick <- struct{}{}:
+		default:
+		}
+	}
+	c.q = append(c.q, m)
+	if m.Kind == KindEvent {
+		c.events++
+		s.events++
+	} else if m.Kind != KindDrain {
+		c.verdicts++
+		s.verdicts++
 	}
 }
 
@@ -253,13 +163,7 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 		c.subs[op.Name] = true
 		s.push(c, Msg{Kind: KindVerdict, ID: op.ID, Flow: op.Name, Verdict: VerdictSub})
 	case "unsub":
-		if set := s.subs[op.Name]; set != nil {
-			delete(set, c)
-			if len(set) == 0 {
-				delete(s.subs, op.Name)
-			}
-		}
-		delete(c.subs, op.Name)
+		s.unsub(c, op.Name)
 		s.push(c, Msg{Kind: KindVerdict, ID: op.ID, Flow: op.Name, Verdict: VerdictUnsub})
 	case "stats":
 		s.push(c, Msg{Kind: KindStats, ID: op.ID, Stats: s.stats()})
@@ -345,8 +249,7 @@ func (s *Server) notify(peer *resident, event string, owed []*resident) {
 	}
 }
 
-// stats assembles the counters snapshot; the controller and everything
-// else it reads are dispatcher-owned.
+// stats assembles the counters snapshot; the caller holds Server.mu.
 func (s *Server) stats() *Stats {
 	st := &Stats{
 		Admitted:   s.ctl.Admitted(),
@@ -371,7 +274,7 @@ func (s *Server) stats() *Stats {
 			Verdicts: c.verdicts,
 			Events:   c.events,
 			Subs:     len(c.subs),
-			Queue:    len(c.out),
+			Queue:    len(c.q),
 		})
 	}
 	sort.Slice(st.PerConn, func(i, j int) bool { return st.PerConn[i].ID < st.PerConn[j].ID })

@@ -29,10 +29,17 @@ import "gmfnet/internal/workload"
 // events are unsolicited and carry none. For one connection the server
 // enqueues the events an op caused *before* the op's verdict, so a
 // client that reads in order sees cause before acknowledgement.
+//
+// A client line longer than MaxLine, or one that does not decode, is
+// answered with one "error" message carrying no ID, and the connection
+// is closed.
 
 // ProtocolVersion is the wire protocol version spoken by this package;
 // Hello.V must match exactly.
 const ProtocolVersion = 1
+
+// MaxLine bounds one client line in bytes, newline included.
+const MaxLine = 1 << 20
 
 // Hello is the first line a client sends.
 type Hello struct {

@@ -72,7 +72,7 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 // through the sharded controller under RetainCounters, where the fold
 // keeps no per-decision state: the decision folds into four counters
 // and the resident name FIFO, and the departure is queued for the next
-// call. It measures 86 objects with Go 1.24: the probe is alone in its
+// call. It measures 81 objects with Go 1.24: the probe is alone in its
 // closure, so every cycle drops its emptied shard and the next Request
 // opens a fresh one. The fold itself must stay O(1) allocations.
 const countersCycleAllocBudget = 160

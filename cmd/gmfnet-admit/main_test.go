@@ -58,12 +58,12 @@ func TestRunStreamShardedBatch(t *testing.T) {
 	}
 }
 
-// TestRunStreamParallel streams wide batches through the sharded
+// TestRunStreamShardedWideBatch streams wide batches through the sharded
 // controller over more switches, so most batches span several
 // interference groups, decided one after another.
-func TestRunStreamParallel(t *testing.T) {
+func TestRunStreamShardedWideBatch(t *testing.T) {
 	if err := run([]string{"-stream", "60", "-seed", "3", "-switches", "6", "-hosts", "3", "-shards", "-batch", "16"}); err != nil {
-		t.Fatalf("parallel batched stream mode failed: %v", err)
+		t.Fatalf("sharded wide-batch stream mode failed: %v", err)
 	}
 }
 

@@ -164,6 +164,7 @@ func runStatus(w io.Writer, addr string) error {
 	t.AddRowf("connections ever", st.TotalConns)
 	t.AddRowf("subscriptions", st.Subs)
 	t.AddRowf("dropped (slow)", st.Dropped)
+	t.AddRowf("bad lines", st.BadLines)
 	t.AddRowf("ops", st.Ops)
 	t.AddRowf("verdicts", st.Verdicts)
 	t.AddRowf("events", st.Events)

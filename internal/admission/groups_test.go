@@ -45,10 +45,10 @@ func checkPartition(t *testing.T, ctl *ShardedController) {
 	}
 }
 
-// TestParallelErrorContract pins malformed-input behavior: a bad batch
+// TestShardedBatchErrorContract pins malformed-input behavior: a bad batch
 // fails with no decisions recorded, a bad single request returns its
 // error, and the controller keeps working afterwards.
-func TestParallelErrorContract(t *testing.T) {
+func TestShardedBatchErrorContract(t *testing.T) {
 	topo, hosts, err := network.Ring(4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +95,10 @@ func TestParallelErrorContract(t *testing.T) {
 	}
 }
 
-// TestParallelEmptyBatch pins the trivial edges: an empty batch decides
+// TestShardedEmptyBatch pins the trivial edges: an empty batch decides
 // nothing, and releasing an unknown name claims nothing and queues
 // nothing.
-func TestParallelEmptyBatch(t *testing.T) {
+func TestShardedEmptyBatch(t *testing.T) {
 	topo, _, err := network.Ring(3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +122,11 @@ func TestParallelEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestParallelRetentionCounters pins the lean retention mode the daemon
+// TestShardedRetentionCounters pins the lean retention mode the daemon
 // and the load harness run under: decisions and departures are
 // identical to RetainAll, the O(1) counters agree exactly, but no
 // decision log — and no open analysis view — accumulates.
-func TestParallelRetentionCounters(t *testing.T) {
+func TestShardedRetentionCounters(t *testing.T) {
 	topo, hosts, err := network.Ring(6, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -210,12 +210,12 @@ func TestParallelRetentionCounters(t *testing.T) {
 	checkPartition(t, lean)
 }
 
-// TestParallelNotifyOrder pins the notification hook that feeds
+// TestShardedNotifyOrder pins the notification hook that feeds
 // gmfnet-admitd's subscription manager: every decided request fires
 // exactly one event carrying the exact submitted spec pointer; a batch
 // spanning several groups fires one event per member in request order; Release fires FoldReleased with the pointer that was
 // admitted at claim time, before the removal it queues has run.
-func TestParallelNotifyOrder(t *testing.T) {
+func TestShardedNotifyOrder(t *testing.T) {
 	topo, hosts, err := network.Campus(2, 2)
 	if err != nil {
 		t.Fatal(err)

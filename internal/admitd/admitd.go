@@ -103,6 +103,7 @@ type Server struct {
 	draining   bool
 	totalConns int64
 	dropped    int
+	badLines   int64
 	ops        int64
 	verdicts   int64
 	events     int64
@@ -311,6 +312,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	s.mu.Lock()
 	if perr != nil {
+		s.badLines++
 		s.push(c, Msg{Kind: KindError, Err: perr.Error()})
 	}
 	s.unregister(c)

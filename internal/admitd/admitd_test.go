@@ -720,6 +720,9 @@ func TestLineFraming(t *testing.T) {
 	verdict()
 	refused(longDec, "longer than")
 	verdict()
+	if st := barrier(t, healthy); st.BadLines != 1 {
+		t.Fatalf("after the over-long line: %d bad lines, want 1", st.BadLines)
+	}
 
 	bad, _ := pl.dial(t)
 	badDec := handshake(t, bad)
@@ -730,7 +733,7 @@ func TestLineFraming(t *testing.T) {
 	refused(badDec, "malformed op")
 	verdict()
 
-	if st := barrier(t, healthy); st.Conns != 1 || st.Dropped != 0 {
-		t.Fatalf("after the refusals: %d live conns, %d dropped, want 1 and 0", st.Conns, st.Dropped)
+	if st := barrier(t, healthy); st.Conns != 1 || st.Dropped != 0 || st.BadLines != 2 {
+		t.Fatalf("after the refusals: %d live conns, %d dropped, %d bad lines, want 1, 0 and 2", st.Conns, st.Dropped, st.BadLines)
 	}
 }

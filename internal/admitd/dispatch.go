@@ -259,6 +259,7 @@ func (s *Server) stats() *Stats {
 		Conns:      len(s.conns),
 		TotalConns: s.totalConns,
 		Dropped:    s.dropped,
+		BadLines:   s.badLines,
 		Ops:        s.ops,
 		Verdicts:   s.verdicts,
 		Events:     s.events,

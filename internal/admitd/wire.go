@@ -32,7 +32,7 @@ import "gmfnet/internal/workload"
 //
 // A client line longer than MaxLine, or one that does not decode, is
 // answered with one "error" message carrying no ID, and the connection
-// is closed.
+// is closed; Stats.BadLines counts them.
 
 // ProtocolVersion is the wire protocol version spoken by this package;
 // Hello.V must match exactly.
@@ -117,6 +117,9 @@ type Stats struct {
 	Ops        int64 `json:"ops"`         // operations dispatched
 	Verdicts   int64 `json:"verdicts"`    // verdict/stats/error replies sent
 	Events     int64 `json:"events"`      // subscription events sent
+	// BadLines counts op lines refused as over-long or malformed; each
+	// was answered with an error that closed its connection.
+	BadLines int64 `json:"bad_lines,omitempty"`
 
 	// PerConn lists the live connections in accept order.
 	PerConn []ConnStats `json:"per_conn,omitempty"`

@@ -124,6 +124,9 @@ func (a *Analyzer) resetDemands() {
 //   - a per-(flow, stage) cache of max-over-frames entry jitter (the
 //     extra_j term), kept incrementally valid under writes;
 //   - the changed-flow worklist driving the engine's delta iteration;
+//   - the engine's stage memo (see Engine): per slot, the stage response
+//     last computed there and the clock value it was computed at, plus
+//     a change stamp per link group;
 //   - an optional undo journal of (offset, old value) pairs, which makes
 //     engine snapshots O(1) and restores O(writes since the snapshot)
 //     instead of a deep copy of the whole assignment.
@@ -148,6 +151,20 @@ type jitterState struct {
 	// extraValid[e] says whether the cache reflects the arena.
 	extraMax   []units.Time
 	extraValid []bool
+
+	// memo is the stage memo, parallel to arena (see memoSlot).
+	// lastChange[g] is the clock value of the last change on link group
+	// g (a link resource id, see flowBlock.group). now is the next clock
+	// value, strictly above every recorded change; a memo entry is void
+	// unless its stamp is above both lastChange of its group and floor,
+	// which undoTo raises to void every entry at once. Only the engine
+	// reads the memo; every state keeps it aligned with the arena.
+	memo       []memoSlot
+	lastChange []uint64
+	now, floor uint64
+	// served/evaluated count stage evaluations answered from the memo
+	// and computed afresh (tests read them).
+	served, evaluated int
 
 	changed bool
 	// changedMark/changedList record which flows' jitters changed since
@@ -181,6 +198,13 @@ type structUndo struct {
 	block flowBlock
 }
 
+// memoSlot is one arena slot's stage memo: the stage response last
+// computed there and the clock value it was computed at (zero: never).
+type memoSlot struct {
+	r  units.Time
+	at uint64
+}
+
 // flowBlock locates one flow's slots inside the arena.
 type flowBlock struct {
 	base  int32 // arena offset of stage 0, frame 0
@@ -188,6 +212,12 @@ type flowBlock struct {
 	n     int32 // frames per stage
 	rids  []network.ResourceID
 }
+
+// group returns the link group of stage pos: the resource at pos for a
+// link stage (first hop or egress), and for an in(N) stage the link it
+// is reached over, at pos-1 — the ingress stage reads FlowsOn of that
+// link, the same flows as the link stage.
+func (b *flowBlock) group(pos int) network.ResourceID { return b.rids[pos&^1] }
 
 type undoEntry struct {
 	off  int32
@@ -217,13 +247,9 @@ func newJitterState(nw *network.Network) *jitterState {
 // order matches Network.FlowResources, which interns the same pipeline as
 // dense ids.
 func flowResources(fs *network.FlowSpec) []Resource {
-	route := fs.Route
-	out := []Resource{{Kind: KindLink, Node: route[0], To: route[1]}}
-	for h := 1; h < len(route)-1; h++ {
-		out = append(out,
-			Resource{Kind: KindIngress, Node: route[h], To: route[h-1]},
-			Resource{Kind: KindLink, Node: route[h], To: route[h+1]},
-		)
+	out := make([]Resource, 1+2*(len(fs.Route)-2))
+	for pos := range out {
+		out[pos] = stageResource(fs.Route, pos)
 	}
 	return out
 }
@@ -244,6 +270,13 @@ func (js *jitterState) addFlow(j int, fs *network.FlowSpec, rids []network.Resou
 	}
 	js.blocks = append(js.blocks, b)
 	js.arena = append(js.arena, make([]units.Time, len(rids)*n)...)
+	js.memo = append(js.memo, make([]memoSlot, len(rids)*n)...)
+	groups := len(js.lastChange)
+	for _, g := range rids {
+		groups = max(groups, int(g)+1)
+	}
+	js.lastChange = append(js.lastChange, make([]uint64, groups-len(js.lastChange))...)
+	js.touchFlow(&b)
 	js.extraMax = append(js.extraMax, make([]units.Time, len(rids))...)
 	js.extraValid = append(js.extraValid, make([]bool, len(rids))...)
 	js.changedMark = append(js.changedMark, false)
@@ -286,6 +319,7 @@ func (js *jitterState) set(j, pos, k int, v units.Time) {
 		js.journal = append(js.journal, undoEntry{off: off, eidx: eidx, old: old})
 	}
 	js.arena[off] = v
+	js.touch(b.group(pos))
 	js.changed = true
 	if d := v - old; d > js.maxDelta {
 		js.maxDelta = d
@@ -308,6 +342,71 @@ func (js *jitterState) set(j, pos, k int, v units.Time) {
 func (js *jitterState) get(j, pos, k int) units.Time {
 	b := &js.blocks[j]
 	return js.arena[b.base+int32(pos)*b.n+int32(k)]
+}
+
+// touch records a change on link group g: every memo entry of the
+// group computed before it is void.
+func (js *jitterState) touch(g network.ResourceID) {
+	js.lastChange[g] = js.now
+	js.now++
+}
+
+// touchFlow touches every link group of a pipeline: a flow joining or
+// leaving changes the membership (and so the hep sets and ingress
+// interferers) of each link it crosses.
+func (js *jitterState) touchFlow(b *flowBlock) {
+	for pos := 0; pos < len(b.rids); pos += 2 {
+		js.touch(b.rids[pos])
+	}
+}
+
+// current reports whether the memo entry at arena offset off, a slot of
+// stage pos of b, was computed after the last change on its link group
+// and after the last undo.
+func (js *jitterState) current(b *flowBlock, pos int, off int32) bool {
+	st := js.memo[off].at
+	return st > js.floor && st > js.lastChange[b.group(pos)]
+}
+
+// cached returns the stage response memoized at frame k of stage pos of
+// flow j, if it is current.
+func (js *jitterState) cached(j, pos, k int) (units.Time, bool) {
+	b := &js.blocks[j]
+	off := b.base + int32(pos)*b.n + int32(k)
+	if js.current(b, pos, off) {
+		js.served++
+		return js.memo[off].r, true
+	}
+	js.evaluated++
+	return 0, false
+}
+
+// remember memoizes the response just computed at frame k of stage pos
+// of flow j, stamped with the current clock.
+func (js *jitterState) remember(j, pos, k int, r units.Time) {
+	b := &js.blocks[j]
+	off := b.base + int32(pos)*b.n + int32(k)
+	js.memo[off] = memoSlot{r: r, at: js.now}
+}
+
+// settled reports whether every stage of flow j would be served from
+// the memo. A pass over such a flow changes nothing — every entry
+// jitter it writes is already in place (each one was written from the
+// memoized responses before it, and rewriting one touches its group) —
+// so the engine skips it; its slots count as served.
+func (js *jitterState) settled(j int) bool {
+	b := &js.blocks[j]
+	for pos := range b.rids {
+		lim := max(js.floor, js.lastChange[b.group(pos)])
+		base := b.base + int32(pos)*b.n
+		for _, m := range js.memo[base : base+b.n] {
+			if m.at <= lim {
+				return false
+			}
+		}
+	}
+	js.served += len(b.rids) * int(b.n)
+	return true
 }
 
 // extraAt returns extra_j at stage pos of flow j's own pipeline: the
@@ -367,6 +466,7 @@ func (js *jitterState) resetChanged() {
 func (js *jitterState) coldReset(j int, fs *network.FlowSpec) {
 	b := &js.blocks[j]
 	n := int(b.n)
+	js.touchFlow(b)
 	cold := func(s, k int) units.Time {
 		if s == 0 {
 			return fs.Flow.Frames[k].Jitter
@@ -418,10 +518,13 @@ func (js *jitterState) removeFlow(i int) {
 // under journaled offsets.
 func (js *jitterState) removeFlowReindex(i int) {
 	b := js.blocks[i]
+	js.touchFlow(&b)
 	stages := int32(len(b.rids))
 	slots := stages * b.n
 	copy(js.arena[b.base:], js.arena[b.base+slots:])
 	js.arena = js.arena[:int32(len(js.arena))-slots]
+	copy(js.memo[b.base:], js.memo[b.base+slots:])
+	js.memo = js.memo[:len(js.arena)]
 	copy(js.extraMax[b.ebase:], js.extraMax[b.ebase+stages:])
 	js.extraMax = js.extraMax[:int32(len(js.extraMax))-stages]
 	copy(js.extraValid[b.ebase:], js.extraValid[b.ebase+stages:])
@@ -442,6 +545,7 @@ func (js *jitterState) removeFlowReindex(i int) {
 // compaction once the journal is resolved.
 func (js *jitterState) tombstoneFlow(i int) {
 	b := js.blocks[i]
+	js.touchFlow(&b)
 	js.structJournal = append(js.structJournal, structUndo{index: i, block: b})
 	js.tombs = append(js.tombs, b)
 	js.blocks = append(js.blocks[:i], js.blocks[i+1:]...)
@@ -497,12 +601,14 @@ func (js *jitterState) compactTombs() {
 			eend = js.tombs[t+1].ebase
 		}
 		copy(js.arena[dst:], js.arena[src:end])
+		copy(js.memo[dst:], js.memo[src:end])
 		dst += end - src
 		copy(js.extraMax[edst:], js.extraMax[esrc:eend])
 		copy(js.extraValid[edst:], js.extraValid[esrc:eend])
 		edst += eend - esrc
 	}
 	js.arena = js.arena[:dst]
+	js.memo = js.memo[:dst]
 	js.extraMax = js.extraMax[:edst]
 	js.extraValid = js.extraValid[:edst]
 	for j := range js.blocks {
@@ -555,9 +661,13 @@ func (js *jitterState) endJournal() {
 // re-insertions every flow alive at the snapshot sits at its original
 // index and every post-snapshot addition at the tail, so the final
 // truncation to the mark restores the snapshot layout bit-identically.
-// Cost is proportional to the writes and removals since beginJournal,
-// plus a changed-mark wipe, not to the arena size.
+// Raising the memo floor voids every memo entry in O(1): the replay
+// moves jitters and membership without touching their groups. Cost is
+// proportional to the writes and removals since beginJournal, plus a
+// changed-mark wipe, not to the arena size.
 func (js *jitterState) undoTo(m jitterMark) {
+	js.floor = js.now
+	js.now++
 	for i := len(js.journal) - 1; i >= 0; i-- {
 		e := js.journal[i]
 		js.arena[e.off] = e.old
@@ -574,6 +684,7 @@ func (js *jitterState) undoTo(m jitterMark) {
 	js.structJournal = js.structJournal[:0]
 	js.tombs = js.tombs[:0]
 	js.arena = js.arena[:m.arenaLen]
+	js.memo = js.memo[:m.arenaLen]
 	js.extraMax = js.extraMax[:m.eLen]
 	js.extraValid = js.extraValid[:m.eLen]
 	js.blocks = js.blocks[:m.numFlows]
@@ -588,13 +699,16 @@ func (js *jitterState) undoTo(m jitterMark) {
 	js.changed = false
 }
 
-// clone deep-copies the state (journal excluded). The undo-log restore
-// path replaced it in the engine; it remains the oracle for differential
-// tests asserting that undo rollback is bit-identical to a deep copy.
+// clone deep-copies the state, without its journal and with an empty
+// memo. The undo-log restore path replaced it in the engine; it remains
+// the oracle for differential tests asserting that undo rollback is
+// bit-identical to a deep copy.
 func (js *jitterState) clone() *jitterState {
 	out := &jitterState{
 		blocks:      make([]flowBlock, len(js.blocks)),
 		arena:       append([]units.Time(nil), js.arena...),
+		memo:        make([]memoSlot, len(js.arena)),
+		lastChange:  make([]uint64, len(js.lastChange)),
 		extraMax:    append([]units.Time(nil), js.extraMax...),
 		extraValid:  append([]bool(nil), js.extraValid...),
 		changed:     js.changed,

@@ -444,53 +444,7 @@ func FuzzWarmDeparture(f *testing.F) {
 		if len(data) > 48 {
 			data = data[:48]
 		}
-		ring := data[0]%2 == 1
-		var (
-			topo  *network.Topology
-			hosts []network.NodeID
-			err   error
-		)
-		if ring {
-			topo, hosts, err = network.Ring(6, 2)
-		} else {
-			topo, hosts, err = network.ClosTenant(2, 3, 2)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rand.New(rand.NewSource(int64(len(data))))
-		route := func() []network.NodeID {
-			for {
-				src, dst := hosts[r.Intn(len(hosts))], hosts[r.Intn(len(hosts))]
-				if src == dst {
-					continue
-				}
-				if !ring {
-					rt, err := topo.Route(src, dst)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return rt
-				}
-				// A ring walk of random direction and length from
-				// src's switch to dst's.
-				var s, d int
-				fmt.Sscanf(string(src), "h%d_", &s)
-				fmt.Sscanf(string(dst), "h%d_", &d)
-				dir := 1
-				if r.Intn(2) == 0 {
-					dir = -1
-				}
-				rt := []network.NodeID{src}
-				for at := s; ; at = (at + dir + 6) % 6 {
-					rt = append(rt, network.NodeID(fmt.Sprintf("sw%d", at)))
-					if at == d {
-						break
-					}
-				}
-				return append(rt, dst)
-			}
-		}
+		topo, route := fuzzRouter(t, data[0]%2 == 1, rand.New(rand.NewSource(int64(len(data)))))
 		eng, err := NewEngine(network.New(topo), Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -532,6 +486,58 @@ func FuzzWarmDeparture(f *testing.F) {
 		}
 		checkCold(t, "final", eng)
 	})
+}
+
+// fuzzRouter returns the fuzz targets' topology and a route generator
+// drawing from r: cross-leaf and local shortest paths on a small
+// feed-forward Clos, or on a ring of six switches walks of random
+// direction and length from the source's switch to the destination's,
+// so resource cycles come and go.
+func fuzzRouter(t *testing.T, ring bool, r *rand.Rand) (*network.Topology, func() []network.NodeID) {
+	t.Helper()
+	var (
+		topo  *network.Topology
+		hosts []network.NodeID
+		err   error
+	)
+	if ring {
+		topo, hosts, err = network.Ring(6, 2)
+	} else {
+		topo, hosts, err = network.ClosTenant(2, 3, 2)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo, func() []network.NodeID {
+		for {
+			src, dst := hosts[r.Intn(len(hosts))], hosts[r.Intn(len(hosts))]
+			if src == dst {
+				continue
+			}
+			if !ring {
+				rt, err := topo.Route(src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rt
+			}
+			var s, d int
+			fmt.Sscanf(string(src), "h%d_", &s)
+			fmt.Sscanf(string(dst), "h%d_", &d)
+			dir := 1
+			if r.Intn(2) == 0 {
+				dir = -1
+			}
+			rt := []network.NodeID{src}
+			for at := s; ; at = (at + dir + 6) % 6 {
+				rt = append(rt, network.NodeID(fmt.Sprintf("sw%d", at)))
+				if at == d {
+					break
+				}
+			}
+			return append(rt, dst)
+		}
+	}
 }
 
 // bigClosure builds a converged engine holding one feed-forward
@@ -582,10 +588,12 @@ func bigClosure(t *testing.T, n int) *Engine {
 // 240-flow closure of bigClosure. What remains is two allocations per
 // re-analysed flow (its frame results and their stage arena, which
 // become the published header) and a constant few for the worklist; the
-// departed flow's closure is never collected into a map. Measured 561
-// on the reference fixture; the cold-reset path it replaced (closure
-// map, seed map, full re-ascent of the closure) measured 953.
-const departureAllocBudget = 640
+// departed flow's closure is never collected into a map, and a flow the
+// stage memo settles entirely is skipped without either. Measured 505
+// on the reference fixture (561 before the stage memo); the cold-reset
+// path it replaced (closure map, seed map, full re-ascent of the
+// closure) measured 953.
+const departureAllocBudget = 580
 
 // TestDepartureAllocs pins the allocation count of a departure and the
 // Refresh that converges it, on a ~200-flow feed-forward closure.

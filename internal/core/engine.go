@@ -10,7 +10,7 @@ import (
 // Engine is a persistent, warm-startable analysis engine for online
 // admission control. Where Analyzer is a one-shot object that starts the
 // holistic iteration of Section 3.5 cold on every call, an Engine lives
-// across a stream of requests and keeps three pieces of state warm:
+// across a stream of requests and keeps four pieces of state warm:
 //
 //   - the per-flow demand cache, so packetisation (eq. 1) and the
 //     request-bound tables are computed once per flow, not once per call;
@@ -24,7 +24,25 @@ import (
 //   - the network's resource→flows interference index, so a change to one
 //     flow re-analyses only the flows whose pipelines transitively share a
 //     resource with it, falling back to a full pass when the affected
-//     set is the whole network.
+//     set is the whole network;
+//   - a stage memo beside the jitter arena: per (flow, stage, frame) slot,
+//     the stage response and the clock value it was computed at. A stage
+//     is a fixpoint over one directed link, its link group: the link
+//     itself for a first-hop or egress stage, the link it is reached
+//     over for an in(N) stage, which reads the same flows. Its response
+//     is a pure function of the flows on that link (their priorities and
+//     demands are fixed per flow), their entry jitters at the stage's
+//     resource, the flow's own entry jitters there and topology
+//     constants (rate, propagation, CIRC). Every change to one of these
+//     stamps the group: a jitter write that moves a value, a cold reset
+//     of a flow, and a flow joining or leaving (every link group of its
+//     pipeline). A memo entry newer than its group's stamp therefore
+//     holds exactly the bits a recomputation would return, and a pass
+//     serves it instead; a worklist flow whose every entry is current is
+//     skipped outright, since its pass would write nothing new. Restore
+//     voids the whole memo in O(1) by raising a floor, and a block
+//     adopted from another engine starts with an empty memo. The cold
+//     Analyzer keeps no memo, so it stays an independent referee.
 //
 // Results are published copy-on-read: the engine keeps one live slice of
 // per-flow result headers, stamps each header with the generation that
@@ -365,7 +383,9 @@ func (e *Engine) convergeFull() bool {
 // only flows whose inputs moved. A flow whose interferers' jitters are all
 // unchanged recomputes to its previous result, so skipping it is exact:
 // the iteration converges to the same least fixpoint as a full sweep over
-// every flow, while touching only the actual propagation front.
+// every flow, while touching only the actual propagation front. Within a
+// round, a flow whose every stage the memo serves is skipped too: its
+// pass would write nothing new.
 //
 // Every header it rewrites goes through the engine's write barrier, so
 // retained ResultViews keep their pre-analysis values and the cost per
@@ -390,7 +410,10 @@ func (e *Engine) analyzeOver(work []int) bool {
 		sweeps++
 		e.js.resetChanged()
 		for _, i := range work {
-			fr := e.an.flowPass(i, e.js)
+			if e.js.settled(i) {
+				continue // its pass would rewrite every slot and header byte-identically
+			}
+			fr := e.an.flowPass(i, e.js, true)
 			e.setHeader(i, fr, true)
 			if fr.Err != nil {
 				// An overloaded or diverging stage dooms the whole

@@ -3,13 +3,18 @@ package core
 import (
 	"fmt"
 
+	"gmfnet/internal/network"
 	"gmfnet/internal/units"
 )
 
 // flowPass runs Figure 6 for one flow: it walks the route, analyses each
 // stage with the current jitter state, accumulates RSUM/JSUM, and records
-// the flow's new entry jitters for the next holistic iteration.
-func (a *Analyzer) flowPass(i int, js *jitterState) FlowResult {
+// the flow's new entry jitters for the next holistic iteration. With memo
+// set (the engine's warm passes) a stage whose link group is unchanged
+// since it was last computed is served from the jitter state's stage
+// memo instead of being re-evaluated; the cold Analyzer passes false and
+// evaluates every stage.
+func (a *Analyzer) flowPass(i int, js *jitterState, memo bool) FlowResult {
 	fs := a.nw.Flow(i)
 	n := fs.Flow.N()
 	route := fs.Route
@@ -26,52 +31,34 @@ func (a *Analyzer) flowPass(i int, js *jitterState) FlowResult {
 	// which is what keeps the per-frame views alive.
 	spf := 1 + 2*(len(route)-2)
 	arena := make([]StageResult, 0, n*spf)
-	var rsum, jsum units.Time
-	record := func(res Resource, r units.Time) {
-		arena = append(arena, StageResult{Resource: res, Response: r, EntryJitter: jsum})
-		rsum = units.SaturatingAdd(rsum, r)
-		jsum = units.SaturatingAdd(jsum, r)
-	}
 	for k := 0; k < n; k++ {
 		// Figure 6, line 3: both sums start at the source jitter.
-		rsum = fs.Flow.Frames[k].Jitter
-		jsum = rsum
+		rsum := fs.Flow.Frames[k].Jitter
+		jsum := rsum
 		base := len(arena)
-
-		// First hop (lines 7-11). Stage positions follow the pipeline
-		// layout shared with network.FlowResources: 0 is the first hop,
-		// 2h-1 the ingress of route node h, 2h its egress.
-		first := Resource{Kind: KindLink, Node: route[0], To: route[1]}
-		js.set(i, 0, k, jsum)
-		r, err := a.firstHop(i, k, js)
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		record(first, r)
-
-		// Each intermediate switch: in(N) then link(N, next)
-		// (lines 13-19).
-		for h := 1; h < len(route)-1; h++ {
-			resIn := Resource{Kind: KindIngress, Node: route[h], To: route[h-1]}
-			js.set(i, 2*h-1, k, jsum)
-			r, err = a.ingress(i, k, h, js)
-			if err != nil {
-				out.Err = err
-				return out
+		// First hop (lines 7-11), then in(N) and link(N, next) for each
+		// intermediate switch (lines 13-19), in the pipeline layout
+		// shared with network.FlowResources.
+		for pos := 0; pos < spf; pos++ {
+			js.set(i, pos, k, jsum)
+			r, hit := units.Time(0), false
+			if memo {
+				r, hit = js.cached(i, pos, k)
 			}
-			record(resIn, r)
-
-			resOut := Resource{Kind: KindLink, Node: route[h], To: route[h+1]}
-			js.set(i, 2*h, k, jsum)
-			r, err = a.egress(i, k, h, js)
-			if err != nil {
-				out.Err = err
-				return out
+			if !hit {
+				var err error
+				if r, err = a.stage(i, k, pos, js); err != nil {
+					out.Err = err
+					return out
+				}
+				if memo {
+					js.remember(i, pos, k, r)
+				}
 			}
-			record(resOut, r)
+			arena = append(arena, StageResult{Resource: stageResource(route, pos), Response: r, EntryJitter: jsum})
+			rsum = units.SaturatingAdd(rsum, r)
+			jsum = units.SaturatingAdd(jsum, r)
 		}
-
 		out.Frames[k] = FrameResult{
 			Response: rsum,
 			Deadline: fs.Flow.Frames[k].Deadline,
@@ -79,6 +66,29 @@ func (a *Analyzer) flowPass(i int, js *jitterState) FlowResult {
 		}
 	}
 	return out
+}
+
+// stage evaluates frame k of flow i at pipeline stage pos: 0 is the
+// first hop, 2h-1 the ingress of route node h, 2h its egress.
+func (a *Analyzer) stage(i, k, pos int, js *jitterState) (units.Time, error) {
+	switch h := (pos + 1) / 2; {
+	case pos == 0:
+		return a.firstHop(i, k, js)
+	case pos%2 == 1:
+		return a.ingress(i, k, h, js)
+	default:
+		return a.egress(i, k, h, js)
+	}
+}
+
+// stageResource returns the resource of pipeline stage pos on route, in
+// the layout of stage.
+func stageResource(route []network.NodeID, pos int) Resource {
+	h := (pos + 1) / 2
+	if pos%2 == 1 {
+		return Resource{Kind: KindIngress, Node: route[h], To: route[h-1]}
+	}
+	return Resource{Kind: KindLink, Node: route[h], To: route[h+1]}
 }
 
 // Analyze runs the holistic analysis of Section 3.5: starting from source
@@ -99,7 +109,7 @@ func (a *Analyzer) Analyze() (*Result, error) {
 		js.resetChanged()
 		flows := make([]FlowResult, a.nw.NumFlows())
 		for i := range flows {
-			flows[i] = a.flowPass(i, js)
+			flows[i] = a.flowPass(i, js, false)
 			if flows[i].Err != nil {
 				// An overloaded or diverging stage dooms the whole
 				// configuration: report what we have.
@@ -136,7 +146,7 @@ func (a *Analyzer) AnalyzeFlow(i int) (FlowResult, error) {
 		return FlowResult{}, errIndex(i, a.nw.NumFlows())
 	}
 	js := newJitterState(a.nw)
-	fr := a.flowPass(i, js)
+	fr := a.flowPass(i, js, false)
 	return fr, nil
 }
 

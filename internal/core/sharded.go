@@ -652,12 +652,14 @@ func (e *Engine) adoptFlow(src *Engine, j int) error {
 // block with src flow j's values. The two blocks describe the same
 // flow, so their shapes — frames per stage and pipeline length —
 // match; resource ids may differ between the engines' networks, but
-// stage positions are route-ordered in both.
+// stage positions are route-ordered in both. The block's memo stamps
+// are cleared: they were counted on src's clock.
 func copyJitterBlock(dst *jitterState, i int, src *jitterState, j int) {
 	db, sb := &dst.blocks[i], &src.blocks[j]
 	stages := len(db.rids)
 	slots := int32(stages) * db.n
 	copy(dst.arena[db.base:db.base+slots], src.arena[sb.base:sb.base+slots])
+	clear(dst.memo[db.base : db.base+slots])
 	copy(dst.extraMax[db.ebase:int(db.ebase)+stages], src.extraMax[sb.ebase:int(sb.ebase)+stages])
 	copy(dst.extraValid[db.ebase:int(db.ebase)+stages], src.extraValid[sb.ebase:int(sb.ebase)+stages])
 }

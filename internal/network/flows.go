@@ -75,8 +75,11 @@ type Network struct {
 	// (from, to) the ascending indices of the flows whose route uses it.
 	// AddFlow and RemoveFlow maintain it, so FlowsOn and Interferers are
 	// lookups rather than scans — the analysis inner loops and the
-	// incremental engine's affected-set computation depend on that.
-	onLink map[[2]NodeID][]int
+	// incremental engine's affected-set computation depend on that. It
+	// is a dense slice indexed by the link's interned ResourceID (an
+	// ingress id's entry stays empty), so resIDs maps a link to its
+	// slot and the index shift of a departure walks one slice.
+	onLink [][]int
 
 	// resIDs/resKeys intern every pipeline resource a flow has ever used
 	// into a dense ResourceID (see resources.go); flowRes holds each
@@ -99,7 +102,6 @@ type Network struct {
 func New(topo *Topology) *Network {
 	return &Network{
 		Topo:   topo,
-		onLink: make(map[[2]NodeID][]int),
 		resIDs: make(map[resourceKey]ResourceID),
 	}
 }
@@ -133,12 +135,12 @@ func (nw *Network) AddFlow(fs *FlowSpec) (int, error) {
 	}
 	nw.flows = append(nw.flows, fs)
 	i := len(nw.flows) - 1
-	for h := 0; h < len(fs.Route)-1; h++ {
-		key := [2]NodeID{fs.Route[h], fs.Route[h+1]}
-		nw.onLink[key] = append(nw.onLink[key], i)
-	}
 	rids := nw.internFlowResources(fs)
 	nw.flowRes = append(nw.flowRes, rids)
+	nw.growLinkIndex()
+	for h := 0; h < len(rids); h += 2 {
+		nw.onLink[rids[h]] = append(nw.onLink[rids[h]], i)
+	}
 	nw.closureAddPipeline(rids)
 	nw.pipeAddPipeline(rids)
 	return i, nil
@@ -149,30 +151,26 @@ func (nw *Network) AddFlow(fs *FlowSpec) (int, error) {
 // Removing an out-of-range index is a no-op so that rollback paths can
 // call it unconditionally. Removing the last flow — the admission
 // rollback case — costs O(route length); removing a middle flow
-// additionally walks the index once to shift the higher indices down.
+// additionally walks the dense link index once to shift the higher
+// indices down.
 func (nw *Network) RemoveFlow(i int) {
 	if i < 0 || i >= len(nw.flows) {
 		return
 	}
+	rids := nw.flowRes[i]
 	nw.closureRemove()
-	nw.pipeRemovePipeline(nw.flowRes[i])
-	fs := nw.flows[i]
+	nw.pipeRemovePipeline(rids)
 	nw.flows = append(nw.flows[:i], nw.flows[i+1:]...)
 	nw.flowRes = append(nw.flowRes[:i], nw.flowRes[i+1:]...)
-	for h := 0; h < len(fs.Route)-1; h++ {
-		key := [2]NodeID{fs.Route[h], fs.Route[h+1]}
-		s := nw.onLink[key]
+	for h := 0; h < len(rids); h += 2 {
+		s := nw.onLink[rids[h]]
 		for k, j := range s {
 			if j == i {
 				s = append(s[:k], s[k+1:]...)
 				break
 			}
 		}
-		if len(s) == 0 {
-			delete(nw.onLink, key)
-		} else {
-			nw.onLink[key] = s
-		}
+		nw.onLink[rids[h]] = s
 	}
 	if i == len(nw.flows) {
 		return // tail removal: no indices shift
@@ -219,19 +217,29 @@ func (nw *Network) InsertFlowAt(i int, fs *FlowSpec) error {
 	nw.flows[i] = fs
 	nw.flowRes = append(nw.flowRes, nil)
 	copy(nw.flowRes[i+1:], nw.flowRes[i:])
-	nw.flowRes[i] = nw.internFlowResources(fs)
-	nw.closureAddPipeline(nw.flowRes[i])
-	nw.pipeAddPipeline(nw.flowRes[i])
-	for h := 0; h < len(fs.Route)-1; h++ {
-		key := [2]NodeID{fs.Route[h], fs.Route[h+1]}
-		s := nw.onLink[key]
+	rids := nw.internFlowResources(fs)
+	nw.flowRes[i] = rids
+	nw.closureAddPipeline(rids)
+	nw.pipeAddPipeline(rids)
+	nw.growLinkIndex()
+	for h := 0; h < len(rids); h += 2 {
+		s := nw.onLink[rids[h]]
 		at := sort.SearchInts(s, i)
 		s = append(s, 0)
 		copy(s[at+1:], s[at:])
 		s[at] = i
-		nw.onLink[key] = s
+		nw.onLink[rids[h]] = s
 	}
 	return nil
+}
+
+// growLinkIndex gives every interned resource an onLink entry. A flow's
+// links sit at the even positions of its pipeline (see
+// internFlowResources).
+func (nw *Network) growLinkIndex() {
+	if n := len(nw.resKeys); n > len(nw.onLink) {
+		nw.onLink = append(nw.onLink, make([][]int, n-len(nw.onLink))...)
+	}
 }
 
 // Flows returns the registered flow specs in admission order. The slice is
@@ -248,7 +256,10 @@ func (nw *Network) Flow(i int) *FlowSpec { return nw.flows[i] }
 // directed link from->to, sorted ascending. The returned slice is backed
 // by the network's link index; callers must not mutate it.
 func (nw *Network) FlowsOn(from, to NodeID) []int {
-	return nw.onLink[[2]NodeID{from, to}]
+	if id, ok := nw.LinkResourceID(from, to); ok {
+		return nw.onLink[id]
+	}
+	return nil
 }
 
 // HEP returns hep(τi,N1,N2) per eq. (2): the indices of flows j != i on

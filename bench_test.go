@@ -262,12 +262,12 @@ func admissionProbe(i int) *network.FlowSpec {
 }
 
 // BenchmarkAdmissionIncremental64 measures one admission + departure
-// cycle through the engine-backed controller at a 64-flow steady state:
+// cycle through the sharded controller at a 64-flow steady state:
 // snapshot, validate the newcomer only, delta-analyse its interference
 // neighbourhood, and (for the departure) re-converge the affected flows.
 func BenchmarkAdmissionIncremental64(b *testing.B) {
 	topo, specs := admissionBenchSetup(b, 8, 4, 64)
-	ctl, err := admission.NewController(network.New(topo), core.Config{})
+	ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,16 +343,16 @@ func benchAdmitCycle(b *testing.B, ctl interface {
 }
 
 // BenchmarkAdmissionIncremental256 scales the admission cycle to a
-// 256-flow steady state on a 16-switch industrial ring. With the arena
-// engine a probe costs the O(1) snapshot plus the delta analysis of its
-// local neighbourhood; the total resident count enters only through the
-// departure's index shift, not through any per-request copy.
+// 256-flow steady state on a 16-switch industrial ring, through the
+// sharded controller. A probe costs the O(1) snapshot plus the delta
+// analysis of its local neighbourhood; the total resident count enters
+// no per-request copy.
 func BenchmarkAdmissionIncremental256(b *testing.B) {
 	topo, hosts, err := network.Ring(16, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctl, err := admission.NewController(network.New(topo), core.Config{})
+	ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -375,17 +375,17 @@ func BenchmarkAdmissionCold256(b *testing.B) {
 }
 
 // BenchmarkAdmissionSequential256 admits 256 VoIP flows one by one
-// through RequestAll on the 16-switch industrial ring: 256 snapshots,
-// 256 delta worklists, 256 detached result copies. It is the baseline
-// the batched path is measured against.
+// through the sharded controller's RequestAll on the 16-switch
+// industrial ring: 256 snapshots and 256 delta worklists. It is the
+// baseline the batched path is measured against.
 func BenchmarkAdmissionSequential256(b *testing.B) {
 	benchBatchAdmission(b, false)
 }
 
 // BenchmarkAdmissionBatch256 admits the identical 256 flows as one
-// RequestBatch: one snapshot, one delta worklist seeded with every
-// newcomer, one converged fixpoint, one result copy. The worklist setup
-// and result-copy overhead amortise across the whole batch.
+// RequestBatch: per interference group one snapshot, one delta worklist
+// seeded with every newcomer and one converged fixpoint. The worklist
+// setup amortises across each group.
 func BenchmarkAdmissionBatch256(b *testing.B) {
 	benchBatchAdmission(b, true)
 }
@@ -402,7 +402,7 @@ func benchBatchAdmission(b *testing.B, batched bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctl, err := admission.NewController(network.New(topo), core.Config{})
+		ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,35 +423,22 @@ func benchBatchAdmission(b *testing.B, batched bool) {
 	}
 }
 
-// BenchmarkAdmissionFatTreeBatch256 / BenchmarkAdmissionSharded256 are
-// the mid-scale contended pair: the same 256-flow batch (~6% heavy
-// video, forcing evictions) into an empty 4-ary fat tree, decided
-// monolithically vs closure-sharded. (BenchmarkAdmissionBatch256 stays
-// the uncontended monolithic reference on the one-closure ring, where
-// sharding cannot help by construction.)
-func BenchmarkAdmissionFatTreeBatch256(b *testing.B) {
-	topo, hosts, err := network.FatTree(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBatchInto(b, topo, contendedSpecs(b, topo, hosts, 256), false)
-}
-
-// BenchmarkAdmissionSharded256 is the sharded side of the mid-scale
-// contended pair; see BenchmarkAdmissionFatTreeBatch256.
+// BenchmarkAdmissionSharded256 is the mid-scale contended batch: a
+// 256-flow batch (~6% heavy video, forcing evictions) into an empty
+// 4-ary fat tree. (BenchmarkAdmissionBatch256 stays the uncontended
+// reference on the one-closure ring.)
 func BenchmarkAdmissionSharded256(b *testing.B) {
 	topo, hosts, err := network.FatTree(4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchBatchInto(b, topo, contendedSpecs(b, topo, hosts, 256), true)
+	benchBatchInto(b, topo, contendedSpecs(b, topo, hosts, 256))
 }
 
 // contendedSpecs builds n edge-local flows like residentSpecs but makes
 // every 16th a ~67 Mbit/s CBR stream, so edge links overload and the
 // batch exercises the eviction path — the realistic contended-admission
-// case, and the one where batch cost structure differs most between the
-// monolithic and the sharded controller.
+// case.
 func contendedSpecs(b *testing.B, topo *network.Topology, hosts []network.NodeID, n int) []*network.FlowSpec {
 	b.Helper()
 	specs := residentSpecs(b, topo, hosts, 4, n)
@@ -465,63 +452,34 @@ func contendedSpecs(b *testing.B, topo *network.Topology, hosts []network.NodeID
 	return specs
 }
 
-// BenchmarkAdmissionBatch1024 admits a contended 1024-flow batch (~6%
-// heavy video, forcing evictions) into an empty 8-ary fat tree as one
-// monolithic RequestBatch: the eviction search bisects for schedulable
-// prefixes of the *whole* staged batch, so every probe pays add/remove
-// churn and re-convergence across all 128 closures.
-func BenchmarkAdmissionBatch1024(b *testing.B) {
-	benchFatTreeBatch(b, false)
-}
-
-// BenchmarkAdmissionSharded1024 admits the identical contended batch
+// BenchmarkAdmissionSharded1024 admits a contended 1024-flow batch
+// (~6% heavy video, forcing evictions) into an empty 8-ary fat tree
 // through the closure-sharded controller. The batch splits into 128
 // independent groups (one per interference closure), so the eviction
 // bisection runs inside 8-flow groups — and closures without violators
-// never probe at all. Decisions are identical to the monolithic path
-// (differential-tested); the win is the scoped eviction search, on any
-// core count, since the groups are decided one after another.
+// never probe at all.
 func BenchmarkAdmissionSharded1024(b *testing.B) {
-	benchFatTreeBatch(b, true)
-}
-
-// benchFatTreeBatch measures admitting the contended 1024-flow batch
-// into an empty 8-ary fat tree, monolithic or sharded, one full batch
-// per iteration.
-func benchFatTreeBatch(b *testing.B, sharded bool) {
-	b.Helper()
 	topo, hosts, err := network.FatTree(8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchBatchInto(b, topo, contendedSpecs(b, topo, hosts, 1024), sharded)
+	benchBatchInto(b, topo, contendedSpecs(b, topo, hosts, 1024))
 }
 
 // benchBatchInto drives one RequestBatch of the specs into an empty
-// controller per iteration, monolithic or sharded, and reports the
-// rejection count (identical across both controllers by construction;
-// zero rejections would mean the eviction path went unexercised).
-func benchBatchInto(b *testing.B, topo *network.Topology, specs []*network.FlowSpec, sharded bool) {
+// sharded controller per iteration and reports the rejection count
+// (zero rejections would mean the eviction path went unexercised).
+func benchBatchInto(b *testing.B, topo *network.Topology, specs []*network.FlowSpec) {
 	b.Helper()
 	b.ReportAllocs()
 	rejected := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ds []admission.Decision
-		var err error
-		if sharded {
-			var ctl *admission.ShardedController
-			ctl, err = admission.NewShardedController(network.New(topo), core.Config{})
-			if err == nil {
-				ds, err = ctl.RequestBatch(specs)
-			}
-		} else {
-			var ctl *admission.Controller
-			ctl, err = admission.NewController(network.New(topo), core.Config{})
-			if err == nil {
-				ds, err = ctl.RequestBatch(specs)
-			}
+		ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
+		if err != nil {
+			b.Fatal(err)
 		}
+		ds, err := ctl.RequestBatch(specs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -538,13 +496,12 @@ func benchBatchInto(b *testing.B, topo *network.Topology, specs []*network.FlowS
 	b.ReportMetric(float64(rejected), "rejected")
 }
 
-// BenchmarkAdmissionShardedCycle1024 is the sharded counterpart of
-// BenchmarkAdmissionIncremental1024: one admission + departure cycle at
-// a 1024-flow steady state on the 8-ary fat tree. The probe's decision
-// and the departure touch only the probe's ~8-flow shard — snapshot,
-// delta analysis, result copy and index bookkeeping all scale with the
-// closure, not with the 1024 residents (the monolithic engine's
-// detached result copy alone is O(flows) per request).
+// BenchmarkAdmissionShardedCycle1024 is one admission + departure cycle
+// at a 1024-flow steady state on the 8-ary fat tree, with the probe
+// inside one resident closure. The probe's decision and the departure
+// touch only the probe's ~8-flow shard — snapshot, delta analysis and
+// index bookkeeping all scale with the closure, not with the 1024
+// residents.
 func BenchmarkAdmissionShardedCycle1024(b *testing.B) {
 	topo, hosts, err := network.FatTree(8)
 	if err != nil {
@@ -568,15 +525,17 @@ func BenchmarkAdmissionShardedCycle1024(b *testing.B) {
 	benchAdmitCycle(b, ctl, residentSpecs(b, topo, hosts, 4, 1024), probe)
 }
 
-// BenchmarkAdmissionIncremental1024 pushes the steady state to 1024 flows
-// on an 8-ary fat tree (128 hosts, 80 switches) — the scale where the
-// pre-arena engine's per-request deep-copy snapshot dominated.
+// BenchmarkAdmissionIncremental1024 is the 1024-flow fat-tree cycle of
+// BenchmarkAdmissionShardedCycle1024 with a probe (h0_0_0 -> h0_0_2)
+// whose pipeline bridges two resident closures: the first request
+// fuses their shards and, re-splitting being off the hot path, every
+// later cycle runs in the fused two-closure shard.
 func BenchmarkAdmissionIncremental1024(b *testing.B) {
 	topo, hosts, err := network.FatTree(8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctl, err := admission.NewController(network.New(topo), core.Config{})
+	ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -591,28 +550,27 @@ func BenchmarkAdmissionIncremental1024(b *testing.B) {
 }
 
 // benchRingCycle measures one admission + departure cycle through the
-// monolithic view-based controller at a steady state of `residents`
+// sharded controller at a steady state of `residents`
 // switch-local VoIP flows on a `switches`-switch ring. Four hosts per
 // switch and four residents per host group keep every interference
 // closure at 16 flows regardless of scale, so the pair below varies ONLY
 // the total flow count: an O(affected) cycle stays flat from 1024 to
-// 4096 residents, while any O(flows) per-request cost (the pre-view
-// engine's detached result copy and snapshot header copy, both gone)
-// scales the cycle 4×.
+// 4096 residents, while any O(flows) per-request cost scales the
+// cycle 4×.
 func benchRingCycle(b *testing.B, switches, residents int) {
 	b.Helper()
 	topo, hosts, err := network.Ring(switches, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctl, err := admission.NewController(network.New(topo), core.Config{})
+	ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchAdmitCycle(b, ctl, residentSpecs(b, topo, hosts, 4, residents), admissionProbe)
 }
 
-// BenchmarkAdmissionCycle1024 is the monolithic steady-state cycle at
+// BenchmarkAdmissionCycle1024 is the steady-state cycle at
 // 1024 residents (64-switch ring, 16-flow closures); pair it with
 // BenchmarkAdmissionCycle4096 to read the scaling exponent.
 func BenchmarkAdmissionCycle1024(b *testing.B) { benchRingCycle(b, 64, 1024) }
@@ -640,7 +598,7 @@ func BenchmarkAdmissionVideoMix256(b *testing.B) {
 	admitted := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctl, err := admission.NewController(network.New(topo), core.Config{})
+		ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -671,7 +629,7 @@ func BenchmarkAdmissionSharded4096(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchBatchInto(b, topo, contendedSpecs(b, topo, hosts, 4096), true)
+	benchBatchInto(b, topo, contendedSpecs(b, topo, hosts, 4096))
 }
 
 // figure1Bounds computes the holistic bounds of the shared E3/E5 scenario.

@@ -90,16 +90,13 @@ func TestDaemonTraceGolden(t *testing.T) {
 }
 
 // TestConnectFlagErrors pins the -connect flag guards: the wire replay
-// delegates the controller variant to the daemon, so local engine flags
-// (and stream/record modes) are rejected up front.
+// delegates the controller to the daemon, so local engine flags are
+// rejected up front.
 func TestConnectFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-connect", "127.0.0.1:1"},
 		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-cold"},
-		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-parallel"},
-		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-shards"},
 		{"-connect", "127.0.0.1:1", "-trace", "x.trace", "-stats"},
-		{"-connect", "127.0.0.1:1", "-stream", "5"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -7,6 +7,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gmfnet/internal/admission"
+	"gmfnet/internal/core"
+	"gmfnet/internal/network"
+	"gmfnet/internal/workload"
 )
 
 func TestRunExample(t *testing.T) {
@@ -28,54 +33,110 @@ func TestRunScenarioFile(t *testing.T) {
 	}
 }
 
+// streamTrace is the checked-in campus request trace the golden test
+// pins; the smoke tests below replay it through the command line.
+var streamTrace = filepath.Join("testdata", "stream.trace")
+
 func TestRunStream(t *testing.T) {
-	if err := run([]string{"-stream", "40", "-seed", "3", "-switches", "4", "-hosts", "3"}); err != nil {
-		t.Fatalf("stream mode failed: %v", err)
+	if err := run([]string{"-trace", streamTrace}); err != nil {
+		t.Fatalf("trace replay failed: %v", err)
 	}
 }
 
 func TestRunStreamCold(t *testing.T) {
-	if err := run([]string{"-stream", "10", "-seed", "3", "-switches", "2", "-hosts", "2", "-cold"}); err != nil {
-		t.Fatalf("cold stream mode failed: %v", err)
+	if err := run([]string{"-trace", streamTrace, "-cold"}); err != nil {
+		t.Fatalf("cold trace replay failed: %v", err)
 	}
 }
 
 func TestRunStreamBatch(t *testing.T) {
-	if err := run([]string{"-stream", "40", "-seed", "3", "-switches", "4", "-hosts", "3", "-batch", "8"}); err != nil {
-		t.Fatalf("batched stream mode failed: %v", err)
+	if err := run([]string{"-trace", streamTrace, "-batch", "8"}); err != nil {
+		t.Fatalf("batched trace replay failed: %v", err)
 	}
 }
 
+// synthTrace writes a synthesized request trace to a temporary file
+// and returns its path and operations.
+func synthTrace(t *testing.T, spec workload.TopoSpec, cfg workload.Config) (string, []workload.Op) {
+	t.Helper()
+	h, ops, err := workload.Synthesize(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "synth.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.WriteTrace(f, h, ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, ops
+}
+
+// campusTrace synthesizes a campus trace (switches x hosts) whose heavy
+// flows force rejections.
+func campusTrace(t *testing.T, switches, hosts, requests int) string {
+	t.Helper()
+	path, _ := synthTrace(t, workload.TopoSpec{Switches: switches, Hosts: hosts},
+		workload.Config{Seed: 3, Requests: requests, Hold: 24, Heavy: 0.15})
+	return path
+}
+
+// replayEqual replays the trace once per option set and asserts every
+// decision log equals the first one's.
+func replayEqual(t *testing.T, path string, variants ...runOpts) {
+	t.Helper()
+	var first []byte
+	for i, o := range variants {
+		var out bytes.Buffer
+		if err := runTrace(&out, path, o); err != nil {
+			t.Fatalf("replay %+v: %v", o, err)
+		}
+		if i == 0 {
+			first = out.Bytes()
+			if !bytes.Contains(first, []byte("reject ")) || !bytes.Contains(first, []byte("release ")) {
+				t.Fatalf("degenerate trace: no rejection or no departure:\n%s", first)
+			}
+			continue
+		}
+		if !bytes.Equal(out.Bytes(), first) {
+			t.Fatalf("replay %+v differs from %+v:\n%s\nvs\n%s", o, variants[0], out.Bytes(), first)
+		}
+	}
+}
+
+// TestRunStreamSharded replays a synthesized campus trace through the
+// sharded controller one request at a time and through the cold
+// referee: the decision logs must be byte-identical.
 func TestRunStreamSharded(t *testing.T) {
-	if err := run([]string{"-stream", "40", "-seed", "3", "-switches", "4", "-hosts", "3", "-shards"}); err != nil {
-		t.Fatalf("sharded stream mode failed: %v", err)
-	}
+	replayEqual(t, campusTrace(t, 4, 3, 40), runOpts{}, runOpts{cold: true})
 }
 
+// TestRunStreamShardedBatch replays the same kind of trace in batches
+// of 8 and one by one.
 func TestRunStreamShardedBatch(t *testing.T) {
-	if err := run([]string{"-stream", "40", "-seed", "3", "-switches", "4", "-hosts", "3", "-shards", "-batch", "8"}); err != nil {
-		t.Fatalf("sharded batched stream mode failed: %v", err)
-	}
+	replayEqual(t, campusTrace(t, 4, 3, 40), runOpts{}, runOpts{batch: 8})
 }
 
-// TestRunStreamShardedWideBatch streams wide batches through the sharded
-// controller over more switches, so most batches span several
-// interference groups, decided one after another.
+// TestRunStreamShardedWideBatch replays wide batches over more
+// switches, so most batches span several interference groups, decided
+// one after another.
 func TestRunStreamShardedWideBatch(t *testing.T) {
-	if err := run([]string{"-stream", "60", "-seed", "3", "-switches", "6", "-hosts", "3", "-shards", "-batch", "16"}); err != nil {
-		t.Fatalf("sharded wide-batch stream mode failed: %v", err)
-	}
+	replayEqual(t, campusTrace(t, 6, 3, 60), runOpts{}, runOpts{batch: 16})
 }
 
 // TestRunProfiles smokes the pprof hooks: both profile files must be
-// created and non-empty after a short sharded stream.
+// created and non-empty after a short trace replay.
 func TestRunProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.prof")
 	mem := filepath.Join(dir, "mem.prof")
-	if err := run([]string{"-stream", "10", "-seed", "3", "-switches", "2", "-hosts", "2",
-		"-shards", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
-		t.Fatalf("profiled stream failed: %v", err)
+	if err := run([]string{"-trace", streamTrace, "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatalf("profiled replay failed: %v", err)
 	}
 	for _, p := range []string{cpu, mem} {
 		st, err := os.Stat(p)
@@ -88,12 +149,12 @@ func TestRunProfiles(t *testing.T) {
 	}
 }
 
-// TestTraceGoldenOutput is the determinism pin for stream mode: the
+// TestTraceGoldenOutput is the determinism pin for trace mode: the
 // recorded request trace in testdata must produce byte-identical
-// admit/reject decision logs through the sequential and sharded
-// controllers, batched admission (two batch sizes, one that forces
-// mid-batch eviction) and the cold baseline — all equal to the
-// checked-in golden file. The trace ends in a burst of ~53 Mbit/s video
+// admit/reject decision logs through the sharded controller one by
+// one, batched admission (two batch sizes, one that forces mid-batch
+// eviction) and the cold referee — all equal to the checked-in golden
+// file. The trace ends in a burst of ~53 Mbit/s video
 // flows that saturate an edge link, so the batched runs exercise the
 // eviction path, and a departure between them exercises release.
 func TestTraceGoldenOutput(t *testing.T) {
@@ -106,12 +167,9 @@ func TestTraceGoldenOutput(t *testing.T) {
 		name string
 		opts runOpts
 	}{
-		{name: "sequential"},
-		{name: "batch16", opts: runOpts{batch: 16}},
-		{name: "batch3", opts: runOpts{batch: 3}},
-		{name: "sharded", opts: runOpts{shards: true}},
-		{name: "sharded-batch16", opts: runOpts{shards: true, batch: 16}},
-		{name: "sharded-batch3", opts: runOpts{shards: true, batch: 3}},
+		{name: "sharded"},
+		{name: "sharded-batch16", opts: runOpts{batch: 16}},
+		{name: "sharded-batch3", opts: runOpts{batch: 3}},
 		{name: "cold", opts: runOpts{cold: true}},
 	}
 	for _, v := range variants {
@@ -133,18 +191,17 @@ func TestTraceGoldenOutput(t *testing.T) {
 // production topology generators: a down-scaled synthesized trace per
 // generator (recorded by gmfnet-load -record, heavy flows forcing
 // rejects and tenant churn forcing releases) must replay to the
-// byte-identical checked-in decision log through every controller
-// variant. This is what licenses the load harness's counters as "what
-// the serial controller would have decided" at million-request scale.
+// byte-identical checked-in decision log one by one, batched and
+// through the cold referee. This is what licenses the load harness's
+// counters as "what the referee would have decided" at
+// million-request scale.
 func TestGeneratorTraceGolden(t *testing.T) {
 	variants := []struct {
 		name string
 		opts runOpts
 	}{
-		{name: "sequential"},
-		{name: "batch3", opts: runOpts{batch: 3}},
-		{name: "sharded", opts: runOpts{shards: true}},
-		{name: "sharded-batch3", opts: runOpts{shards: true, batch: 3}},
+		{name: "sharded"},
+		{name: "sharded-batch3", opts: runOpts{batch: 3}},
 		{name: "cold", opts: runOpts{cold: true}},
 	}
 	for _, gen := range []string{"backbone", "fronthaul", "clos"} {
@@ -210,30 +267,56 @@ func TestTraceStatsLine(t *testing.T) {
 	}
 }
 
-// TestTraceRecordReplay round-trips stream mode through -record: the
-// recorded trace must replay without error and end with the same
-// resident count the live stream reported.
+// TestTraceRecordReplay round-trips a synthesized trace through the
+// trace file format: the written trace must replay without error to
+// the same decision log one by one, in batches of 4 and through the
+// cold referee, and end with the resident count a direct in-process
+// replay of the synthesized operations reports.
 func TestTraceRecordReplay(t *testing.T) {
-	traceFile := filepath.Join(t.TempDir(), "rec.trace")
-	if err := run([]string{"-stream", "30", "-seed", "5", "-switches", "3", "-hosts", "2",
-		"-batch", "4", "-record", traceFile}); err != nil {
-		t.Fatalf("recording stream failed: %v", err)
-	}
-	var seq, bat, shd bytes.Buffer
-	if err := runTrace(&seq, traceFile, runOpts{}); err != nil {
-		t.Fatalf("replay failed: %v", err)
-	}
-	if err := runTrace(&bat, traceFile, runOpts{batch: 4}); err != nil {
-		t.Fatalf("batched replay failed: %v", err)
-	}
-	if err := runTrace(&shd, traceFile, runOpts{shards: true, batch: 4}); err != nil {
-		t.Fatalf("sharded replay failed: %v", err)
+	spec := workload.TopoSpec{Switches: 3, Hosts: 2}
+	traceFile, ops := synthTrace(t, spec, workload.Config{Seed: 5, Requests: 30, Hold: 8, Heavy: 0.2})
+	var seq, bat, cold bytes.Buffer
+	for _, r := range []struct {
+		out  *bytes.Buffer
+		opts runOpts
+	}{{&seq, runOpts{}}, {&bat, runOpts{batch: 4}}, {&cold, runOpts{cold: true}}} {
+		if err := runTrace(r.out, traceFile, r.opts); err != nil {
+			t.Fatalf("replay %+v failed: %v", r.opts, err)
+		}
 	}
 	if !bytes.Equal(seq.Bytes(), bat.Bytes()) {
 		t.Fatalf("sequential and batched replays differ:\n%s\nvs\n%s", seq.Bytes(), bat.Bytes())
 	}
-	if !bytes.Equal(seq.Bytes(), shd.Bytes()) {
-		t.Fatalf("sequential and sharded replays differ:\n%s\nvs\n%s", seq.Bytes(), shd.Bytes())
+	if !bytes.Equal(seq.Bytes(), cold.Bytes()) {
+		t.Fatalf("sharded and cold replays differ:\n%s\nvs\n%s", seq.Bytes(), cold.Bytes())
+	}
+	// Replay the synthesized operations directly, without the file.
+	topo, _, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if op.Op == "del" {
+			if _, err := ctl.Release(op.Name); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		fs, err := op.Spec(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.Request(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fmt.Sprintf("resident=%d\n", ctl.NumFlows())
+	if !strings.HasSuffix(seq.String(), want) {
+		t.Fatalf("replay summary does not end in %q:\n%s", want, seq.String())
 	}
 }
 
@@ -241,10 +324,7 @@ func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"/nonexistent.json"},
-		{"-stream", "5", "-switches", "0"},
-		{"-stream", "5", "-hosts", "1"},
-		{"-stream", "5", "-batch", "4", "-cold"},
-		{"-stream", "5", "-shards", "-cold"},
+		{"-trace", filepath.Join("testdata", "stream.trace"), "-batch", "4", "-cold"},
 		{"-trace", "/nonexistent.trace"},
 		{"-example", "-cpuprofile", "/nonexistent-dir/cpu.prof"},
 	} {

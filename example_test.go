@@ -66,3 +66,64 @@ func ExampleSystem_FindBreakdown() {
 	// Output:
 	// has headroom: true
 }
+
+// ExampleSystem_NewAdmissionController admits VoIP calls on a 10 Mbit/s
+// edge until the first rejection, then admits identical VBR video
+// requests under the GMF model and under its sporadic collapse.
+func ExampleSystem_NewAdmissionController() {
+	routes := [][]gmfnet.NodeID{
+		{"0", "4", "6", "3"},
+		{"1", "4", "6", "3"},
+		{"2", "5", "6", "3"},
+	}
+	// admitUntilReject requests flows from next until the first
+	// rejection (or max requests) and reports the admitted count.
+	admitUntilReject := func(rate gmfnet.BitRate, max int, next func(i int) *gmfnet.FlowSpec) int {
+		sys := gmfnet.NewSystem(gmfnet.MustFigure1(gmfnet.Figure1Options{Rate: rate}))
+		ctl, err := sys.NewAdmissionController(gmfnet.AnalysisConfig{})
+		if err != nil {
+			fmt.Println(err)
+			return 0
+		}
+		for i := 0; i < max; i++ {
+			d, err := ctl.Request(next(i))
+			if err != nil {
+				fmt.Println(err)
+				return 0
+			}
+			if !d.Admitted {
+				fmt.Printf("%s REJECTED\n", d.FlowName)
+				break
+			}
+		}
+		return ctl.Admitted()
+	}
+	calls := admitUntilReject(10*gmfnet.Mbps, 200, func(i int) *gmfnet.FlowSpec {
+		return &gmfnet.FlowSpec{
+			Flow:     gmfnet.VoIP(fmt.Sprintf("call%02d", i), gmfnet.VoIPOptions{Deadline: 60 * gmfnet.Millisecond}),
+			Route:    routes[i%len(routes)],
+			Priority: 3,
+		}
+	})
+	fmt.Println("admitted calls:", calls)
+	for _, sporadic := range []bool{false, true} {
+		n := admitUntilReject(100*gmfnet.Mbps, 48, func(i int) *gmfnet.FlowSpec {
+			flow := gmfnet.MPEGIBBPBBPBB(fmt.Sprintf("vbr%02d", i), gmfnet.MPEGOptions{
+				IPBytes: 24000, PBytes: 3000, BBytes: 800,
+				Deadline: 250 * gmfnet.Millisecond,
+			})
+			if sporadic {
+				flow = flow.Sporadic()
+			}
+			return &gmfnet.FlowSpec{Flow: flow, Route: routes[i%len(routes)], Priority: 1}
+		})
+		fmt.Printf("VBR video, sporadic=%v: %d flows\n", sporadic, n)
+	}
+	// Output:
+	// call73 REJECTED
+	// admitted calls: 73
+	// vbr41 REJECTED
+	// VBR video, sporadic=false: 41 flows
+	// vbr12/sporadic REJECTED
+	// VBR video, sporadic=true: 12 flows
+}

@@ -1,5 +1,6 @@
-// Command engine-demo drives the public Engine API: admit a batch, watch
-// a departure re-converge, and confirm bounds match a cold analysis.
+// Command engine-demo drives the public admission API: admit a batch,
+// watch a departure re-converge, and confirm bounds match a cold
+// analysis.
 package main
 
 import (
@@ -10,8 +11,7 @@ import (
 
 func main() {
 	topo := gmfnet.MustFigure1(gmfnet.Figure1Options{Rate: 100 * gmfnet.Mbps})
-	sys := gmfnet.NewSystem(topo)
-	ctl, err := sys.NewAdmissionController(gmfnet.AnalysisConfig{})
+	ctl, err := gmfnet.NewSystem(topo).NewAdmissionController(gmfnet.AnalysisConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -33,11 +33,23 @@ func main() {
 	if ok, err := ctl.Release("call1"); err != nil || !ok {
 		panic(fmt.Sprintf("release: ok=%v err=%v", ok, err))
 	}
-	res, err := ctl.Engine().Analyze()
+	// The calls share one route, so they form one interference closure:
+	// one shard engine holds them all. Sharded applies the departure.
+	shards := ctl.Sharded().Shards()
+	if len(shards) != 1 {
+		panic(fmt.Sprintf("%d shards, want 1", len(shards)))
+	}
+	eng := shards[0]
+	res, err := eng.Analyze()
 	if err != nil {
 		panic(err)
 	}
-	cold, err := sys.Analyze(gmfnet.AnalysisConfig{})
+	// The cold referee analyses the residents from scratch.
+	ref := gmfnet.NewSystem(topo)
+	for _, fs := range eng.Network().Flows() {
+		ref.MustAddFlow(fs)
+	}
+	cold, err := ref.Analyze(gmfnet.AnalysisConfig{})
 	if err != nil {
 		panic(err)
 	}

@@ -14,9 +14,8 @@
 //   - internal/core — the response-time analysis and holistic fixpoint;
 //   - internal/sim — a discrete-event simulator of the whole data path;
 //   - internal/sporadic — the sporadic-collapse baseline;
-//   - internal/admission — the admission controllers of Section 3.5
-//     (incremental, closure-sharded, multi-core scheduled, and the cold
-//     reference baseline);
+//   - internal/admission — the admission controller of Section 3.5
+//     (closure-sharded and incremental) and its cold referee;
 //   - internal/trace — MPEG/VoIP/CBR/random workload generators.
 //
 // The layer map and the engine-state invariants are documented in
@@ -100,11 +99,6 @@ type (
 	VoIPOptions = trace.VoIPOptions
 	// AdmissionDecision records one admission request outcome.
 	AdmissionDecision = admission.Decision
-	// AdmissionController admits flows against a network incrementally.
-	AdmissionController = admission.Controller
-	// ShardedAdmissionController admits flows per interference closure,
-	// one closure's shard at a time, with identical decisions.
-	ShardedAdmissionController = admission.ShardedController
 	// Engine is the persistent, warm-startable analysis engine behind
 	// incremental admission control.
 	Engine = core.Engine
@@ -213,38 +207,28 @@ func (s *System) CompareModels(cfg AnalysisConfig) (*ModelComparison, error) {
 	return sporadic.Compare(s.nw, cfg)
 }
 
-// NewAdmissionController returns an admission controller over the
-// system's network; flows already present are treated as admitted. The
-// controller runs on a persistent Engine: the network is validated once,
-// each request re-analyses only the flows sharing resources with the
-// newcomer, and rejections roll back through O(1) undo-log snapshot
-// tokens instead of recompute or deep copies. RequestBatch decides a
-// whole batch with one converged delta worklist — identical decisions
-// to one-by-one RequestAll, with violators evicted in request order via
-// journaled rollback that spans the eviction departures.
-func (s *System) NewAdmissionController(cfg AnalysisConfig) (*admission.Controller, error) {
-	return admission.NewController(s.nw, cfg)
-}
-
-// NewShardedAdmissionController returns a closure-sharded admission
+// NewAdmissionController returns the closure-sharded admission
 // controller over the system's network; flows already present are
-// treated as admitted and partitioned by interference closure. Flows
-// whose pipelines (transitively) share no resource never exchange
-// jitter, so each closure gets its own warm shard engine: requests
-// route to their closure's shard, batches spanning several closures
-// are decided closure by closure, an arrival bridging two closures
-// fuses their shards with a warm arena splice, departures are claimed in
-// O(1) and applied lazily in O(closure), and NumShards/Close re-split
-// shards whose flows no longer form one closure. Decisions and bounds
-// are identical to NewAdmissionController's monolithic controller —
-// pinned by differential tests — with speedups on topologies that
-// actually shard (multi-pod fat trees, disjoint ring segments).
-func (s *System) NewShardedAdmissionController(cfg AnalysisConfig) (*admission.ShardedController, error) {
+// treated as admitted and partitioned by interference closure. The
+// network is validated once and only read: admissions and departures
+// live in the controller's shard engines (read them through
+// Sharded()), not in the system's network. Flows whose pipelines
+// (transitively) share no resource never exchange jitter, so each
+// closure gets its own warm Engine: a request re-analyses only the
+// flows sharing resources with it, a rejection rolls back through O(1)
+// undo-log snapshot tokens, a batch is decided closure by closure with
+// one converged delta worklist each (identical decisions to one-by-one
+// RequestAll), an arrival bridging two closures fuses their shards
+// with a warm arena splice, departures are claimed in O(1) and applied
+// lazily in O(closure), and NumShards/Close re-split shards whose
+// flows no longer form one closure. Decisions and bounds equal the
+// cold referee's, pinned by differential tests.
+func (s *System) NewAdmissionController(cfg AnalysisConfig) (*admission.ShardedController, error) {
 	return admission.NewShardedController(s.nw, cfg)
 }
 
 // NewParallelAdmissionController returns the closure-sharded
-// controller, exactly like NewShardedAdmissionController. The name
+// controller, exactly like NewAdmissionController. The name
 // stays because the repository benchmark (bench/) calls it; a change to
 // the benchmark renames it.
 func (s *System) NewParallelAdmissionController(cfg AnalysisConfig) (*admission.ShardedController, error) {

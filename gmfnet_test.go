@@ -51,7 +51,15 @@ func TestSystemAdmissionAndComparison(t *testing.T) {
 	if !d.Admitted {
 		t.Fatal("voip call rejected on an idle network")
 	}
-	cmp, err := sys.CompareModels(gmfnet.AnalysisConfig{})
+	// The controller only reads the system's network; compare the
+	// models over its residents.
+	shards := ctl.Sharded().Shards()
+	if len(shards) != 1 || shards[0].Network().NumFlows() != 1 {
+		t.Fatalf("want the call alone in one shard, got %d shards", len(shards))
+	}
+	admitted := gmfnet.NewSystem(sys.Network().Topo)
+	admitted.MustAddFlow(shards[0].Network().Flow(0))
+	cmp, err := admitted.CompareModels(gmfnet.AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

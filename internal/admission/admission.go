@@ -4,26 +4,22 @@
 // admitted only when the whole network remains schedulable (existing
 // guarantees included).
 //
-// Controller runs on the incremental core.Engine: it validates the
-// network once, takes an O(1) undo-log snapshot token before every
-// tentative admission, re-analyses only the flows that transitively share
-// a resource with the newcomer, reads the verdict off an O(1)
-// copy-on-read core.ResultView (no per-flow result headers are copied
-// anywhere on the accept path), and on rejection restores the token —
-// undoing just the jitter and header writes the tentative analysis
-// made, never copying or rebuilding the whole assignment. ColdController
-// is the original from-scratch implementation, retained as the
-// reference baseline for differential tests and benchmarks.
+// ShardedController is the warm controller, the one the daemon, the
+// load harness and the gmfnet facade run. It routes every request to
+// its interference closure's private core.Engine (a shard of a
+// core.ShardedEngine) and decides it there: an O(1) undo-log snapshot
+// token before the tentative add, a delta analysis of only the flows
+// that transitively share a resource with the newcomer, the verdict
+// read off an O(1) copy-on-read core.ResultView, and on rejection a
+// restore that undoes just the writes the tentative analysis made. A
+// batch is decided closure by closure with one converged worklist per
+// closure, eviction searches stay inside one closure, and departures
+// are claimed in O(1) and applied lazily, each in O(closure).
 //
-// ShardedController scales the same test out by interference closure:
-// requests are decided inside their closure's private shard engine
-// (core.ShardedEngine), a batch spanning disjoint closures is decided
-// closure by closure, eviction searches stay inside one closure instead
-// of bisecting the whole batch, and departures are claimed in O(1) and
-// applied lazily, each in O(closure). It is the controller the daemon
-// and the load harness run. All three controllers produce identical
-// decisions on the same request sequence; the differential tests in
-// this package and the golden replay traces assert it.
+// ColdController is the from-scratch referee: every request re-runs the
+// full holistic fixpoint over the whole network. The differential tests
+// in this package and the golden replay traces assert that both make
+// identical decisions on the same request sequence.
 package admission
 
 import (
@@ -42,14 +38,13 @@ type Decision struct {
 	Admitted bool
 	// View is the holistic analysis including the tentative flow, as a
 	// copy-on-read core.ResultView frozen at decision time; for rejected
-	// flows it explains the rejection. Controller and ColdController
-	// analyse the whole network; ShardedController analyses the
+	// flows it explains the rejection. ShardedController analyses the
 	// request's interference closure only (flows outside it cannot be
 	// affected, but their bounds are not in this view — read them via
-	// Sharded().AnalyzeAll). Controller and ShardedController fill
-	// View and leave Result nil; ColdController does the opposite (see
-	// Result). Read decisions through Analysis to be
-	// controller-agnostic.
+	// Sharded().AnalyzeAll); ColdController analyses the whole network.
+	// ShardedController fills View and leaves Result nil;
+	// ColdController does the opposite (see Result). Read decisions
+	// through Analysis to be controller-agnostic.
 	//
 	// A live view pins a little engine bookkeeping, and the engine
 	// copies each header the view saw into it at most once as later
@@ -63,9 +58,9 @@ type Decision struct {
 	View *core.ResultView
 	// Result is the detached form of the analysis, filled by
 	// ColdController, which has no engine to share headers with. Under
-	// ShardedController's RetainCounters both fields are nil. The
-	// engine-backed controllers publish View instead, so their accept
-	// path copies no per-flow result headers.
+	// ShardedController's RetainCounters both fields are nil.
+	// ShardedController publishes View instead, so its accept path
+	// copies no per-flow result headers.
 	Result *core.Result
 }
 
@@ -83,64 +78,16 @@ func (d Decision) Analysis() *core.Result {
 	return nil
 }
 
-// Controller owns a network and admits or rejects flows against it,
-// re-analysing incrementally between requests.
-type Controller struct {
-	eng *core.Engine
-
-	decisions []Decision
-	released  int
-}
-
-// NewController returns a controller over the network; flows already in
-// the network are treated as admitted (they are not re-checked). The
-// network is validated once here; each later request validates only its
-// own flow.
-func NewController(nw *network.Network, cfg core.Config) (*Controller, error) {
-	if nw == nil {
-		return nil, fmt.Errorf("admission: nil network")
-	}
-	eng, err := core.NewEngine(nw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Controller{eng: eng}, nil
-}
-
-// Network returns the controlled network with all currently admitted
-// flows.
-func (c *Controller) Network() *network.Network { return c.eng.Network() }
-
-// Engine exposes the underlying incremental engine, e.g. to read the
-// current bounds without issuing a request.
-func (c *Controller) Engine() *core.Engine { return c.eng }
-
-// NumFlows returns the number of currently admitted flows.
-func (c *Controller) NumFlows() int { return c.eng.Network().NumFlows() }
-
-// Request tentatively adds the flow, re-analyses the affected part of the
-// network from the engine's warm state, and keeps the flow only when
-// every flow (old and new) stays schedulable; on rejection the engine is
-// rolled back to its pre-request snapshot. The whole accept path is
-// O(affected): the snapshot is a cheap token arming the engine's undo
-// journals (no header or jitter copies), the verdict is read off an O(1)
-// copy-on-read view, and the decision retains that view — the engine's
-// write barrier keeps it frozen as later requests overwrite the shared
-// headers. The returned error reports malformed requests; a sound
-// rejection returns a Decision with Admitted == false and a nil error.
-func (c *Controller) Request(fs *network.FlowSpec) (Decision, error) {
-	d, err := decide(c.eng, fs)
-	if err != nil {
-		return Decision{}, err
-	}
-	c.decisions = append(c.decisions, d)
-	return d, nil
-}
-
-// decide runs Request's snapshot / delta analysis / rollback protocol
-// on one engine without recording anything: the shared core of
-// Controller.Request and ShardedController.Request, which applies it to
-// the request's shard engine.
+// decide admits or rejects one request on one engine: snapshot, stage
+// the flow, converge the delta, and keep the flow only when every flow
+// (old and new) stays schedulable — otherwise restore the snapshot. The
+// snapshot is a token arming the engine's undo journals, the verdict is
+// read off an O(1) copy-on-read view, and the decision retains that
+// view — the engine's write barrier keeps it frozen as later requests
+// overwrite the shared headers. The error reports malformed requests
+// (with nothing admitted); a sound rejection returns a Decision with
+// Admitted == false and a nil error. ShardedController.Request applies
+// it to the request's shard engine.
 func decide(eng *core.Engine, fs *network.FlowSpec) (Decision, error) {
 	snap := eng.Snapshot()
 	if _, err := eng.AddFlow(fs); err != nil {
@@ -173,59 +120,38 @@ func decide(eng *core.Engine, fs *network.FlowSpec) (Decision, error) {
 	return d, nil
 }
 
-// RequestAll processes a batch of requests in order, stopping at the
-// first malformed request. Decisions for the requests processed so far
-// are returned alongside any error. Each request rides its own snapshot
-// token, so a rejection mid-batch rolls back exactly that request and
-// the batch continues from the last committed state.
-func (c *Controller) RequestAll(specs []*network.FlowSpec) ([]Decision, error) {
-	out := make([]Decision, 0, len(specs))
-	for _, fs := range specs {
-		d, err := c.Request(fs)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-// RequestBatch admits a batch of requests with one converged analysis
-// instead of one per request: every newcomer is staged into the engine,
-// a single delta worklist seeded with all of them is converged once, and
-// only when the combined set violates a deadline does the controller
-// fall back to evicting newcomers via journaled rollback — the
-// departures of the eviction probes run under the batch's one snapshot,
-// which survives them thanks to the engine's block-move journal.
+// decideBatch decides a batch on one engine with one converged analysis
+// instead of one per request: every newcomer is staged, a single delta
+// worklist seeded with all of them is converged once, and only when the
+// combined set violates a deadline are newcomers evicted via journaled
+// rollback — the departures of the eviction probes run under the
+// batch's one snapshot, which survives them thanks to the engine's
+// block-move journal.
 //
-// Decisions are exactly RequestAll's: a schedulable whole batch admits
-// every request (the holistic interference is monotone, so every subset
-// of a schedulable set is schedulable — one-by-one processing would have
-// accepted each prefix too), and the eviction search reproduces the
-// greedy prefix rule by bisecting for the longest schedulable prefix of
-// the undecided suffix and rejecting the first flow beyond it, i.e. the
-// most expensive violator in request order. Admitted decisions share the
-// batch's final converged Result; a rejected decision carries the
-// analysis of the prefix whose violation evicted it.
+// Decisions are exactly those of calling decide on each spec in order:
+// a schedulable whole batch admits every request (the holistic
+// interference is monotone, so every subset of a schedulable set is
+// schedulable — one-by-one processing would have accepted each prefix
+// too), and the eviction search reproduces the greedy prefix rule by
+// bisecting for the longest schedulable prefix of the undecided suffix
+// and rejecting the first flow beyond it, i.e. the most expensive
+// violator in request order. Admitted decisions share the batch's final
+// converged view; a rejected decision carries the analysis of the
+// prefix whose violation evicted it.
 //
-// A malformed spec aborts the whole batch: the engine is rolled back to
-// its pre-batch state, no decisions are recorded, and the error is
-// returned (unlike RequestAll, which commits the prefix before the bad
-// request).
+// On error the engine is back at its pre-batch flow set and no
+// decision is returned.
 //
 // One verdict is not monotone in the flow set: an analysis that exhausts
 // Config.MaxHolisticIter without converging (and without a stage error)
 // depends on the warm-start point, so batch probes and one-by-one
 // processing could disagree near the cap. When any batch analysis hits
-// the cap, RequestBatch therefore rolls back and replays the batch
-// through the literal one-by-one path, preserving decision equality by
+// the cap, decideBatch therefore rolls back and replays the batch
+// through decide one spec at a time, preserving decision equality by
 // construction. Stage errors (overload, inner-fixpoint divergence) are
 // monotone like deadline misses and stay on the fast path.
-func (c *Controller) RequestBatch(specs []*network.FlowSpec) ([]Decision, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	snap := c.eng.Snapshot()
+func decideBatch(eng *core.Engine, specs []*network.FlowSpec) ([]Decision, error) {
+	snap := eng.Snapshot()
 	// opened tracks every view minted during the batch; the ones that do
 	// not end up in a decision are closed before returning, on every
 	// path, so discarded bisection probes do not stay pinned.
@@ -237,24 +163,24 @@ func (c *Controller) RequestBatch(specs []*network.FlowSpec) ([]Decision, error)
 	}
 	abort := func(err error) ([]Decision, error) {
 		closeAll()
-		if rerr := c.eng.Restore(snap); rerr != nil {
+		if rerr := eng.Restore(snap); rerr != nil {
 			return nil, fmt.Errorf("admission: batch rollback failed: %v (after %w)", rerr, err)
 		}
 		return nil, err
 	}
 	fallback := func() ([]Decision, error) {
 		closeAll()
-		if rerr := c.eng.Restore(snap); rerr != nil {
+		if rerr := eng.Restore(snap); rerr != nil {
 			return nil, fmt.Errorf("admission: batch fallback rollback failed: %v", rerr)
 		}
-		return c.RequestAll(specs)
+		return decideEach(eng, specs)
 	}
 	for _, fs := range specs {
-		if _, err := c.eng.AddFlow(fs); err != nil {
+		if _, err := eng.AddFlow(fs); err != nil {
 			return abort(err)
 		}
 	}
-	v, err := c.eng.AnalyzeView()
+	v, err := eng.AnalyzeView()
 	if err != nil {
 		return abort(err)
 	}
@@ -268,7 +194,7 @@ func (c *Controller) RequestBatch(specs []*network.FlowSpec) ([]Decision, error)
 		for i := range admitted {
 			admitted[i] = true
 		}
-	} else if err := c.evictBatch(specs, v, admitted, rejected, &opened); err != nil {
+	} else if err := evictBatch(eng, specs, v, admitted, rejected, &opened); err != nil {
 		if errors.Is(err, errHolisticCap) {
 			return fallback()
 		}
@@ -276,7 +202,7 @@ func (c *Controller) RequestBatch(specs []*network.FlowSpec) ([]Decision, error)
 	}
 	// Converge whatever survived; with no evictions this is the cached
 	// batch fixpoint. The surviving set is schedulable by construction.
-	final, err := c.eng.AnalyzeView()
+	final, err := eng.AnalyzeView()
 	if err != nil {
 		return abort(err)
 	}
@@ -284,7 +210,7 @@ func (c *Controller) RequestBatch(specs []*network.FlowSpec) ([]Decision, error)
 	if holisticCapHit(final) {
 		return fallback()
 	}
-	c.eng.Discard(snap)
+	eng.Discard(snap)
 	out := make([]Decision, len(specs))
 	kept := map[*core.ResultView]bool{final: true}
 	for i, fs := range specs {
@@ -299,11 +225,34 @@ func (c *Controller) RequestBatch(specs []*network.FlowSpec) ([]Decision, error)
 			w.Close()
 		}
 	}
-	c.decisions = append(c.decisions, out...)
 	return out, nil
 }
 
-// evictBatch is RequestBatch's slow path: the engine holds every staged
+// decideEach is decideBatch's fallback: decide on every spec in order.
+// On error it removes the flows the replay had admitted, so the engine
+// is back at its pre-batch flow set, like every other decideBatch error.
+func decideEach(eng *core.Engine, specs []*network.FlowSpec) ([]Decision, error) {
+	base := eng.Network().NumFlows()
+	out := make([]Decision, len(specs))
+	for i, fs := range specs {
+		d, err := decide(eng, fs)
+		if err != nil {
+			for _, d := range out[:i] {
+				d.View.Close()
+			}
+			for n := eng.Network().NumFlows(); n > base; n-- {
+				if rerr := eng.RemoveFlow(n - 1); rerr != nil {
+					return nil, fmt.Errorf("admission: batch fallback rollback failed: %v (after %w)", rerr, err)
+				}
+			}
+			return nil, err
+		}
+		out[i] = d
+	}
+	return out, nil
+}
+
+// evictBatch is decideBatch's slow path: the engine holds every staged
 // newcomer and the last analysis (lastFail) says the combined set is not
 // schedulable. It decides each spec by repeatedly bisecting for the
 // longest schedulable prefix of the undecided suffix — shrinking and
@@ -318,12 +267,12 @@ func (c *Controller) RequestBatch(specs []*network.FlowSpec) ([]Decision, error)
 // is appended to opened for the caller's cleanup. A returned error means
 // the engine is in an intermediate state; the caller restores the batch
 // snapshot (and, for errHolisticCap, replays the batch one by one — see
-// RequestBatch).
-func (c *Controller) evictBatch(specs []*network.FlowSpec, lastFail *core.ResultView, admitted []bool, rejected []*core.ResultView, opened *[]*core.ResultView) error {
+// decideBatch).
+func evictBatch(eng *core.Engine, specs []*network.FlowSpec, lastFail *core.ResultView, admitted []bool, rejected []*core.ResultView, opened *[]*core.ResultView) error {
 	// rest holds the undecided spec indices, all currently staged after
 	// the committed-and-accepted flows; base is the engine index of the
 	// first staged one.
-	base := c.eng.Network().NumFlows() - len(specs)
+	base := eng.Network().NumFlows() - len(specs)
 	rest := make([]int, len(specs))
 	for i := range rest {
 		rest[i] = i
@@ -332,13 +281,13 @@ func (c *Controller) evictBatch(specs []*network.FlowSpec, lastFail *core.Result
 		cur := len(rest) // staged prefix length of rest
 		adjust := func(target int) error {
 			for cur > target {
-				if err := c.eng.RemoveFlow(base + cur - 1); err != nil {
+				if err := eng.RemoveFlow(base + cur - 1); err != nil {
 					return err
 				}
 				cur--
 			}
 			for cur < target {
-				if _, err := c.eng.AddFlow(specs[rest[cur]]); err != nil {
+				if _, err := eng.AddFlow(specs[rest[cur]]); err != nil {
 					return err
 				}
 				cur++
@@ -351,7 +300,7 @@ func (c *Controller) evictBatch(specs []*network.FlowSpec, lastFail *core.Result
 			if err := adjust(mid); err != nil {
 				return err
 			}
-			probe, err := c.eng.AnalyzeView()
+			probe, err := eng.AnalyzeView()
 			if err != nil {
 				return err
 			}
@@ -384,11 +333,11 @@ func (c *Controller) evictBatch(specs []*network.FlowSpec, lastFail *core.Result
 		// Re-stage the suffix beyond the rejected flow and converge once;
 		// if everything now fits the batch is done, otherwise bisect again.
 		for _, si := range rest {
-			if _, err := c.eng.AddFlow(specs[si]); err != nil {
+			if _, err := eng.AddFlow(specs[si]); err != nil {
 				return err
 			}
 		}
-		again, err := c.eng.AnalyzeView()
+		again, err := eng.AnalyzeView()
 		if err != nil {
 			return err
 		}
@@ -409,7 +358,7 @@ func (c *Controller) evictBatch(specs []*network.FlowSpec, lastFail *core.Result
 
 // errHolisticCap signals that a batch analysis exhausted the holistic
 // iteration cap: not an input error, but a verdict the batch path must
-// not bisect on (see RequestBatch).
+// not bisect on (see decideBatch).
 var errHolisticCap = errors.New("admission: holistic iteration cap hit mid-batch")
 
 // holisticCapHit reports whether the analysis stopped because the outer
@@ -422,56 +371,11 @@ func holisticCapHit(v *core.ResultView) bool {
 	return !v.Converged() && v.StageErrors() == 0
 }
 
-// Release removes the first admitted flow with the given name (a
-// departure) and re-analyses the flows that shared resources with it, so
-// the published bounds stay current. It reports whether a flow was
-// removed.
-func (c *Controller) Release(name string) (bool, error) {
-	nw := c.eng.Network()
-	for i := 0; i < nw.NumFlows(); i++ {
-		if nw.Flow(i).Flow.Name != name {
-			continue
-		}
-		if err := c.eng.RemoveFlow(i); err != nil {
-			return false, err
-		}
-		// Removing a flow can only shrink interference, so the remaining
-		// set stays schedulable; the delta pass just refreshes bounds —
-		// Refresh converges without publishing (or copying) a result.
-		if err := c.eng.Refresh(); err != nil {
-			return false, err
-		}
-		c.released++
-		return true, nil
-	}
-	return false, nil
-}
-
-// Decisions returns all decisions in request order.
-func (c *Controller) Decisions() []Decision { return c.decisions }
-
-// Admitted returns the number of admitted flows among the processed
-// requests.
-func (c *Controller) Admitted() int {
-	n := 0
-	for _, d := range c.decisions {
-		if d.Admitted {
-			n++
-		}
-	}
-	return n
-}
-
-// Rejected returns the number of rejected requests.
-func (c *Controller) Rejected() int { return len(c.decisions) - c.Admitted() }
-
-// Released returns the number of departures processed by Release.
-func (c *Controller) Released() int { return c.released }
-
 // ColdController is the from-scratch reference: every request re-builds a
 // cold Analyzer and re-runs the full holistic fixpoint over every flow,
-// and a rejection is rolled back by popping the tentative flow. It exists
-// to differential-test and benchmark the incremental Controller against.
+// and a rejection is rolled back by popping the tentative flow. It is the
+// referee the warm ShardedController is differential-tested and
+// benchmarked against.
 type ColdController struct {
 	nw  *network.Network
 	cfg core.Config

@@ -13,10 +13,10 @@ import (
 
 const ms = units.Millisecond
 
-func newController(t *testing.T) *Controller {
+func newController(t *testing.T) *ShardedController {
 	t.Helper()
 	topo := network.MustFigure1(network.Figure1Options{Rate: 10 * units.Mbps})
-	c, err := NewController(network.New(topo), core.Config{})
+	c, err := NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,11 @@ func voipSpec(name string, src network.NodeID) *network.FlowSpec {
 }
 
 func TestNewControllerErrors(t *testing.T) {
-	if _, err := NewController(nil, core.Config{}); err == nil {
+	if _, err := NewShardedController(nil, core.Config{}); err == nil {
 		t.Fatal("nil network accepted")
+	}
+	if _, err := NewColdController(nil, core.Config{}); err == nil {
+		t.Fatal("nil network accepted by the cold controller")
 	}
 }
 
@@ -46,8 +49,8 @@ func TestAdmitFeasibleFlow(t *testing.T) {
 	if !d.Admitted {
 		t.Fatalf("feasible flow rejected: %+v", d.Analysis())
 	}
-	if c.Network().NumFlows() != 1 {
-		t.Fatalf("network has %d flows, want 1", c.Network().NumFlows())
+	if c.NumFlows() != 1 {
+		t.Fatalf("network has %d flows, want 1", c.NumFlows())
 	}
 	if c.Admitted() != 1 || c.Rejected() != 0 {
 		t.Fatalf("counters: %d/%d", c.Admitted(), c.Rejected())
@@ -69,7 +72,7 @@ func TestRejectInfeasibleFlowAndRollBack(t *testing.T) {
 	if d.Admitted {
 		t.Fatal("overloading flow admitted")
 	}
-	if c.Network().NumFlows() != 0 {
+	if c.NumFlows() != 0 {
 		t.Fatal("rejected flow not rolled back")
 	}
 	// The network keeps working for later feasible requests.
@@ -108,16 +111,8 @@ func TestExistingFlowsProtected(t *testing.T) {
 	if admitted == 0 {
 		t.Fatal("no flow admitted at all")
 	}
-	// Final network must be schedulable.
-	an, err := core.NewAnalyzer(c.Network(), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := an.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Schedulable() {
+	// The admitted set must be schedulable under a cold analysis.
+	if !coldAnalysis(t, residentNetwork(t, c)).Schedulable() {
 		t.Fatal("admitted set is not schedulable")
 	}
 	if c.Admitted() != admitted || c.Rejected() != 1 {
@@ -137,7 +132,7 @@ func TestMalformedRequestReturnsError(t *testing.T) {
 	if _, err := c.Request(bad); err == nil {
 		t.Fatal("malformed request accepted")
 	}
-	if c.Network().NumFlows() != 0 {
+	if c.NumFlows() != 0 {
 		t.Fatal("malformed request left residue")
 	}
 	if len(c.Decisions()) != 0 {
@@ -168,8 +163,8 @@ func TestRequestAllAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok || c.Network().NumFlows() != 2 || c.Released() != 1 {
-		t.Fatalf("release: ok=%v flows=%d released=%d", ok, c.Network().NumFlows(), c.Released())
+	if !ok || c.NumFlows() != 2 || c.Released() != 1 {
+		t.Fatalf("release: ok=%v flows=%d released=%d", ok, c.NumFlows(), c.Released())
 	}
 	if ok, _ := c.Release("ghost"); ok {
 		t.Fatal("released a flow that does not exist")
@@ -194,7 +189,7 @@ func TestIncrementalMatchesColdController(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			topo := network.MustFigure1(network.Figure1Options{Rate: 10 * units.Mbps})
-			inc, err := NewController(network.New(topo), core.Config{})
+			inc, err := NewShardedController(network.New(topo), core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,43 +269,43 @@ func TestIncrementalMatchesColdController(t *testing.T) {
 					}
 				}
 				// The two admitted flow sets must match exactly.
-				if inc.Network().NumFlows() != cold.Network().NumFlows() {
-					t.Fatalf("op %d: flow counts diverged: %d vs %d",
-						op, inc.Network().NumFlows(), cold.Network().NumFlows())
-				}
-				for i := 0; i < inc.Network().NumFlows(); i++ {
-					if inc.Network().Flow(i).Flow.Name != cold.Network().Flow(i).Flow.Name {
-						t.Fatalf("op %d: flow %d differs: %q vs %q", op, i,
-							inc.Network().Flow(i).Flow.Name, cold.Network().Flow(i).Flow.Name)
-					}
+				if inc.NumFlows() != cold.NumFlows() {
+					t.Fatalf("op %d: flow counts diverged: %d vs %d", op, inc.NumFlows(), cold.NumFlows())
 				}
 			}
 			// Published bounds of the final admitted set must be identical
-			// to a cold analysis.
-			res, err := inc.Engine().Analyze()
-			if err != nil {
-				t.Fatal(err)
-			}
-			an, err := core.NewAnalyzer(cold.Network(), core.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := an.Analyze()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Schedulable() != ref.Schedulable() || len(res.Flows) != len(ref.Flows) {
-				t.Fatalf("final state diverged: %v/%d vs %v/%d",
-					res.Schedulable(), len(res.Flows), ref.Schedulable(), len(ref.Flows))
-			}
-			for i := range ref.Flows {
-				for k := range ref.Flows[i].Frames {
-					if res.Flows[i].Frames[k].Response != ref.Flows[i].Frames[k].Response {
-						t.Fatalf("flow %d frame %d bound %v vs %v", i, k,
-							res.Flows[i].Frames[k].Response, ref.Flows[i].Frames[k].Response)
-					}
-				}
-			}
+			// to a cold analysis, flow for flow.
+			checkShardedBounds(t, inc, coldAnalysis(t, cold.Network()))
 		})
 	}
+}
+
+// coldAnalysis runs the from-scratch referee analysis over nw.
+func coldAnalysis(t *testing.T, nw *network.Network) *core.Result {
+	t.Helper()
+	an, err := core.NewAnalyzer(nw, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := an.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// residentNetwork gathers the controller's residents, shard by shard,
+// into one network over the shared topology.
+func residentNetwork(t *testing.T, c *ShardedController) *network.Network {
+	t.Helper()
+	se := c.Sharded()
+	nw := network.New(se.Topology())
+	for _, eng := range se.Shards() {
+		for _, fs := range eng.Network().Flows() {
+			if _, err := nw.AddFlow(fs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return nw
 }

@@ -68,29 +68,27 @@ func copySpecs(specs []*network.FlowSpec) []*network.FlowSpec {
 	return out
 }
 
-// runBatchDifferential drives the same request list through RequestBatch
-// (one batch and chunked), one-by-one RequestAll, the closure-sharded
-// controller (chunked batches) and the from-scratch ColdController,
-// then asserts identical accept sets and identical final jitter bounds.
+// runBatchDifferential drives the same request list through the
+// sharded controller as one RequestBatch, as chunked batches and one by
+// one (RequestAll), through decideBatch on a single engine over the
+// whole network (every closure in one bisection), and through the
+// from-scratch ColdController, then asserts identical accept sets and
+// identical final jitter bounds.
 func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network.FlowSpec, chunk int) {
 	t.Helper()
-	batchCtl, err := NewController(network.New(topo), core.Config{})
-	if err != nil {
-		t.Fatal(err)
+	newSharded := func() *ShardedController {
+		c, err := NewShardedController(network.New(topo), core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	chunkCtl, err := NewController(network.New(topo), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqCtl, err := NewController(network.New(topo), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batchCtl, chunkCtl, seqCtl := newSharded(), newSharded(), newSharded()
 	coldCtl, err := NewColdController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardCtl, err := NewShardedController(network.New(topo), core.Config{})
+	eng, err := core.NewEngine(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +114,9 @@ func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := copySpecs(specs)
-	var shardDs []Decision
-	for at := 0; at < len(sharded); at += chunk {
-		end := at + chunk
-		if end > len(sharded) {
-			end = len(sharded)
-		}
-		ds, err := shardCtl.RequestBatch(sharded[at:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardDs = append(shardDs, ds...)
+	engDs, err := decideBatch(eng, copySpecs(specs))
+	if err != nil {
+		t.Fatal(err)
 	}
 	var coldDs []Decision
 	for _, fs := range copySpecs(specs) {
@@ -139,72 +128,55 @@ func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network
 	}
 
 	if len(batchDs) != len(specs) || len(chunkDs) != len(specs) ||
-		len(seqDs) != len(specs) || len(shardDs) != len(specs) {
-		t.Fatalf("decision counts: batch=%d chunked=%d seq=%d sharded=%d, want %d",
-			len(batchDs), len(chunkDs), len(seqDs), len(shardDs), len(specs))
+		len(seqDs) != len(specs) || len(engDs) != len(specs) {
+		t.Fatalf("decision counts: batch=%d chunked=%d seq=%d engine=%d, want %d",
+			len(batchDs), len(chunkDs), len(seqDs), len(engDs), len(specs))
 	}
 	for i := range specs {
-		if batchDs[i].Admitted != seqDs[i].Admitted ||
-			chunkDs[i].Admitted != seqDs[i].Admitted ||
-			coldDs[i].Admitted != seqDs[i].Admitted ||
-			shardDs[i].Admitted != seqDs[i].Admitted {
-			t.Fatalf("spec %d (%s): decisions diverged: batch=%v chunked=%v seq=%v cold=%v sharded=%v",
+		if batchDs[i].Admitted != coldDs[i].Admitted ||
+			chunkDs[i].Admitted != coldDs[i].Admitted ||
+			seqDs[i].Admitted != coldDs[i].Admitted ||
+			engDs[i].Admitted != coldDs[i].Admitted {
+			t.Fatalf("spec %d (%s): decisions diverged: batch=%v chunked=%v seq=%v engine=%v cold=%v",
 				i, specs[i].Flow.Name, batchDs[i].Admitted, chunkDs[i].Admitted,
-				seqDs[i].Admitted, coldDs[i].Admitted, shardDs[i].Admitted)
+				seqDs[i].Admitted, engDs[i].Admitted, coldDs[i].Admitted)
 		}
 	}
 	if batchCtl.Rejected() == 0 {
 		t.Log("note: no rejections in this draw; eviction path not exercised")
 	}
 
-	// Final admitted sets and bounds must be identical across all four.
-	nets := []*network.Network{batchCtl.Network(), chunkCtl.Network(), seqCtl.Network(), coldCtl.Network()}
-	for v, nw := range nets[1:] {
-		if nw.NumFlows() != nets[0].NumFlows() {
-			t.Fatalf("variant %d: %d admitted flows, want %d", v+1, nw.NumFlows(), nets[0].NumFlows())
-		}
-		for i := 0; i < nw.NumFlows(); i++ {
-			if nw.Flow(i).Flow.Name != nets[0].Flow(i).Flow.Name {
-				t.Fatalf("variant %d: flow %d is %q, want %q", v+1, i,
-					nw.Flow(i).Flow.Name, nets[0].Flow(i).Flow.Name)
-			}
-		}
-	}
-	ref, err := core.NewAnalyzer(coldCtl.Network(), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Final admitted sets and bounds must equal the cold referee's.
+	want := coldAnalysis(t, coldCtl.Network())
 	if !want.Schedulable() {
 		t.Fatal("admitted set is not schedulable")
 	}
-	for _, eng := range []*core.Engine{batchCtl.Engine(), chunkCtl.Engine(), seqCtl.Engine()} {
-		got, err := eng.Analyze()
-		if err != nil {
-			t.Fatal(err)
+	got, err := eng.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Flows) != len(want.Flows) {
+		t.Fatalf("engine: %d admitted flows, want %d", len(got.Flows), len(want.Flows))
+	}
+	for i := range want.Flows {
+		if got.Flows[i].Name != want.Flows[i].Name {
+			t.Fatalf("engine: flow %d is %q, want %q", i, got.Flows[i].Name, want.Flows[i].Name)
 		}
-		if len(got.Flows) != len(want.Flows) {
-			t.Fatalf("bound count %d, want %d", len(got.Flows), len(want.Flows))
-		}
-		for i := range want.Flows {
-			for k := range want.Flows[i].Frames {
-				if got.Flows[i].Frames[k].Response != want.Flows[i].Frames[k].Response {
-					t.Fatalf("flow %d frame %d bound %v, want %v", i, k,
-						got.Flows[i].Frames[k].Response, want.Flows[i].Frames[k].Response)
-				}
+		for k := range want.Flows[i].Frames {
+			if got.Flows[i].Frames[k].Response != want.Flows[i].Frames[k].Response {
+				t.Fatalf("engine: flow %d frame %d bound %v, want %v", i, k,
+					got.Flows[i].Frames[k].Response, want.Flows[i].Frames[k].Response)
 			}
 		}
 	}
-
 	// The sharded controller has no global flow order; compare its
 	// admitted set and bounds by flow name.
-	if shardCtl.NumFlows() != nets[0].NumFlows() {
-		t.Fatalf("sharded: %d admitted flows, want %d", shardCtl.NumFlows(), nets[0].NumFlows())
+	for _, c := range []*ShardedController{batchCtl, chunkCtl, seqCtl} {
+		if c.NumFlows() != len(want.Flows) {
+			t.Fatalf("sharded: %d admitted flows, want %d", c.NumFlows(), len(want.Flows))
+		}
+		checkShardedBounds(t, c, want)
 	}
-	checkShardedBounds(t, shardCtl, want)
 }
 
 // checkShardedBounds asserts the sharded controller's per-shard bounds
@@ -282,44 +254,76 @@ func TestBatchMatchesSequentialFatTree(t *testing.T) {
 
 // TestBatchFallsBackOnHolisticCap pins the non-monotone-verdict escape
 // hatch: with a holistic iteration cap so tight that analyses stop
-// before converging, RequestBatch must abandon the bisection (whose
+// before converging, decideBatch must abandon the bisection (whose
 // monotonicity argument no longer holds) and fall back to literal
-// one-by-one processing, keeping decisions identical to RequestAll.
+// one-by-one processing, keeping decisions identical to deciding each
+// request on its own — on one engine and through the sharded
+// controller alike.
 func TestBatchFallsBackOnHolisticCap(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
 	topo, hosts, err := network.Ring(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := batchSpecs(t, r, topo, hosts, 12, "cap-")
-	for _, iters := range []int{1, 2, 3} {
-		cfg := core.Config{MaxHolisticIter: iters}
-		batchCtl, err := NewController(network.New(topo), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqCtl, err := NewController(network.New(topo), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bds, err := batchCtl.RequestBatch(copySpecs(specs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sds, err := seqCtl.RequestAll(copySpecs(specs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range specs {
-			if bds[i].Admitted != sds[i].Admitted {
-				t.Fatalf("cap %d, spec %d (%s): batch=%v seq=%v",
-					iters, i, specs[i].Flow.Name, bds[i].Admitted, sds[i].Admitted)
+	capHits := 0
+	// Under seed 67 and a cap of 2, bisecting instead of falling back
+	// decides differently from one-by-one processing.
+	for _, seed := range []int64{3, 67} {
+		specs := batchSpecs(t, rand.New(rand.NewSource(seed)), topo, hosts, 12, "cap-")
+		for _, iters := range []int{1, 2, 3} {
+			cfg := core.Config{MaxHolisticIter: iters}
+			newEngine := func() *core.Engine {
+				eng, err := core.NewEngine(network.New(topo), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng
+			}
+			// Count the caps at which the staged whole batch itself stops
+			// short, which sends decideBatch straight to the fallback.
+			probe := newEngine()
+			for _, fs := range copySpecs(specs) {
+				if _, err := probe.AddFlow(fs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v, err := probe.AnalyzeView()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if holisticCapHit(v) {
+				capHits++
+			}
+			batchEng, seqEng := newEngine(), newEngine()
+			bds, err := decideBatch(batchEng, copySpecs(specs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, err := NewShardedController(network.New(topo), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shds, err := sharded.RequestBatch(copySpecs(specs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, fs := range copySpecs(specs) {
+				sd, err := decide(seqEng, fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bds[i].Admitted != sd.Admitted || shds[i].Admitted != sd.Admitted {
+					t.Fatalf("seed %d, cap %d, spec %d (%s): batch=%v sharded=%v seq=%v",
+						seed, iters, i, specs[i].Flow.Name, bds[i].Admitted, shds[i].Admitted, sd.Admitted)
+				}
+			}
+			if n := seqEng.Network().NumFlows(); batchEng.Network().NumFlows() != n || sharded.NumFlows() != n {
+				t.Fatalf("seed %d, cap %d: resident counts batch=%d sharded=%d seq=%d", seed, iters,
+					batchEng.Network().NumFlows(), sharded.NumFlows(), n)
 			}
 		}
-		if batchCtl.Network().NumFlows() != seqCtl.Network().NumFlows() {
-			t.Fatalf("cap %d: resident counts %d vs %d", iters,
-				batchCtl.Network().NumFlows(), seqCtl.Network().NumFlows())
-		}
+	}
+	if capHits == 0 {
+		t.Fatal("no cap stopped the staged batch short; the fallback went unexercised")
 	}
 }
 

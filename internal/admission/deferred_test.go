@@ -15,11 +15,11 @@ import (
 // TestDeferredDepartureMatchesEager replays synthesized traces on the
 // three production generators through the sharded controller, whose
 // departures are claimed at once and removed lazily, and through the
-// monolithic Controller, which removes eagerly. Flushes land at random
+// ColdController, which removes eagerly. Flushes land at random
 // points, so queued removals meet the next request, the next release,
 // or a flush. After every op the verdicts match, the resident counter
-// equals the monolithic resident count, and so do the shard flows net
-// of the queued removals; after every flush NumFlows does too.
+// equals the cold resident count, and so do the shard flows net of the
+// queued removals; after every flush NumFlows does too.
 func TestDeferredDepartureMatchesEager(t *testing.T) {
 	for _, spec := range []workload.TopoSpec{
 		{Kind: "clos", Switches: 4, Fanout: 2, Hosts: 3},
@@ -39,7 +39,7 @@ func TestDeferredDepartureMatchesEager(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mono, err := NewController(network.New(topo), core.Config{})
+				cold, err := NewColdController(network.New(topo), core.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,7 +58,7 @@ func TestDeferredDepartureMatchesEager(t *testing.T) {
 							t.Fatal(err)
 						}
 						cp := *fs
-						md, err := mono.Request(&cp)
+						md, err := cold.Request(&cp)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -70,7 +70,7 @@ func TestDeferredDepartureMatchesEager(t *testing.T) {
 							t.Fatalf("op %d add %s: eager=%v deferred=%v", i, op.Name, md.Admitted, ld.Admitted)
 						}
 					case "del":
-						mok, err := mono.Release(op.Name)
+						mok, err := cold.Release(op.Name)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -84,7 +84,7 @@ func TestDeferredDepartureMatchesEager(t *testing.T) {
 					default:
 						continue
 					}
-					want := mono.NumFlows()
+					want := cold.NumFlows()
 					queued += len(lazy.departing)
 					if lazy.NumResidents() != want || lazy.se.NumFlows()-len(lazy.departing) != want {
 						t.Fatalf("op %d: %d residents, %d shard flows - %d queued, want %d",
@@ -100,18 +100,14 @@ func TestDeferredDepartureMatchesEager(t *testing.T) {
 						}
 					}
 				}
-				if queued == 0 || mono.Released() == 0 || mono.Rejected() == 0 {
+				if queued == 0 || lazy.Released() == 0 || lazy.Rejected() == 0 {
 					t.Fatalf("degenerate replay: %d queued, %d released, %d rejected",
-						queued, mono.Released(), mono.Rejected())
+						queued, lazy.Released(), lazy.Rejected())
 				}
-				want, err := mono.Engine().Analyze()
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkShardedBounds(t, lazy, want)
+				checkShardedBounds(t, lazy, coldAnalysis(t, cold.Network()))
 				checkPartition(t, lazy)
 				t.Logf("%d ops, %d flushes, %d releases, %d shards at the end",
-					len(ops), flushes, mono.Released(), lazy.NumShards())
+					len(ops), flushes, lazy.Released(), lazy.NumShards())
 			})
 		}
 	}

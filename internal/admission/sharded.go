@@ -11,29 +11,30 @@ import (
 // into disjoint closures (different fat-tree pods, separate ring
 // segments) never share analysis state and a batch spanning several
 // closures is decided closure by closure. It is the production
-// controller: gmfnet-admitd and gmfnet-load run it directly.
+// controller: gmfnet-admitd, gmfnet-load, gmfnet-admit and the gmfnet
+// facade run it.
 //
-// Decisions are identical to the monolithic Controller's: a flow's
+// Decisions are identical to a whole-network analysis's: a flow's
 // bounds depend only on the flows its pipeline transitively shares
 // resources with, so analysing its closure in isolation computes the
-// exact same fixpoint the monolithic engine would. A newcomer whose
-// pipeline bridges two closures fuses their shards (a warm arena
-// splice — see core.ShardedEngine) before admission; a batch whose
-// specs bridge closures is decided group-by-group on the fused shard,
-// which for that group is the monolithic engine. The equality is
+// exact same fixpoint one engine over the whole network would. A
+// newcomer whose pipeline bridges two closures fuses their shards (a
+// warm arena splice — see core.ShardedEngine) before admission; a
+// batch whose specs bridge closures is decided group-by-group on the
+// fused shard. The equality with the cold referee (ColdController) is
 // pinned by differential tests on ring, fat-tree and the shipped
 // industrial-ring topologies, and by the golden replay traces.
 //
 // Deferred departures. Release claims the first resident with the
-// name — in global admission order, exactly like Controller.Release,
-// even when names repeat — from a per-name FIFO in O(1), fires
-// FoldReleased, queues the removal and returns. Queued removals are
-// applied, in claim order, before any later call that reads or changes
-// shard state, and by Flush; each costs one scan of the departing
-// flow's closure (core.ShardedEngine.Remove). A caller that is idle
-// between operations calls Flush so the next one does not pay for
-// them. Removal errors — unreachable for flows this controller
-// admitted — surface at the next Flush or Close.
+// name — in global admission order, even when names repeat — from a
+// per-name FIFO in O(1), fires FoldReleased, queues the removal and
+// returns. Queued removals are applied, in claim order, before any
+// later call that reads or changes shard state, and by Flush; each
+// costs one scan of the departing flow's closure
+// (core.ShardedEngine.Remove). A caller that is idle between
+// operations calls Flush so the next one does not pay for them.
+// Removal errors — unreachable for flows this controller admitted —
+// surface at the next Flush or Close.
 //
 // Re-splitting is off the hot path: neither a departure nor a fusion
 // for a rejected request re-splits, so a shard may hold several
@@ -43,15 +44,15 @@ import (
 // decision, depends on when Resplit runs. NumShards and Close re-split;
 // long-running callers re-split periodically through Sharded().Resplit.
 //
-// Error contract: Request matches Controller exactly. RequestBatch
-// pre-validates the whole batch (a malformed spec fails the batch with
-// no decisions, like Controller.RequestBatch); an analysis error
-// mid-batch — unreachable for validated specs on a validated topology
-// — rolls back the failing group's shard but, unlike the monolithic
-// controller, leaves other groups' admissions standing and recorded
-// (visible via Decisions, releasable via Release). Decision.View covers
-// the request's interference closure, not the whole network; see
-// Decision.
+// Error contract. A malformed Request returns its error and admits
+// nothing. RequestBatch pre-validates the whole batch, so a malformed
+// spec fails the batch with no decisions. An analysis error mid-batch
+// — unreachable for validated specs on a validated topology — rolls
+// the failing group back in full, while the groups that finished keep
+// their admissions, recorded like any other (visible via Decisions,
+// releasable via Release); RequestBatch then returns the error and no
+// decisions. Decision.View covers the request's interference closure,
+// not the whole network; see Decision.
 //
 // A ShardedController is not safe for concurrent use, and it starts no
 // goroutine: every call decides on the caller's goroutine.
@@ -216,7 +217,8 @@ func (c *ShardedController) fold(fs *network.FlowSpec, d *Decision) {
 }
 
 // RequestAll processes the requests in order, stopping at the first
-// malformed request, exactly like Controller.RequestAll.
+// malformed request; the decisions made before it are returned with
+// the error.
 func (c *ShardedController) RequestAll(specs []*network.FlowSpec) ([]Decision, error) {
 	out := make([]Decision, 0, len(specs))
 	for _, fs := range specs {
@@ -232,12 +234,12 @@ func (c *ShardedController) RequestAll(specs []*network.FlowSpec) ([]Decision, e
 // RequestBatch decides a batch shard-by-shard: the specs are
 // partitioned into interference groups (specs sharing a resource with
 // each other or with a common shard), every group is placed — fusing
-// the shards it bridges, so the group's engine is monolithic for the
-// group — and then the groups are decided in order through the
-// standard batched protocol (one converged worklist per group, violators
-// evicted in request order). Groups are independent by construction,
-// so the combined decisions equal deciding the whole batch in one
-// monolithic engine, in request order.
+// the shards it bridges, so one engine holds the whole group — and then
+// the groups are decided in order, each with one converged worklist and
+// violators evicted in request order (decideBatch). Groups are
+// independent by construction, so the combined decisions equal
+// deciding the batch one request at a time. See the type's error
+// contract for what an error leaves behind.
 func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -258,12 +260,11 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 		for at, i := range g.Indices {
 			gspecs[at] = specs[i]
 		}
-		ds, err := (&Controller{eng: g.Engine()}).RequestBatch(gspecs)
+		ds, err := decideBatch(g.Engine(), gspecs)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		// On error ds holds only what the group decided before failing
-		// (nothing when it rolled back).
+		// On error ds is nil: the group was rolled back in full.
 		admitted := make([]bool, len(g.Indices))
 		for at, d := range ds {
 			admitted[at] = d.Admitted
@@ -273,10 +274,9 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 		g.Commit(admitted)
 	}
 	// Groups that finished keep their admissions even when another
-	// failed (unlike the monolithic controller, which rolls the whole
-	// batch back on error), so their decisions are folded either way, in
-	// request order: Release, Decisions and the counters stay consistent
-	// with the shard engines.
+	// failed, so their decisions are folded either way, in request
+	// order: Release, Decisions and the counters stay consistent with
+	// the shard engines.
 	for i := range out {
 		if decided[i] {
 			c.fold(specs[i], &out[i])
@@ -289,11 +289,11 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 }
 
 // Release claims the first *admitted* flow with the given name — in
-// global admission order, exactly like Controller.Release, even when
-// several admitted flows share a name — fires FoldReleased and queues
-// the flow's removal from its shard (see "Deferred departures" above).
+// global admission order, even when several admitted flows share a
+// name — fires FoldReleased and queues the flow's removal from its
+// shard (see "Deferred departures" above).
 // It reports whether a resident was claimed; the error is always nil
-// and stays for the controllers' common signature — removal errors
+// and stays for the signature ColdController shares — removal errors
 // surface at Flush.
 func (c *ShardedController) Release(name string) (bool, error) {
 	q := c.residents[name]

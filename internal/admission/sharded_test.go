@@ -12,13 +12,15 @@ import (
 )
 
 // runShardedStreamDifferential drives one randomized request/release
-// stream through the monolithic and the sharded controller and asserts
+// stream through the sharded controller and the monolithic cold
+// referee (ColdController, one whole-network analysis per request) and
+// asserts
 // identical decisions, release outcomes, resident sets and final
 // bounds. Local-heavy traffic keeps closures disjoint; cross-backbone
 // requests force fusions; departures force re-splits.
 func runShardedStreamDifferential(t *testing.T, topo *network.Topology, hosts []network.NodeID, seed int64, n int) {
 	t.Helper()
-	mono, err := NewController(network.New(topo), core.Config{})
+	mono, err := NewColdController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +79,7 @@ func runShardedStreamDifferential(t *testing.T, topo *network.Topology, hosts []
 	if shard.NumFlows() != mono.NumFlows() {
 		t.Fatalf("resident counts: sharded=%d mono=%d", shard.NumFlows(), mono.NumFlows())
 	}
-	want, err := mono.Engine().Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShardedBounds(t, shard, want)
+	checkShardedBounds(t, shard, coldAnalysis(t, mono.Network()))
 	t.Logf("seed %d: %d residents across %d shards (peak %d shards)",
 		seed, shard.NumFlows(), shard.NumShards(), maxShards)
 }
@@ -126,8 +124,9 @@ func shardedStreamSpec(r *rand.Rand, topo *network.Topology, hosts []network.Nod
 }
 
 // TestShardedMatchesMonolithicFatTree is the randomized stream
-// differential on a 4-ary fat tree, where pod-local traffic shards
-// well and cross-pod arrivals fuse closures.
+// differential against the whole-network cold referee on a 4-ary fat
+// tree, where pod-local traffic shards well and cross-pod arrivals fuse
+// closures.
 func TestShardedMatchesMonolithicFatTree(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		seed := seed
@@ -160,7 +159,7 @@ func TestShardedMatchesMonolithicRing(t *testing.T) {
 // TestShardedFusionLifecycle pins the deterministic fuse/split story:
 // two pod-local flows shard separately; a bridging arrival fuses their
 // shards before admission; the bridge's departure re-splits them — and
-// decisions stay equal to the monolithic controller throughout.
+// decisions stay equal to the monolithic cold referee throughout.
 func TestShardedFusionLifecycle(t *testing.T) {
 	topo, _, err := network.Campus(3, 2)
 	if err != nil {
@@ -178,7 +177,7 @@ func TestShardedFusionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := NewController(network.New(topo), core.Config{})
+	mono, err := NewColdController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,18 +224,14 @@ func TestShardedFusionLifecycle(t *testing.T) {
 	if n := ctl.NumShards(); n != 2 {
 		t.Fatalf("after bridge departure: %d shards, want 2", n)
 	}
-	want, err := mono.Engine().Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShardedBounds(t, ctl, want)
+	checkShardedBounds(t, ctl, coldAnalysis(t, mono.Network()))
 }
 
 // TestShardedReleaseDuplicateNames pins Release's admission-order
-// semantics under duplicate flow names: the monolithic controller
-// removes the *first admitted* flow with the name, and the sharded one
-// must remove the very same flow even though shard-creation order
-// differs from admission order.
+// semantics under duplicate flow names: the cold referee removes the
+// *first admitted* flow with the name, and the sharded controller must
+// remove the very same flow even though shard-creation order differs
+// from admission order.
 func TestShardedReleaseDuplicateNames(t *testing.T) {
 	topo, _, err := network.Campus(3, 2)
 	if err != nil {
@@ -250,7 +245,7 @@ func TestShardedReleaseDuplicateNames(t *testing.T) {
 			RTP:      true,
 		}
 	}
-	mono, err := NewController(network.New(topo), core.Config{})
+	mono, err := NewColdController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,18 +282,14 @@ func TestShardedReleaseDuplicateNames(t *testing.T) {
 			t.Fatal("release missed")
 		}
 	}
-	// The monolithic survivor set is {y, x(closure A)}; compare bounds
+	// The referee's survivor set is {y, x(closure A)}; compare bounds
 	// by name — if the sharded controller removed the wrong "x", the
 	// surviving x's bounds (closure A, sharing links with y) differ
 	// from a lone closure-B x.
 	if mono.NumFlows() != 2 || shard.NumFlows() != 2 {
 		t.Fatalf("resident counts: mono=%d sharded=%d, want 2", mono.NumFlows(), shard.NumFlows())
 	}
-	want, err := mono.Engine().Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShardedBounds(t, shard, want)
+	checkShardedBounds(t, shard, coldAnalysis(t, mono.Network()))
 	// The survivor "x" must be the closure-A instance in both: its
 	// shard also hosts "y".
 	for _, eng := range shard.Sharded().Shards() {

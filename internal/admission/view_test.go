@@ -53,7 +53,7 @@ func checkCapture(t *testing.T, label string, v *core.ResultView, want []frameCa
 	}
 }
 
-// TestDecisionViewsMatchColdBounds drives the view-based incremental
+// TestDecisionViewsMatchColdBounds drives the view-based sharded
 // controller and the from-scratch cold baseline through an identical
 // randomized request/departure stream and pins, per decision: the
 // verdict, the bounds served by the decision's copy-on-read view against
@@ -67,7 +67,7 @@ func TestDecisionViewsMatchColdBounds(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			topo := network.MustFigure1(network.Figure1Options{Rate: 10 * units.Mbps})
-			inc, err := NewController(network.New(topo), core.Config{})
+			inc, err := NewShardedController(network.New(topo), core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestDecisionViewsMatchColdBounds(t *testing.T) {
 // subsequent batch.
 func TestBatchDecisionViews(t *testing.T) {
 	topo := network.MustFigure1(network.Figure1Options{Rate: 10 * units.Mbps})
-	ctl, err := NewController(network.New(topo), core.Config{})
+	ctl, err := NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +221,9 @@ func TestBatchDecisionViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ctl.Release("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	checkCapture(t, "admitted batch view", ds[0].View, caps[0])

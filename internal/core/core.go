@@ -125,7 +125,7 @@ func (s *ConvergenceStats) Add(other ConvergenceStats) {
 // returned from Analyze — because cap exhaustion is a verdict
 // (unschedulable as far as we know), not a structural failure: the
 // batched admission path relies on distinguishing it from stage errors
-// (see Controller.RequestBatch).
+// (see admission's decideBatch).
 type ErrNoConvergence struct {
 	// Iterations is the cap that was exhausted.
 	Iterations int

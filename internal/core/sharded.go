@@ -484,8 +484,8 @@ func (se *ShardedEngine) Topology() *network.Topology { return se.topo }
 
 // ValidateSpecs pre-validates a batch against the topology exactly as
 // staging each spec would, without touching any shard. The sharded
-// batch path uses it to reproduce the monolithic batch contract — a
-// malformed spec fails the whole batch before any decision is made.
+// batch path uses it so a malformed spec fails the whole batch before
+// any decision is made.
 func (se *ShardedEngine) ValidateSpecs(specs []*network.FlowSpec) error {
 	scratch := network.New(se.topo)
 	for _, fs := range specs {

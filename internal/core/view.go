@@ -383,7 +383,7 @@ func (v *ResultView) Schedulable() bool { return v.sched }
 // StageErrors returns how many flows carried a stage error (overload or
 // inner-fixpoint divergence) at view time. Zero with Converged() false
 // means the outer holistic iteration cap was exhausted — the one verdict
-// that is not monotone in the flow set (see Controller.RequestBatch).
+// that is not monotone in the flow set (see admission's decideBatch).
 func (v *ResultView) StageErrors() int { return v.errs }
 
 // Flow returns the result of the i-th flow as a value snapshot. It

@@ -249,7 +249,7 @@ func E6Admission() ([]*report.Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		ctl, err := admission.NewController(network.New(topo), core.Config{})
+		ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 		if err != nil {
 			return 0, err
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // Campus builds the standard multi-switch workload topology used by the
-// admission benchmarks and gmfnet-admit's stream mode: `switches`
+// admission benchmarks and campus request traces: `switches`
 // software switches (default Click parameters) chained over a 1 Gbit/s
 // backbone, each serving `hostsPer` hosts on 100 Mbit/s edge links.
 // Switch s is named "sw<s>" and its hosts "h<s>_<h>"; the returned host

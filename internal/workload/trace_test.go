@@ -97,7 +97,7 @@ func TestOpSpecRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		// CaptureAdd must invert Spec: replaying a re-captured op gives
-		// the same wire record, so gmfnet-admit -record round-trips.
+		// the same wire record, so a recorded spec round-trips.
 		if got := CaptureAdd(fs); !reflect.DeepEqual(got, op) {
 			t.Fatalf("CaptureAdd(Spec(op)) = %+v, want %+v", got, op)
 		}

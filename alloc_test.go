@@ -1,10 +1,15 @@
 package gmfnet_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"gmfnet"
 	"gmfnet/internal/admission"
+	"gmfnet/internal/core"
+	"gmfnet/internal/network"
+	"gmfnet/internal/trace"
 	"gmfnet/internal/units"
 )
 
@@ -20,7 +25,7 @@ import (
 // sharded one, retaining every decision). Scratch-buffer reuse
 // (AppendHEP/VisitInterferers, the flowPass stage arena, the epoch-
 // stamped worklist front) brought the cycle from ~445 allocs/op to
-// under the <= 111 bar (a 4x cut); it measures 81 with Go 1.24, most
+// under the <= 111 bar (a 4x cut); it measures 80 with Go 1.24, most
 // of them the fresh shard the probe opens alone in its closure each
 // cycle.
 const requestCycleAllocBudget = 111
@@ -75,7 +80,7 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 // through the sharded controller under RetainCounters, where the fold
 // keeps no per-decision state: the decision folds into four counters
 // and the resident name FIFO, and the departure is queued for the next
-// call. It measures 81 objects with Go 1.24: the probe is alone in its
+// call. It measures 79 objects with Go 1.24: the probe is alone in its
 // closure, so every cycle drops its emptied shard and the next Request
 // opens a fresh one. The fold itself must stay O(1) allocations.
 const countersCycleAllocBudget = 160
@@ -111,5 +116,118 @@ func TestCountersRetentionFoldAllocs(t *testing.T) {
 	}
 	if got := ctl.Admitted(); got < 108 {
 		t.Fatalf("fold lost decisions: admitted=%d", got)
+	}
+}
+
+// largeClosureCycleAllocBudget caps one Request+Release cycle under
+// RetainCounters whose probe joins a 200-flow interference closure (the
+// shape of the clos-cross workload). The probe's delta analysis
+// re-evaluates the stages its links feed, and the departure the next
+// Request applies descends the closure warm; both cost allocations per
+// re-analysed flow, so this pin scales with the closure, not the
+// network. Measured 891 with Go 1.24; the budget allows 20 % headroom.
+const largeClosureCycleAllocBudget = 1070
+
+// TestLargeClosureRequestAllocs pins the allocation count of a request
+// into a ~200-flow closure and its departure.
+func TestLargeClosureRequestAllocs(t *testing.T) {
+	topo, hosts, err := network.ClosTenant(4, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.SetRetention(admission.RetainCounters)
+	r := rand.New(rand.NewSource(3))
+	voip := func(name string) *network.FlowSpec {
+		src, dst := r.Intn(64), r.Intn(64)
+		if src/8 == dst/8 {
+			dst = (dst + 8) % 64 // cross-leaf: every flow joins one closure
+		}
+		route, err := topo.Route(hosts[src], hosts[dst])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &network.FlowSpec{
+			Flow:     trace.VoIP(name, trace.VoIPOptions{Deadline: 100 * units.Millisecond}),
+			Route:    route,
+			Priority: network.Priority(r.Intn(3)),
+		}
+	}
+	for k := 0; k < 200; k++ {
+		if d, err := ctl.Request(voip(fmt.Sprintf("f%d", k))); err != nil || !d.Admitted {
+			t.Fatalf("resident %d: admitted=%v err=%v", k, d.Admitted, err)
+		}
+	}
+	probes := make([]*network.FlowSpec, 16)
+	for i := range probes {
+		probes[i] = voip("probe")
+	}
+	i := 0
+	cycle := func() {
+		if d, err := ctl.Request(probes[i%len(probes)]); err != nil || !d.Admitted {
+			t.Fatalf("probe: admitted=%v err=%v", d.Admitted, err)
+		}
+		i++
+		if ok, err := ctl.Release("probe"); err != nil || !ok {
+			t.Fatalf("release: ok=%v err=%v", ok, err)
+		}
+	}
+	for k := 0; k < len(probes); k++ {
+		cycle()
+	}
+	if n := ctl.NumShards(); n != 1 {
+		t.Fatalf("residents form %d closures, want 1", n)
+	}
+	allocs := testing.AllocsPerRun(64, cycle)
+	t.Logf("Request+Release in a %d-flow closure: %.1f allocs/op", ctl.NumFlows(), allocs)
+	if allocs > largeClosureCycleAllocBudget {
+		t.Fatalf("large-closure cycle allocates %.1f/op, budget %d", allocs, largeClosureCycleAllocBudget)
+	}
+}
+
+// rejectedRequestAllocBudget caps one rejected Request under
+// RetainCounters: snapshot, tentative add, the delta analysis that finds
+// the deadline miss, and the rollback. Measured 34 with Go 1.24 (36
+// while the rollback also copied every restored header into a live
+// result view); the budget allows 25 % headroom.
+const rejectedRequestAllocBudget = 43
+
+// TestRejectedRequestAllocs pins the allocation count of a rejection in
+// a resident closure: a flow whose deadline no bound can meet, refused
+// over and over while two residents share its route.
+func TestRejectedRequestAllocs(t *testing.T) {
+	sys := gmfnet.NewSystem(gmfnet.MustFigure1(gmfnet.Figure1Options{Rate: units.Gbps}))
+	ctl, err := sys.NewAdmissionController(gmfnet.AnalysisConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.SetRetention(admission.RetainCounters)
+	for _, name := range []string{"r0", "r1"} {
+		fs := steadyProbeSpec()
+		fs.Flow.Name = name
+		if d, err := ctl.Request(fs); err != nil || !d.Admitted {
+			t.Fatalf("resident %s: admitted=%v err=%v", name, d.Admitted, err)
+		}
+	}
+	doomed := &gmfnet.FlowSpec{
+		Flow:     gmfnet.VoIP("doomed", gmfnet.VoIPOptions{Deadline: units.Microsecond}),
+		Route:    []gmfnet.NodeID{"0", "4", "6", "3"},
+		Priority: 3,
+	}
+	request := func() {
+		if d, err := ctl.Request(doomed); err != nil || d.Admitted {
+			t.Fatalf("doomed request: admitted=%v err=%v", d.Admitted, err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		request()
+	}
+	allocs := testing.AllocsPerRun(100, request)
+	t.Logf("rejected Request: %.1f allocs/op", allocs)
+	if allocs > rejectedRequestAllocBudget {
+		t.Fatalf("rejected Request allocates %.1f/op, budget %d", allocs, rejectedRequestAllocBudget)
 	}
 }

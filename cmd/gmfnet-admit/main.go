@@ -200,6 +200,10 @@ func runTrace(w io.Writer, path string, o runOpts) error {
 	if err != nil {
 		return err
 	}
+	if sharded != nil {
+		// Only verdicts and their stats are read: keep no decision log.
+		sharded.SetRetention(admission.RetainCounters)
+	}
 	out := bufio.NewWriter(w)
 	var admitted, rejected, released int
 	var conv core.ConvergenceStats
@@ -211,13 +215,6 @@ func runTrace(w io.Writer, path string, o runOpts) error {
 		} else {
 			rejected++
 			fmt.Fprintf(out, "reject %s\n", d.FlowName)
-		}
-		// Only the verdict is read: release the analysis view so a long
-		// trace does not keep every decision's view pinned on the engine
-		// (Close is idempotent, so an admitted batch's shared view is
-		// fine to release once per decision).
-		if d.View != nil {
-			d.View.Close()
 		}
 	}
 	var pending []*network.FlowSpec
@@ -396,7 +393,7 @@ func runTraceConnect(w io.Writer, path, addr string, batch int) error {
 
 // decisionStats extracts the convergence breakdown of one decision's
 // analysis, wherever the controller put it: the sharded controller
-// publishes a view, the cold referee a detached result.
+// records the verdict, the cold referee a detached result.
 func decisionStats(d admission.Decision) core.ConvergenceStats {
 	if d.View != nil {
 		return d.View.Stats()

@@ -83,12 +83,6 @@ type (
 	// AnalysisResult is the holistic analysis outcome, detached from the
 	// engine that produced it.
 	AnalysisResult = core.Result
-	// AnalysisView is an immutable copy-on-read view of one analysis
-	// outcome: Engine.AnalyzeView returns it in O(1) by sharing the
-	// engine's live per-flow results, and the engine preserves retained
-	// views as it moves on. Materialize converts it into a detached
-	// AnalysisResult; Close discards it.
-	AnalysisView = core.ResultView
 	// SimConfig tunes the discrete-event simulator.
 	SimConfig = sim.Config
 	// SimResult is the simulation outcome.
@@ -242,12 +236,11 @@ func (s *System) NewParallelAdmissionController(cfg AnalysisConfig) (*admission.
 // Analyze calls costs a fraction of repeated cold Analyze calls;
 // snapshots are O(1) undo-log tokens that survive removals (departed
 // blocks are tombstoned, not compacted, while a snapshot is armed, so a
-// Restore can roll back across departures). Results are published
-// copy-on-read: Engine.AnalyzeView returns an O(1) AnalysisView sharing
-// the engine's live per-flow results (Engine.Analyze remains the
-// detached-copy compatibility shim, Engine.Refresh converges without
-// publishing). Mutate the flow set only through the engine (or call
-// Engine.Invalidate after out-of-band changes).
+// Restore can roll back across departures). Engine.Converge returns the
+// verdict in O(1), read off counters the engine maintains, without
+// copying any per-flow result; Engine.Analyze returns the bounds as a
+// detached AnalysisResult. Mutate the flow set only through the engine
+// (or call Engine.Invalidate after out-of-band changes).
 func (s *System) NewEngine(cfg AnalysisConfig) (*Engine, error) {
 	return core.NewEngine(s.nw, cfg)
 }

@@ -10,8 +10,8 @@
 // core.ShardedEngine) and decides it there: an O(1) undo-log snapshot
 // token before the tentative add, a delta analysis of only the flows
 // that transitively share a resource with the newcomer, the verdict
-// read off an O(1) copy-on-read core.ResultView, and on rejection a
-// restore that undoes just the writes the tentative analysis made. A
+// read off the engine's O(1) counters (core.Verdict), and on rejection
+// a restore that undoes just the writes the tentative analysis made. A
 // batch is decided closure by closure with one converged worklist per
 // closure, eviction searches stay inside one closure, and departures
 // are claimed in O(1) and applied lazily, each in O(closure).
@@ -36,81 +36,110 @@ type Decision struct {
 	FlowName string
 	// Admitted reports whether the flow was accepted.
 	Admitted bool
-	// View is the holistic analysis including the tentative flow, as a
-	// copy-on-read core.ResultView frozen at decision time; for rejected
-	// flows it explains the rejection. ShardedController analyses the
-	// request's interference closure only (flows outside it cannot be
-	// affected, but their bounds are not in this view — read them via
-	// Sharded().AnalyzeAll); ColdController analyses the whole network.
-	// ShardedController fills View and leaves Result nil;
-	// ColdController does the opposite (see Result). Read decisions
-	// through Analysis to be controller-agnostic.
-	//
-	// A live view pins a little engine bookkeeping, and the engine
-	// copies each header the view saw into it at most once as later
-	// requests overwrite them — in total never more than the eager
-	// per-decision Result copy this replaced, but it does accrue with
-	// the decision log. High-volume services that do not revisit old
-	// analyses should release them (View.Close, or View.Materialize to
-	// keep a detached copy, or ShardedController's RetainCounters);
-	// admitted batch decisions share one view, for which Close is
-	// idempotent.
-	View *core.ResultView
-	// Result is the detached form of the analysis, filled by
-	// ColdController, which has no engine to share headers with. Under
-	// ShardedController's RetainCounters both fields are nil.
-	// ShardedController publishes View instead, so its accept path
-	// copies no per-flow result headers.
+	// View is ShardedController's record of the decision: the engine's
+	// verdict and, under RetainAll, the flow set it was computed over,
+	// which Analysis re-analyses cold on demand. That flow set is the
+	// request's shard (its interference closure) with the candidate, not
+	// the whole network: flows outside it cannot be affected. Admitted
+	// batch decisions share one record. ColdController leaves View nil
+	// and fills Result; read decisions through Analysis to be
+	// controller-agnostic.
+	View *Record
+	// Result is ColdController's detached analysis of the whole network.
 	Result *core.Result
 }
 
-// Analysis returns the decision's full detached analysis, materializing
-// the view on first use (O(flows) once, cached). It returns nil for a
-// zero Decision, and for a decision whose View was Closed before ever
-// materializing — the caller declared the analysis dead then.
+// Analysis returns the decision's full analysis: ColdController's
+// Result, or a cold analysis of the flow set ShardedController recorded,
+// computed on the first call and cached. The warm engine's bounds equal
+// the cold analysis', so it explains the decision exactly. It returns
+// nil for a zero Decision, for a decision made under RetainCounters and
+// for one whose View was closed before it was ever analysed.
 func (d Decision) Analysis() *core.Result {
 	if d.Result != nil {
 		return d.Result
 	}
 	if d.View != nil {
-		return d.View.Materialize()
+		return d.View.analysis()
 	}
 	return nil
+}
+
+// Record is what ShardedController keeps of one decision: the engine's
+// verdict, the analysis configuration and topology and — under
+// RetainAll only — the analysed flow set, in engine order.
+type Record struct {
+	// Verdict is the engine's verdict on the analysed flow set.
+	Verdict core.Verdict
+
+	cfg   core.Config
+	topo  *network.Topology
+	specs []*network.FlowSpec
+	res   *core.Result
+}
+
+// record captures the verdict of eng's current flow set, plus extra
+// specs the analysed set held beyond it; keep retains the flow set for
+// Analysis.
+func record(eng *core.Engine, v core.Verdict, keep bool, extra ...*network.FlowSpec) *Record {
+	nw := eng.Network()
+	r := &Record{Verdict: v, cfg: eng.Config(), topo: nw.Topo}
+	if keep {
+		r.specs = make([]*network.FlowSpec, 0, nw.NumFlows()+len(extra))
+		r.specs = append(append(r.specs, nw.Flows()...), extra...)
+	}
+	return r
+}
+
+// Stats returns the convergence counters of the decision's analysis.
+func (r *Record) Stats() core.ConvergenceStats { return r.Verdict.Stats }
+
+// Close drops the retained flow set; an analysis already computed stays
+// cached. Idempotent.
+func (r *Record) Close() { r.specs = nil }
+
+// analysis cold-analyses the retained flow set once and caches the
+// result.
+func (r *Record) analysis() *core.Result {
+	if r.res != nil || r.specs == nil {
+		return r.res
+	}
+	// Every spec was already staged in a shard engine over this topology,
+	// so neither AddFlow nor NewAnalyzer can refuse it, and Analyze
+	// errs only on structurally broken input.
+	nw := network.New(r.topo)
+	for _, fs := range r.specs {
+		if _, err := nw.AddFlow(fs); err != nil {
+			return nil
+		}
+	}
+	an, err := core.NewAnalyzer(nw, r.cfg)
+	if err != nil {
+		return nil
+	}
+	r.res, _ = an.Analyze()
+	return r.res
 }
 
 // decide admits or rejects one request on one engine: snapshot, stage
 // the flow, converge the delta, and keep the flow only when every flow
 // (old and new) stays schedulable — otherwise restore the snapshot. The
-// snapshot is a token arming the engine's undo journals, the verdict is
-// read off an O(1) copy-on-read view, and the decision retains that
-// view — the engine's write barrier keeps it frozen as later requests
-// overwrite the shared headers. The error reports malformed requests
-// (with nothing admitted); a sound rejection returns a Decision with
-// Admitted == false and a nil error. ShardedController.Request applies
-// it to the request's shard engine.
-func decide(eng *core.Engine, fs *network.FlowSpec) (Decision, error) {
+// snapshot is a token arming the engine's undo journals and the verdict
+// is read off the engine's counters, so neither copies a result header.
+// keep retains the analysed flow set in the decision's record. The
+// error reports malformed requests (with nothing admitted); a sound
+// rejection returns a Decision with Admitted == false and a nil error.
+// ShardedController.Request applies it to the request's shard engine.
+func decide(eng *core.Engine, fs *network.FlowSpec, keep bool) (Decision, error) {
 	snap := eng.Snapshot()
 	if _, err := eng.AddFlow(fs); err != nil {
 		eng.Discard(snap) // nothing was admitted; disarm the journal
 		return Decision{}, err
 	}
-	v, err := eng.AnalyzeView()
-	if err != nil {
-		if rerr := eng.Restore(snap); rerr != nil {
-			return Decision{}, fmt.Errorf("admission: rollback failed: %v (after %w)", rerr, err)
-		}
-		return Decision{}, err
-	}
-	d := Decision{
-		FlowName: fs.Flow.Name,
-		Admitted: v.Schedulable(),
-		View:     v,
-	}
+	v := eng.Converge()
+	d := Decision{FlowName: fs.Flow.Name, Admitted: v.Schedulable, View: record(eng, v, keep)}
 	if !d.Admitted {
-		// The rollback's undo writes pass through the write barrier, so
-		// the retained view keeps showing the violating analysis.
 		if rerr := eng.Restore(snap); rerr != nil {
-			v.Close()
 			return Decision{}, fmt.Errorf("admission: rollback failed: %v", rerr)
 		}
 	} else {
@@ -135,9 +164,9 @@ func decide(eng *core.Engine, fs *network.FlowSpec) (Decision, error) {
 // too), and the eviction search reproduces the greedy prefix rule by
 // bisecting for the longest schedulable prefix of the undecided suffix
 // and rejecting the first flow beyond it, i.e. the most expensive
-// violator in request order. Admitted decisions share the batch's final
-// converged view; a rejected decision carries the analysis of the
-// prefix whose violation evicted it.
+// violator in request order. Admitted decisions share the record of the
+// batch's final analysis; a rejected decision records the prefix whose
+// violation evicted it.
 //
 // On error the engine is back at its pre-batch flow set and no
 // decision is returned.
@@ -150,51 +179,36 @@ func decide(eng *core.Engine, fs *network.FlowSpec) (Decision, error) {
 // through decide one spec at a time, preserving decision equality by
 // construction. Stage errors (overload, inner-fixpoint divergence) are
 // monotone like deadline misses and stay on the fast path.
-func decideBatch(eng *core.Engine, specs []*network.FlowSpec) ([]Decision, error) {
+func decideBatch(eng *core.Engine, specs []*network.FlowSpec, keep bool) ([]Decision, error) {
 	snap := eng.Snapshot()
-	// opened tracks every view minted during the batch; the ones that do
-	// not end up in a decision are closed before returning, on every
-	// path, so discarded bisection probes do not stay pinned.
-	var opened []*core.ResultView
-	closeAll := func() {
-		for _, v := range opened {
-			v.Close()
-		}
-	}
 	abort := func(err error) ([]Decision, error) {
-		closeAll()
 		if rerr := eng.Restore(snap); rerr != nil {
 			return nil, fmt.Errorf("admission: batch rollback failed: %v (after %w)", rerr, err)
 		}
 		return nil, err
 	}
 	fallback := func() ([]Decision, error) {
-		closeAll()
 		if rerr := eng.Restore(snap); rerr != nil {
 			return nil, fmt.Errorf("admission: batch fallback rollback failed: %v", rerr)
 		}
-		return decideEach(eng, specs)
+		return decideEach(eng, specs, keep)
 	}
 	for _, fs := range specs {
 		if _, err := eng.AddFlow(fs); err != nil {
 			return abort(err)
 		}
 	}
-	v, err := eng.AnalyzeView()
-	if err != nil {
-		return abort(err)
-	}
-	opened = append(opened, v)
+	v := eng.Converge()
 	if holisticCapHit(v) {
 		return fallback()
 	}
 	admitted := make([]bool, len(specs))
-	rejected := make([]*core.ResultView, len(specs))
-	if v.Schedulable() {
+	rejected := make([]*Record, len(specs))
+	if v.Schedulable {
 		for i := range admitted {
 			admitted[i] = true
 		}
-	} else if err := evictBatch(eng, specs, v, admitted, rejected, &opened); err != nil {
+	} else if err := evictBatch(eng, specs, v, admitted, rejected, keep); err != nil {
 		if errors.Is(err, errHolisticCap) {
 			return fallback()
 		}
@@ -202,27 +216,17 @@ func decideBatch(eng *core.Engine, specs []*network.FlowSpec) ([]Decision, error
 	}
 	// Converge whatever survived; with no evictions this is the cached
 	// batch fixpoint. The surviving set is schedulable by construction.
-	final, err := eng.AnalyzeView()
-	if err != nil {
-		return abort(err)
-	}
-	opened = append(opened, final)
+	final := eng.Converge()
 	if holisticCapHit(final) {
 		return fallback()
 	}
 	eng.Discard(snap)
+	fin := record(eng, final, keep)
 	out := make([]Decision, len(specs))
-	kept := map[*core.ResultView]bool{final: true}
 	for i, fs := range specs {
-		out[i] = Decision{FlowName: fs.Flow.Name, Admitted: admitted[i], View: final}
+		out[i] = Decision{FlowName: fs.Flow.Name, Admitted: admitted[i], View: fin}
 		if !admitted[i] {
 			out[i].View = rejected[i]
-			kept[rejected[i]] = true
-		}
-	}
-	for _, w := range opened {
-		if !kept[w] {
-			w.Close()
 		}
 	}
 	return out, nil
@@ -231,15 +235,12 @@ func decideBatch(eng *core.Engine, specs []*network.FlowSpec) ([]Decision, error
 // decideEach is decideBatch's fallback: decide on every spec in order.
 // On error it removes the flows the replay had admitted, so the engine
 // is back at its pre-batch flow set, like every other decideBatch error.
-func decideEach(eng *core.Engine, specs []*network.FlowSpec) ([]Decision, error) {
+func decideEach(eng *core.Engine, specs []*network.FlowSpec, keep bool) ([]Decision, error) {
 	base := eng.Network().NumFlows()
 	out := make([]Decision, len(specs))
 	for i, fs := range specs {
-		d, err := decide(eng, fs)
+		d, err := decide(eng, fs, keep)
 		if err != nil {
-			for _, d := range out[:i] {
-				d.View.Close()
-			}
 			for n := eng.Network().NumFlows(); n > base; n-- {
 				if rerr := eng.RemoveFlow(n - 1); rerr != nil {
 					return nil, fmt.Errorf("admission: batch fallback rollback failed: %v (after %w)", rerr, err)
@@ -261,14 +262,13 @@ func decideEach(eng *core.Engine, specs []*network.FlowSpec) ([]Decision, error)
 // and re-staging the rest. Schedulability is monotone in the staged
 // prefix (removing flows only removes interference), so the bisection is
 // exact and the resulting accept set equals one-by-one processing.
-// Probe analyses are read off copy-on-read views; the write barrier
-// keeps a failing probe's view intact through the later add/remove churn
-// so it can serve as the rejected flow's diagnostic. Every minted view
-// is appended to opened for the caller's cleanup. A returned error means
-// the engine is in an intermediate state; the caller restores the batch
-// snapshot (and, for errHolisticCap, replays the batch one by one — see
-// decideBatch).
-func evictBatch(eng *core.Engine, specs []*network.FlowSpec, lastFail *core.ResultView, admitted []bool, rejected []*core.ResultView, opened *[]*core.ResultView) error {
+// lastFail always belongs to the analysis of the accepted flows plus the
+// staged prefix ending in the flow it rejects, so the rejected record is
+// that flow set: the engine's flows once the prefix is cut back, plus
+// the rejected spec. A returned error means the engine is in an
+// intermediate state; the caller restores the batch snapshot (and, for
+// errHolisticCap, replays the batch one by one — see decideBatch).
+func evictBatch(eng *core.Engine, specs []*network.FlowSpec, lastFail core.Verdict, admitted []bool, rejected []*Record, keep bool) error {
 	// rest holds the undecided spec indices, all currently staged after
 	// the committed-and-accepted flows; base is the engine index of the
 	// first staged one.
@@ -300,15 +300,11 @@ func evictBatch(eng *core.Engine, specs []*network.FlowSpec, lastFail *core.Resu
 			if err := adjust(mid); err != nil {
 				return err
 			}
-			probe, err := eng.AnalyzeView()
-			if err != nil {
-				return err
-			}
-			*opened = append(*opened, probe)
+			probe := eng.Converge()
 			if holisticCapHit(probe) {
 				return errHolisticCap
 			}
-			if probe.Schedulable() {
+			if probe.Schedulable {
 				lo = mid
 			} else {
 				hi = mid
@@ -324,7 +320,7 @@ func evictBatch(eng *core.Engine, specs []*network.FlowSpec, lastFail *core.Resu
 		for _, si := range rest[:hi-1] {
 			admitted[si] = true
 		}
-		rejected[rest[hi-1]] = lastFail
+		rejected[rest[hi-1]] = record(eng, lastFail, keep, specs[rest[hi-1]])
 		base += hi - 1
 		rest = rest[hi:]
 		if len(rest) == 0 {
@@ -337,15 +333,11 @@ func evictBatch(eng *core.Engine, specs []*network.FlowSpec, lastFail *core.Resu
 				return err
 			}
 		}
-		again, err := eng.AnalyzeView()
-		if err != nil {
-			return err
-		}
-		*opened = append(*opened, again)
+		again := eng.Converge()
 		if holisticCapHit(again) {
 			return errHolisticCap
 		}
-		if again.Schedulable() {
+		if again.Schedulable {
 			for _, si := range rest {
 				admitted[si] = true
 			}
@@ -366,9 +358,8 @@ var errHolisticCap = errors.New("admission: holistic iteration cap hit mid-batch
 // reported an error. Deadline misses and stage errors are monotone in
 // the flow set; this verdict is not (it depends on the warm-start
 // point), so the batch path falls back to one-by-one processing on it.
-// O(1): the view carries the engine's maintained stage-error count.
-func holisticCapHit(v *core.ResultView) bool {
-	return !v.Converged() && v.StageErrors() == 0
+func holisticCapHit(v core.Verdict) bool {
+	return !v.Converged && v.StageErrors == 0
 }
 
 // ColdController is the from-scratch reference: every request re-builds a

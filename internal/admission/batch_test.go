@@ -114,7 +114,7 @@ func runBatchDifferential(t *testing.T, topo *network.Topology, specs []*network
 	if err != nil {
 		t.Fatal(err)
 	}
-	engDs, err := decideBatch(eng, copySpecs(specs))
+	engDs, err := decideBatch(eng, copySpecs(specs), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +286,11 @@ func TestBatchFallsBackOnHolisticCap(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			v, err := probe.AnalyzeView()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if holisticCapHit(v) {
+			if holisticCapHit(probe.Converge()) {
 				capHits++
 			}
 			batchEng, seqEng := newEngine(), newEngine()
-			bds, err := decideBatch(batchEng, copySpecs(specs))
+			bds, err := decideBatch(batchEng, copySpecs(specs), true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,7 +303,7 @@ func TestBatchFallsBackOnHolisticCap(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, fs := range copySpecs(specs) {
-				sd, err := decide(seqEng, fs)
+				sd, err := decide(seqEng, fs, true)
 				if err != nil {
 					t.Fatal(err)
 				}

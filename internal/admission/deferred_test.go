@@ -116,7 +116,7 @@ func TestDeferredDepartureMatchesEager(t *testing.T) {
 // departureCycleAllocs caps one Release plus the next Request of a
 // flow joining an existing closure, under RetainCounters: the claim,
 // the queued removal (route lookup, closure scan, warm departure) and
-// a full admission (placement, snapshot, delta analysis, view). It
+// a full admission (placement, snapshot, delta analysis, verdict). It
 // measures 42 objects with Go 1.24 at 100 and at 1 000 shards.
 const departureCycleAllocs = 45
 

@@ -125,7 +125,7 @@ func TestShardedEmptyBatch(t *testing.T) {
 // TestShardedRetentionCounters pins the lean retention mode the daemon
 // and the load harness run under: decisions and departures are
 // identical to RetainAll, the O(1) counters agree exactly, but no
-// decision log — and no open analysis view — accumulates.
+// decision log — and no retained flow set — accumulates.
 func TestShardedRetentionCounters(t *testing.T) {
 	topo, hosts, err := network.Ring(6, 3)
 	if err != nil {
@@ -172,8 +172,11 @@ func TestShardedRetentionCounters(t *testing.T) {
 			if fds[i].Admitted != lds[i].Admitted {
 				t.Fatalf("spec %s: full=%v lean=%v", chunk[i].Flow.Name, fds[i].Admitted, lds[i].Admitted)
 			}
-			if lds[i].Result != nil || lds[i].View != nil {
+			if lds[i].Result != nil || lds[i].Analysis() != nil {
 				t.Fatalf("spec %s: lean decision kept an analysis", chunk[i].Flow.Name)
+			}
+			if lds[i].View.Verdict.Schedulable != lds[i].Admitted {
+				t.Fatalf("spec %s: lean decision's verdict disagrees with it", chunk[i].Flow.Name)
 			}
 			if fds[i].Admitted {
 				admitted++

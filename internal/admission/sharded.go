@@ -51,8 +51,8 @@ import (
 // the failing group back in full, while the groups that finished keep
 // their admissions, recorded like any other (visible via Decisions,
 // releasable via Release); RequestBatch then returns the error and no
-// decisions. Decision.View covers the request's interference closure,
-// not the whole network; see Decision.
+// decisions. A decision's record covers the request's interference
+// closure, not the whole network; see Decision.
 //
 // A ShardedController is not safe for concurrent use, and it starts no
 // goroutine: every call decides on the caller's goroutine.
@@ -104,15 +104,17 @@ type FoldEvent struct {
 type Retention int
 
 const (
-	// RetainAll keeps the full decision log, each decision carrying its
-	// analysis view: the default, and what the differential and golden
-	// tests compare.
+	// RetainAll keeps the full decision log, each decision's record
+	// retaining the flow set its verdict was computed over, so
+	// Decision.Analysis can explain it: the default, and what the
+	// differential and golden tests compare.
 	RetainAll Retention = iota
 	// RetainCounters folds every decision into the admitted/rejected
-	// counters, closes its analysis view and logs nothing. Memory per
-	// request is constant — the retention mode for serving or replaying
-	// millions of requests, where the decision log would otherwise
-	// dominate memory.
+	// counters and logs nothing; a returned decision's record carries
+	// the verdict and its stats but no flow set. Memory per request is
+	// constant — the retention mode for serving or replaying millions
+	// of requests, where the decision log would otherwise dominate
+	// memory.
 	RetainCounters
 )
 
@@ -176,7 +178,7 @@ func (c *ShardedController) Request(fs *network.FlowSpec) (Decision, error) {
 	if err != nil {
 		return Decision{}, err
 	}
-	d, err := decide(p.Engine(), fs)
+	d, err := decide(p.Engine(), fs, c.retention == RetainAll)
 	if err != nil {
 		p.Commit()
 		return Decision{}, err
@@ -192,7 +194,6 @@ func (c *ShardedController) Request(fs *network.FlowSpec) (Decision, error) {
 
 // fold enters one decision into the bookkeeping: the notify hook, the
 // counters, the resident FIFO and — under RetainAll — the decision log.
-// Under RetainCounters the analysis view is closed and dropped from d.
 func (c *ShardedController) fold(fs *network.FlowSpec, d *Decision) {
 	if c.notify != nil {
 		k := FoldRejected
@@ -210,9 +211,6 @@ func (c *ShardedController) fold(fs *network.FlowSpec, d *Decision) {
 	}
 	if c.retention == RetainAll {
 		c.decisions = append(c.decisions, *d)
-	} else if d.View != nil {
-		d.View.Close() // idempotent: admitted batch members share one view
-		d.View = nil
 	}
 }
 
@@ -260,7 +258,7 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 		for at, i := range g.Indices {
 			gspecs[at] = specs[i]
 		}
-		ds, err := decideBatch(g.Engine(), gspecs)
+		ds, err := decideBatch(g.Engine(), gspecs, c.retention == RetainAll)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -11,56 +11,40 @@ import (
 	"gmfnet/internal/units"
 )
 
-// frameCap is a deep, slice-free capture of one flow's bounds read off a
-// decision view at decision time.
-type frameCap struct {
-	name     string
-	hasErr   bool
-	response []units.Time
-	deadline []units.Time
-}
-
-func captureView(v *core.ResultView) []frameCap {
-	out := make([]frameCap, v.NumFlows())
-	for i := range out {
-		fr := v.Flow(i)
-		c := frameCap{name: fr.Name, hasErr: fr.Err != nil}
-		for k := range fr.Frames {
-			c.response = append(c.response, fr.Frames[k].Response)
-			c.deadline = append(c.deadline, fr.Frames[k].Deadline)
-		}
-		out[i] = c
-	}
-	return out
-}
-
-func checkCapture(t *testing.T, label string, v *core.ResultView, want []frameCap) {
+// sameBounds asserts two analyses agree on every flow's name, stage
+// error presence and per-frame bound.
+func sameBounds(t *testing.T, label string, got, want *core.Result) {
 	t.Helper()
-	if v.NumFlows() != len(want) {
-		t.Fatalf("%s: view now covers %d flows, captured %d", label, v.NumFlows(), len(want))
+	if got == nil || want == nil {
+		t.Fatalf("%s: missing analysis (got %v, want %v)", label, got != nil, want != nil)
 	}
-	for i, w := range want {
-		fr := v.Flow(i)
-		if fr.Name != w.name || (fr.Err != nil) != w.hasErr || len(fr.Frames) != len(w.response) {
-			t.Fatalf("%s: flow %d drifted: %+v vs capture %+v", label, i, fr, w)
+	if len(got.Flows) != len(want.Flows) || got.Converged != want.Converged {
+		t.Fatalf("%s: %d flows converged=%v, want %d converged=%v",
+			label, len(got.Flows), got.Converged, len(want.Flows), want.Converged)
+	}
+	for i := range want.Flows {
+		g, w := &got.Flows[i], &want.Flows[i]
+		if g.Name != w.Name || (g.Err == nil) != (w.Err == nil) || len(g.Frames) != len(w.Frames) {
+			t.Fatalf("%s flow %d: %+v vs %+v", label, i, g, w)
 		}
-		for k := range w.response {
-			if fr.Frames[k].Response != w.response[k] || fr.Frames[k].Deadline != w.deadline[k] {
-				t.Fatalf("%s: flow %d frame %d bound drifted: %v/%v vs %v/%v",
-					label, i, k, fr.Frames[k].Response, fr.Frames[k].Deadline, w.response[k], w.deadline[k])
+		for k := range w.Frames {
+			if g.Frames[k].Response != w.Frames[k].Response || g.Frames[k].Deadline != w.Frames[k].Deadline {
+				t.Fatalf("%s flow %d frame %d: bound %v/%v vs %v/%v", label, i, k,
+					g.Frames[k].Response, g.Frames[k].Deadline, w.Frames[k].Response, w.Frames[k].Deadline)
 			}
 		}
 	}
 }
 
-// TestDecisionViewsMatchColdBounds drives the view-based sharded
-// controller and the from-scratch cold baseline through an identical
-// randomized request/departure stream and pins, per decision: the
-// verdict, the bounds served by the decision's copy-on-read view against
-// the cold controller's detached result, and — the new property — that
-// every retained decision view keeps serving its decision-time bounds
-// unchanged while later requests, rejections and departures churn the
-// shared engine state underneath it.
+// TestDecisionViewsMatchColdBounds drives the sharded controller and
+// the from-scratch cold baseline through an identical randomized
+// request/departure stream and pins, per decision: the verdict, the
+// record's O(1) verdict against it, and — read only after the whole
+// stream has churned the shard engines — the decision's on-demand
+// analysis against the analysis the cold controller made at decision
+// time. Every route crosses link 6->3, so the request's shard is the
+// whole network and the two analyses cover the same flows in the same
+// order.
 func TestDecisionViewsMatchColdBounds(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		seed := seed
@@ -81,12 +65,12 @@ func TestDecisionViewsMatchColdBounds(t *testing.T) {
 				{"2", "5", "6", "3"},
 			}
 			type retained struct {
-				d    Decision
-				want []frameCap
-				op   int
+				d, cold Decision
+				op      int
 			}
 			var kept []retained
 			var admittedNames []string
+			rejected := 0
 			for op := 0; op < 30; op++ {
 				if len(admittedNames) > 0 && r.Float64() < 0.25 {
 					victim := admittedNames[r.Intn(len(admittedNames))]
@@ -102,90 +86,73 @@ func TestDecisionViewsMatchColdBounds(t *testing.T) {
 							break
 						}
 					}
-				} else {
-					nm := fmt.Sprintf("f%d", op)
-					route := routes[r.Intn(len(routes))]
-					var flow = trace.CBRVideo(nm, 2000+r.Int63n(20000), 40*units.Millisecond, 250*units.Millisecond)
-					if r.Intn(3) == 0 {
-						flow = trace.MPEGIBBPBBPBB(nm, trace.MPEGOptions{Deadline: 300 * units.Millisecond})
-					}
-					spec := &network.FlowSpec{Flow: flow, Route: route, Priority: network.Priority(r.Intn(3))}
-					specCopy := *spec
-					dInc, err := inc.Request(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dCold, err := cold.Request(&specCopy)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if dInc.Admitted != dCold.Admitted {
-						t.Fatalf("op %d: verdicts diverged: view=%v cold=%v", op, dInc.Admitted, dCold.Admitted)
-					}
-					if dInc.View == nil {
-						t.Fatalf("op %d: engine controller produced no view", op)
-					}
-					if dInc.View.Schedulable() != dInc.Admitted {
-						t.Fatalf("op %d: view verdict %v, decision %v", op, dInc.View.Schedulable(), dInc.Admitted)
-					}
-					// For converged analyses — admissions and deadline-miss
-					// rejections — the view's bounds must equal the cold
-					// baseline's detached result, flow for flow (the least
-					// fixpoint is unique). Stage-error analyses are only
-					// verdict-compared: the one-shot analyzer stops at the
-					// failing flow and leaves the rest zero, while the warm
-					// engine legitimately still carries the other flows'
-					// previous bounds.
-					if dInc.View.Converged() && dCold.Result.Converged {
-						want := dCold.Result
-						if dInc.View.NumFlows() != len(want.Flows) {
-							t.Fatalf("op %d: view covers %d flows, cold result %d", op, dInc.View.NumFlows(), len(want.Flows))
-						}
-						for i := range want.Flows {
-							g, w := dInc.View.Flow(i), &want.Flows[i]
-							if g.Name != w.Name || (g.Err == nil) != (w.Err == nil) || len(g.Frames) != len(w.Frames) {
-								t.Fatalf("op %d flow %d: %+v vs cold %+v", op, i, g, w)
-							}
-							for k := range w.Frames {
-								if g.Frames[k].Response != w.Frames[k].Response {
-									t.Fatalf("op %d flow %d frame %d: bound %v vs cold %v",
-										op, i, k, g.Frames[k].Response, w.Frames[k].Response)
-								}
-							}
-						}
-					}
-					kept = append(kept, retained{d: dInc, want: captureView(dInc.View), op: op})
-					if dInc.Admitted {
-						admittedNames = append(admittedNames, nm)
-					}
+					continue
 				}
-				for _, re := range kept {
-					checkCapture(t, fmt.Sprintf("op %d, decision from op %d", op, re.op), re.d.View, re.want)
+				nm := fmt.Sprintf("f%d", op)
+				route := routes[r.Intn(len(routes))]
+				var flow = trace.CBRVideo(nm, 2000+r.Int63n(20000), 40*units.Millisecond, 250*units.Millisecond)
+				if r.Intn(3) == 0 {
+					flow = trace.MPEGIBBPBBPBB(nm, trace.MPEGOptions{Deadline: 300 * units.Millisecond})
+				}
+				spec := &network.FlowSpec{Flow: flow, Route: route, Priority: network.Priority(r.Intn(3))}
+				specCopy := *spec
+				dInc, err := inc.Request(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dCold, err := cold.Request(&specCopy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dInc.Admitted != dCold.Admitted {
+					t.Fatalf("op %d: verdicts diverged: sharded=%v cold=%v", op, dInc.Admitted, dCold.Admitted)
+				}
+				if dInc.View == nil {
+					t.Fatalf("op %d: sharded controller recorded no verdict", op)
+				}
+				if dInc.View.Verdict.Schedulable != dInc.Admitted {
+					t.Fatalf("op %d: recorded verdict %v, decision %v", op, dInc.View.Verdict.Schedulable, dInc.Admitted)
+				}
+				if !dInc.Admitted {
+					rejected++
+				}
+				kept = append(kept, retained{d: dInc, cold: dCold, op: op})
+				if dInc.Admitted {
+					admittedNames = append(admittedNames, nm)
 				}
 			}
-			// Materialized decisions must reproduce the captures too, and
-			// Analysis() must serve them controller-agnostically.
+			if rejected == 0 {
+				t.Fatal("stream made no rejection")
+			}
 			for _, re := range kept {
 				res := re.d.Analysis()
-				if len(res.Flows) != len(re.want) {
-					t.Fatalf("decision from op %d materialized to %d flows, captured %d", re.op, len(res.Flows), len(re.want))
+				sameBounds(t, fmt.Sprintf("decision from op %d", re.op), res, re.cold.Result)
+				if res.Schedulable() != re.d.Admitted {
+					t.Fatalf("decision from op %d: analysis schedulable=%v, admitted=%v", re.op, res.Schedulable(), re.d.Admitted)
 				}
-				for i, w := range re.want {
-					for k := range w.response {
-						if res.Flows[i].Frames[k].Response != w.response[k] {
-							t.Fatalf("decision from op %d: materialized flow %d frame %d drifted", re.op, i, k)
-						}
-					}
+				if re.d.Analysis() != res {
+					t.Fatalf("decision from op %d: second Analysis call did not return the cached result", re.op)
 				}
 			}
 		})
 	}
 }
 
-// TestBatchDecisionViews pins the batched path's view plumbing: admitted
-// decisions share the batch's final converged view, rejected decisions
-// carry the violating probe analysis, and both stay frozen across a
-// subsequent batch.
+// names lists a record's retained flow names in order.
+func names(r *Record) []string {
+	var out []string
+	for _, fs := range r.specs {
+		out = append(out, fs.Flow.Name)
+	}
+	return out
+}
+
+// TestBatchDecisionViews pins the batched path's records: admitted
+// decisions share the record of the batch's final analysis, a rejected
+// decision records the prefix that violated — the admitted flows before
+// it plus itself — and both explain their decision after later batches
+// and departures. Close drops a record's flow set but keeps an analysis
+// already computed.
 func TestBatchDecisionViews(t *testing.T) {
 	topo := network.MustFigure1(network.Figure1Options{Rate: 10 * units.Mbps})
 	ctl, err := NewShardedController(network.New(topo), core.Config{})
@@ -205,15 +172,14 @@ func TestBatchDecisionViews(t *testing.T) {
 		t.Fatalf("unexpected verdicts: %v %v %v", ds[0].Admitted, ds[1].Admitted, ds[2].Admitted)
 	}
 	if ds[0].View != ds[2].View {
-		t.Fatal("admitted batch decisions do not share the final view")
+		t.Fatal("admitted batch decisions do not share the final record")
 	}
 	if ds[1].View == ds[0].View {
-		t.Fatal("rejected decision shares the admitted view")
+		t.Fatal("rejected decision shares the admitted record")
 	}
-	if ds[1].View.Schedulable() {
-		t.Fatal("rejected decision's view claims schedulable")
+	if ds[1].View.Verdict.Schedulable {
+		t.Fatal("rejected decision's verdict claims schedulable")
 	}
-	caps := [][]frameCap{captureView(ds[0].View), captureView(ds[1].View)}
 	// Churn the engine: another batch plus a departure.
 	if _, err := ctl.RequestBatch([]*network.FlowSpec{
 		{Flow: trace.CBRVideo("c", 4000, 40*units.Millisecond, 300*units.Millisecond), Route: []network.NodeID{"2", "5", "6", "3"}, Priority: 1},
@@ -226,6 +192,29 @@ func TestBatchDecisionViews(t *testing.T) {
 	if err := ctl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	checkCapture(t, "admitted batch view", ds[0].View, caps[0])
-	checkCapture(t, "rejected batch view", ds[1].View, caps[1])
+	if got := fmt.Sprint(names(ds[0].View)); got != "[a b]" {
+		t.Fatalf("admitted record holds %s, want [a b]", got)
+	}
+	if got := fmt.Sprint(names(ds[1].View)); got != "[a hog]" {
+		t.Fatalf("rejected record holds %s, want [a hog]", got)
+	}
+	adm, rej := ds[0].Analysis(), ds[1].Analysis()
+	if !adm.Schedulable() || rej.Schedulable() {
+		t.Fatalf("record analyses: admitted schedulable=%v, rejected schedulable=%v", adm.Schedulable(), rej.Schedulable())
+	}
+	ds[1].View.Close()
+	if ds[1].Analysis() != rej {
+		t.Fatal("Close dropped an analysis already computed")
+	}
+	d, err := ctl.Request(&network.FlowSpec{Flow: trace.CBRVideo("d", 4000, 40*units.Millisecond, 300*units.Millisecond), Route: []network.NodeID{"2", "5", "6", "3"}, Priority: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.View.Close()
+	if d.Analysis() != nil {
+		t.Fatal("a record closed before analysis still analysed")
+	}
+	if d.View.Stats().Iterations == 0 {
+		t.Fatal("Close dropped the verdict's stats")
+	}
 }

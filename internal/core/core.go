@@ -121,7 +121,7 @@ func (s *ConvergenceStats) Add(other ConvergenceStats) {
 // ErrNoConvergence reports that the holistic iteration exhausted
 // Config.MaxHolisticIter with the jitter assignment still moving: the
 // analysis gave up, it did not converge in exactly the cap. It is
-// carried on Result.NoConvergence / ResultView.NoConvergence() — not
+// carried on Result.NoConvergence / Verdict.NoConvergence — not
 // returned from Analyze — because cap exhaustion is a verdict
 // (unschedulable as far as we know), not a structural failure: the
 // batched admission path relies on distinguishing it from stage errors

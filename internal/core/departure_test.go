@@ -109,10 +109,10 @@ func freshSweeps(t *testing.T, nw *network.Network, fs *network.FlowSpec) int {
 // analysis of the current flow set, and every tentative analysis must
 // take as many sweeps as it takes from a fresh engine holding the same
 // residents — a departure leaves no trace beyond its fixpoint. In the
-// eager leg every del is
-// followed by an analysis (what Release's Refresh does); in the lazy leg
-// dels are left pending, so consecutive departures pile up into one
-// descent and the next add has to converge it first.
+// eager leg every del is followed by an analysis (what a shard's
+// departure does); in the lazy leg dels are left pending, so
+// consecutive departures pile up into one descent and the next add has
+// to converge it first.
 func TestWarmDepartureMatchesCold(t *testing.T) {
 	topos := []struct {
 		name string
@@ -276,9 +276,7 @@ func TestIsolatedDepartureLeavesNothingPending(t *testing.T) {
 	if eng.descending || len(eng.dirty) != 0 {
 		t.Fatalf("isolated departure left descending=%v dirty=%v", eng.descending, eng.dirty)
 	}
-	if err := eng.Refresh(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Converge()
 	fs := voipOn("newcomer", "a1", "sA", "a3")
 	want := freshSweeps(t, eng.Network(), fs)
 	if _, err := eng.AddFlow(fs); err != nil {
@@ -584,7 +582,7 @@ func bigClosure(t *testing.T, n int) *Engine {
 	return eng
 }
 
-// departureAllocBudget caps one warm departure plus Refresh in the
+// departureAllocBudget caps one warm departure plus the Converge in the
 // 240-flow closure of bigClosure. What remains is two allocations per
 // re-analysed flow (its frame results and their stage arena, which
 // become the published header) and a constant few for the worklist; the
@@ -596,7 +594,7 @@ func bigClosure(t *testing.T, n int) *Engine {
 const departureAllocBudget = 580
 
 // TestDepartureAllocs pins the allocation count of a departure and the
-// Refresh that converges it, on a ~200-flow feed-forward closure.
+// Converge that settles it, on a ~200-flow feed-forward closure.
 func TestDepartureAllocs(t *testing.T) {
 	eng := bigClosure(t, 240)
 	depart := func() {
@@ -606,14 +604,12 @@ func TestDepartureAllocs(t *testing.T) {
 		if !eng.descending {
 			t.Fatal("departure did not descend warm")
 		}
-		if err := eng.Refresh(); err != nil {
-			t.Fatal(err)
-		}
+		eng.Converge()
 	}
 	allocs := testing.AllocsPerRun(20, depart)
-	t.Logf("departure + Refresh in a %d-flow closure: %.0f allocs", eng.Network().NumFlows(), allocs)
+	t.Logf("departure + Converge in a %d-flow closure: %.0f allocs", eng.Network().NumFlows(), allocs)
 	if allocs > departureAllocBudget {
-		t.Fatalf("departure + Refresh allocates %.0f, budget %d", allocs, departureAllocBudget)
+		t.Fatalf("departure + Converge allocates %.0f, budget %d", allocs, departureAllocBudget)
 	}
 	checkCold(t, "after departures", eng)
 }

@@ -44,12 +44,10 @@ import (
 //     adopted from another engine starts with an empty memo. The cold
 //     Analyzer keeps no memo, so it stays an independent referee.
 //
-// Results are published copy-on-read: the engine keeps one live slice of
-// per-flow result headers, stamps each header with the generation that
-// last wrote it, and AnalyzeView returns O(1) immutable ResultViews
-// sharing those headers (a write barrier preserves retained views — see
-// view.go). Analyze keeps the original detached-copy semantics; Refresh
-// converges without publishing anything.
+// Converge returns the verdict of the current flow set in O(1): the
+// engine keeps one live slice of per-flow result headers and counts, as
+// it writes them, the ones that are not schedulable or carry a stage
+// error (see verdict.go). Analyze returns the bounds as a detached copy.
 //
 // Snapshots are O(1) tokens backed by undo journals: between Snapshot
 // and Restore the arena records (slot, old value) for every jitter
@@ -70,7 +68,6 @@ type Engine struct {
 
 	js    *jitterState // last converged jitter assignment when valid
 	flows []FlowResult // live per-flow result headers, aligned with network indices
-	meta  []hdrMeta    // per-header generation stamp + cached verdict flags
 	valid bool         // js and flows describe a fixpoint of the current flow set
 	// descending reports that dirty holds a pending warm descent: the
 	// link-neighbours of flows that departed from a converged fixpoint of
@@ -81,19 +78,11 @@ type Engine struct {
 	descending bool
 	dirty      map[int]bool // flows changed since the last converged analysis
 
-	// gen is the header-write generation: bumped once per mutating entry
-	// point, stamped onto every header written under it. Views order
-	// themselves against header writes with it (view.go).
-	gen uint64
 	// unsched / errcnt count the headers that are currently not
-	// schedulable / carry a stage error, so views answer Schedulable()
+	// schedulable / carry a stage error, so Converge answers the verdict
 	// and the holistic-cap probe in O(1).
 	unsched int
 	errcnt  int
-	// views are the live ResultViews, ascending by creation generation;
-	// the write barrier saves overwritten headers into the suffix that
-	// can still see them.
-	views []*ResultView
 
 	// hdrJournal is the header undo log armed by Snapshot, mirroring the
 	// jitter journal: Restore replays it backwards instead of restoring a
@@ -154,16 +143,16 @@ func NewEngine(nw *network.Network, cfg Config) (*Engine, error) {
 // Network returns the underlying network.
 func (e *Engine) Network() *network.Network { return e.an.nw }
 
+// Config returns the analysis configuration, defaults filled in.
+func (e *Engine) Config() Config { return e.an.cfg }
+
 // Invalidate discards all warm state; the next analysis runs cold. Call
 // it after mutating the network or its flows outside AddFlow/RemoveFlow
 // (e.g. reassigning priorities). Outstanding snapshots become
-// unrestorable; outstanding views stay readable (their header storage is
-// abandoned, not overwritten).
+// unrestorable.
 func (e *Engine) Invalidate() {
-	e.bumpGen()
 	e.js = nil
 	e.flows = nil
-	e.meta = nil
 	e.unsched, e.errcnt = 0, 0
 	e.valid = false
 	e.dirty = make(map[int]bool)
@@ -190,7 +179,6 @@ func (e *Engine) AddFlow(fs *network.FlowSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.bumpGen()
 	if e.valid {
 		e.js.addFlow(i, fs, e.an.nw.FlowResources(i))
 		e.appendHeader(FlowResult{Index: i, Name: fs.Flow.Name}, true)
@@ -228,7 +216,6 @@ func (e *Engine) RemoveFlow(i int) error {
 	if i < 0 || i >= nw.NumFlows() {
 		return errIndex(i, nw.NumFlows())
 	}
-	e.bumpGen()
 	if e.snapLive {
 		rec := removedFlow{index: i, fs: nw.Flow(i)}
 		if i < len(e.an.demands) {
@@ -303,30 +290,10 @@ func (e *Engine) converge() bool {
 
 // Analyze brings the engine's bounds up to date and returns them as a
 // detached *Result: later engine calls do not mutate it. The detachment
-// copies O(flows) headers per call — the compatibility path; hot callers
-// should prefer AnalyzeView, whose copy-on-read views cost O(1) to
-// create, or Refresh when the bounds need no reading at all.
+// copies O(flows) headers per call; callers that need only the verdict
+// use Converge, which copies none.
 func (e *Engine) Analyze() (*Result, error) {
 	return e.result(e.converge()), nil
-}
-
-// AnalyzeView brings the engine's bounds up to date and returns an
-// immutable copy-on-read view of them. Creating the view is O(1): it
-// shares the engine's live headers, and the engine copies a header into
-// the view only at the moment a later mutation overwrites it, so a
-// retained view costs O(headers actually rewritten), never O(flows).
-// Call ResultView.Materialize for Analyze's detached *Result, or
-// ResultView.Close to discard a view early.
-func (e *Engine) AnalyzeView() (*ResultView, error) {
-	return e.newView(e.converge()), nil
-}
-
-// Refresh brings the engine's bounds up to date without publishing a
-// result — the cheapest way to re-converge after a departure when the
-// caller does not read the bounds.
-func (e *Engine) Refresh() error {
-	e.converge()
-	return nil
 }
 
 // convergeDelta converges the flows whose pipelines transitively share a
@@ -362,7 +329,6 @@ func (e *Engine) convergeDelta() bool {
 // rebuilding all warm state.
 func (e *Engine) convergeFull() bool {
 	nw := e.an.nw
-	e.bumpGen()
 	e.js = newJitterState(nw)
 	flows := make([]FlowResult, nw.NumFlows())
 	for i := range flows {
@@ -386,13 +352,8 @@ func (e *Engine) convergeFull() bool {
 // every flow, while touching only the actual propagation front. Within a
 // round, a flow whose every stage the memo serves is skipped too: its
 // pass would write nothing new.
-//
-// Every header it rewrites goes through the engine's write barrier, so
-// retained ResultViews keep their pre-analysis values and the cost per
-// round is O(worked flows).
 func (e *Engine) analyzeOver(work []int) bool {
 	nw := e.an.nw
-	e.bumpGen()
 	e.noConv = nil
 	sweeps := 0
 	// finish publishes the stats; the warm state is a fixpoint of the
@@ -462,7 +423,7 @@ func (e *Engine) nextFrontStart(n int) func(int) {
 }
 
 // result assembles a detached Result from the live per-flow headers —
-// the O(flows) copy the view path exists to avoid.
+// the O(flows) copy Converge avoids.
 func (e *Engine) result(converged bool) *Result {
 	out := &Result{
 		Flows:         make([]FlowResult, len(e.flows)),
@@ -594,18 +555,15 @@ func (e *Engine) Discard(s *Snapshot) {
 // their original indices (reverse removal order, via the engine's
 // removal log and the jitter state's tombstone journal), and journaled
 // jitter writes and header mutations are undone in reverse — O(changes
-// since the snapshot), not O(total state). Views taken between Snapshot
-// and Restore survive: the replay runs through the write barrier, so a
-// retained view keeps showing the pre-restore analysis. Restoring a
-// stale snapshot (a newer one was taken, it was discarded or already
-// restored, or Invalidate ran) returns an error.
+// since the snapshot), not O(total state). Restoring a stale snapshot
+// (a newer one was taken, it was discarded or already restored, or
+// Invalidate ran) returns an error.
 func (e *Engine) Restore(s *Snapshot) error {
 	if s.seq != e.snapSeq {
 		return fmt.Errorf("core: stale snapshot: only the most recent snapshot can be restored, once")
 	}
 	e.snapSeq++ // consume: a second restore of s is refused
 	e.snapLive = false
-	e.bumpGen()
 	nw := e.an.nw
 	// Re-insert departures in reverse removal order: afterwards every
 	// flow alive at the snapshot is back at its original index and every

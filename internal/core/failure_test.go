@@ -134,15 +134,8 @@ func TestErrNoConvergence(t *testing.T) {
 	if nc.Error() == "" {
 		t.Fatal("NoConvergence.Error() empty")
 	}
-	v, err := eng.AnalyzeView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.NoConvergence() == nil {
-		t.Fatal("ResultView.NoConvergence() nil after cap exhaustion")
-	}
-	if mat := v.Materialize(); mat.NoConvergence == nil {
-		t.Fatal("materialized Result lost NoConvergence")
+	if v := eng.Converge(); v.NoConvergence == nil || v.Converged || v.StageErrors != 0 {
+		t.Fatalf("verdict after cap exhaustion = %+v, want NoConvergence set, unconverged, no stage errors", v)
 	}
 	// A converged analysis clears the signal.
 	eng2, err := NewEngine(network.New(topo), Config{})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gmfnet/internal/network"
@@ -66,10 +67,12 @@ func sameNames(a, b []string) bool {
 // FuzzSnapshotRestore drives random interleavings of AddFlow, RemoveFlow,
 // Analyze, Snapshot, Restore and Discard through the engine and checks
 // every Restore against a deep-clone oracle taken at Snapshot time: the
-// jitter assignment must round-trip bit-identically and the network's
-// flow list must be exactly the snapshot's. This exercises the
-// block-move (tombstone) journal: removals between Snapshot and Restore
-// are the interesting interleavings, previously refused outright.
+// jitter assignment, the live result headers and the verdict counters
+// must round-trip bit-identically, and the network's flow list must be
+// exactly the snapshot's. After every operation the verdict counters
+// must equal a scan of the headers. This exercises the block-move
+// (tombstone) journal and the header journal: removals between Snapshot
+// and Restore are the interesting interleavings.
 func FuzzSnapshotRestore(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 0, 2, 1, 4})             // snapshot, add, remove, restore
 	f.Add([]byte{0, 0, 2, 3, 1, 1, 2, 4, 2})       // two removals inside the window
@@ -90,6 +93,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 			snap        *Snapshot
 			oracle      *jitterState
 			oracleNames []string
+			oracleHdrs  []FlowResult
+			oracleCount [2]int
 			nextFlow    int
 		)
 		for pc, b := range data {
@@ -117,6 +122,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 					oracle = nil
 				}
 				oracleNames = flowNames(eng.Network())
+				oracleHdrs = append([]FlowResult(nil), eng.flows...)
+				oracleCount = [2]int{eng.unsched, eng.errcnt}
 				snap = eng.Snapshot()
 			case 4: // restore
 				if snap == nil {
@@ -132,11 +139,19 @@ func FuzzSnapshotRestore(f *testing.F) {
 				if !sameAssignment(eng.js, oracle) {
 					t.Fatalf("op %d: jitter assignment differs from deep-clone oracle", pc)
 				}
-				snap, oracle, oracleNames = nil, nil, nil
+				if len(eng.flows) != len(oracleHdrs) || len(eng.flows) > 0 && !reflect.DeepEqual(eng.flows, oracleHdrs) {
+					t.Fatalf("op %d: result headers after restore differ from the snapshot's:\ngot:  %+v\nwant: %+v",
+						pc, eng.flows, oracleHdrs)
+				}
+				if got := [2]int{eng.unsched, eng.errcnt}; got != oracleCount {
+					t.Fatalf("op %d: verdict counters after restore = %v, want %v", pc, got, oracleCount)
+				}
+				snap, oracle, oracleNames, oracleHdrs = nil, nil, nil, nil
 			case 5: // discard
 				eng.Discard(snap)
-				snap, oracle, oracleNames = nil, nil, nil
+				snap, oracle, oracleNames, oracleHdrs = nil, nil, nil, nil
 			}
+			checkCounters(t, fmt.Sprintf("op %d", pc), eng)
 		}
 		// The engine must still agree with a cold analysis at the end.
 		res, err := eng.Analyze()

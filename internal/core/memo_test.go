@@ -217,9 +217,7 @@ func TestStageMemoShare(t *testing.T) {
 	if err := eng.RemoveFlow(at); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Refresh(); err != nil {
-		t.Fatal(err)
-	}
+	eng.Converge()
 	snap := eng.Snapshot()
 	if _, err := eng.AddFlow(fs); err != nil {
 		t.Fatal(err)

@@ -451,9 +451,10 @@ func (se *ShardedEngine) Remove(fs *network.FlowSpec) error {
 		se.drop(s)
 		return nil
 	}
-	// Removal only shrinks interference; Refresh re-converges the
-	// survivors without publishing a result.
-	return s.eng.Refresh()
+	// Removal only shrinks interference; Converge re-converges the
+	// survivors without copying a result.
+	s.eng.Converge()
+	return nil
 }
 
 // NumShards returns the number of live shards.
@@ -629,7 +630,6 @@ func (e *Engine) adoptFlow(src *Engine, j int) error {
 		e.an.demands = append(e.an.demands, nil)
 	}
 	e.an.demands[i] = dem
-	e.bumpGen()
 	warm := e.valid && src.valid && len(src.dirty) == 0
 	if !e.valid {
 		e.dirty[i] = true

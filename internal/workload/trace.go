@@ -16,8 +16,8 @@ import (
 // the generated topology, then add/del operations in stream order. A
 // recorded trace replays deterministically — admit/reject decisions
 // depend only on the operations, not on timing or RNG state — so the
-// same trace through the sequential, parallel-worklist, batched,
-// sharded and scheduled controllers must produce byte-identical
+// same trace through the sharded controller, one request at a time or
+// batched, and through the cold referee must produce byte-identical
 // decision logs (gmfnet-admit's golden tests pin that).
 
 // Header is the first line of a trace file.
@@ -71,79 +71,6 @@ func (op *Op) Spec(topo *network.Topology) (*network.FlowSpec, error) {
 		return nil, fmt.Errorf("trace op %q: unknown kind %q", op.Name, op.Kind)
 	}
 	return fs, nil
-}
-
-// CaptureAdd records a flow spec as an "add" trace operation. Stream
-// generators draw single-frame VoIP (RTP) or CBR video flows; VoIP is
-// recognised by its G.711 payload and recorded by kind, everything else
-// by its exact CBR parameters.
-func CaptureAdd(fs *network.FlowSpec) Op {
-	op := Op{
-		Op:   "add",
-		Name: fs.Flow.Name,
-		Src:  string(fs.Route[0]),
-		Dst:  string(fs.Route[len(fs.Route)-1]),
-		Prio: int(fs.Priority),
-		RTP:  fs.RTP,
-	}
-	fr := fs.Flow.Frames[0]
-	if fs.RTP && fr.PayloadBits == 160*8 {
-		op.Kind = "voip"
-		op.DeadlinePS = int64(fr.Deadline)
-		return op
-	}
-	op.Kind = "cbr"
-	op.Bytes = fr.PayloadBits / 8
-	op.PeriodPS = int64(fr.MinSep)
-	op.DeadlinePS = int64(fr.Deadline)
-	return op
-}
-
-// Recorder streams a header plus operations to a file.
-type Recorder struct {
-	f   *os.File
-	w   *bufio.Writer
-	enc *json.Encoder
-}
-
-// NewRecorder creates the trace file and writes its header.
-func NewRecorder(path string, h Header) (*Recorder, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := bufio.NewWriter(f)
-	r := &Recorder{f: f, w: w, enc: json.NewEncoder(w)}
-	if err := r.enc.Encode(h); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return r, nil
-}
-
-// Record appends one operation. A nil Recorder discards silently, so
-// callers can thread an optional recorder without branching.
-func (r *Recorder) Record(op Op) error {
-	if r == nil {
-		return nil
-	}
-	return r.enc.Encode(op)
-}
-
-// Close flushes and closes the trace file. It is idempotent so that the
-// success path can surface the flush error while a deferred call still
-// cleans up on early returns.
-func (r *Recorder) Close() error {
-	if r == nil || r.f == nil {
-		return nil
-	}
-	ferr := r.w.Flush()
-	cerr := r.f.Close()
-	r.f = nil
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
 }
 
 // WriteTrace writes a whole synthesized trace (header + ops) to w.

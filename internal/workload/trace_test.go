@@ -43,41 +43,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecorderMatchesWriteTrace(t *testing.T) {
-	spec := TopoSpec{Switches: 3, Hosts: 3}
-	h, ops, err := Synthesize(spec, Config{Seed: 2, Requests: 100, Hold: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "t.trace")
-	rec, err := NewRecorder(path, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range ops {
-		if err := rec.Record(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	h2, ops2, err := LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2 != h || !reflect.DeepEqual(ops2, ops) {
-		t.Fatal("recorded trace differs from synthesized ops")
-	}
-	var nilRec *Recorder
-	if err := nilRec.Record(Op{}); err != nil || nilRec.Close() != nil {
-		t.Fatal("nil recorder not a no-op")
-	}
-}
-
 func TestOpSpecRebuild(t *testing.T) {
 	spec := TopoSpec{Kind: "clos", Switches: 2, Hosts: 2, Fanout: 1}
 	topo, _, err := spec.Build()
@@ -88,6 +53,7 @@ func TestOpSpecRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kinds := map[string]int{}
 	for _, op := range ops {
 		if op.Op != "add" {
 			continue
@@ -96,11 +62,26 @@ func TestOpSpecRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// CaptureAdd must invert Spec: replaying a re-captured op gives
-		// the same wire record, so a recorded spec round-trips.
-		if got := CaptureAdd(fs); !reflect.DeepEqual(got, op) {
-			t.Fatalf("CaptureAdd(Spec(op)) = %+v, want %+v", got, op)
+		// Spec must carry every recorded field into the flow spec.
+		fr := fs.Flow.Frames[0]
+		if fs.Flow.Name != op.Name || string(fs.Route[0]) != op.Src || string(fs.Route[len(fs.Route)-1]) != op.Dst ||
+			int(fs.Priority) != op.Prio || fs.RTP != op.RTP || fs.Flow.N() != 1 || int64(fr.Deadline) != op.DeadlinePS {
+			t.Fatalf("Spec(%+v) = %+v (frame %+v)", op, fs, fr)
 		}
+		kinds[op.Kind]++
+		switch op.Kind {
+		case "voip":
+			if fr.PayloadBits != 160*8 {
+				t.Fatalf("voip op %s: payload %d bits, want G.711's %d", op.Name, fr.PayloadBits, 160*8)
+			}
+		case "cbr":
+			if fr.PayloadBits != op.Bytes*8 || int64(fr.MinSep) != op.PeriodPS {
+				t.Fatalf("cbr op %+v: frame %+v", op, fr)
+			}
+		}
+	}
+	if kinds["voip"] == 0 || kinds["cbr"] == 0 {
+		t.Fatalf("trace exercises kinds %v, want both voip and cbr", kinds)
 	}
 	bad := Op{Op: "add", Name: "x", Kind: "mpeg", Src: "h0_0", Dst: "h0_1"}
 	if _, err := bad.Spec(topo); err == nil {

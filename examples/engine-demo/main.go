@@ -39,14 +39,13 @@ func main() {
 	if len(shards) != 1 {
 		panic(fmt.Sprintf("%d shards, want 1", len(shards)))
 	}
-	eng := shards[0]
-	res, err := eng.Analyze()
+	res, err := shards[0].Analyze()
 	if err != nil {
 		panic(err)
 	}
-	// The cold referee analyses the residents from scratch.
+	// The cold referee analyses the controller's residents from scratch.
 	ref := gmfnet.NewSystem(topo)
-	for _, fs := range eng.Network().Flows() {
+	for _, fs := range ctl.Residents().Flows() {
 		ref.MustAddFlow(fs)
 	}
 	cold, err := ref.Analyze(gmfnet.AnalysisConfig{})

@@ -204,19 +204,20 @@ func (s *System) CompareModels(cfg AnalysisConfig) (*ModelComparison, error) {
 // NewAdmissionController returns the closure-sharded admission
 // controller over the system's network; flows already present are
 // treated as admitted and partitioned by interference closure. The
-// network is validated once and only read: admissions and departures
-// live in the controller's shard engines (read them through
-// Sharded()), not in the system's network. Flows whose pipelines
-// (transitively) share no resource never exchange jitter, so each
-// closure gets its own warm Engine: a request re-analyses only the
-// flows sharing resources with it, a rejection rolls back through O(1)
-// undo-log snapshot tokens, a batch is decided closure by closure with
-// one converged delta worklist each (identical decisions to one-by-one
-// RequestAll), an arrival bridging two closures fuses their shards
-// with a warm arena splice, departures are claimed in O(1) and applied
-// lazily in O(closure), and NumShards/Close re-split shards whose
-// flows no longer form one closure. Decisions and bounds equal the
-// cold referee's, pinned by differential tests.
+// network is validated once and only read: the controller owns the
+// resident set — Residents().Flows() lists it in admission order (add
+// them to a fresh System to analyse them cold), NumResidents counts
+// it. Flows whose pipelines (transitively) share no resource never
+// exchange jitter, so each closure gets its own warm Engine: a
+// request re-analyses only the flows sharing resources with it, a
+// rejection rolls back through O(1) undo-log snapshot tokens, a batch
+// is decided closure by closure with one converged delta worklist
+// each (identical decisions to one-by-one RequestAll), an arrival
+// bridging two closures fuses their shards with a warm arena splice,
+// departures are claimed in O(route length) and applied lazily in
+// O(closure), and NumShards/Close re-split shards whose flows no
+// longer form one closure. Decisions and bounds equal the cold
+// referee's, pinned by differential tests.
 func (s *System) NewAdmissionController(cfg AnalysisConfig) (*admission.ShardedController, error) {
 	return admission.NewShardedController(s.nw, cfg)
 }

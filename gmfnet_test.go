@@ -53,12 +53,12 @@ func TestSystemAdmissionAndComparison(t *testing.T) {
 	}
 	// The controller only reads the system's network; compare the
 	// models over its residents.
-	shards := ctl.Sharded().Shards()
-	if len(shards) != 1 || shards[0].Network().NumFlows() != 1 {
-		t.Fatalf("want the call alone in one shard, got %d shards", len(shards))
+	residents := ctl.Residents().Flows()
+	if len(residents) != 1 || ctl.NumResidents() != 1 {
+		t.Fatalf("want the call alone resident, got %d flows", len(residents))
 	}
 	admitted := gmfnet.NewSystem(sys.Network().Topo)
-	admitted.MustAddFlow(shards[0].Network().Flow(0))
+	admitted.MustAddFlow(residents[0])
 	cmp, err := admitted.CompareModels(gmfnet.AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)

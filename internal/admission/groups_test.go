@@ -2,6 +2,7 @@ package admission
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gmfnet/internal/core"
@@ -23,10 +24,8 @@ import (
 func checkPartition(t *testing.T, ctl *ShardedController) {
 	t.Helper()
 	want := make(map[*network.FlowSpec]bool)
-	for _, q := range ctl.residents {
-		for _, fs := range q {
-			want[fs] = true
-		}
+	for _, fs := range ctl.Residents().Flows() {
+		want[fs] = true
 	}
 	got := make(map[*network.FlowSpec]int)
 	for _, eng := range ctl.Sharded().Shards() {
@@ -227,8 +226,26 @@ func TestShardedNotifyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The hook also checks where the fold's flow stands in the
+	// registry: an admitted one is already the newest resident by its
+	// name, a departing one still the first, a rejected one absent.
 	var evs []FoldEvent
-	ctl.SetNotify(func(ev FoldEvent) { evs = append(evs, ev) })
+	ctl.SetNotify(func(ev FoldEvent) {
+		evs = append(evs, ev)
+		named := ctl.Residents().Named(ev.Spec.Flow.Name)
+		var ok bool
+		switch ev.Kind {
+		case FoldAdmitted:
+			ok = len(named) > 0 && named[len(named)-1].Spec() == ev.Spec
+		case FoldReleased:
+			ok = len(named) > 0 && named[0].Spec() == ev.Spec
+		case FoldRejected:
+			ok = !slices.ContainsFunc(named, func(r *network.Resident) bool { return r.Spec() == ev.Spec })
+		}
+		if !ok {
+			t.Errorf("fold %d of %s: registry holds %d residents by that name, not in the expected place", ev.Kind, ev.Spec.Flow.Name, len(named))
+		}
+	})
 
 	voip := func(name string, a, b int) *network.FlowSpec {
 		route, err := topo.Route(hosts[a], hosts[b])

@@ -25,9 +25,12 @@ import (
 // pinned by differential tests on ring, fat-tree and the shipped
 // industrial-ring topologies, and by the golden replay traces.
 //
-// Deferred departures. Release claims the first resident with the
-// name — in global admission order, even when names repeat — from a
-// per-name FIFO in O(1), fires FoldReleased, queues the removal and
+// Resident registry and deferred departures. The controller owns the
+// resident registry (network.Residents, read through Residents), in
+// admission order; the shard engines hold the same flows, partitioned
+// by closure. Release claims the first resident with the name — in
+// global admission order, even when names repeat — from the registry
+// in O(route length), fires FoldReleased, queues the removal and
 // returns. Queued removals are applied, in claim order, before any
 // later call that reads or changes shard state, and by Flush; each
 // costs one scan of the departing flow's closure
@@ -59,10 +62,7 @@ import (
 type ShardedController struct {
 	se *core.ShardedEngine
 
-	// residents maps a flow name to its admitted, unreleased specs in
-	// global admission order (shard membership scatters them across
-	// engines, so the order lives here): Release pops the front.
-	residents map[string][]*network.FlowSpec
+	residents *network.Residents // the only record of admission order
 	// departing holds the specs Release claimed whose removal from
 	// their shard has not run yet, in claim order.
 	departing []*network.FlowSpec
@@ -72,7 +72,7 @@ type ShardedController struct {
 	notify    func(FoldEvent)
 	decisions []Decision
 
-	nresident, admitted, rejected, released int
+	admitted, rejected, released int
 }
 
 // FoldKind classifies a FoldEvent.
@@ -127,10 +127,9 @@ func NewShardedController(nw *network.Network, cfg core.Config) (*ShardedControl
 	if err != nil {
 		return nil, err
 	}
-	c := &ShardedController{se: se, residents: make(map[string][]*network.FlowSpec)}
+	c := &ShardedController{se: se, residents: network.NewResidents()}
 	for _, fs := range nw.Flows() {
-		c.residents[fs.Flow.Name] = append(c.residents[fs.Flow.Name], fs)
-		c.nresident++
+		c.residents.Add(fs)
 	}
 	return c, nil
 }
@@ -140,13 +139,20 @@ func NewShardedController(nw *network.Network, cfg core.Config) (*ShardedControl
 // Release — the serialization point a push-based service
 // (internal/admitd) needs to publish verdict deltas without polling.
 // fn runs synchronously inside Request, RequestBatch and Release, before
-// they return; it must not call back into the controller. nil disables.
+// they return, with an admitted flow already registered (the newest by
+// its name) and a departing one still registered (the first by its
+// name). fn may read Residents but must not otherwise call back into
+// the controller. nil disables.
 func (c *ShardedController) SetNotify(fn func(FoldEvent)) { c.notify = fn }
 
 // SetRetention switches the retention mode for the decisions that
 // follow; set it before the first request for a uniform log. Decisions
 // already logged are kept either way.
 func (c *ShardedController) SetRetention(r Retention) { c.retention = r }
+
+// Residents returns the resident registry, read-only. A departure
+// leaves it when Release claims it, before its shard removal runs.
+func (c *ShardedController) Residents() *network.Residents { return c.residents }
 
 // Sharded exposes the underlying sharded engine, e.g. to inspect the
 // shard partition or read per-shard bounds without issuing a request.
@@ -192,22 +198,19 @@ func (c *ShardedController) Request(fs *network.FlowSpec) (Decision, error) {
 	return d, nil
 }
 
-// fold enters one decision into the bookkeeping: the notify hook, the
-// counters, the resident FIFO and — under RetainAll — the decision log.
+// fold enters one decision into the counters, the registry, the
+// notify hook and — under RetainAll — the decision log.
 func (c *ShardedController) fold(fs *network.FlowSpec, d *Decision) {
-	if c.notify != nil {
-		k := FoldRejected
-		if d.Admitted {
-			k = FoldAdmitted
-		}
-		c.notify(FoldEvent{Spec: fs, Kind: k})
-	}
+	k := FoldRejected
 	if d.Admitted {
 		c.admitted++
-		c.nresident++
-		c.residents[fs.Flow.Name] = append(c.residents[fs.Flow.Name], fs)
+		c.residents.Add(fs)
+		k = FoldAdmitted
 	} else {
 		c.rejected++
+	}
+	if c.notify != nil {
+		c.notify(FoldEvent{Spec: fs, Kind: k})
 	}
 	if c.retention == RetainAll {
 		c.decisions = append(c.decisions, *d)
@@ -286,30 +289,25 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 	return out, nil
 }
 
-// Release claims the first *admitted* flow with the given name — in
-// global admission order, even when several admitted flows share a
-// name — fires FoldReleased and queues the flow's removal from its
-// shard (see "Deferred departures" above).
-// It reports whether a resident was claimed; the error is always nil
-// and stays for the signature ColdController shares — removal errors
-// surface at Flush.
+// Release claims the first resident with the given name — in global
+// admission order, even when several residents share a name — fires
+// FoldReleased while the flow is still registered, takes it out of the
+// registry and queues its removal from its shard (see "Deferred
+// departures" above). It reports whether a resident was claimed; the
+// error is always nil and stays for the signature ColdController
+// shares — removal errors surface at Flush.
 func (c *ShardedController) Release(name string) (bool, error) {
-	q := c.residents[name]
+	q := c.residents.Named(name)
 	if len(q) == 0 {
 		return false, nil
 	}
-	fs := q[0]
-	if len(q) == 1 {
-		delete(c.residents, name)
-	} else {
-		c.residents[name] = q[1:]
-	}
-	c.nresident--
+	r := q[0]
 	c.released++
 	if c.notify != nil {
-		c.notify(FoldEvent{Spec: fs, Kind: FoldReleased})
+		c.notify(FoldEvent{Spec: r.Spec(), Kind: FoldReleased})
 	}
-	c.departing = append(c.departing, fs)
+	c.residents.Remove(r)
+	c.departing = append(c.departing, r.Spec())
 	return true, nil
 }
 
@@ -356,8 +354,8 @@ func (c *ShardedController) Released() int { return c.released }
 
 // NumResidents returns the number of resident flows — admissions, plus
 // flows present at construction, not yet claimed by Release — without
-// touching the shards.
-func (c *ShardedController) NumResidents() int { return c.nresident }
+// touching the shards: the registry's length.
+func (c *ShardedController) NumResidents() int { return c.residents.Len() }
 
 // NumFlows applies the queued departures and returns the number of
 // flows across all shards; it equals NumResidents.

@@ -202,6 +202,25 @@ func TestBatchDecisionViews(t *testing.T) {
 	if !adm.Schedulable() || rej.Schedulable() {
 		t.Fatalf("record analyses: admitted schedulable=%v, rejected schedulable=%v", adm.Schedulable(), rej.Schedulable())
 	}
+	// Every analysed flow is named, also those after a stage error.
+	for _, c := range []struct {
+		res  *core.Result
+		want string
+	}{{adm, "[a b]"}, {rej, "[a hog]"}} {
+		var got []string
+		for i, fr := range c.res.Flows {
+			if fr.Index != i {
+				t.Fatalf("analysis flow %d carries index %d", i, fr.Index)
+			}
+			got = append(got, fr.Name)
+		}
+		if fmt.Sprint(got) != c.want {
+			t.Fatalf("analysis names %v, want %s", got, c.want)
+		}
+	}
+	if rej.Flows[0].Err == nil || len(rej.Flows[1].Frames) != 0 {
+		t.Fatalf("rejected analysis: want a stage error at a and no frames for hog, got err %v and %d frames", rej.Flows[0].Err, len(rej.Flows[1].Frames))
+	}
 	ds[1].View.Close()
 	if ds[1].Analysis() != rej {
 		t.Fatal("Close dropped an analysis already computed")

@@ -8,8 +8,8 @@
 //
 // The shape is lock-owns-state with per-peer outbound queues:
 //
-//   - one mutex (Server.mu) guards the controller and all connection,
-//     subscription and closure-book state;
+//   - one mutex (Server.mu) guards the controller and all connection
+//     and subscription state;
 //   - every connection's reader goroutine frames its lines (MaxLine
 //     bytes at most), decodes each op and decides it under Server.mu,
 //     calling the ShardedController in-line: one op at a time, in lock
@@ -25,16 +25,15 @@
 //     overflows the queue and is disconnected, never blocking a
 //     decision. A per-connection write mutex keeps the reader's and the
 //     writer's writes in queue order;
-//   - the controller's notification hook (SetNotify) runs inside the
-//     call that caused the fold: it enters the fold into the closure
-//     book (book.go: residents by spec, by name and by directed link)
-//     and fans exactly one event out to the subscribers of every
-//     resident flow sharing the fold's interference closure, before the
-//     op's verdict is queued. A fold costs O(route length) while nobody
-//     is subscribed to anything and one walk of the touched closure —
-//     never of the resident set — when somebody is; network.Network's
-//     union-find is the oracle the book is tested against, not a
-//     second copy the daemon keeps.
+//   - the controller owns the resident registry (network.Residents);
+//     the daemon only reads it. The controller's notification hook
+//     (SetNotify) runs inside the call that caused the fold and works
+//     out from the registry which subscribers are owed an event: one
+//     per subscribed name in the fold's interference closure — for a
+//     departure, the closure as it was before, with populations as
+//     they are after — all queued before the op's verdict. A fold costs
+//     the daemon nothing while nobody is subscribed, and one walk of
+//     the touched closure when somebody is.
 //
 // Drain (SIGTERM in the daemon, Server.Drain here) is graceful: stop
 // accepting, queue a "drain" message behind the answers to every op
@@ -75,9 +74,9 @@ type Config struct {
 	Core core.Config
 }
 
-// Server is one admission daemon: a ShardedController, the closure
-// book of its residents, and the connections whose readers decide
-// their ops into it under one mutex.
+// Server is one admission daemon: a ShardedController, which owns the
+// resident registry, and the connections whose readers decide their ops
+// into it under one mutex.
 type Server struct {
 	cfg  Config
 	topo *network.Topology
@@ -91,8 +90,8 @@ type Server struct {
 	mu        sync.Mutex
 	listeners []net.Listener
 	ctl       *admission.ShardedController
-	book      *book
-	owed      []*resident // affected's scratch
+	owed      []*network.Resident // affected's scratch
+	departed  *network.Resident   // claimed by the Release in progress
 	// cur is the connection whose op is being decided: messages to it
 	// are written by its own reader, so they neither overflow its
 	// queue nor wake its writer.
@@ -107,8 +106,7 @@ type Server struct {
 	ops        int64
 	verdicts   int64
 	events     int64
-	drainErr   error               // first controller error
-	residents  []*network.FlowSpec // snapshot taken by Drain
+	drainErr   error // first controller error
 }
 
 // conn is one accepted connection.
@@ -159,7 +157,6 @@ func New(cfg Config) (*Server, error) {
 		topo:  topo,
 		ctl:   ctl,
 		done:  make(chan struct{}),
-		book:  newBook(),
 		conns: make(map[*conn]bool),
 		subs:  make(map[string]map[*conn]bool),
 	}
@@ -391,10 +388,10 @@ func (s *Server) writeLoop(c *conn) {
 
 // Drain stops the server gracefully: under Server.mu, close the
 // listeners, queue a "drain" message to every connection behind the
-// answers to the ops already decided, unregister it, close the
-// controller and snapshot the residents; later ops are not decided. It
-// returns the first controller error (a departure or re-split failure),
-// if any. Safe to call more than once.
+// answers to the ops already decided, unregister it and close the
+// controller; later ops are not decided. It returns the first
+// controller error (a departure or re-split failure), if any. Safe to
+// call more than once.
 func (s *Server) Drain() error {
 	s.once.Do(func() {
 		s.mu.Lock()
@@ -407,7 +404,6 @@ func (s *Server) Drain() error {
 			s.unregister(c)
 		}
 		s.keepErr(s.ctl.Close())
-		s.residents = s.book.residents()
 		s.mu.Unlock()
 		close(s.done)
 	})
@@ -417,9 +413,12 @@ func (s *Server) Drain() error {
 // Done is closed once Drain has closed the controller.
 func (s *Server) Done() <-chan struct{} { return s.done }
 
-// Residents returns the resident flow specs in admission order, as
-// snapshotted by Drain; it blocks until Drain has run.
+// Residents returns the resident flow specs in admission order, read
+// from the controller's registry once Drain has run (it blocks until
+// then); a drained server decides nothing more, so the list is final.
 func (s *Server) Residents() []*network.FlowSpec {
 	<-s.done
-	return s.residents
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctl.Residents().Flows()
 }

@@ -93,10 +93,10 @@ func verdictMsg(id int64, d admission.Decision) Msg {
 }
 
 // handleOp decides one wire operation. Subscription events caused by
-// the op are fanned out by the controller's notify hook (onFold) inside
-// the controller call, *before* the op's verdict is enqueued, so a
-// client reading its own connection in order always sees cause before
-// acknowledgement.
+// the op are worked out by the controller's notify hook (onFold) inside
+// the controller call and pushed *before* the op's verdict is enqueued,
+// so a client reading its own connection in order always sees cause
+// before acknowledgement.
 func (s *Server) handleOp(c *conn, op *workload.Op) {
 	switch op.Op {
 	case "add":
@@ -139,7 +139,7 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 			s.push(c, verdictMsg(op.ID, d))
 		}
 	case "del":
-		ok, err := s.ctl.Release(op.Name)
+		ok, err := s.release(op.Name)
 		if err != nil {
 			s.push(c, errMsg(op.ID, err))
 			return
@@ -172,34 +172,33 @@ func (s *Server) handleOp(c *conn, op *workload.Op) {
 	}
 }
 
-// onFold is the controller's notify hook: it enters one fold into the
-// closure book and pushes closure deltas to subscribers of affected
-// flows. The book holds exactly the resident flow set (the same specs
-// the controller folded, by pointer — Release folds the exact pointer
-// that was admitted, so a departure is unambiguous even under duplicate
-// names). While nobody is subscribed to anything a fold only updates
-// the book's indices, O(route length); otherwise it also walks the one
-// closure the fold touched.
+// onFold is the controller's notify hook: it works out from the
+// registry who a fold owes an event (a rejection owes nobody). An
+// admission's events go out at once. A departing flow is still
+// registered: the hook walks the closure as it was *before* the
+// departure, and release sends the events once the flow is out,
+// reporting populations *after* it.
 func (s *Server) onFold(ev admission.FoldEvent) {
 	switch ev.Kind {
 	case admission.FoldAdmitted:
-		r := s.book.add(ev.Spec)
+		named := s.ctl.Residents().Named(ev.Spec.Flow.Name)
+		r := named[len(named)-1]
 		s.notify(r, EventAdmitted, s.affected(r))
 	case admission.FoldReleased:
-		r := s.book.bySpec[ev.Spec]
-		if r == nil {
-			return // unreachable: every resident was entered on fold
-		}
-		// Affected flows are the ones that shared the closure *before*
-		// the departure; their populations are reported after it (the
-		// closure may have split).
-		owed := s.affected(r)
-		s.book.remove(r)
-		s.notify(r, EventReleased, owed)
-	case admission.FoldRejected:
-		// Never entered any closure; the requester already has the
-		// verdict, nobody's headroom changed.
+		s.departed = s.ctl.Residents().Named(ev.Spec.Flow.Name)[0]
+		s.affected(s.departed)
 	}
+}
+
+// release claims the first resident by name and sends the events its
+// departure's hook worked out, before the caller queues the verdict.
+func (s *Server) release(name string) (bool, error) {
+	ok, err := s.ctl.Release(name)
+	if s.departed != nil {
+		s.notify(s.departed, EventReleased, s.owed)
+		s.departed = nil
+	}
+	return ok, err
 }
 
 // affected walks r's interference closure and returns the members an
@@ -207,19 +206,19 @@ func (s *Server) onFold(ev admission.FoldEvent) {
 // admitted, when a name repeats inside the closure), in admission order
 // — a deterministic fan-out order for the event stream. Only these are
 // sorted, not the closure. While the daemon has no subscription at all
-// nobody is owed anything and the walk is skipped. The slice is
-// scratch, valid until the next call.
-func (s *Server) affected(r *resident) []*resident {
-	if len(s.subs) == 0 {
-		return nil
-	}
+// nobody is owed anything and the walk is skipped. The result is kept
+// in s.owed, scratch valid until the next call.
+func (s *Server) affected(r *network.Resident) []*network.Resident {
 	owed := s.owed[:0]
-	for _, m := range s.book.closure(r) {
-		if len(s.subs[m.spec.Flow.Name]) > 0 && s.book.firstOfName(m) {
-			owed = append(owed, m)
+	if len(s.subs) > 0 {
+		res := s.ctl.Residents()
+		for _, m := range res.Closure(r) {
+			if len(s.subs[m.Spec().Flow.Name]) > 0 && res.FirstOfName(m) {
+				owed = append(owed, m)
+			}
 		}
+		slices.SortFunc(owed, network.AdmissionOrder)
 	}
-	slices.SortFunc(owed, bySeq)
 	s.owed = owed
 	return owed
 }
@@ -228,20 +227,21 @@ func (s *Server) affected(r *resident) []*resident {
 // peer was admitted into (or departed) that flow's closure, and the
 // closure of the first resident by that name now holds Residents flows
 // — 0 when no resident by that name remains (the flow itself departed).
-// The book labels each closure it is asked about once per fold, so when
-// a departure has split the old closure, the events to the survivors of
-// one half cost one walk of that half between them.
-func (s *Server) notify(peer *resident, event string, owed []*resident) {
+// The registry labels each closure it is asked about once per change,
+// so when a departure has split the old closure, the events to the
+// survivors of one half cost one walk of that half between them.
+func (s *Server) notify(peer *network.Resident, event string, owed []*network.Resident) {
+	res := s.ctl.Residents()
 	for _, m := range owed {
-		name := m.spec.Flow.Name
+		name := m.Spec().Flow.Name
 		msg := Msg{
 			Kind:  KindEvent,
 			Flow:  name,
-			Peer:  peer.spec.Flow.Name,
+			Peer:  peer.Spec().Flow.Name,
 			Event: event,
 		}
-		if named := s.book.byName[name]; len(named) > 0 {
-			msg.Residents = s.book.population(named[0])
+		if named := res.Named(name); len(named) > 0 {
+			msg.Residents = res.Population(named[0])
 		}
 		for c := range s.subs[name] {
 			s.push(c, msg)

@@ -158,7 +158,10 @@ type jitterState struct {
 	// value, strictly above every recorded change; a memo entry is void
 	// unless its stamp is above both lastChange of its group and floor,
 	// which undoTo raises to void every entry at once. Only the engine
-	// reads the memo; every state keeps it aligned with the arena.
+	// reads the memo, so only its state has one (memoOn). No flow ever
+	// leaves the cold Analyzer's state and it arms no journal, so the
+	// removal, undo and compaction paths assume a memo.
+	memoOn     bool
 	memo       []memoSlot
 	lastChange []uint64
 	now, floor uint64
@@ -233,9 +236,10 @@ type jitterMark struct {
 
 // newJitterState initialises the holistic starting point: every flow's
 // jitter at its first resource is its source jitter GJ_j^k; the jitter at
-// every downstream resource starts at zero.
-func newJitterState(nw *network.Network) *jitterState {
-	js := &jitterState{}
+// every downstream resource starts at zero. memo selects whether the
+// state keeps the stage memo (the engine's does).
+func newJitterState(nw *network.Network, memo bool) *jitterState {
+	js := &jitterState{memoOn: memo}
 	for j, fs := range nw.Flows() {
 		js.addFlow(j, fs, nw.FlowResources(j))
 	}
@@ -270,13 +274,15 @@ func (js *jitterState) addFlow(j int, fs *network.FlowSpec, rids []network.Resou
 	}
 	js.blocks = append(js.blocks, b)
 	js.arena = append(js.arena, make([]units.Time, len(rids)*n)...)
-	js.memo = append(js.memo, make([]memoSlot, len(rids)*n)...)
-	groups := len(js.lastChange)
-	for _, g := range rids {
-		groups = max(groups, int(g)+1)
+	if js.memoOn {
+		js.memo = append(js.memo, make([]memoSlot, len(rids)*n)...)
+		groups := len(js.lastChange)
+		for _, g := range rids {
+			groups = max(groups, int(g)+1)
+		}
+		js.lastChange = append(js.lastChange, make([]uint64, groups-len(js.lastChange))...)
+		js.touchFlow(&b)
 	}
-	js.lastChange = append(js.lastChange, make([]uint64, groups-len(js.lastChange))...)
-	js.touchFlow(&b)
 	js.extraMax = append(js.extraMax, make([]units.Time, len(rids))...)
 	js.extraValid = append(js.extraValid, make([]bool, len(rids))...)
 	js.changedMark = append(js.changedMark, false)
@@ -345,8 +351,11 @@ func (js *jitterState) get(j, pos, k int) units.Time {
 }
 
 // touch records a change on link group g: every memo entry of the
-// group computed before it is void.
+// group computed before it is void. Without a memo it does nothing.
 func (js *jitterState) touch(g network.ResourceID) {
+	if !js.memoOn {
+		return
+	}
 	js.lastChange[g] = js.now
 	js.now++
 }
@@ -697,26 +706,6 @@ func (js *jitterState) undoTo(m jitterMark) {
 	}
 	js.changedList = js.changedList[:0]
 	js.changed = false
-}
-
-// clone deep-copies the state, without its journal and with an empty
-// memo. The undo-log restore path replaced it in the engine; it remains
-// the oracle for differential tests asserting that undo rollback is
-// bit-identical to a deep copy.
-func (js *jitterState) clone() *jitterState {
-	out := &jitterState{
-		blocks:      make([]flowBlock, len(js.blocks)),
-		arena:       append([]units.Time(nil), js.arena...),
-		memo:        make([]memoSlot, len(js.arena)),
-		lastChange:  make([]uint64, len(js.lastChange)),
-		extraMax:    append([]units.Time(nil), js.extraMax...),
-		extraValid:  append([]bool(nil), js.extraValid...),
-		changed:     js.changed,
-		changedMark: append([]bool(nil), js.changedMark...),
-		changedList: append([]int(nil), js.changedList...),
-	}
-	copy(out.blocks, js.blocks)
-	return out
 }
 
 // equalAssignment reports whether two states hold bit-identical jitter

@@ -329,7 +329,7 @@ func (e *Engine) convergeDelta() bool {
 // rebuilding all warm state.
 func (e *Engine) convergeFull() bool {
 	nw := e.an.nw
-	e.js = newJitterState(nw)
+	e.js = newJitterState(nw, true)
 	flows := make([]FlowResult, nw.NumFlows())
 	for i := range flows {
 		flows[i] = FlowResult{Index: i, Name: nw.Flow(i).Flow.Name}
@@ -374,7 +374,7 @@ func (e *Engine) analyzeOver(work []int) bool {
 			if e.js.settled(i) {
 				continue // its pass would rewrite every slot and header byte-identically
 			}
-			fr := e.an.flowPass(i, e.js, true)
+			fr := e.an.flowPass(i, e.js)
 			e.setHeader(i, fr, true)
 			if fr.Err != nil {
 				// An overloaded or diverging stage dooms the whole

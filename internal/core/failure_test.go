@@ -180,7 +180,7 @@ func TestJitterStatePanicsOnUnknownStage(t *testing.T) {
 		Flow:  oneFrameFlow("a", fullFramePayload, 100*ms, 100*ms, 0),
 		Route: []network.NodeID{"h1", "h2"},
 	})
-	js := newJitterState(nw)
+	js := newJitterState(nw, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on out-of-pipeline stage")
@@ -221,7 +221,7 @@ func TestJitterStateExtraOfUnknown(t *testing.T) {
 		Flow:  oneFrameFlow("a", fullFramePayload, 100*ms, 100*ms, 0),
 		Route: []network.NodeID{"h1", "h2"},
 	})
-	js := newJitterState(nw)
+	js := newJitterState(nw, false)
 	if js.extraOf(0, network.ResourceID(9999)) != 0 {
 		t.Fatal("unknown resource reads must be zero")
 	}
@@ -237,7 +237,7 @@ func TestSourceJitterSeedsFirstResource(t *testing.T) {
 		Route: []network.NodeID{"h1", "s", "h2"},
 	}
 	nw := oneSwitchNet(t, fs)
-	js := newJitterState(nw)
+	js := newJitterState(nw, false)
 	if got := js.get(0, 0, 0); got != 3*ms {
 		t.Fatalf("first-resource jitter = %v, want 3ms", got)
 	}

@@ -9,12 +9,12 @@ import (
 
 // flowPass runs Figure 6 for one flow: it walks the route, analyses each
 // stage with the current jitter state, accumulates RSUM/JSUM, and records
-// the flow's new entry jitters for the next holistic iteration. With memo
-// set (the engine's warm passes) a stage whose link group is unchanged
-// since it was last computed is served from the jitter state's stage
-// memo instead of being re-evaluated; the cold Analyzer passes false and
+// the flow's new entry jitters for the next holistic iteration. When js
+// keeps a stage memo (the engine's warm passes) a stage whose link group
+// is unchanged since it was last computed is served from it instead of
+// being re-evaluated; the cold Analyzer's state keeps none, so it
 // evaluates every stage.
-func (a *Analyzer) flowPass(i int, js *jitterState, memo bool) FlowResult {
+func (a *Analyzer) flowPass(i int, js *jitterState) FlowResult {
 	fs := a.nw.Flow(i)
 	n := fs.Flow.N()
 	route := fs.Route
@@ -42,7 +42,7 @@ func (a *Analyzer) flowPass(i int, js *jitterState, memo bool) FlowResult {
 		for pos := 0; pos < spf; pos++ {
 			js.set(i, pos, k, jsum)
 			r, hit := units.Time(0), false
-			if memo {
+			if js.memoOn {
 				r, hit = js.cached(i, pos, k)
 			}
 			if !hit {
@@ -51,7 +51,7 @@ func (a *Analyzer) flowPass(i int, js *jitterState, memo bool) FlowResult {
 					out.Err = err
 					return out
 				}
-				if memo {
+				if js.memoOn {
 					js.remember(i, pos, k, r)
 				}
 			}
@@ -103,16 +103,19 @@ func (a *Analyzer) Analyze() (*Result, error) {
 	if a.nw.NumFlows() == 0 {
 		return &Result{Converged: true, Iterations: 0}, nil
 	}
-	js := newJitterState(a.nw)
+	js := newJitterState(a.nw, false)
 	res := &Result{}
 	for iter := 1; iter <= a.cfg.MaxHolisticIter; iter++ {
 		js.resetChanged()
 		flows := make([]FlowResult, a.nw.NumFlows())
 		for i := range flows {
-			flows[i] = a.flowPass(i, js, false)
+			flows[i] = a.flowPass(i, js)
 			if flows[i].Err != nil {
 				// An overloaded or diverging stage dooms the whole
-				// configuration: report what we have.
+				// configuration: report what we have, naming the rest.
+				for j := i + 1; j < len(flows); j++ {
+					flows[j] = FlowResult{Index: j, Name: a.nw.Flow(j).Flow.Name}
+				}
 				res.Flows = flows
 				res.Iterations = iter
 				res.Stats = ConvergenceStats{Iterations: iter, WorklistRounds: iter}
@@ -145,8 +148,8 @@ func (a *Analyzer) AnalyzeFlow(i int) (FlowResult, error) {
 	if i < 0 || i >= a.nw.NumFlows() {
 		return FlowResult{}, errIndex(i, a.nw.NumFlows())
 	}
-	js := newJitterState(a.nw)
-	fr := a.flowPass(i, js, false)
+	js := newJitterState(a.nw, false)
+	fr := a.flowPass(i, js)
 	return fr, nil
 }
 

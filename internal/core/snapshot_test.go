@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gmfnet/internal/network"
+	"gmfnet/internal/units"
 )
 
 // TestSnapshotUndoMatchesClone is the randomized differential test for the
@@ -166,7 +167,7 @@ func TestRemoveFlowReindexChangedList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	js := newJitterState(nw)
+	js := newJitterState(nw, true)
 	js.set(1, 0, 0, 2*ms)
 	js.set(2, 0, 0, 3*ms)
 	before := js.get(2, 0, 0)
@@ -243,4 +244,25 @@ func TestEngineInterleavedRemoveAndDelta(t *testing.T) {
 		}
 		compareResults(t, res, cold)
 	}
+}
+
+// clone deep-copies the state, without its journal and with an empty
+// memo. The undo-log restore path replaced it in the engine; it is
+// the oracle for differential tests asserting that undo rollback is
+// bit-identical to a deep copy.
+func (js *jitterState) clone() *jitterState {
+	out := &jitterState{
+		blocks:      make([]flowBlock, len(js.blocks)),
+		arena:       append([]units.Time(nil), js.arena...),
+		memoOn:      js.memoOn,
+		memo:        make([]memoSlot, len(js.arena)),
+		lastChange:  make([]uint64, len(js.lastChange)),
+		extraMax:    append([]units.Time(nil), js.extraMax...),
+		extraValid:  append([]bool(nil), js.extraValid...),
+		changed:     js.changed,
+		changedMark: append([]bool(nil), js.changedMark...),
+		changedList: append([]int(nil), js.changedList...),
+	}
+	copy(out.blocks, js.blocks)
+	return out
 }

@@ -146,7 +146,7 @@ func run(args []string) error {
 		if err := t.Render(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Printf("\nadmitted %d of %d requests\n", ctl.Admitted(), len(ctl.Decisions()))
+		fmt.Printf("\nadmitted %d of %d requests\n", ctl.Admitted(), ctl.Admitted()+ctl.Rejected())
 		return nil
 	}()
 	if perr := prof.Stop(); err == nil {
@@ -199,10 +199,6 @@ func runTrace(w io.Writer, path string, o runOpts) error {
 	}
 	if err != nil {
 		return err
-	}
-	if sharded != nil {
-		// Only verdicts and their stats are read: keep no decision log.
-		sharded.SetRetention(admission.RetainCounters)
 	}
 	out := bufio.NewWriter(w)
 	var admitted, rejected, released int

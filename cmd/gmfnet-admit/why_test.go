@@ -64,6 +64,7 @@ func replayWhy(w io.Writer, topo *network.Topology, ops []workload.Op, batch int
 	if err != nil {
 		return err
 	}
+	ctl.SetRetention(admission.RetainAll)
 	var pending []*network.FlowSpec
 	flush := func() error {
 		if len(pending) == 0 {

@@ -4,9 +4,9 @@
 // — and replays it through the closure-sharded ShardedController (the
 // controller gmfnet-admitd runs), reporting end-to-end admission
 // throughput and p50/p99/p999 decision latency from a fixed-footprint
-// HDR-style histogram. Millions of requests run
-// in constant memory: the controller folds decisions into counters
-// (admission.RetainCounters) instead of a log, and the histogram never
+// HDR-style histogram. Millions of requests run in constant memory:
+// the controller folds decisions into counters (its default,
+// admission.RetainCounters) instead of a log, and the histogram never
 // allocates on the measurement path.
 //
 // Usage:
@@ -213,8 +213,6 @@ func replay(h workload.Header, ops []workload.Op, batchSize, flushEvery int) (*m
 	if err != nil {
 		return nil, err
 	}
-	ctl.SetRetention(admission.RetainCounters)
-
 	var hist workload.Histogram
 	// The archive keys rows by the cores the replay actually had (-cpu
 	// N test variants and CI runners differ).

@@ -235,12 +235,12 @@ func (s *System) NewParallelAdmissionController(cfg AnalysisConfig) (*admission.
 // jitter fixpoint (a flat arena indexed by dense resource ids) and the
 // interference index across calls, so a stream of AddFlow/RemoveFlow +
 // Analyze calls costs a fraction of repeated cold Analyze calls;
-// snapshots are O(1) undo-log tokens that survive removals (departed
-// blocks are tombstoned, not compacted, while a snapshot is armed, so a
-// Restore can roll back across departures). Engine.Converge returns the
-// verdict in O(1), read off counters the engine maintains, without
-// copying any per-flow result; Engine.Analyze returns the bounds as a
-// detached AnalysisResult. Mutate the flow set only through the engine
+// snapshots are O(1) undo-log tokens whose window may add flows and
+// remove the flows it added (RemoveFlow refuses an older flow while a
+// snapshot is live), so Restore undoes only additions. Engine.Converge
+// returns the verdict in O(1), read off counters the engine maintains,
+// without copying any per-flow result; Engine.Analyze returns the
+// bounds as a detached AnalysisResult. Mutate the flow set only through the engine
 // (or call Engine.Invalidate after out-of-band changes).
 func (s *System) NewEngine(cfg AnalysisConfig) (*Engine, error) {
 	return core.NewEngine(s.nw, cfg)

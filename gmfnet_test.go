@@ -66,6 +66,16 @@ func TestSystemAdmissionAndComparison(t *testing.T) {
 	if !cmp.GMF.Schedulable() {
 		t.Fatal("GMF verdict should hold after admission")
 	}
+	// A default controller counts decisions but keeps no log of them.
+	if ok, err := ctl.Release("call"); !ok || err != nil {
+		t.Fatalf("release: %v, %v", ok, err)
+	}
+	if _, err := ctl.Request(residents[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ctl.Decisions()); n != 0 || ctl.Admitted() != 2 || ctl.Released() != 1 {
+		t.Fatalf("decision log %d entries, %d admitted, %d released; want 0, 2, 1", n, ctl.Admitted(), ctl.Released())
+	}
 }
 
 func TestAssignPrioritiesDMThroughFacade(t *testing.T) {

@@ -154,8 +154,8 @@ func decide(eng *core.Engine, fs *network.FlowSpec, keep bool) (Decision, error)
 // worklist seeded with all of them is converged once, and only when the
 // combined set violates a deadline are newcomers evicted via journaled
 // rollback — the departures of the eviction probes run under the
-// batch's one snapshot, which survives them thanks to the engine's
-// block-move journal.
+// batch's one snapshot and only ever remove newcomers staged after it,
+// which the snapshot window allows (see core.Engine.RemoveFlow).
 //
 // Decisions are exactly those of calling decide on each spec in order:
 // a schedulable whole batch admits every request (the holistic

@@ -20,6 +20,7 @@ func newController(t *testing.T) *ShardedController {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetRetention(RetainAll) // the tests read the decision log
 	return c
 }
 
@@ -295,12 +296,13 @@ func coldAnalysis(t *testing.T, nw *network.Network) *core.Result {
 }
 
 // residentNetwork gathers the controller's residents, shard by shard,
-// into one network over the shared topology.
+// into one network over the shared topology; at least one shard must
+// exist.
 func residentNetwork(t *testing.T, c *ShardedController) *network.Network {
 	t.Helper()
-	se := c.Sharded()
-	nw := network.New(se.Topology())
-	for _, eng := range se.Shards() {
+	shards := c.Sharded().Shards()
+	nw := network.New(shards[0].Network().Topo)
+	for _, eng := range shards {
 		for _, fs := range eng.Network().Flows() {
 			if _, err := nw.AddFlow(fs); err != nil {
 				t.Fatal(err)

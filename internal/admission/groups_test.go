@@ -121,8 +121,8 @@ func TestShardedEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestShardedRetentionCounters pins the lean retention mode the daemon
-// and the load harness run under: decisions and departures are
+// TestShardedRetentionCounters pins the default, lean retention mode
+// the daemon and the load harness run under: decisions and departures are
 // identical to RetainAll, the O(1) counters agree exactly, but no
 // decision log — and no retained flow set — accumulates.
 func TestShardedRetentionCounters(t *testing.T) {
@@ -136,11 +136,11 @@ func TestShardedRetentionCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := NewShardedController(network.New(topo), core.Config{})
+	full.SetRetention(RetainAll)
+	lean, err := NewShardedController(network.New(topo), core.Config{}) // RetainCounters, the default
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean.SetRetention(RetainCounters)
 	admitted := 0
 	for at := 0; at < len(specs); at += 4 {
 		chunk := specs[at : at+4]

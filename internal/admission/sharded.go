@@ -104,18 +104,17 @@ type FoldEvent struct {
 type Retention int
 
 const (
-	// RetainAll keeps the full decision log, each decision's record
-	// retaining the flow set its verdict was computed over, so
-	// Decision.Analysis can explain it: the default, and what the
-	// differential and golden tests compare.
-	RetainAll Retention = iota
 	// RetainCounters folds every decision into the admitted/rejected
 	// counters and logs nothing; a returned decision's record carries
 	// the verdict and its stats but no flow set. Memory per request is
-	// constant — the retention mode for serving or replaying millions
-	// of requests, where the decision log would otherwise dominate
-	// memory.
-	RetainCounters
+	// constant — the default, so serving or replaying millions of
+	// requests keeps no log that would otherwise dominate memory.
+	RetainCounters Retention = iota
+	// RetainAll keeps the full decision log, each decision's record
+	// retaining the flow set its verdict was computed over, so
+	// Decision.Analysis can explain it: what the differential and
+	// golden tests compare.
+	RetainAll
 )
 
 // NewShardedController returns a sharded controller over the network;

@@ -55,6 +55,7 @@ func TestDecisionViewsMatchColdBounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			inc.SetRetention(RetainAll)
 			cold, err := NewColdController(network.New(topo), core.Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -159,6 +160,7 @@ func TestBatchDecisionViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctl.SetRetention(RetainAll)
 	specs := []*network.FlowSpec{
 		{Flow: trace.CBRVideo("a", 4000, 40*units.Millisecond, 300*units.Millisecond), Route: []network.NodeID{"0", "4", "6", "3"}, Priority: 1},
 		{Flow: trace.CBRVideo("hog", 150000, 100*units.Millisecond, 100*units.Millisecond), Route: []network.NodeID{"0", "4", "6", "3"}, Priority: 2},

@@ -151,7 +151,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctl.SetRetention(admission.RetainCounters)
 	s := &Server{
 		cfg:   cfg,
 		topo:  topo,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"gmfnet/internal/ether"
 	"gmfnet/internal/gmf"
@@ -87,20 +86,6 @@ func (a *Analyzer) removeFlowDemand(i int) {
 	}
 }
 
-// insertDemandAt is the inverse of removeFlowDemand: it re-links flow
-// i's cached demands when Engine.Restore resurrects a departure,
-// shifting higher indices up by one. The cache may legitimately be
-// shorter than the flow count (entries are filled lazily); missing slots
-// are padded so the insert lands at the right index.
-func (a *Analyzer) insertDemandAt(i int, entry []rateDemand) {
-	for len(a.demands) < i {
-		a.demands = append(a.demands, nil)
-	}
-	a.demands = append(a.demands, nil)
-	copy(a.demands[i+1:], a.demands[i:])
-	a.demands[i] = entry
-}
-
 // resetDemands discards the whole cache; Engine.Invalidate uses it after
 // out-of-band flow-set changes that may have shifted indices.
 func (a *Analyzer) resetDemands() {
@@ -131,18 +116,12 @@ func (a *Analyzer) resetDemands() {
 //     engine snapshots O(1) and restores O(writes since the snapshot)
 //     instead of a deep copy of the whole assignment.
 //
-// Lazy-compaction invariant (restore-across-removal). While the journal
-// is armed, removeFlow does NOT compact the arena: the departed flow's
-// block is unlinked from blocks but its slots stay in place as a
-// tombstone, recorded in structJournal (for resurrection by undoTo) and
-// in tombs (for later reclamation). Because nothing moves, every
-// absolute (off, eidx) pair in the write journal — and every live
-// block's base — remains valid across any number of removals, which is
-// what lets one snapshot span departures. Tombstones exist only while a
-// journal is armed: endJournal (snapshot discarded) and beginJournal (a
-// new snapshot supersedes the old one) compact them away and re-base the
-// surviving blocks, and undoTo re-links them instead. With no journal
-// armed, removeFlow compacts eagerly as before (removeFlowReindex).
+// The journal serves the engine's snapshot window, which may add flows
+// and remove flows it added but never removes an older one (see
+// Engine.RemoveFlow). The slots that existed at the snapshot therefore
+// never move: the journal records only writes below journalEnd, the
+// arena length at the snapshot, and undoTo replays them and truncates
+// everything above.
 type jitterState struct {
 	blocks []flowBlock
 	arena  []units.Time
@@ -160,7 +139,7 @@ type jitterState struct {
 	// which undoTo raises to void every entry at once. Only the engine
 	// reads the memo, so only its state has one (memoOn). No flow ever
 	// leaves the cold Analyzer's state and it arms no journal, so the
-	// removal, undo and compaction paths assume a memo.
+	// removal and undo paths assume a memo.
 	memoOn     bool
 	memo       []memoSlot
 	lastChange []uint64
@@ -181,24 +160,11 @@ type jitterState struct {
 	// exhaustion.
 	maxDelta units.Time
 
-	// journal records (slot, old value) for every write since the last
-	// beginJournal, newest last; undoTo replays it backwards.
-	journal   []undoEntry
-	journalOn bool
-
-	// structJournal records the flows tombstoned since beginJournal, in
-	// removal order; undoTo re-inserts them backwards. tombs lists the
-	// same blocks' dead arena extents for compaction once the journal is
-	// resolved (see the lazy-compaction invariant above).
-	structJournal []structUndo
-	tombs         []flowBlock
-}
-
-// structUndo records one tombstoned flow: the index it was removed from
-// and its (still allocated) block, so undoTo can re-link it in place.
-type structUndo struct {
-	index int
-	block flowBlock
+	// journal records (slot, old value) for every write below
+	// journalEnd since the last beginJournal, newest last; undoTo
+	// replays it backwards. journalEnd is zero when no snapshot is live.
+	journal    []undoEntry
+	journalEnd int32
 }
 
 // memoSlot is one arena slot's stage memo: the stage response last
@@ -308,8 +274,9 @@ func (js *jitterState) addFlow(j int, fs *network.FlowSpec, rids []network.Resou
 func (js *jitterState) numFlows() int { return len(js.blocks) }
 
 // set records the entry jitter of frame k at stage pos of flow j's
-// pipeline, journaling the old value when a snapshot is outstanding and
-// tracking whether anything changed since the last resetChanged.
+// pipeline, journaling the old value of a slot that predates the live
+// snapshot and tracking whether anything changed since the last
+// resetChanged.
 func (js *jitterState) set(j, pos, k int, v units.Time) {
 	b := &js.blocks[j]
 	if pos < 0 || pos >= len(b.rids) || k < 0 || int32(k) >= b.n {
@@ -321,7 +288,7 @@ func (js *jitterState) set(j, pos, k int, v units.Time) {
 		return
 	}
 	eidx := b.ebase + int32(pos)
-	if js.journalOn {
+	if off < js.journalEnd {
 		js.journal = append(js.journal, undoEntry{off: off, eidx: eidx, old: old})
 	}
 	js.arena[off] = v
@@ -469,9 +436,9 @@ func (js *jitterState) resetChanged() {
 // the subsequent delta iteration ascends to the least fixpoint from below
 // instead of descending from the stale one, which there could stop at a
 // larger fixpoint; on acyclic pipelines the fixpoint is unique and the
-// engine descends instead (see Engine.RemoveFlow). With a
-// journal armed the overwritten values are recorded like any other write,
-// so a snapshot restore spanning the departure rolls them back too.
+// engine descends instead (see Engine.RemoveFlow). Overwritten slots
+// that predate the live snapshot are journaled like any other write, so
+// a restore rolls them back too.
 func (js *jitterState) coldReset(j int, fs *network.FlowSpec) {
 	b := &js.blocks[j]
 	n := int(b.n)
@@ -488,7 +455,7 @@ func (js *jitterState) coldReset(j int, fs *network.FlowSpec) {
 		for k := 0; k < n; k++ {
 			v := cold(s, k)
 			if old := js.arena[base+k]; old != v {
-				if js.journalOn {
+				if int32(base+k) < js.journalEnd {
 					js.journal = append(js.journal, undoEntry{
 						off: int32(base + k), eidx: b.ebase + int32(s), old: old,
 					})
@@ -504,27 +471,13 @@ func (js *jitterState) coldReset(j int, fs *network.FlowSpec) {
 	}
 }
 
-// removeFlow drops flow i's slots, mirroring Network.RemoveFlow's index
-// compaction. With no journal armed it compacts the arena eagerly
-// (removeFlowReindex); with an armed journal it tombstones the block
-// instead — nothing moves, so the snapshot's journaled offsets and the
-// surviving blocks' bases stay valid and a later undoTo can roll back
-// across the departure (see the lazy-compaction invariant on
-// jitterState).
-func (js *jitterState) removeFlow(i int) {
-	if js.journalOn {
-		js.tombstoneFlow(i)
-		return
-	}
-	js.removeFlowReindex(i)
-}
-
-// removeFlowReindex is the eager path: it drops flow i's slots, compacts
-// the arena and shifts every tracking structure — including the
-// changed-flow worklist, which the pre-arena implementation left
-// unshifted, leaking stale indices into the next delta worklist — down by
-// one. Only legal with no journal armed: compaction moves slots out from
-// under journaled offsets.
+// removeFlowReindex drops flow i's slots, compacts the arena and
+// shifts every tracking structure — including the changed-flow
+// worklist, which the pre-arena implementation left unshifted, leaking
+// stale indices into the next delta worklist — down by one, mirroring
+// Network.RemoveFlow. Under a live snapshot flow i was added after it,
+// so every slot that moves lies above journalEnd and the journal stays
+// valid.
 func (js *jitterState) removeFlowReindex(i int) {
 	b := js.blocks[i]
 	js.touchFlow(&b)
@@ -543,21 +496,6 @@ func (js *jitterState) removeFlowReindex(i int) {
 		js.blocks[j].base -= slots
 		js.blocks[j].ebase -= stages
 	}
-	js.shiftChangedDown(i)
-	js.journal = js.journal[:0]
-	js.journalOn = false
-}
-
-// tombstoneFlow is the journaled path of removeFlow: flow i's block is
-// unlinked from the index structures but its arena slots stay allocated
-// in place, recorded in structJournal for resurrection and in tombs for
-// compaction once the journal is resolved.
-func (js *jitterState) tombstoneFlow(i int) {
-	b := js.blocks[i]
-	js.touchFlow(&b)
-	js.structJournal = append(js.structJournal, structUndo{index: i, block: b})
-	js.tombs = append(js.tombs, b)
-	js.blocks = append(js.blocks[:i], js.blocks[i+1:]...)
 	js.shiftChangedDown(i)
 }
 
@@ -585,66 +523,13 @@ func (js *jitterState) shiftChangedDown(i int) {
 	}
 }
 
-// compactTombs reclaims the tombstoned extents left by journaled
-// removals: live arena content slides down over the dead blocks and the
-// surviving blocks' bases are rebased. Must only run with no journal
-// armed — it is called from endJournal and beginJournal, the two places
-// where an outstanding snapshot dies.
-func (js *jitterState) compactTombs() {
-	if len(js.tombs) == 0 {
-		return
-	}
-	sort.Slice(js.tombs, func(a, b int) bool { return js.tombs[a].base < js.tombs[b].base })
-	// Slide the live segments between consecutive tombstones leftward.
-	dst := js.tombs[0].base
-	edst := js.tombs[0].ebase
-	for t := 0; t < len(js.tombs); t++ {
-		b := js.tombs[t]
-		stages := int32(len(b.rids))
-		src := b.base + stages*b.n
-		esrc := b.ebase + stages
-		end := int32(len(js.arena))
-		eend := int32(len(js.extraMax))
-		if t+1 < len(js.tombs) {
-			end = js.tombs[t+1].base
-			eend = js.tombs[t+1].ebase
-		}
-		copy(js.arena[dst:], js.arena[src:end])
-		copy(js.memo[dst:], js.memo[src:end])
-		dst += end - src
-		copy(js.extraMax[edst:], js.extraMax[esrc:eend])
-		copy(js.extraValid[edst:], js.extraValid[esrc:eend])
-		edst += eend - esrc
-	}
-	js.arena = js.arena[:dst]
-	js.memo = js.memo[:dst]
-	js.extraMax = js.extraMax[:edst]
-	js.extraValid = js.extraValid[:edst]
-	for j := range js.blocks {
-		var slots, stages int32
-		for _, tb := range js.tombs {
-			if tb.base < js.blocks[j].base {
-				slots += int32(len(tb.rids)) * tb.n
-				stages += int32(len(tb.rids))
-			}
-		}
-		js.blocks[j].base -= slots
-		js.blocks[j].ebase -= stages
-	}
-	js.tombs = js.tombs[:0]
-}
-
 // beginJournal starts a fresh undo epoch: the journal is truncated (any
-// older snapshot becomes unrestorable), tombstones left by that
-// superseded snapshot's removals are compacted away, and subsequent
-// writes record their old values. It returns the mark undoTo needs to
-// also pop flows added after the snapshot.
+// older snapshot becomes unrestorable) and later writes to the slots
+// that exist now record their old values. It returns the mark undoTo
+// needs to also pop flows added after the snapshot.
 func (js *jitterState) beginJournal() jitterMark {
 	js.journal = js.journal[:0]
-	js.journalOn = false
-	js.structJournal = js.structJournal[:0]
-	js.compactTombs()
-	js.journalOn = true
+	js.journalEnd = int32(len(js.arena))
 	return jitterMark{
 		arenaLen: len(js.arena),
 		eLen:     len(js.extraMax),
@@ -652,28 +537,21 @@ func (js *jitterState) beginJournal() jitterMark {
 	}
 }
 
-// endJournal disarms journaling, drops the recorded history and compacts
-// any tombstoned blocks; the engine calls it when the outstanding
-// snapshot is discarded, so a long snapshot-free write stream does not
-// keep accumulating undo entries or dead arena extents.
+// endJournal disarms journaling and drops the recorded history; the
+// engine calls it when the outstanding snapshot is discarded, so a long
+// snapshot-free write stream does not keep accumulating undo entries.
 func (js *jitterState) endJournal() {
 	js.journal = js.journal[:0]
-	js.journalOn = false
-	js.structJournal = js.structJournal[:0]
-	js.compactTombs()
+	js.journalEnd = 0
 }
 
 // undoTo rolls the state back to the mark: journaled writes are replayed
-// backwards, tombstoned blocks are re-linked at their recorded indices in
-// reverse removal order (their slots never moved, so the block records
-// are still exact), and flows added after the mark are popped. After the
-// re-insertions every flow alive at the snapshot sits at its original
-// index and every post-snapshot addition at the tail, so the final
-// truncation to the mark restores the snapshot layout bit-identically.
-// Raising the memo floor voids every memo entry in O(1): the replay
-// moves jitters and membership without touching their groups. Cost is
-// proportional to the writes and removals since beginJournal, plus a
-// changed-mark wipe, not to the arena size.
+// backwards and every slot, cache entry and block above the mark — the
+// flows added since, whatever they hold — is truncated away. Raising the
+// memo floor voids every memo entry in O(1): the replay moves jitters
+// and membership without touching their groups. Cost is proportional to
+// the writes since beginJournal, plus a changed-mark wipe, not to the
+// arena size.
 func (js *jitterState) undoTo(m jitterMark) {
 	js.floor = js.now
 	js.now++
@@ -682,28 +560,14 @@ func (js *jitterState) undoTo(m jitterMark) {
 		js.arena[e.off] = e.old
 		js.extraValid[e.eidx] = false
 	}
-	js.journal = js.journal[:0]
-	js.journalOn = false
-	for i := len(js.structJournal) - 1; i >= 0; i-- {
-		u := js.structJournal[i]
-		js.blocks = append(js.blocks, flowBlock{})
-		copy(js.blocks[u.index+1:], js.blocks[u.index:])
-		js.blocks[u.index] = u.block
-	}
-	js.structJournal = js.structJournal[:0]
-	js.tombs = js.tombs[:0]
+	js.endJournal()
 	js.arena = js.arena[:m.arenaLen]
 	js.memo = js.memo[:m.arenaLen]
 	js.extraMax = js.extraMax[:m.eLen]
 	js.extraValid = js.extraValid[:m.eLen]
 	js.blocks = js.blocks[:m.numFlows]
-	if cap(js.changedMark) < m.numFlows {
-		js.changedMark = make([]bool, m.numFlows)
-	}
 	js.changedMark = js.changedMark[:m.numFlows]
-	for j := range js.changedMark {
-		js.changedMark[j] = false
-	}
+	clear(js.changedMark)
 	js.changedList = js.changedList[:0]
 	js.changed = false
 }

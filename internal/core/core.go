@@ -24,7 +24,7 @@
 //   - Analyzer is the one-shot reference: a full cold fixpoint per call;
 //   - Engine is the persistent online form: warm-started delta worklists
 //     over an arena-backed jitter state with O(1) undo-journal snapshots
-//     (Snapshot/Restore/Discard) that survive departures;
+//     (Snapshot/Restore/Discard) whose window undoes only additions;
 //   - ShardedEngine partitions the arena by interference closure, one
 //     Engine per closure, with warm shard fusion and re-splitting; a
 //     resource-to-shard route table finds a flow's closure for
@@ -32,9 +32,9 @@
 //
 // All three compute identical bounds — the repo's differential and fuzz
 // tests pin that. The state layout and its invariants (arena blocks,
-// undo journal, tombstones, snapshot-once semantics, closure lifecycle)
-// are documented in docs/ARCHITECTURE.md and on jitterState in
-// analyzer.go.
+// undo journal, snapshot window, snapshot-once semantics, closure
+// lifecycle) are documented in docs/ARCHITECTURE.md and on jitterState
+// in analyzer.go.
 package core
 
 import (

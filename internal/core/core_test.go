@@ -431,31 +431,6 @@ func TestEmptyNetworkAnalyze(t *testing.T) {
 	}
 }
 
-func TestAnalyzeFlowSinglePass(t *testing.T) {
-	fs := &network.FlowSpec{
-		Flow:  oneFrameFlow("a", fullFramePayload, 100*ms, 100*ms, 0),
-		Route: []network.NodeID{"h1", "h2"},
-	}
-	nw := directLinkNet(t, fs)
-	an, err := NewAnalyzer(nw, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := an.AnalyzeFlow(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Frames[0].Response != c1 {
-		t.Fatalf("response = %v, want %v", fr.Frames[0].Response, c1)
-	}
-	if _, err := an.AnalyzeFlow(5); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-	if _, err := an.AnalyzeFlow(-1); err == nil {
-		t.Fatal("negative index accepted")
-	}
-}
-
 func TestStageEntryJittersGrowAlongRoute(t *testing.T) {
 	fs := &network.FlowSpec{
 		Flow:  oneFrameFlow("a", fullFramePayload, 100*ms, 500*ms, ms),

@@ -292,15 +292,22 @@ func TestIsolatedDepartureLeavesNothingPending(t *testing.T) {
 	checkCold(t, "final", eng)
 }
 
-// TestWarmDepartureEvictPattern pins evictBatch's remove-then-restage
-// shape: two departures and two additions with no analysis between.
-// The first AddFlow must converge the pending descent before it adds,
-// so the newcomers start from the exact fixpoint of the survivors.
+// TestWarmDepartureEvictPattern pins evictBatch's shape: two newcomers
+// are staged after the snapshot and converged, cut back by two
+// departures, and two are re-staged, with no analysis between. The
+// first AddFlow must converge the pending descent before it adds, so the
+// newcomers start from the exact fixpoint of the survivors.
 func TestWarmDepartureEvictPattern(t *testing.T) {
 	eng, gen := warmFixture(t)
 	snap := eng.Snapshot()
 	for k := 0; k < 2; k++ {
-		if err := eng.RemoveFlow(eng.Network().NumFlows() - 1 - k); err != nil {
+		if _, err := eng.AddFlow(gen(fmt.Sprintf("staged%d", k), k == 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Converge()
+	for k := 0; k < 2; k++ {
+		if err := eng.RemoveFlow(eng.Network().NumFlows() - 1); err != nil {
 			t.Fatal(err)
 		}
 		if !eng.descending {
@@ -427,14 +434,17 @@ func TestColdResetOnCyclicPipelines(t *testing.T) {
 // restore/discard scripts over a small Clos (feed-forward: departures
 // descend warm) or the crossing ring (routes of random direction and
 // length, so cycles come and go and departures switch between descent
-// and cold reset). Every analysis and the final state must equal the
-// cold Analyzer.
+// and cold reset). Inside a snapshot window a removal that picks an
+// older flow must be refused, and falls on a flow the window added
+// instead. Every analysis and the final state must equal the cold
+// Analyzer.
 func FuzzWarmDeparture(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 2, 1, 0, 2})             // clos: churn with a pending descent before an add
-	f.Add([]byte{0, 0, 0, 0, 2, 1, 1, 0, 0, 2})       // clos: two departures, two restaged adds
-	f.Add([]byte{0, 0, 0, 2, 1, 3, 0, 4, 0, 2})       // clos: remove, snapshot, add, restore, add
-	f.Add([]byte{1, 0, 0, 0, 0, 2, 1, 2, 1, 2})       // ring: cycles form and break
-	f.Add([]byte{1, 0, 0, 0, 2, 3, 1, 0, 5, 1, 4, 2}) // ring: departures inside a snapshot window
+	f.Add([]byte{0, 0, 0, 0, 2, 1, 0, 2})                // clos: churn with a pending descent before an add
+	f.Add([]byte{0, 0, 0, 0, 2, 1, 1, 0, 0, 2})          // clos: two departures, two restaged adds
+	f.Add([]byte{0, 0, 0, 2, 1, 3, 0, 4, 0, 2})          // clos: remove, snapshot, add, restore, add
+	f.Add([]byte{1, 0, 0, 0, 0, 2, 1, 2, 1, 2})          // ring: cycles form and break
+	f.Add([]byte{1, 0, 0, 0, 2, 3, 1, 0, 5, 1, 4, 2})    // ring: a departure refused inside a snapshot window
+	f.Add([]byte{1, 0, 0, 2, 3, 0, 0, 2, 7, 2, 0, 4, 2}) // ring: an older flow refused, a window-added one departs
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -447,7 +457,6 @@ func FuzzWarmDeparture(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw := eng.Network()
 		var snap *Snapshot
 		for pc, b := range data[1:] {
 			switch b % 6 {
@@ -461,11 +470,7 @@ func FuzzWarmDeparture(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 1:
-				if n := nw.NumFlows(); n > 0 {
-					if err := eng.RemoveFlow(int(b/6) % n); err != nil {
-						t.Fatal(err)
-					}
-				}
+				removeFuzzed(t, fmt.Sprintf("op %d", pc), eng, snap, int(b/6))
 			case 2:
 				checkCold(t, fmt.Sprintf("op %d", pc), eng)
 			case 3:

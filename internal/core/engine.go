@@ -49,16 +49,15 @@ import (
 // it writes them, the ones that are not schedulable or carry a stage
 // error (see verdict.go). Analyze returns the bounds as a detached copy.
 //
-// Snapshots are O(1) tokens backed by undo journals: between Snapshot
-// and Restore the arena records (slot, old value) for every jitter
-// write, the header journal records every result-header mutation, and
-// Restore replays both backwards — cost proportional to the writes since
-// the snapshot, never to the total state. Snapshots survive RemoveFlow:
-// a departure under an armed journal tombstones the departed flow's
-// arena block in place (no compaction, so journaled offsets stay valid)
-// and logs the removed spec, letting Restore re-insert the flow and
-// re-link the block — the rollback-across-departure speculative batch
-// admission needs.
+// Snapshots are O(1) tokens backed by undo journals. A snapshot window
+// — Snapshot until Restore or Discard — may add flows and may remove
+// flows it added, as the admission test's tentative additions and batch
+// eviction probes do, but RemoveFlow refuses a flow older than the
+// snapshot. So the state that existed at the snapshot never moves: the
+// journals record (slot, old value) only for writes to it, and Restore
+// replays them backwards and truncates whatever the window appended —
+// cost proportional to the writes since the snapshot, never to the
+// total state.
 //
 // Mutate the flow set only through AddFlow/RemoveFlow so the engine can
 // track what changed; after any out-of-band change to the network or its
@@ -84,11 +83,13 @@ type Engine struct {
 	unsched int
 	errcnt  int
 
-	// hdrJournal is the header undo log armed by Snapshot, mirroring the
-	// jitter journal: Restore replays it backwards instead of restoring a
-	// header copy.
-	hdrJournal   []hdrOp
-	hdrJournalOn bool
+	// hdrJournal is the header undo log, mirroring the jitter journal:
+	// it records (slot, old header) for writes below hdrEnd, the header
+	// count at the live snapshot (zero when none). hdrSaved is the slice
+	// a cold pass abandoned inside the window; journaling stops there.
+	hdrJournal []hdrOp
+	hdrEnd     int
+	hdrSaved   []FlowResult
 
 	// wlMark/wlEpoch/wlNext are the worklist iteration's reusable
 	// next-front scratch: wlMark[f] == wlEpoch marks flow f as already
@@ -106,27 +107,11 @@ type Engine struct {
 	stats  ConvergenceStats
 	noConv *ErrNoConvergence
 
-	// snapSeq increments on every Snapshot, Restore, Discard and
-	// Invalidate: each snapshot truncates the undo journals, so only the
-	// most recent snapshot is restorable, at most once.
-	snapSeq uint64
-	// snapLive reports whether the most recent snapshot is still
-	// outstanding (neither restored, discarded, superseded nor
-	// invalidated). While it is, RemoveFlow records departures in
-	// removedLog so Restore can re-insert them.
-	snapLive bool
-	// removedLog holds the flows removed since the live snapshot, in
-	// removal order; Restore replays it backwards through
-	// Network.InsertFlowAt.
-	removedLog []removedFlow
-}
-
-// removedFlow records one departure for rollback: the index the flow was
-// removed from, its spec, and its cached per-rate demands.
-type removedFlow struct {
-	index  int
-	fs     *network.FlowSpec
-	demand []rateDemand
+	// live is the outstanding snapshot, nil when none: each snapshot
+	// truncates the undo journals, so only the most recent one is
+	// restorable, at most once, and Restore, Discard and Invalidate end
+	// it.
+	live *Snapshot
 }
 
 // NewEngine validates the network once and returns an engine over it.
@@ -158,11 +143,8 @@ func (e *Engine) Invalidate() {
 	e.dirty = make(map[int]bool)
 	e.descending = false
 	e.an.resetDemands()
-	e.snapSeq++ // outstanding snapshots become stale
-	e.snapLive = false
-	e.removedLog = nil
-	e.hdrJournal = nil
-	e.hdrJournalOn = false
+	e.live = nil // outstanding snapshots become stale
+	e.endHeaderJournal()
 }
 
 // AddFlow validates the flow against the topology, registers it and marks
@@ -181,7 +163,7 @@ func (e *Engine) AddFlow(fs *network.FlowSpec) (int, error) {
 	}
 	if e.valid {
 		e.js.addFlow(i, fs, e.an.nw.FlowResources(i))
-		e.appendHeader(FlowResult{Index: i, Name: fs.Flow.Name}, true)
+		e.appendHeader(FlowResult{Index: i, Name: fs.Flow.Name})
 	}
 	e.dirty[i] = true
 	return i, nil
@@ -207,21 +189,16 @@ func (e *Engine) AddFlow(fs *network.FlowSpec) (int, error) {
 //     re-ascend.
 //
 // A warm descent needs a converged starting point, so a departure while
-// additions are still pending takes the cold-reset path too. A live
-// snapshot survives the removal: the departure is logged (and the arena
-// block tombstoned rather than compacted), so Restore can roll back
-// across it.
+// additions are still pending takes the cold-reset path too. Under a
+// live snapshot only a flow added since it may depart: removing an
+// older one returns an error and changes nothing.
 func (e *Engine) RemoveFlow(i int) error {
 	nw := e.an.nw
 	if i < 0 || i >= nw.NumFlows() {
 		return errIndex(i, nw.NumFlows())
 	}
-	if e.snapLive {
-		rec := removedFlow{index: i, fs: nw.Flow(i)}
-		if i < len(e.an.demands) {
-			rec.demand = e.an.demands[i]
-		}
-		e.removedLog = append(e.removedLog, rec)
+	if e.live != nil && i < e.live.numFlows {
+		return fmt.Errorf("core: flow %d predates the live snapshot of %d flows; a snapshot window removes only flows it added", i, e.live.numFlows)
 	}
 	if !e.valid {
 		nw.RemoveFlow(i)
@@ -243,8 +220,8 @@ func (e *Engine) RemoveFlow(i int) error {
 	warm := len(e.dirty) == 0 || e.descending
 	nw.RemoveFlow(i)
 	e.an.removeFlowDemand(i)
-	e.js.removeFlow(i)
-	e.spliceHeader(i, true)
+	e.js.removeFlowReindex(i)
+	e.spliceHeader(i)
 	for k, j := range buf {
 		if j > i {
 			buf[k] = j - 1
@@ -334,7 +311,7 @@ func (e *Engine) convergeFull() bool {
 	for i := range flows {
 		flows[i] = FlowResult{Index: i, Name: nw.Flow(i).Flow.Name}
 	}
-	e.replaceHeaders(flows, true)
+	e.replaceHeaders(flows)
 	all := make([]int, nw.NumFlows())
 	for i := range all {
 		all[i] = i
@@ -375,7 +352,7 @@ func (e *Engine) analyzeOver(work []int) bool {
 				continue // its pass would rewrite every slot and header byte-identically
 			}
 			fr := e.an.flowPass(i, e.js)
-			e.setHeader(i, fr, true)
+			e.setHeader(i, fr)
 			if fr.Err != nil {
 				// An overloaded or diverging stage dooms the whole
 				// configuration.
@@ -477,14 +454,13 @@ func (e *Engine) affectedSet(seed []int) []int {
 
 // Snapshot captures the engine's state for a later Restore as a cheap
 // token: no jitter values and no result headers are copied. Taking it
-// arms both undo journals — every subsequent jitter write and header
-// mutation records its old value. The admission controller snapshots
-// before every tentative admission and rolls back on rejection instead
-// of re-analysing.
+// arms both undo journals — every later write to a jitter slot or result
+// header that exists now records its old value. The admission
+// controller snapshots before every tentative admission and rolls back
+// on rejection instead of re-analysing.
 type Snapshot struct {
 	jsRef *jitterState
 	mark  jitterMark
-	seq   uint64
 
 	dirty      []int
 	descending bool
@@ -492,26 +468,28 @@ type Snapshot struct {
 	stats      ConvergenceStats
 	noConv     *ErrNoConvergence
 	numFlows   int
+	// headers, unsched and errcnt are the header count and the verdict
+	// counters at the snapshot.
+	headers, unsched, errcnt int
 }
 
 // Snapshot captures the current engine state for a later Restore. Each
 // call starts a fresh undo epoch: only the most recent snapshot can be
-// restored, at most once (snapshot-once semantics). The snapshot spans
-// AddFlow, RemoveFlow and analyses alike; only Invalidate kills it. Call
-// Discard when the snapshot is known dead (the tentative change
-// committed) to stop journaling and reclaim tombstoned arena blocks.
+// restored, at most once (snapshot-once semantics). The window it opens
+// spans AddFlow, analyses and RemoveFlow of the flows added in it; only
+// Invalidate kills it. Call Discard when the snapshot is known dead (the
+// tentative change committed) to stop journaling.
 func (e *Engine) Snapshot() *Snapshot {
-	e.snapSeq++
-	e.snapLive = true
-	e.removedLog = nil
 	s := &Snapshot{
-		seq:        e.snapSeq,
 		valid:      e.valid,
 		descending: e.descending,
 		stats:      e.stats,
 		noConv:     e.noConv,
 		numFlows:   e.an.nw.NumFlows(),
 		dirty:      make([]int, 0, len(e.dirty)),
+		headers:    len(e.flows),
+		unsched:    e.unsched,
+		errcnt:     e.errcnt,
 	}
 	for i := range e.dirty {
 		s.dirty = append(s.dirty, i)
@@ -520,66 +498,40 @@ func (e *Engine) Snapshot() *Snapshot {
 		s.jsRef = e.js
 		s.mark = e.js.beginJournal()
 	}
-	e.hdrJournal = e.hdrJournal[:0]
-	e.hdrJournalOn = true
+	e.live = s
+	e.endHeaderJournal()
+	e.hdrEnd = s.headers
 	return s
 }
 
 // Discard releases a snapshot without restoring it: the undo journals
-// are disarmed, their memory reclaimed and arena blocks tombstoned by
-// departures since the snapshot are compacted. Discarding a superseded
-// or already consumed snapshot is a no-op. Commit paths should call it —
+// are disarmed and their memory reclaimed. Discarding a superseded or
+// already consumed snapshot is a no-op. Commit paths should call it —
 // otherwise the journals stay armed and grow with every write until the
 // next Snapshot or Invalidate.
 func (e *Engine) Discard(s *Snapshot) {
-	if s == nil || s.seq != e.snapSeq {
+	if s == nil || s != e.live {
 		return
 	}
-	e.snapSeq++
-	e.snapLive = false
-	e.removedLog = nil
-	e.hdrJournal = e.hdrJournal[:0]
-	e.hdrJournalOn = false
+	e.live = nil
+	e.endHeaderJournal()
 	if s.jsRef != nil {
 		s.jsRef.endJournal()
 	}
-	if e.js != nil && e.js != s.jsRef {
-		// The jitter state was rebuilt (a cold pass) while the snapshot
-		// was live; reclaim any tombstones the rebuilt state accumulated.
-		e.js.endJournal()
-	}
 }
 
-// Restore rolls the engine and its network back to the snapshot: flows
-// added since it are popped, flows removed since it are re-inserted at
-// their original indices (reverse removal order, via the engine's
-// removal log and the jitter state's tombstone journal), and journaled
-// jitter writes and header mutations are undone in reverse — O(changes
-// since the snapshot), not O(total state). Restoring a stale snapshot
-// (a newer one was taken, it was discarded or already restored, or
-// Invalidate ran) returns an error.
+// Restore rolls the engine and its network back to the snapshot: the
+// flows added since it are popped — the window removed no older flow —
+// and journaled jitter writes and header writes are undone in reverse,
+// O(changes since the snapshot), not O(total state). Restoring a stale
+// snapshot (a newer one was taken, it was discarded or already
+// restored, or Invalidate ran) returns an error.
 func (e *Engine) Restore(s *Snapshot) error {
-	if s.seq != e.snapSeq {
+	if s != e.live {
 		return fmt.Errorf("core: stale snapshot: only the most recent snapshot can be restored, once")
 	}
-	e.snapSeq++ // consume: a second restore of s is refused
-	e.snapLive = false
+	e.live = nil
 	nw := e.an.nw
-	// Re-insert departures in reverse removal order: afterwards every
-	// flow alive at the snapshot is back at its original index and every
-	// post-snapshot addition sits at the tail, so popping down to the
-	// snapshot count restores the exact flow list.
-	for r := len(e.removedLog) - 1; r >= 0; r-- {
-		rec := e.removedLog[r]
-		if err := nw.InsertFlowAt(rec.index, rec.fs); err != nil {
-			return fmt.Errorf("core: restore could not re-insert removed flow %q: %w", rec.fs.Flow.Name, err)
-		}
-		e.an.insertDemandAt(rec.index, rec.demand)
-	}
-	e.removedLog = nil
-	if nw.NumFlows() < s.numFlows {
-		return fmt.Errorf("core: corrupt removal log (%d flows after replay, %d at snapshot)", nw.NumFlows(), s.numFlows)
-	}
 	for nw.NumFlows() > s.numFlows {
 		nw.RemoveLastFlow()
 	}
@@ -590,7 +542,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 		s.jsRef.undoTo(s.mark)
 	}
 	e.js = s.jsRef
-	e.undoHeaders()
+	e.undoHeaders(s)
 	e.valid = s.valid
 	e.stats = s.stats
 	e.noConv = s.noConv

@@ -9,11 +9,9 @@ import (
 	"gmfnet/internal/network"
 )
 
-// sameAssignment compares two jitter states semantically: same flow
-// count, same per-flow pipeline shape, and bit-identical slot values read
-// through the block index. Unlike equalAssignment it is insensitive to
-// arena layout, so it stays a valid oracle when tombstone compaction has
-// re-based blocks between the clone and the comparison.
+// sameAssignment compares two jitter states, either of which may be
+// nil: bit-identical arena contents and layout (equalAssignment) and the
+// same pipeline per flow.
 func sameAssignment(a, b *jitterState) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -21,7 +19,7 @@ func sameAssignment(a, b *jitterState) bool {
 	if a == nil {
 		return true
 	}
-	if a.numFlows() != b.numFlows() {
+	if !a.equalAssignment(b) {
 		return false
 	}
 	for j := range a.blocks {
@@ -70,15 +68,18 @@ func sameNames(a, b []string) bool {
 // jitter assignment, the live result headers and the verdict counters
 // must round-trip bit-identically, and the network's flow list must be
 // exactly the snapshot's. After every operation the verdict counters
-// must equal a scan of the headers. This exercises the block-move
-// (tombstone) journal and the header journal: removals between Snapshot
-// and Restore are the interesting interleavings.
+// must equal a scan of the headers. Inside a window a removal that picks
+// a flow older than the snapshot must be refused and falls on a flow the
+// window added instead: removals of those between Snapshot and Restore,
+// with journaled writes before and after them, are the interesting
+// interleavings.
 func FuzzSnapshotRestore(f *testing.F) {
-	f.Add([]byte{0, 1, 3, 0, 2, 1, 4})             // snapshot, add, remove, restore
-	f.Add([]byte{0, 0, 2, 3, 1, 1, 2, 4, 2})       // two removals inside the window
-	f.Add([]byte{3, 0, 5, 3, 1, 4, 0, 2})          // discard, re-snapshot, remove, restore
-	f.Add([]byte{0, 3, 1, 3, 0, 4})                // superseding snapshot after a removal
+	f.Add([]byte{0, 1, 3, 0, 2, 1, 4})             // remove, snapshot, add, analyze, refused remove, restore
+	f.Add([]byte{0, 0, 2, 3, 1, 1, 2, 4, 2})       // two refused removals inside the window
+	f.Add([]byte{3, 0, 5, 3, 1, 4, 0, 2})          // discard, re-snapshot, refused remove, restore
+	f.Add([]byte{0, 3, 1, 3, 0, 4})                // superseding snapshot after a refused removal
 	f.Add([]byte{0, 0, 0, 3, 2, 1, 0, 1, 2, 4, 2}) // churn with analyses mixed in
+	f.Add([]byte{0, 2, 3, 0, 2, 7, 0, 2, 4, 2})    // a window-added flow departs between analyses
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			data = data[:64] // keep each case cheap
@@ -106,11 +107,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 1: // remove
-				if n := eng.Network().NumFlows(); n > 0 {
-					if err := eng.RemoveFlow(int(b/6) % n); err != nil {
-						t.Fatal(err)
-					}
-				}
+				removeFuzzed(t, fmt.Sprintf("op %d", pc), eng, snap, int(b/6))
 			case 2: // analyze
 				if _, err := eng.Analyze(); err != nil {
 					t.Fatal(err)
@@ -176,6 +173,34 @@ func FuzzSnapshotRestore(f *testing.F) {
 	})
 }
 
+// removeFuzzed removes flow pick modulo the flow count. Under the live
+// snapshot s a flow older than s must be refused with the flow list
+// unchanged; the removal then falls on a flow the window added, if any.
+func removeFuzzed(t *testing.T, ctx string, eng *Engine, s *Snapshot, pick int) {
+	t.Helper()
+	n := eng.Network().NumFlows()
+	if n == 0 {
+		return
+	}
+	i := pick % n
+	if s != nil && i < s.numFlows {
+		names := flowNames(eng.Network())
+		if err := eng.RemoveFlow(i); err == nil {
+			t.Fatalf("%s: removing flow %d of the %d the snapshot holds succeeded", ctx, i, s.numFlows)
+		}
+		if !sameNames(flowNames(eng.Network()), names) {
+			t.Fatalf("%s: a refused removal changed the flow list", ctx)
+		}
+		if n == s.numFlows {
+			return
+		}
+		i = s.numFlows + pick%(n-s.numFlows)
+	}
+	if err := eng.RemoveFlow(i); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fuzzTopo is a fixed two-switch topology for the fuzz target: small
 // enough that each case is fast, rich enough that flows interfere across
 // the backbone.
@@ -187,9 +212,9 @@ func fuzzTopo(t *testing.T) (*network.Topology, []network.NodeID) {
 
 // TestSnapshotRestoreAcrossRemovals is the deterministic slice of the
 // fuzz property that runs on every plain `go test`: bursts of tentative
-// admissions AND departures inside one snapshot window must roll back
-// bit-identically to the deep-clone oracle, and the restored engine must
-// keep matching a cold analysis.
+// admissions and departures of the flows they added inside one snapshot
+// window must roll back bit-identically to the deep-clone oracle, and
+// the restored engine must keep matching a cold analysis.
 func TestSnapshotRestoreAcrossRemovals(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		seed := seed
@@ -216,8 +241,8 @@ func TestSnapshotRestoreAcrossRemovals(t *testing.T) {
 				names := flowNames(eng.Network())
 				snap := eng.Snapshot()
 				for op := 0; op < 2+r.Intn(4); op++ {
-					if eng.Network().NumFlows() > 0 && r.Intn(2) == 0 {
-						if err := eng.RemoveFlow(r.Intn(eng.Network().NumFlows())); err != nil {
+					if n := eng.Network().NumFlows(); n > len(names) && r.Intn(2) == 0 {
+						if err := eng.RemoveFlow(len(names) + r.Intn(n-len(names))); err != nil {
 							t.Fatal(err)
 						}
 					} else {

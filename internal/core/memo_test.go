@@ -73,18 +73,20 @@ func checkMemo(t *testing.T, ctx string, e *Engine) {
 // on the small Clos and the crossing ring of fuzzRouter: requests
 // (Place, which fuses the shards a newcomer bridges, then Snapshot,
 // AddFlow and Analyze, admitted or rolled back by Restore), departures,
-// departures inside a snapshot window (rolled back by Restore or
-// committed by Discard), Resplit and cold checks. After every step each shard's stage memo
-// must hold only entries a fresh evaluation reproduces (checkMemo), and
-// every shard's bounds must equal the cold Analyzer's.
+// eviction probes (a newcomer staged in a resident's shard under a
+// snapshot and converged; a removal that must refuse the older flows
+// and so falls on the newcomer; then Restore or Discard), Resplit and
+// cold checks. After every step each shard's stage memo must hold only
+// entries a fresh evaluation reproduces (checkMemo), and every shard's
+// bounds must equal the cold Analyzer's.
 func FuzzStageMemo(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 4, 0, 4})          // clos: requests fuse shards, a departure, a request
 	f.Add([]byte{0, 0, 0, 6, 2, 3, 8, 5, 0, 2, 3})    // clos: rejected request, departure, resplit
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 2, 1, 3, 4, 5})    // ring: cycles form and break
 	f.Add([]byte{1, 6, 0, 12, 0, 2, 2, 7, 3, 0, 1})   // ring: rollbacks between departures
 	f.Add([]byte{0, 0, 12, 0, 18, 0, 24, 2, 2, 2, 3}) // clos: departures drain shards
-	f.Add([]byte{1, 0, 0, 0, 0, 4, 10, 2, 0, 8, 4})   // ring: departures in a snapshot window, cold resets
-	f.Add([]byte{0, 0, 0, 0, 10, 0, 16, 4, 2, 0})     // clos: committed departures in snapshot windows
+	f.Add([]byte{1, 0, 0, 0, 0, 4, 10, 2, 0, 8, 4})   // ring: eviction probes, cold resets
+	f.Add([]byte{0, 0, 0, 0, 10, 0, 16, 4, 2, 0})     // clos: committed eviction probes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -155,20 +157,22 @@ func FuzzStageMemo(f *testing.F) {
 				if _, err := se.Resplit(); err != nil {
 					t.Fatal(err)
 				}
-			case 4: // a departure inside a snapshot window: rolled back, or committed
+			case 4: // an eviction probe inside a snapshot window: rolled back, or committed
 				if len(resident) > 0 {
-					at := int(b/6) % len(resident)
-					fs := resident[at]
-					s := se.routes[flowResources(fs)[0]]
-					nw := s.eng.Network()
-					i := 0
-					for nw.Flow(i) != fs {
-						i++
-					}
+					// A copy of a resident's spec stays in its closure,
+					// so it needs no placement.
+					old := resident[int(b/6)%len(resident)]
+					s := se.routes[flowResources(old)[0]]
+					probe := *old
+					probe.Flow = trace.VoIP(fmt.Sprintf("p%d", pc), trace.VoIPOptions{Deadline: 100 * units.Millisecond})
 					snap := s.eng.Snapshot()
-					if err := s.eng.RemoveFlow(i); err != nil {
+					if _, err := s.eng.AddFlow(&probe); err != nil {
 						t.Fatal(err)
 					}
+					if _, err := s.eng.Analyze(); err != nil {
+						t.Fatal(err)
+					}
+					removeFuzzed(t, ctx, s.eng, snap, int(b/6))
 					checkMemo(t, ctx+" (removed)", s.eng)
 					if _, err := s.eng.Analyze(); err != nil {
 						t.Fatal(err)
@@ -178,16 +182,9 @@ func FuzzStageMemo(f *testing.F) {
 						if err := s.eng.Restore(snap); err != nil {
 							t.Fatal(err)
 						}
-						break
+					} else {
+						s.eng.Discard(snap)
 					}
-					// Committed: Discard compacts the tombstone away;
-					// the shard map follows as in Remove.
-					s.eng.Discard(snap)
-					se.disown(s, specKeys(fs))
-					if nw.NumFlows() == 0 {
-						se.drop(s)
-					}
-					resident = append(resident[:at], resident[at+1:]...)
 				}
 			}
 			check(ctx)

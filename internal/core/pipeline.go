@@ -140,19 +140,6 @@ func (a *Analyzer) Analyze() (*Result, error) {
 	return res, nil
 }
 
-// AnalyzeFlow bounds a single flow's response times under a fixed jitter
-// assignment in which every other flow contributes only its source jitter.
-// It matches Figure 6 run once and is mainly useful for examples, tests
-// and single-resource studies; Analyze is the complete holistic analysis.
-func (a *Analyzer) AnalyzeFlow(i int) (FlowResult, error) {
-	if i < 0 || i >= a.nw.NumFlows() {
-		return FlowResult{}, errIndex(i, a.nw.NumFlows())
-	}
-	js := newJitterState(a.nw, false)
-	fr := a.flowPass(i, js)
-	return fr, nil
-}
-
 func errIndex(i, n int) error {
 	return &indexError{i: i, n: n}
 }

@@ -38,8 +38,8 @@ import (
 // controller's differential tests pin.
 //
 // A ShardedEngine is not safe for concurrent use. It runs on the
-// caller's goroutine: AnalyzeAll and the sharded batch path visit the
-// shards one after another.
+// caller's goroutine: the sharded batch path visits the shards one
+// after another.
 type ShardedEngine struct {
 	topo *network.Topology
 	cfg  Config
@@ -480,9 +480,6 @@ func (se *ShardedEngine) Shards() []*Engine {
 	return out
 }
 
-// Topology returns the shared topology.
-func (se *ShardedEngine) Topology() *network.Topology { return se.topo }
-
 // ValidateSpecs pre-validates a batch against the topology exactly as
 // staging each spec would, without touching any shard. The sharded
 // batch path uses it so a malformed spec fails the whole batch before
@@ -562,22 +559,6 @@ func (se *ShardedEngine) groupByKeys(keys [][]Resource) [][]int {
 	return out
 }
 
-// AnalyzeAll converges every shard, one after another, and returns the
-// per-shard results in shard (creation) order. Distinct shards share
-// only the read-only topology, so their fixpoints are independent. Each
-// result is a detached copy (O(closure) headers per shard).
-func (se *ShardedEngine) AnalyzeAll() ([]*Result, error) {
-	out := make([]*Result, len(se.shards))
-	for i, s := range se.shards {
-		res, err := s.eng.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
 // adoptFrom splices every flow of src into e at its converged jitter
 // assignment. Both engines are converged first; the splice is only
 // sound when src's flows share no pipeline resource with e's (the
@@ -587,7 +568,7 @@ func (se *ShardedEngine) AnalyzeAll() ([]*Result, error) {
 // fixpoint the flows are adopted cold (marked dirty) instead, which is
 // always sound. Refused while either engine has a live snapshot.
 func (e *Engine) adoptFrom(src *Engine) error {
-	if e.snapLive || src.snapLive {
+	if e.live != nil || src.live != nil {
 		return fmt.Errorf("core: adoptFrom with a live snapshot")
 	}
 	if _, err := src.Analyze(); err != nil {
@@ -637,14 +618,14 @@ func (e *Engine) adoptFlow(src *Engine, j int) error {
 	}
 	e.js.addFlow(i, fs, e.an.nw.FlowResources(i))
 	if !warm {
-		e.appendHeader(FlowResult{Index: i, Name: fs.Flow.Name}, true)
+		e.appendHeader(FlowResult{Index: i, Name: fs.Flow.Name})
 		e.dirty[i] = true
 		return nil
 	}
 	copyJitterBlock(e.js, i, src.js, j)
 	fr := src.flows[j]
 	fr.Index = i
-	e.appendHeader(fr, true)
+	e.appendHeader(fr)
 	return nil
 }
 

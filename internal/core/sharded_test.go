@@ -51,6 +51,21 @@ func shardedRandomNetwork(t *testing.T, r *rand.Rand, switches, hostsPer, n int)
 	return nw
 }
 
+// analyzeShards converges every shard and returns the per-shard
+// results in shard order.
+func analyzeShards(t *testing.T, se *ShardedEngine) []*Result {
+	t.Helper()
+	var out []*Result
+	for _, e := range se.Shards() {
+		res, err := e.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
 // boundsByName flattens per-flow frame bounds keyed by flow name.
 func boundsByName(t *testing.T, results ...*Result) map[string][]units.Time {
 	t.Helper()
@@ -106,11 +121,7 @@ func TestShardedEngineMatchesMonolithic(t *testing.T) {
 			if se.NumFlows() != nw.NumFlows() {
 				t.Fatalf("%d flows across shards, want %d", se.NumFlows(), nw.NumFlows())
 			}
-			results, err := se.AnalyzeAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := boundsByName(t, results...)
+			got := boundsByName(t, analyzeShards(t, se)...)
 			wantBounds := boundsByName(t, want)
 			if len(got) != len(wantBounds) {
 				t.Fatalf("%d sharded flows, want %d", len(got), len(wantBounds))
@@ -144,11 +155,7 @@ func TestAdoptFromIsWarm(t *testing.T) {
 	if se.NumShards() < 2 {
 		t.Skip("draw produced a single closure")
 	}
-	partResults, err := se.AnalyzeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := boundsByName(t, partResults...)
+	want := boundsByName(t, analyzeShards(t, se)...)
 
 	engines := se.Shards()
 	dst, src := engines[0], engines[1]
@@ -181,9 +188,9 @@ func TestAdoptFromIsWarm(t *testing.T) {
 
 // TestSnapshotRestoreResplitsClosures is the rollback regression for
 // closure tracking: a tentative bridging admission fuses two closures;
-// restoring the pre-request snapshot (which pops the bridge — and, in
-// the second phase, also re-inserts a departure) must re-split them,
-// since the union-find rebuild sees only the surviving pipelines.
+// restoring the pre-request snapshot — after a second window-added flow
+// joined and the bridge departed again — must re-split them, since the
+// union-find rebuild sees only the surviving pipelines.
 func TestSnapshotRestoreResplitsClosures(t *testing.T) {
 	topo, _, err := network.Campus(3, 2)
 	if err != nil {
@@ -222,9 +229,15 @@ func TestSnapshotRestoreResplitsClosures(t *testing.T) {
 	if n := nw.NumClosures(); n != 1 {
 		t.Fatalf("after tentative bridge: %d closures, want 1", n)
 	}
-	// A departure under the same snapshot: rollback must undo both.
-	if err := eng.RemoveFlow(0); err != nil {
+	if _, err := eng.AddFlow(mk("c", "h1_0", "sw1", "h1_1")); err != nil {
 		t.Fatal(err)
+	}
+	// The bridge departs under the same snapshot: the closures split.
+	if err := eng.RemoveFlow(2); err != nil {
+		t.Fatal(err)
+	}
+	if n := nw.NumClosures(); n != 3 {
+		t.Fatalf("after the bridge departed: %d closures, want 3", n)
 	}
 	if err := eng.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -282,9 +295,7 @@ func TestResplitAfterDeparture(t *testing.T) {
 	if se.NumShards() != 1 {
 		t.Fatalf("%d shards after fusion, want 1", se.NumShards())
 	}
-	if _, err := se.AnalyzeAll(); err != nil {
-		t.Fatal(err)
-	}
+	analyzeShards(t, se)
 
 	if err := se.Remove(bridge); err != nil {
 		t.Fatal(err)
@@ -296,11 +307,7 @@ func TestResplitAfterDeparture(t *testing.T) {
 	if se.NumShards() != 2 || delta != 1 {
 		t.Fatalf("after resplit: %d shards (delta %d), want 2 (delta 1)", se.NumShards(), delta)
 	}
-	results, err := se.AnalyzeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := boundsByName(t, results...)
+	got := boundsByName(t, analyzeShards(t, se)...)
 
 	ref := network.New(topo)
 	for _, fs := range []*network.FlowSpec{

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gmfnet/internal/network"
@@ -121,11 +122,11 @@ func TestSnapshotDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
-	if !eng.js.journalOn {
+	if eng.js.journalEnd == 0 {
 		t.Fatal("snapshot did not arm the journal")
 	}
 	eng.Discard(snap)
-	if eng.js.journalOn {
+	if eng.js.journalEnd != 0 {
 		t.Fatal("discard left the journal armed")
 	}
 	if err := eng.Restore(snap); err == nil {
@@ -143,12 +144,79 @@ func TestSnapshotDiscard(t *testing.T) {
 	// A dead token must not disarm the journal of a newer snapshot.
 	live := eng.Snapshot()
 	eng.Discard(snap)
-	if !eng.js.journalOn {
+	if eng.js.journalEnd == 0 {
 		t.Fatal("stale discard disarmed the live snapshot's journal")
 	}
 	if err := eng.Restore(live); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRemoveFlowRefusedBeforeSnapshot pins the snapshot window's rule:
+// under a live snapshot RemoveFlow refuses every flow older than the
+// snapshot and changes nothing — flow list, jitter assignment (against
+// the clone oracle), result headers, verdict counters, pending work —
+// while a flow the window added departs as usual. The evictBatch-shaped
+// window around it (stage, converge, cut back, re-stage, converge) still
+// restores bit-identically.
+func TestRemoveFlowRefusedBeforeSnapshot(t *testing.T) {
+	eng, gen := warmFixture(t)
+	type state struct {
+		names  []string
+		js     *jitterState
+		hdrs   []FlowResult
+		counts [2]int
+	}
+	capture := func() state {
+		return state{flowNames(eng.Network()), eng.js.clone(), append([]FlowResult(nil), eng.flows...), [2]int{eng.unsched, eng.errcnt}}
+	}
+	same := func(ctx string, want state) {
+		t.Helper()
+		got := capture()
+		if !sameNames(got.names, want.names) {
+			t.Fatalf("%s: flow list %v, want %v", ctx, got.names, want.names)
+		}
+		if !sameAssignment(eng.js, want.js) {
+			t.Fatalf("%s: jitter assignment differs from the clone oracle", ctx)
+		}
+		if !reflect.DeepEqual(got.hdrs, want.hdrs) {
+			t.Fatalf("%s: result headers differ:\ngot:  %+v\nwant: %+v", ctx, got.hdrs, want.hdrs)
+		}
+		if got.counts != want.counts {
+			t.Fatalf("%s: verdict counters %v, want %v", ctx, got.counts, want.counts)
+		}
+	}
+	atSnap := capture()
+	n0 := eng.Network().NumFlows()
+	snap := eng.Snapshot()
+	for k := 0; k < 2; k++ {
+		if _, err := eng.AddFlow(gen(fmt.Sprintf("staged%d", k), k == 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Converge()
+	staged := capture()
+	for i := 0; i < n0; i++ {
+		if err := eng.RemoveFlow(i); err == nil {
+			t.Fatalf("removing flow %d, older than the snapshot of %d flows, succeeded", i, n0)
+		}
+		same(fmt.Sprintf("after refusing flow %d", i), staged)
+		if eng.descending || len(eng.dirty) != 0 || !eng.valid {
+			t.Fatalf("after refusing flow %d: descending=%v dirty=%v valid=%v", i, eng.descending, eng.dirty, eng.valid)
+		}
+	}
+	if err := eng.RemoveFlow(n0); err != nil {
+		t.Fatalf("removing the first window-added flow: %v", err)
+	}
+	if _, err := eng.AddFlow(gen("restaged", true)); err != nil {
+		t.Fatal(err)
+	}
+	checkCold(t, "restaged", eng)
+	if err := eng.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	same("after restore", atSnap)
+	checkCold(t, "after restore", eng)
 }
 
 // TestRemoveFlowReindexChangedList is the regression test for the

@@ -49,23 +49,12 @@ func (e *Engine) Converge() Verdict {
 }
 
 // hdrOp is one entry of the header undo journal (armed by Snapshot,
-// replayed backwards by Restore): rollback costs O(headers written
-// since the snapshot), not a copy of every header.
+// replayed backwards by Restore): header slot i held old. Rollback costs
+// O(headers written since the snapshot), not a copy of every header.
 type hdrOp struct {
-	kind uint8
-	i    int        // opWrite: the slot written
-	old  FlowResult // opWrite, opPop: the value to put back
-	// oldFlows is the abandoned slice of an opReplace, retained by
-	// reference: it is never mutated after the replacement.
-	oldFlows []FlowResult
+	i   int
+	old FlowResult
 }
-
-const (
-	opWrite   uint8 = iota // flows[i] was old
-	opAppend               // flows grew by one; undo pops the tail
-	opPop                  // the tail was popped; undo re-appends old
-	opReplace              // the whole slice was swapped; undo restores oldFlows
-)
 
 // count adds d to the verdict counters for one header.
 func (e *Engine) count(fr *FlowResult, d int) {
@@ -85,12 +74,11 @@ func (e *Engine) recount() {
 	}
 }
 
-// setHeader overwrites header slot i, journaling the old value when a
-// snapshot is armed and maintaining the verdict counters. journal is
-// false only during Restore's replay.
-func (e *Engine) setHeader(i int, fr FlowResult, journal bool) {
-	if journal && e.hdrJournalOn {
-		e.hdrJournal = append(e.hdrJournal, hdrOp{kind: opWrite, i: i, old: e.flows[i]})
+// setHeader overwrites header slot i, journaling the old value when the
+// slot predates the live snapshot and maintaining the verdict counters.
+func (e *Engine) setHeader(i int, fr FlowResult) {
+	if i < e.hdrEnd {
+		e.hdrJournal = append(e.hdrJournal, hdrOp{i: i, old: e.flows[i]})
 	}
 	e.count(&e.flows[i], -1)
 	e.count(&fr, 1)
@@ -98,66 +86,60 @@ func (e *Engine) setHeader(i int, fr FlowResult, journal bool) {
 }
 
 // appendHeader grows the header slice by one.
-func (e *Engine) appendHeader(fr FlowResult, journal bool) {
-	if journal && e.hdrJournalOn {
-		e.hdrJournal = append(e.hdrJournal, hdrOp{kind: opAppend})
-	}
+func (e *Engine) appendHeader(fr FlowResult) {
 	e.count(&fr, 1)
 	e.flows = append(e.flows, fr)
-}
-
-// popHeader drops the tail header.
-func (e *Engine) popHeader(journal bool) {
-	s := len(e.flows) - 1
-	if journal && e.hdrJournalOn {
-		e.hdrJournal = append(e.hdrJournal, hdrOp{kind: opPop, old: e.flows[s]})
-	}
-	e.count(&e.flows[s], -1)
-	e.flows = e.flows[:s]
 }
 
 // spliceHeader removes header slot i, shifting the tail down with
 // per-slot writes (each shifted header's Index is rewritten in the same
 // stroke) and popping the duplicate tail. Removing the last flow — the
 // admission cycle's steady-state departure — costs one pop.
-func (e *Engine) spliceHeader(i int, journal bool) {
+func (e *Engine) spliceHeader(i int) {
 	n := len(e.flows)
 	for j := i; j < n-1; j++ {
 		fr := e.flows[j+1]
 		fr.Index = j
-		e.setHeader(j, fr, journal)
+		e.setHeader(j, fr)
 	}
-	e.popHeader(journal)
+	e.count(&e.flows[n-1], -1)
+	e.flows = e.flows[:n-1]
 }
 
 // replaceHeaders swaps in a freshly built header slice (a cold pass).
-// The old slice is abandoned, not mutated, so under an armed journal
-// its ref is retained for O(1) rollback.
-func (e *Engine) replaceHeaders(flows []FlowResult, journal bool) {
-	if journal && e.hdrJournalOn {
-		e.hdrJournal = append(e.hdrJournal, hdrOp{kind: opReplace, oldFlows: e.flows})
+// The old slice is abandoned, not mutated, so inside a snapshot window
+// the first one is kept for Restore and journaling stops.
+func (e *Engine) replaceHeaders(flows []FlowResult) {
+	if e.hdrEnd > 0 {
+		e.hdrSaved = e.flows
+		e.hdrEnd = 0
 	}
 	e.flows = flows
 	e.recount()
 }
 
-// undoHeaders replays the header journal backwards, restoring the header
-// slice and the verdict counters bit-identically to their state at the
-// last Snapshot.
-func (e *Engine) undoHeaders() {
-	e.hdrJournalOn = false
+// undoHeaders puts back the header slice of snapshot s: the slice a cold
+// pass abandoned, if any, else the live one; the journaled writes
+// replayed backwards; the headers the window appended truncated. The
+// result is the snapshot's slice bit for bit, so its verdict counters
+// are the snapshot's.
+func (e *Engine) undoHeaders(s *Snapshot) {
+	flows := e.flows
+	if e.hdrSaved != nil {
+		flows = e.hdrSaved
+	}
 	for k := len(e.hdrJournal) - 1; k >= 0; k-- {
 		op := &e.hdrJournal[k]
-		switch op.kind {
-		case opWrite:
-			e.setHeader(op.i, op.old, false)
-		case opAppend:
-			e.popHeader(false)
-		case opPop:
-			e.appendHeader(op.old, false)
-		case opReplace:
-			e.replaceHeaders(op.oldFlows, false)
-		}
+		flows[op.i] = op.old
 	}
+	e.flows = flows[:s.headers]
+	e.unsched, e.errcnt = s.unsched, s.errcnt
+	e.endHeaderJournal()
+}
+
+// endHeaderJournal disarms the header journal and drops its history.
+func (e *Engine) endHeaderJournal() {
 	e.hdrJournal = e.hdrJournal[:0]
+	e.hdrEnd = 0
+	e.hdrSaved = nil
 }

@@ -13,9 +13,9 @@ package network
 //
 // The partition is maintained as a union-find over ResourceIDs:
 //
-//   - AddFlow and InsertFlowAt union the flow's pipeline resources —
-//     closures only ever merge under insertion, so the update is a few
-//     near-O(1) unions;
+//   - AddFlow unions the flow's pipeline resources — closures only
+//     ever merge under insertion, so the update is a few near-O(1)
+//     unions;
 //   - RemoveFlow can *split* a closure, which plain union-find cannot
 //     express, so a departure marks the structure stale and the next
 //     query rebuilds it from the surviving flows in O(Σ route length);
@@ -27,8 +27,7 @@ package network
 // their smallest member flow index, so closure 0 always contains flow 0.
 
 // closureIndex holds the union-find and its memoized flow partition; it
-// lives inside Network and is maintained by AddFlow/RemoveFlow/
-// InsertFlowAt.
+// lives inside Network and is maintained by AddFlow/RemoveFlow.
 type closureIndex struct {
 	// parent is the DSU forest over ResourceIDs, grown as resources are
 	// interned. It is exact while stale is false.
@@ -143,7 +142,7 @@ func (nw *Network) NumClosures() int {
 // ClosureOf returns the closure id of flow i. Ids are dense in
 // [0, NumClosures()) and deterministic — closures are numbered by their
 // smallest member flow index — but they are not stable across flow-set
-// changes: any AddFlow, RemoveFlow or InsertFlowAt may renumber.
+// changes: any AddFlow or RemoveFlow may renumber.
 func (nw *Network) ClosureOf(i int) int {
 	nw.rebuildClosures()
 	return nw.closures.flowClosure[i]

@@ -144,8 +144,7 @@ func TestClosuresDifferentialRandom(t *testing.T) {
 
 // TestClosuresFusionAndSplit pins the closure lifecycle on a fixed
 // topology: two pod-local flows form two closures, a bridging flow
-// fuses them into one, and the bridge's departure — via RemoveFlow or
-// via InsertFlowAt-based rollback — re-splits them.
+// fuses them into one, and the bridge's departure re-splits them.
 func TestClosuresFusionAndSplit(t *testing.T) {
 	topo, _, err := Campus(3, 2)
 	if err != nil {
@@ -180,21 +179,4 @@ func TestClosuresFusionAndSplit(t *testing.T) {
 		t.Fatalf("after bridge departure: %d closures, want 2", n)
 	}
 	checkClosures(t, nw, "post-split")
-
-	// Rollback shape: a departure followed by InsertFlowAt (what
-	// Engine.Restore replays) must re-fuse, and popping the re-inserted
-	// bridge must re-split.
-	spec := &FlowSpec{Flow: closureFlow("bridge2"), Route: []NodeID{"h0_0", "sw0", "sw1", "sw2", "h2_1"}, Priority: 1}
-	if err := nw.InsertFlowAt(1, spec); err != nil {
-		t.Fatal(err)
-	}
-	if n := nw.NumClosures(); n != 1 {
-		t.Fatalf("after InsertFlowAt bridge: %d closures, want 1", n)
-	}
-	checkClosures(t, nw, "post-insert")
-	nw.RemoveFlow(1)
-	if n := nw.NumClosures(); n != 2 {
-		t.Fatalf("after popping inserted bridge: %d closures, want 2", n)
-	}
-	checkClosures(t, nw, "post-pop")
 }

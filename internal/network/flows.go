@@ -190,49 +190,6 @@ func (nw *Network) RemoveLastFlow() {
 	nw.RemoveFlow(len(nw.flows) - 1)
 }
 
-// InsertFlowAt is the exact inverse of RemoveFlow(i): it re-registers the
-// flow at index i, shifting the flows at i and above up by one and
-// restoring the link index. The analysis engine's Restore uses it to
-// resurrect departures recorded in its removal log, so a snapshot can
-// roll the network back across RemoveFlow calls. The spec is validated
-// like in AddFlow; i == NumFlows() appends.
-func (nw *Network) InsertFlowAt(i int, fs *FlowSpec) error {
-	if i < 0 || i > len(nw.flows) {
-		return fmt.Errorf("network: insert index %d out of range [0,%d]", i, len(nw.flows))
-	}
-	if err := nw.ValidateSpec(fs); err != nil {
-		return err
-	}
-	// Shift existing indices at i and above up before inserting i itself,
-	// mirroring (in reverse) the shift RemoveFlow applies after deletion.
-	for _, s := range nw.onLink {
-		for k, j := range s {
-			if j >= i {
-				s[k] = j + 1
-			}
-		}
-	}
-	nw.flows = append(nw.flows, nil)
-	copy(nw.flows[i+1:], nw.flows[i:])
-	nw.flows[i] = fs
-	nw.flowRes = append(nw.flowRes, nil)
-	copy(nw.flowRes[i+1:], nw.flowRes[i:])
-	rids := nw.internFlowResources(fs)
-	nw.flowRes[i] = rids
-	nw.closureAddPipeline(rids)
-	nw.pipeAddPipeline(rids)
-	nw.growLinkIndex()
-	for h := 0; h < len(rids); h += 2 {
-		s := nw.onLink[rids[h]]
-		at := sort.SearchInts(s, i)
-		s = append(s, 0)
-		copy(s[at+1:], s[at:])
-		s[at] = i
-		nw.onLink[rids[h]] = s
-	}
-	return nil
-}
-
 // growLinkIndex gives every interned resource an onLink entry. A flow's
 // links sit at the even positions of its pipeline (see
 // internFlowResources).

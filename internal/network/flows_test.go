@@ -155,59 +155,6 @@ func TestRemoveFlowShiftsIndicesAndIndex(t *testing.T) {
 	}
 }
 
-// TestInsertFlowAtInvertsRemoveFlow checks the rollback primitive behind
-// restore-across-removal: removing a middle flow and re-inserting its
-// spec at the same index must restore the flow list, the link index and
-// the interned pipelines exactly.
-func TestInsertFlowAtInvertsRemoveFlow(t *testing.T) {
-	nw := testNetwork(t)
-	removed := nw.Flow(1)
-	wantOn46 := append([]int(nil), nw.FlowsOn("4", "6")...)
-	wantRes := append([]ResourceID(nil), nw.FlowResources(1)...)
-	nw.RemoveFlow(1)
-	if err := nw.InsertFlowAt(1, removed); err != nil {
-		t.Fatal(err)
-	}
-	if nw.NumFlows() != 3 {
-		t.Fatalf("NumFlows = %d, want 3", nw.NumFlows())
-	}
-	for i, name := range []string{"v0", "v1", "v2"} {
-		if nw.Flow(i).Flow.Name != name {
-			t.Fatalf("flow %d is %q, want %q", i, nw.Flow(i).Flow.Name, name)
-		}
-	}
-	if got := nw.FlowsOn("4", "6"); !equalInts(got, wantOn46) {
-		t.Fatalf("FlowsOn(4,6) = %v, want %v", got, wantOn46)
-	}
-	got := nw.FlowResources(1)
-	if len(got) != len(wantRes) {
-		t.Fatalf("pipeline length %d, want %d", len(got), len(wantRes))
-	}
-	for i := range wantRes {
-		if got[i] != wantRes[i] {
-			t.Fatalf("pipeline id %d = %v, want %v", i, got[i], wantRes[i])
-		}
-	}
-	// Appending at the end and bad inputs.
-	last := nw.Flow(2)
-	nw.RemoveFlow(2)
-	if err := nw.InsertFlowAt(nw.NumFlows(), last); err != nil {
-		t.Fatal(err)
-	}
-	if nw.Flow(2).Flow.Name != "v2" {
-		t.Fatalf("tail insert landed on %q", nw.Flow(2).Flow.Name)
-	}
-	if err := nw.InsertFlowAt(-1, last); err == nil {
-		t.Fatal("negative index accepted")
-	}
-	if err := nw.InsertFlowAt(99, last); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-	if err := nw.InsertFlowAt(0, nil); err == nil {
-		t.Fatal("nil spec accepted")
-	}
-}
-
 func TestInterferers(t *testing.T) {
 	nw := testNetwork(t)
 	// v0 (0->4->6->3) and v1 (1->4->6->3) share links 4->6 and 6->3;

@@ -17,7 +17,7 @@
 // admission controller which flows can never exchange jitter — and the
 // resource graph's acyclicity (PipelinesAcyclic), which tells the
 // incremental engine whether the holistic fixpoint is unique. All are
-// maintained incrementally under AddFlow, RemoveFlow and InsertFlowAt.
+// maintained incrementally under AddFlow and RemoveFlow.
 // See docs/ARCHITECTURE.md for how the layers fit together.
 package network
 

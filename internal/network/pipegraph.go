@@ -21,10 +21,9 @@ import (
 //
 // The graph is kept as an edge multiset next to the link index:
 //
-//   - AddFlow and InsertFlowAt count the flow's edges in; an edge whose
-//     count rises from zero is new, and while the graph is known to be
-//     acyclic one reachability walk per new edge decides whether it
-//     closed a cycle;
+//   - AddFlow counts the flow's edges in; an edge whose count rises
+//     from zero is new, and while the graph is known to be acyclic one
+//     reachability walk per new edge decides whether it closed a cycle;
 //   - RemoveFlow counts them out. A removal never creates a cycle, but
 //     when a known-cyclic graph loses an edge the answer becomes unknown
 //     and PipelinesAcyclic recomputes it lazily with one Kahn pass.

@@ -91,17 +91,17 @@ func TestPipelinesAcyclicTwoLongRoutes(t *testing.T) {
 	check(false, "crossing routes")
 	nw.RemoveFlow(1)
 	check(true, "after removing b")
-	// InsertFlowAt (what an engine Restore replays) closes it again.
-	if err := nw.InsertFlowAt(0, b); err != nil {
+	// Adding b again closes it again.
+	if _, err := nw.AddFlow(b); err != nil {
 		t.Fatal(err)
 	}
-	check(false, "b re-inserted")
-	nw.RemoveFlow(1)
+	check(false, "b re-added")
+	nw.RemoveFlow(0)
 	check(true, "after removing a")
 }
 
-// TestPipelinesAcyclicMatchesKahn drives random add, remove and
-// InsertFlowAt churn of ring routes of every length and checks the
+// TestPipelinesAcyclicMatchesKahn drives random add and remove churn
+// of ring routes of every length and checks the
 // incrementally maintained answer against the from-scratch oracle,
 // querying only every other step so several mutations can pile up on a
 // memoized or unknown answer. It also checks the walk saw both answers
@@ -138,10 +138,6 @@ func TestPipelinesAcyclicMatchesKahn(t *testing.T) {
 				switch op := r.Intn(10); {
 				case op < 4 && nw.NumFlows() > 0:
 					nw.RemoveFlow(r.Intn(nw.NumFlows()))
-				case op < 6:
-					if err := nw.InsertFlowAt(r.Intn(nw.NumFlows()+1), spec(step)); err != nil {
-						t.Fatal(err)
-					}
 				default:
 					if nw.NumFlows() < 8 {
 						if _, err := nw.AddFlow(spec(step)); err != nil {

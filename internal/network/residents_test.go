@@ -273,6 +273,13 @@ func FuzzResidents(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
+		// A check costs O(residents × closure), so a script of adds and
+		// checks costs cubic time in its length: 3 000 bytes run for
+		// seconds, and minimizing such an input starves the fuzzer.
+		// 32 operations keep every case cheap.
+		if len(script) > 96 {
+			script = script[:96]
+		}
 		rs, nw := NewResidents(), New(topo)
 		for ; len(script) >= 3; script = script[3:] {
 			x, y := int(script[1]), int(script[2])

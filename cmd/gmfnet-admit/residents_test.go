@@ -16,8 +16,10 @@ import (
 // and in batches of 3 — and through the cold referee fed the same spec
 // pointers one by one. Whenever no batch is pending, the controller's
 // resident registry must list exactly the cold network's flows, pointer
-// for pointer and in the same order, and NumResidents must count them.
-// Under -short only the first half of each trace is replayed.
+// for pointer and in the same order, NumResidents must count them, and
+// the shard partition must agree with the cold network's closures
+// (checkPartition). Under -short only the first half of each trace is
+// replayed.
 func TestResidentsMatchCold(t *testing.T) {
 	for _, trace := range []string{"backbone", "clos", "fronthaul", "stream"} {
 		for _, batch := range []int{0, 3} {
@@ -97,8 +99,52 @@ func TestResidentsMatchCold(t *testing.T) {
 							t.Fatalf("op %d: resident %d is %q, cold network has %q", i, j, got[j].Flow.Name, want[j].Flow.Name)
 						}
 					}
+					checkPartition(t, i, ctl, cold.Network(), i%16 == 15 || i == len(ops)-1)
 				}
 			})
+		}
+	}
+}
+
+// checkPartition holds the controller's shards to the cold network's
+// interference closures after op: every link with residents names the
+// shard whose engine holds each of them (ShardedEngine.Verify, after
+// the queued departures are applied), and every shard's flow set is a
+// union of whole closures. With resplit, NumShards re-splits first and
+// the shards must be the closures one for one.
+func checkPartition(t *testing.T, op int, ctl *admission.ShardedController, cold *network.Network, resplit bool) {
+	t.Helper()
+	if resplit {
+		if n, want := ctl.NumShards(), cold.NumClosures(); n != want {
+			t.Fatalf("op %d: NumShards %d, cold network has %d closures", op, n, want)
+		}
+	}
+	se := ctl.Sharded()
+	if err := se.Verify(); err != nil {
+		t.Fatalf("op %d: %v", op, err)
+	}
+	shardOf := make(map[*network.FlowSpec]int)
+	shards := se.Shards()
+	for k, e := range shards {
+		for _, fs := range e.Network().Flows() {
+			shardOf[fs] = k
+		}
+	}
+	covered := make([]int, len(shards))
+	for c, members := range cold.Closures() {
+		k := shardOf[cold.Flow(members[0])]
+		for _, j := range members {
+			if shardOf[cold.Flow(j)] != k {
+				t.Fatalf("op %d: cold closure %d spans shards %d and %d", op, c, k, shardOf[cold.Flow(j)])
+			}
+		}
+		covered[k] += len(members)
+	}
+	// With as many shards as closures, each shard — never empty, and a
+	// union of whole closures — is exactly one closure.
+	for k, e := range shards {
+		if covered[k] != e.Network().NumFlows() || covered[k] == 0 {
+			t.Fatalf("op %d: shard %d holds %d flows, its closures %d", op, k, e.Network().NumFlows(), covered[k])
 		}
 	}
 }

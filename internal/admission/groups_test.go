@@ -240,7 +240,7 @@ func TestShardedNotifyOrder(t *testing.T) {
 		case FoldReleased:
 			ok = len(named) > 0 && named[0].Spec() == ev.Spec
 		case FoldRejected:
-			ok = !slices.ContainsFunc(named, func(r *network.Resident) bool { return r.Spec() == ev.Spec })
+			ok = !slices.ContainsFunc(named, func(r *core.Resident) bool { return r.Spec() == ev.Spec })
 		}
 		if !ok {
 			t.Errorf("fold %d of %s: registry holds %d residents by that name, not in the expected place", ev.Kind, ev.Spec.Flow.Name, len(named))

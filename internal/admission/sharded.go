@@ -25,16 +25,16 @@ import (
 // pinned by differential tests on ring, fat-tree and the shipped
 // industrial-ring topologies, and by the golden replay traces.
 //
-// Resident registry and deferred departures. The controller owns the
-// resident registry (network.Residents, read through Residents), in
-// admission order; the shard engines hold the same flows, partitioned
-// by closure. Release claims the first resident with the name — in
-// global admission order, even when names repeat — from the registry
-// in O(route length), fires FoldReleased, queues the removal and
-// returns. Queued removals are applied, in claim order, before any
-// later call that reads or changes shard state, and by Flush; each
-// costs one scan of the departing flow's closure
-// (core.ShardedEngine.Remove). A caller that is idle between
+// Resident registry and deferred departures. The shard engine owns the
+// resident registry (core.Residents, read through Residents), in
+// admission order; its link index routes every request to its shard.
+// Release claims the first resident with the name — in global
+// admission order, even when names repeat — from the registry in
+// O(route length), reading the shard that holds it, fires
+// FoldReleased, queues the removal and returns. Queued removals are
+// applied, in claim order, before any later call that reads or changes
+// shard state, and by Flush; each costs one scan of the departing
+// flow's shard (core.ShardedEngine.Remove). A caller that is idle between
 // operations calls Flush so the next one does not pay for them.
 // Removal errors — unreachable for flows this controller admitted —
 // surface at the next Flush or Close.
@@ -62,10 +62,9 @@ import (
 type ShardedController struct {
 	se *core.ShardedEngine
 
-	residents *network.Residents // the only record of admission order
-	// departing holds the specs Release claimed whose removal from
+	// departing holds the residents Release claimed whose removal from
 	// their shard has not run yet, in claim order.
-	departing []*network.FlowSpec
+	departing []core.Departure
 	err       error // first removal or re-split error since the last Flush
 
 	retention Retention
@@ -126,11 +125,7 @@ func NewShardedController(nw *network.Network, cfg core.Config) (*ShardedControl
 	if err != nil {
 		return nil, err
 	}
-	c := &ShardedController{se: se, residents: network.NewResidents()}
-	for _, fs := range nw.Flows() {
-		c.residents.Add(fs)
-	}
-	return c, nil
+	return &ShardedController{se: se}, nil
 }
 
 // SetNotify installs a change-notification hook: fn is invoked once per
@@ -151,7 +146,7 @@ func (c *ShardedController) SetRetention(r Retention) { c.retention = r }
 
 // Residents returns the resident registry, read-only. A departure
 // leaves it when Release claims it, before its shard removal runs.
-func (c *ShardedController) Residents() *network.Residents { return c.residents }
+func (c *ShardedController) Residents() *core.Residents { return c.se.Residents() }
 
 // Sharded exposes the underlying sharded engine, e.g. to inspect the
 // shard partition or read per-shard bounds without issuing a request.
@@ -164,11 +159,11 @@ func (c *ShardedController) Sharded() *core.ShardedEngine {
 // settle applies the queued departures in claim order, recording the
 // first error for Flush.
 func (c *ShardedController) settle() {
-	for i, fs := range c.departing {
-		if err := c.se.Remove(fs); err != nil && c.err == nil {
+	for i, d := range c.departing {
+		if err := c.se.Remove(d); err != nil && c.err == nil {
 			c.err = err
 		}
-		c.departing[i] = nil // a drained queue must not keep specs alive
+		c.departing[i] = core.Departure{} // a drained queue must not keep shards alive
 	}
 	c.departing = c.departing[:0]
 }
@@ -184,26 +179,24 @@ func (c *ShardedController) Request(fs *network.FlowSpec) (Decision, error) {
 		return Decision{}, err
 	}
 	d, err := decide(p.Engine(), fs, c.retention == RetainAll)
-	if err != nil {
-		p.Commit()
-		return Decision{}, err
+	if err == nil && d.Admitted {
+		p.Admit(0)
 	}
-	if d.Admitted {
-		p.Commit(fs)
-	} else {
-		p.Commit()
+	p.Done()
+	if err != nil {
+		return Decision{}, err
 	}
 	c.fold(fs, &d)
 	return d, nil
 }
 
-// fold enters one decision into the counters, the registry, the
-// notify hook and — under RetainAll — the decision log.
+// fold enters one decision, already in the registry when admitted, into
+// the counters, the notify hook and — under RetainAll — the decision
+// log.
 func (c *ShardedController) fold(fs *network.FlowSpec, d *Decision) {
 	k := FoldRejected
 	if d.Admitted {
 		c.admitted++
-		c.residents.Add(fs)
 		k = FoldAdmitted
 	} else {
 		c.rejected++
@@ -232,7 +225,7 @@ func (c *ShardedController) RequestAll(specs []*network.FlowSpec) ([]Decision, e
 }
 
 // RequestBatch decides a batch shard-by-shard: the specs are
-// partitioned into interference groups (specs sharing a resource with
+// partitioned into interference groups (specs sharing a link with
 // each other or with a common shard), every group is placed — fusing
 // the shards it bridges, so one engine holds the whole group — and then
 // the groups are decided in order, each with one converged worklist and
@@ -244,16 +237,13 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	if err := c.se.ValidateSpecs(specs); err != nil {
-		return nil, err
-	}
 	c.settle()
 	groups, err := c.se.PlaceBatch(specs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Decision, len(specs))
-	decided := make([]bool, len(specs))
+	decidedIn := make([]*core.Placement, len(specs))
 	var firstErr error
 	for _, g := range groups {
 		gspecs := make([]*network.FlowSpec, len(g.Indices))
@@ -265,22 +255,24 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 			firstErr = err
 		}
 		// On error ds is nil: the group was rolled back in full.
-		admitted := make([]bool, len(g.Indices))
 		for at, d := range ds {
-			admitted[at] = d.Admitted
 			out[g.Indices[at]] = d
-			decided[g.Indices[at]] = true
+			decidedIn[g.Indices[at]] = g
 		}
-		g.Commit(admitted)
+		g.Done()
 	}
 	// Groups that finished keep their admissions even when another
-	// failed, so their decisions are folded either way, in request
-	// order: Release, Decisions and the counters stay consistent with
-	// the shard engines.
-	for i := range out {
-		if decided[i] {
-			c.fold(specs[i], &out[i])
+	// failed, so their decisions enter the registry and are folded
+	// either way, in request order: Release, Decisions and the counters
+	// stay consistent with the shard engines.
+	for i, g := range decidedIn {
+		if g == nil {
+			continue
 		}
+		if out[i].Admitted {
+			g.Admit(i)
+		}
+		c.fold(specs[i], &out[i])
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -291,12 +283,12 @@ func (c *ShardedController) RequestBatch(specs []*network.FlowSpec) ([]Decision,
 // Release claims the first resident with the given name — in global
 // admission order, even when several residents share a name — fires
 // FoldReleased while the flow is still registered, takes it out of the
-// registry and queues its removal from its shard (see "Deferred
-// departures" above). It reports whether a resident was claimed; the
+// registry and queues its removal from the shard that held it (see
+// "Deferred departures" above). It reports whether a resident was claimed; the
 // error is always nil and stays for the signature ColdController
 // shares — removal errors surface at Flush.
 func (c *ShardedController) Release(name string) (bool, error) {
-	q := c.residents.Named(name)
+	q := c.se.Residents().Named(name)
 	if len(q) == 0 {
 		return false, nil
 	}
@@ -305,8 +297,7 @@ func (c *ShardedController) Release(name string) (bool, error) {
 	if c.notify != nil {
 		c.notify(FoldEvent{Spec: r.Spec(), Kind: FoldReleased})
 	}
-	c.residents.Remove(r)
-	c.departing = append(c.departing, r.Spec())
+	c.departing = append(c.departing, c.se.Claim(r))
 	return true, nil
 }
 
@@ -354,7 +345,7 @@ func (c *ShardedController) Released() int { return c.released }
 // NumResidents returns the number of resident flows — admissions, plus
 // flows present at construction, not yet claimed by Release — without
 // touching the shards: the registry's length.
-func (c *ShardedController) NumResidents() int { return c.residents.Len() }
+func (c *ShardedController) NumResidents() int { return c.se.Residents().Len() }
 
 // NumFlows applies the queued departures and returns the number of
 // flows across all shards; it equals NumResidents.

@@ -366,10 +366,10 @@ func TestShardedRejectedBridgeResplits(t *testing.T) {
 	}
 }
 
-// TestShardedDepartureFreesRoutes pins the resource-route refcounting:
-// after a departure, pipeline resources no surviving shard flow
-// crosses must be unrouted, so a newcomer using only those resources
-// opens its own shard instead of being pulled into the old one.
+// TestShardedDepartureFreesRoutes pins that a departure frees the
+// links it leaves without residents: they name no shard any more, so a
+// newcomer using only those links opens its own shard instead of being
+// pulled into the old one.
 func TestShardedDepartureFreesRoutes(t *testing.T) {
 	topo, _, err := network.Campus(2, 4)
 	if err != nil {
@@ -414,15 +414,15 @@ func TestShardedDepartureFreesRoutes(t *testing.T) {
 		t.Fatal("g rejected")
 	}
 	// Count the shards without NumShards, whose re-split would hide a
-	// stale route by splitting g back out.
+	// stale link owner by splitting g back out.
 	if n := len(ctl.Sharded().Shards()); n != 2 {
-		t.Fatalf("after departure + fresh newcomer: %d shards, want 2 (stale route pulled g in)", n)
+		t.Fatalf("after departure + fresh newcomer: %d shards, want 2 (a stale link owner pulled g in)", n)
 	}
 }
 
 // TestShardedRejectionLeavesNoShard pins the bookkeeping around a
 // rejected newcomer into fresh territory: the tentative shard is
-// dropped, and no resource route leaks that would misdirect later
+// dropped, and no link keeps naming it to misdirect later
 // requests.
 func TestShardedRejectionLeavesNoShard(t *testing.T) {
 	topo, _, err := network.Campus(2, 2)

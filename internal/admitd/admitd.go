@@ -25,7 +25,7 @@
 //     overflows the queue and is disconnected, never blocking a
 //     decision. A per-connection write mutex keeps the reader's and the
 //     writer's writes in queue order;
-//   - the controller owns the resident registry (network.Residents);
+//   - the controller owns the resident registry (core.Residents);
 //     the daemon only reads it. The controller's notification hook
 //     (SetNotify) runs inside the call that caused the fold and works
 //     out from the registry which subscribers are owed an event: one
@@ -90,8 +90,8 @@ type Server struct {
 	mu        sync.Mutex
 	listeners []net.Listener
 	ctl       *admission.ShardedController
-	owed      []*network.Resident // affected's scratch
-	departed  *network.Resident   // claimed by the Release in progress
+	owed      []*core.Resident // affected's scratch
+	departed  *core.Resident   // claimed by the Release in progress
 	// cur is the connection whose op is being decided: messages to it
 	// are written by its own reader, so they neither overflow its
 	// queue nor wake its writer.

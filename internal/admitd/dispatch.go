@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"gmfnet/internal/admission"
+	"gmfnet/internal/core"
 	"gmfnet/internal/network"
 	"gmfnet/internal/workload"
 )
@@ -208,7 +209,7 @@ func (s *Server) release(name string) (bool, error) {
 // sorted, not the closure. While the daemon has no subscription at all
 // nobody is owed anything and the walk is skipped. The result is kept
 // in s.owed, scratch valid until the next call.
-func (s *Server) affected(r *network.Resident) []*network.Resident {
+func (s *Server) affected(r *core.Resident) []*core.Resident {
 	owed := s.owed[:0]
 	if len(s.subs) > 0 {
 		res := s.ctl.Residents()
@@ -217,7 +218,7 @@ func (s *Server) affected(r *network.Resident) []*network.Resident {
 				owed = append(owed, m)
 			}
 		}
-		slices.SortFunc(owed, network.AdmissionOrder)
+		slices.SortFunc(owed, core.AdmissionOrder)
 	}
 	s.owed = owed
 	return owed
@@ -230,7 +231,7 @@ func (s *Server) affected(r *network.Resident) []*network.Resident {
 // The registry labels each closure it is asked about once per change,
 // so when a departure has split the old closure, the events to the
 // survivors of one half cost one walk of that half between them.
-func (s *Server) notify(peer *network.Resident, event string, owed []*network.Resident) {
+func (s *Server) notify(peer *core.Resident, event string, owed []*core.Resident) {
 	res := s.ctl.Residents()
 	for _, m := range owed {
 		name := m.Spec().Flow.Name

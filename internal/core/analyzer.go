@@ -212,18 +212,6 @@ func newJitterState(nw *network.Network, memo bool) *jitterState {
 	return js
 }
 
-// flowResources lists the pipeline resources of a flow in route order:
-// first link, then (ingress, egress link) per intermediate switch. The
-// order matches Network.FlowResources, which interns the same pipeline as
-// dense ids.
-func flowResources(fs *network.FlowSpec) []Resource {
-	out := make([]Resource, 1+2*(len(fs.Route)-2))
-	for pos := range out {
-		out[pos] = stageResource(fs.Route, pos)
-	}
-	return out
-}
-
 // addFlow appends cold-start slots for flow j: the source jitter at the
 // first resource, zero everywhere downstream — exactly the entries
 // newJitterState creates. rids is the flow's interned pipeline.

@@ -26,9 +26,10 @@
 //     over an arena-backed jitter state with O(1) undo-journal snapshots
 //     (Snapshot/Restore/Discard) whose window undoes only additions;
 //   - ShardedEngine partitions the arena by interference closure, one
-//     Engine per closure, with warm shard fusion and re-splitting; a
-//     resource-to-shard route table finds a flow's closure for
-//     placement and departure in O(closure).
+//     Engine per closure, with warm shard fusion and re-splitting; its
+//     resident registry (Residents), whose every link with residents
+//     names the shard holding them, places a request by looking up its
+//     route's links.
 //
 // All three compute identical bounds — the repo's differential and fuzz
 // tests pin that. The state layout and its invariants (arena blocks,

@@ -189,6 +189,18 @@ func TestJitterStatePanicsOnUnknownStage(t *testing.T) {
 	js.set(0, 7, 0, ms) // a direct link has exactly one stage
 }
 
+// flowResources lists the pipeline resources of a flow in route order:
+// first link, then (ingress, egress link) per intermediate switch. The
+// order matches Network.FlowResources, which interns the same pipeline as
+// dense ids.
+func flowResources(fs *network.FlowSpec) []Resource {
+	out := make([]Resource, 1+2*(len(fs.Route)-2))
+	for pos := range out {
+		out[pos] = stageResource(fs.Route, pos)
+	}
+	return out
+}
+
 // TestFlowResourcesLayout pins the pipeline decomposition used by both the
 // analysis and the jitter bookkeeping.
 func TestFlowResourcesLayout(t *testing.T) {

@@ -102,6 +102,10 @@ func FuzzStageMemo(f *testing.F) {
 		var resident []*network.FlowSpec
 		check := func(ctx string) {
 			t.Helper()
+			if err := se.Verify(); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			checkRegistry(t, se.res)
 			for _, e := range se.Shards() {
 				checkMemo(t, ctx, e)
 			}
@@ -137,18 +141,19 @@ func FuzzStageMemo(f *testing.F) {
 				checkMemo(t, ctx+" (staged)", eng)
 				if b%6 == 0 && res.Schedulable() {
 					eng.Discard(snap)
-					p.Commit(fs)
+					p.Admit(0)
+					p.Done()
 					resident = append(resident, fs)
 				} else {
 					if err := eng.Restore(snap); err != nil {
 						t.Fatal(err)
 					}
-					p.Commit()
+					p.Done()
 				}
 			case 2:
 				if len(resident) > 0 {
 					at := int(b/6) % len(resident)
-					if err := se.Remove(resident[at]); err != nil {
+					if err := se.Remove(se.Claim(se.res.Named(resident[at].Flow.Name)[0])); err != nil {
 						t.Fatal(err)
 					}
 					resident = append(resident[:at], resident[at+1:]...)
@@ -162,7 +167,7 @@ func FuzzStageMemo(f *testing.F) {
 					// A copy of a resident's spec stays in its closure,
 					// so it needs no placement.
 					old := resident[int(b/6)%len(resident)]
-					s := se.routes[flowResources(old)[0]]
+					s := se.res.Named(old.Flow.Name)[0].shard()
 					probe := *old
 					probe.Flow = trace.VoIP(fmt.Sprintf("p%d", pc), trace.VoIPOptions{Deadline: 100 * units.Millisecond})
 					snap := s.eng.Snapshot()

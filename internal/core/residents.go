@@ -1,18 +1,22 @@
-package network
+package core
 
 import (
 	"cmp"
 	"slices"
+
+	"gmfnet/internal/network"
 )
 
-// Residents is the resident flow set of an admission controller — "the
-// flows currently in the network" of the paper's Section 3.5 — indexed
-// in admission order, by name in admission order and by directed link.
-// admission.ShardedController owns it and is its only writer. Closures
-// (connected components over shared directed links, exactly Network's
-// partition, its test oracle) are never stored: a reader walks the one
-// it needs, and a change costs O(route length) at any population. A
-// Residents is not safe for concurrent use.
+// Residents is the resident flow set of a ShardedEngine — "the flows
+// currently in the network" of the paper's Section 3.5 — indexed in
+// admission order, by name in admission order and by directed link.
+// The link index is also the engine's one closure partition: every link
+// with residents names the shard whose engine holds them, and a link
+// with none names no shard. The ShardedEngine is its only writer.
+// Closures (connected components over shared directed links, exactly
+// network.Network's partition, its test oracle) are never stored: a
+// reader walks the one it needs, and a change costs O(route length) at
+// any population. A Residents is not safe for concurrent use.
 type Residents struct {
 	list   Resident // sentinel of the circular admission-order list
 	n      int
@@ -20,13 +24,13 @@ type Residents struct {
 	// links holds an entry for every directed link a resident has ever
 	// crossed; emptied entries stay (the topology bounds their number)
 	// so steady churn never re-hashes a node pair it has seen.
-	links map[[2]NodeID]*residentLink
+	links map[[2]network.NodeID]*residentLink
 	seq   uint64 // admissions so far: the admission-order key
 
 	// Walk state. A walk labels the residents and links it reaches with
-	// the current epoch and the component's index into sizes; Add,
-	// Remove and Closure start a new epoch, which invalidates every
-	// label at once.
+	// the current epoch and the component's index into sizes; enter,
+	// remove, Closure and Resplit start a new epoch, which invalidates
+	// every label at once.
 	epoch uint64
 	sizes []int
 	queue []*Resident
@@ -34,7 +38,7 @@ type Residents struct {
 
 // Resident is one admitted flow in a Residents.
 type Resident struct {
-	spec       *FlowSpec
+	spec       *network.FlowSpec
 	seq        uint64
 	prev, next *Resident
 	hops       []residentHop // the route's directed links, in route order
@@ -51,9 +55,11 @@ type residentHop struct {
 	slot int
 }
 
-// residentLink is one directed link's residents, in no particular order.
+// residentLink is one directed link's residents, in no particular
+// order, and the shard that holds them.
 type residentLink struct {
 	on    []linkEntry
+	s     *shard // nil exactly when on is empty
 	epoch uint64
 }
 
@@ -64,52 +70,86 @@ type linkEntry struct {
 	hop int
 }
 
-// NewResidents returns an empty resident set.
-func NewResidents() *Residents {
+func newResidents() *Residents {
 	rs := &Residents{
 		byName: make(map[string][]*Resident),
-		links:  make(map[[2]NodeID]*residentLink),
+		links:  make(map[[2]network.NodeID]*residentLink),
 	}
 	rs.list.prev, rs.list.next = &rs.list, &rs.list
 	return rs
 }
 
 // Spec returns the resident's flow spec: the pointer that was admitted.
-func (r *Resident) Spec() *FlowSpec { return r.spec }
+func (r *Resident) Spec() *network.FlowSpec { return r.spec }
 
 // AdmissionOrder orders residents by admission, for slices.SortFunc.
 func AdmissionOrder(a, b *Resident) int { return cmp.Compare(a.seq, b.seq) }
+
+// shard returns the shard holding an entered resident.
+func (r *Resident) shard() *shard { return r.hops[0].link.s }
 
 func (rs *Residents) newEpoch() {
 	rs.epoch++
 	rs.sizes = rs.sizes[:0]
 }
 
-// Add enters a flow as the newest resident. The spec must be valid for
-// the topology (a route of at least one link); the same pointer may be
-// resident more than once.
-func (rs *Residents) Add(fs *FlowSpec) *Resident {
-	rs.newEpoch()
-	rs.seq++
-	r := &Resident{spec: fs, seq: rs.seq, prev: rs.list.prev, next: &rs.list, hops: make([]residentHop, len(fs.Route)-1)}
-	r.prev.next, rs.list.prev = r, r
-	for i := range r.hops {
-		key := [2]NodeID{fs.Route[i], fs.Route[i+1]}
-		l := rs.links[key]
-		if l == nil {
-			l = new(residentLink)
-			rs.links[key] = l
-		}
-		r.hops[i] = residentHop{link: l, slot: len(l.on)}
-		l.on = append(l.on, linkEntry{r: r, hop: i})
+// prepare returns a resident for fs that is not entered yet: its hops
+// hold the route's link entries, created when create is set and
+// otherwise nil for links no resident has crossed. A spec too malformed
+// to have a route gets no hops; such a spec never passes validation,
+// so it is never entered.
+func (rs *Residents) prepare(fs *network.FlowSpec, create bool) *Resident {
+	r := &Resident{spec: fs}
+	if fs == nil || fs.Flow == nil || len(fs.Route) < 2 {
+		return r
 	}
-	rs.n++
-	rs.byName[fs.Flow.Name] = append(rs.byName[fs.Flow.Name], r)
+	r.hops = make([]residentHop, len(fs.Route)-1)
+	for i := range r.hops {
+		if create {
+			r.hops[i].link = rs.link(fs.Route[i], fs.Route[i+1])
+		} else {
+			r.hops[i].link = rs.links[[2]network.NodeID{fs.Route[i], fs.Route[i+1]}]
+		}
+	}
 	return r
 }
 
-// Remove takes a resident out of every index.
-func (rs *Residents) Remove(r *Resident) {
+// link returns the entry of the directed link from->to, creating it on
+// first use.
+func (rs *Residents) link(from, to network.NodeID) *residentLink {
+	key := [2]network.NodeID{from, to}
+	l := rs.links[key]
+	if l == nil {
+		l = new(residentLink)
+		rs.links[key] = l
+	}
+	return l
+}
+
+// enter makes a prepared resident, whose flow s's engine now holds, the
+// newest resident; its links name s.
+func (rs *Residents) enter(r *Resident, s *shard) {
+	rs.newEpoch()
+	rs.seq++
+	r.seq, r.prev, r.next = rs.seq, rs.list.prev, &rs.list
+	r.prev.next, rs.list.prev = r, r
+	for i := range r.hops {
+		h := &r.hops[i]
+		if h.link == nil {
+			h.link = rs.link(r.spec.Route[i], r.spec.Route[i+1])
+		}
+		h.slot = len(h.link.on)
+		h.link.on = append(h.link.on, linkEntry{r: r, hop: i})
+		h.link.s = s
+	}
+	rs.n++
+	rs.byName[r.spec.Flow.Name] = append(rs.byName[r.spec.Flow.Name], r)
+}
+
+// remove takes a resident out of every index. A link it leaves empty
+// stops naming a shard, so the shard can be dropped and a later
+// newcomer on that link opens a fresh one.
+func (rs *Residents) remove(r *Resident) {
 	rs.newEpoch()
 	r.prev.next, r.next.prev = r.next, r.prev
 	r.prev, r.next = nil, nil
@@ -128,6 +168,9 @@ func (rs *Residents) Remove(r *Resident) {
 		last.r.hops[last.hop].slot = h.slot
 		on[len(on)-1] = linkEntry{}
 		h.link.on = on[:len(on)-1]
+		if len(h.link.on) == 0 {
+			h.link.s = nil
+		}
 	}
 }
 
@@ -136,8 +179,8 @@ func (rs *Residents) Len() int { return rs.n }
 
 // Flows returns every resident's spec in admission order, in a new
 // slice.
-func (rs *Residents) Flows() []*FlowSpec {
-	out := make([]*FlowSpec, 0, rs.n)
+func (rs *Residents) Flows() []*network.FlowSpec {
+	out := make([]*network.FlowSpec, 0, rs.n)
 	for r := rs.list.next; r != &rs.list; r = r.next {
 		out = append(out, r.spec)
 	}

@@ -2,37 +2,41 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gmfnet/internal/network"
 )
 
 // ShardedEngine partitions the analysis state by interference closure:
 // flows whose pipelines (transitively) share no resource never exchange
-// jitter, so the holistic fixpoint decomposes exactly over the closures
-// of network.Closures. Each closure gets its own shard — a private
-// Engine over its own network (all shards share one read-only
-// Topology) — so shard fixpoints run independently of each other, and
-// an admission snapshot/rollback touches one shard's arena, not the
-// whole system.
+// jitter, so the holistic fixpoint decomposes exactly over the closures.
+// Each shard — a private Engine over its own network (all shards share
+// one read-only Topology) — holds whole closures, so shard fixpoints
+// run independently of each other, and an admission snapshot/rollback
+// touches one shard's arena, not the whole system.
 //
-// The shard map is maintained online:
+// The engine owns the resident registry (Residents), whose per-link
+// index is the one map from a resource to its shard: every directed
+// link with residents names the shard holding them. Sharing an ingress
+// stage implies sharing the directed link that feeds it, so links alone
+// decide the partition. The shard map is maintained online:
 //
-//   - a newcomer whose pipeline touches no shard opens a fresh one;
+//   - a newcomer whose links name no shard opens a fresh one;
 //   - a newcomer inside one closure routes to that shard;
-//   - a newcomer whose pipeline bridges two or more shards *fuses*
-//     them first: the smaller shards' arena blocks are spliced into the
+//   - a newcomer whose links name two or more shards *fuses* them
+//     first: the smaller shards' arena blocks are spliced into the
 //     largest shard's engine at their converged values (adoptFrom), so
 //     the merged engine is immediately at its fixpoint — the disjoint
 //     union of fixpoints is the fixpoint of the union precisely because
-//     the fused closures shared no resource;
-//   - a departure (Remove) leaves its shard whole even when it split
-//     the closure; Resplit detects shards whose flows now fall into
-//     several closures and splices each closure out into its own warm
-//     shard.
+//     the fused closures shared no resource — and the absorbed shards'
+//     links are re-pointed;
+//   - a departure (Claim, then Remove) leaves its shard whole even when
+//     it split the closure; Resplit walks the registry's closures and
+//     splices each shard holding several out into warm shards, one per
+//     closure.
 //
 // Because every per-shard analysis is the unmodified Engine iterating
-// the same equations over exactly the flows of one closure, per-flow
+// the same equations over exactly the flows of its closures, per-flow
 // bounds and schedulability verdicts are identical to a monolithic
 // engine over the union — the property the sharded admission
 // controller's differential tests pin.
@@ -44,31 +48,23 @@ type ShardedEngine struct {
 	topo *network.Topology
 	cfg  Config
 
-	shards []*shard
-	// routes maps every pipeline resource a committed flow crosses to
-	// the shard holding that flow: the partition's index, consulted by
-	// placement and by departures (a flow's shard is the owner of any
-	// of its resources).
-	routes map[Resource]*shard
-	seq    int
+	res     *Residents
+	shards  []*shard
+	touched []*shard // placement scratch: the shards a newcomer's links name
+	seq     int
 }
 
-// shard is one closure's private engine plus the resources routed to it.
+// shard is one or more closures' private engine.
 type shard struct {
 	eng *Engine
-	seq int
-	// owned counts, per resource routed to this shard, how many of the
-	// shard's flows cross it; a key leaves the route table when its
-	// count drops to zero. Fusion and drop enumerate it for "all keys
-	// of this shard"; Resplit counts it from scratch for the shards it
-	// creates.
-	owned map[Resource]int
+	seq int // creation order: fusion keeps the oldest of equally large shards
+	at  int // position in ShardedEngine.shards
 }
 
-// NewShardedEngine partitions the network's flows by interference
-// closure and returns an engine per closure. The passed network is
-// only read (topology shared, flow specs re-registered per shard); it
-// is validated once here.
+// NewShardedEngine registers the network's flows as residents, in
+// order, and gives each interference closure a shard. The passed
+// network is only read (topology shared, flow specs re-registered per
+// shard); it is validated once here.
 func NewShardedEngine(nw *network.Network, cfg Config) (*ShardedEngine, error) {
 	if nw == nil {
 		return nil, fmt.Errorf("core: nil network")
@@ -76,26 +72,29 @@ func NewShardedEngine(nw *network.Network, cfg Config) (*ShardedEngine, error) {
 	if err := nw.Validate(); err != nil {
 		return nil, err
 	}
-	se := &ShardedEngine{
-		topo:   nw.Topo,
-		cfg:    cfg,
-		routes: make(map[Resource]*shard),
+	se := &ShardedEngine{topo: nw.Topo, cfg: cfg, res: newResidents()}
+	if nw.NumFlows() == 0 {
+		return se, nil
 	}
-	for _, members := range nw.Closures() {
-		s, err := se.newShard()
-		if err != nil {
+	// The flows start in one shard, which Resplit splits by closure.
+	s, err := se.newShard()
+	if err != nil {
+		return nil, err
+	}
+	for _, fs := range nw.Flows() {
+		if _, err := s.eng.AddFlow(fs); err != nil {
 			return nil, err
 		}
-		for _, i := range members {
-			fs := nw.Flow(i)
-			if _, err := s.eng.AddFlow(fs); err != nil {
-				return nil, err
-			}
-			se.own(s, flowResources(fs))
-		}
+		se.res.enter(se.res.prepare(fs, true), s)
+	}
+	if _, err := se.Resplit(); err != nil {
+		return nil, err
 	}
 	return se, nil
 }
+
+// Residents returns the resident registry, read-only.
+func (se *ShardedEngine) Residents() *Residents { return se.res }
 
 // newShard opens an empty shard. Its engine is converged trivially so
 // later fusions and splits can adopt warm blocks into it.
@@ -107,202 +106,131 @@ func (se *ShardedEngine) newShard() (*shard, error) {
 	if _, err := eng.Analyze(); err != nil { // empty fixpoint: marks the engine valid
 		return nil, err
 	}
-	s := &shard{eng: eng, seq: se.seq, owned: make(map[Resource]int)}
-	se.seq++
-	se.shards = append(se.shards, s)
+	s := &shard{eng: eng}
+	se.add(s)
 	return s, nil
 }
 
-// own routes one committed flow's pipeline resources to the shard.
-// Callers guarantee each key is unowned or already routed to s —
-// placement fuses bridging shards first.
-func (se *ShardedEngine) own(s *shard, keys []Resource) {
-	for _, k := range keys {
-		se.routes[k] = s
-		s.owned[k]++
-	}
+// add registers a shard as the newest.
+func (se *ShardedEngine) add(s *shard) {
+	s.seq, s.at = se.seq, len(se.shards)
+	se.seq++
+	se.shards = append(se.shards, s)
 }
 
-// disown releases one departed flow's pipeline resources: counts
-// drop, and keys no remaining flow of the shard crosses are unrouted,
-// so a later newcomer on those resources opens a fresh closure instead
-// of being pulled into this shard.
-func (se *ShardedEngine) disown(s *shard, keys []Resource) {
-	for _, k := range keys {
-		if se.routes[k] != s {
-			continue
-		}
-		if n := s.owned[k] - 1; n > 0 {
-			s.owned[k] = n
-		} else {
-			delete(s.owned, k)
-			delete(se.routes, k)
-		}
-	}
-}
-
-// drop unregisters a shard and its resource routes.
+// drop unregisters a shard in O(1): the last shard takes its slot.
 func (se *ShardedEngine) drop(s *shard) {
-	for k := range s.owned {
-		if se.routes[k] == s {
-			delete(se.routes, k)
-		}
-	}
-	for i, t := range se.shards {
-		if t == s {
-			se.shards = append(se.shards[:i], se.shards[i+1:]...)
-			return
+	last := se.shards[len(se.shards)-1]
+	se.shards[s.at], last.at = last, s.at
+	se.shards[len(se.shards)-1] = nil
+	se.shards = se.shards[:len(se.shards)-1]
+}
+
+// touch adds the shards r's links name to se.touched, each once, in
+// route order.
+func (se *ShardedEngine) touch(r *Resident) {
+	for _, h := range r.hops {
+		if h.link != nil && h.link.s != nil && !slices.Contains(se.touched, h.link.s) {
+			se.touched = append(se.touched, h.link.s)
 		}
 	}
 }
 
-// specKeys returns the pipeline resources of a spec, or nil when the
-// spec is too malformed to have a pipeline (placement then falls back
-// to a fresh shard and the engine's own validation reports the error).
-func specKeys(fs *network.FlowSpec) []Resource {
-	if fs == nil || fs.Flow == nil || len(fs.Route) < 2 {
-		return nil
+// placeTouched returns the shard for the newcomers touch collected:
+// the touched shards fused, or a fresh shard when they touched none.
+func (se *ShardedEngine) placeTouched() (*shard, error) {
+	if len(se.touched) == 0 {
+		return se.newShard()
 	}
-	return flowResources(fs)
+	s, err := se.fuse(se.touched)
+	clear(se.touched) // must not keep dropped shards reachable
+	se.touched = se.touched[:0]
+	return s, err
 }
 
-// touching returns the distinct shards owning any of the keys, in
-// first-touch order (deterministic: keys are in pipeline order and
-// shard routes are updated deterministically).
-func (se *ShardedEngine) touching(keys []Resource) []*shard {
-	var out []*shard
-	for _, k := range keys {
-		s := se.routes[k]
-		if s == nil {
-			continue
-		}
-		dup := false
-		for _, t := range out {
-			if t == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Placement is the result of routing one request (or one batch group)
-// to a shard: the engine to admit into, with any required fusion
-// already performed. Exactly one Commit call must follow — on every
-// path, including rejection (with no specs) — so the shard map stays
-// consistent.
+// Placement is one request, or one interference group of a batch,
+// routed to a shard: the engine that must decide it, with any required
+// fusion already performed. Once it is decided, Admit enters the
+// admitted specs into the registry and Done drops a shard left with no
+// flows — on every path, including rejection and error — so the shard
+// map stays consistent. Fusions are kept either way: re-splitting is
+// Resplit's job.
 type Placement struct {
 	se *ShardedEngine
 	s  *shard
+	// Indices are a batch group's positions in the batch passed to
+	// PlaceBatch, ascending; nil for Place.
+	Indices []int
+	placed  []*Resident  // the specs passed to Place or PlaceBatch, prepared
+	one     [1]*Resident // backs placed for Place, saving an allocation
 }
 
-// Engine returns the shard engine the placed request(s) must be
-// admitted into.
+// Engine returns the shard engine the placed specs must be decided in.
 func (p *Placement) Engine() *Engine { return p.s.eng }
 
-// Commit finalises a placement: the pipelines of the specs that were
-// actually admitted are routed to the shard, and a shard left with no
-// flows (a fresh shard whose only candidate was rejected, or an
-// emptied one) is dropped. Fusions performed by Place are kept either
-// way — re-splitting is Resplit's job.
-func (p *Placement) Commit(admitted ...*network.FlowSpec) {
-	for _, fs := range admitted {
-		p.se.own(p.s, specKeys(fs))
-	}
+// Done drops the shard when the decisions left it with no flows (a
+// fresh shard whose only candidates were rejected). Call it once.
+func (p *Placement) Done() {
 	if p.s.eng.Network().NumFlows() == 0 {
 		p.se.drop(p.s)
 	}
 }
 
-// Place routes a request (or a batch group that must be decided
-// together) to a shard: the shard owning the specs' pipeline
-// resources, fused first when the specs bridge several, or a fresh
-// shard when they touch none. Fusion happens before any spec is
-// staged, so the caller's snapshot/rollback stays within one engine.
-// The specs are not added and their pipelines not yet routed; Commit
-// does that for the admitted ones.
-func (se *ShardedEngine) Place(specs ...*network.FlowSpec) (*Placement, error) {
-	var keys []Resource
-	for _, fs := range specs {
-		keys = append(keys, specKeys(fs)...)
-	}
-	return se.placeKeys(keys)
-}
+// Admit enters spec i of the Place or PlaceBatch call, admitted into
+// Engine(), into the registry as the newest resident, reusing the link
+// entries the placement looked up. A batch's groups are decided one
+// after another, so the caller admits the members of every group in
+// request order: the registry lists a batch's admissions as it would
+// list them one request at a time.
+func (p *Placement) Admit(i int) { p.se.res.enter(p.placed[i], p.s) }
 
-// placeKeys is Place over precomputed pipeline keys.
-func (se *ShardedEngine) placeKeys(keys []Resource) (*Placement, error) {
-	touched := se.touching(keys)
-	if len(touched) == 0 {
-		s, err := se.newShard()
-		if err != nil {
-			return nil, err
-		}
-		return &Placement{se: se, s: s}, nil
-	}
-	dst, err := se.fuse(touched)
+// Place routes a request to a shard: the shard its route's links name,
+// fused first when they name several, or a fresh shard when they name
+// none. Fusion happens before the spec is staged, so the caller's
+// snapshot/rollback stays within one engine.
+func (se *ShardedEngine) Place(fs *network.FlowSpec) (*Placement, error) {
+	r := se.res.prepare(fs, false)
+	se.touch(r)
+	s, err := se.placeTouched()
 	if err != nil {
 		return nil, err
 	}
-	return &Placement{se: se, s: dst}, nil
+	p := &Placement{se: se, s: s}
+	p.one[0] = r
+	p.placed = p.one[:]
+	return p, nil
 }
 
-// BatchPlacement is one interference group of a batch together with
-// its placement: the group members' positions in the original batch
-// and the shard engine (fused as needed) that must decide them as one
-// monolithic sub-batch.
-type BatchPlacement struct {
-	Placement
-	// Indices are the group members' positions in the batch passed to
-	// PlaceBatch, ascending.
-	Indices []int
-
-	keys [][]Resource // pipeline keys per member, for Commit
-}
-
-// Commit finalises the group: the pipelines of the members whose
-// admitted flag is set are routed to the shard, and an emptied shard
-// is dropped. admitted is indexed like Indices.
-func (bp *BatchPlacement) Commit(admitted []bool) {
-	for at := range bp.Indices {
-		if admitted[at] {
-			bp.se.own(bp.s, bp.keys[at])
+// PlaceBatch validates a batch against the topology exactly as staging
+// each spec would — a malformed spec fails the whole batch before any
+// shard is touched — then partitions it into its interference groups
+// and places every group, fusing the shards it bridges. Specs land in
+// the same group when their routes share a link directly, through a
+// chain of batch specs, or through a common existing shard. Distinct
+// groups touch disjoint shards and disjoint links, so they can be
+// decided independently, one after another, with decisions identical
+// to deciding the whole batch in one engine. Groups are ordered by
+// first member.
+func (se *ShardedEngine) PlaceBatch(specs []*network.FlowSpec) ([]*Placement, error) {
+	scratch := network.New(se.topo)
+	for _, fs := range specs {
+		if err := scratch.ValidateSpec(fs); err != nil {
+			return nil, err
 		}
 	}
-	if bp.s.eng.Network().NumFlows() == 0 {
-		bp.se.drop(bp.s)
-	}
-}
-
-// PlaceBatch partitions a batch into its interference groups — specs
-// land in the same group when their pipelines share a resource
-// directly, through a chain of batch specs, or through a common
-// existing shard — and places every group, fusing the shards it
-// bridges. Distinct groups touch disjoint shards and disjoint
-// resources, so they can be decided independently, one after another,
-// with decisions identical to deciding the whole batch in one engine.
-// Groups are ordered by first member. Pipeline keys are computed once
-// here and reused by Commit.
-func (se *ShardedEngine) PlaceBatch(specs []*network.FlowSpec) ([]*BatchPlacement, error) {
-	keys := make([][]Resource, len(specs))
+	batch := make([]*Resident, len(specs))
 	for i, fs := range specs {
-		keys[i] = specKeys(fs)
+		batch[i] = se.res.prepare(fs, true)
 	}
-	out := make([]*BatchPlacement, 0, 4)
-	for _, idx := range se.groupByKeys(keys) {
-		var gkeys []Resource
-		bp := &BatchPlacement{Indices: idx, keys: make([][]Resource, len(idx))}
-		for at, i := range idx {
-			bp.keys[at] = keys[i]
-			gkeys = append(gkeys, keys[i]...)
+	out := make([]*Placement, 0, 4)
+	for _, idx := range se.groupByLinks(batch) {
+		for _, i := range idx {
+			se.touch(batch[i])
 		}
-		p, err := se.placeKeys(gkeys)
+		s, err := se.placeTouched()
 		if err != nil {
 			for _, placed := range out {
-				placed.Commit(make([]bool, len(placed.Indices)))
+				placed.Done()
 			}
 			// Best-effort: undo fusions already performed for earlier
 			// groups so a failing batch cannot decay the partition.
@@ -311,15 +239,15 @@ func (se *ShardedEngine) PlaceBatch(specs []*network.FlowSpec) ([]*BatchPlacemen
 			_, _ = se.Resplit()
 			return nil, err
 		}
-		bp.Placement = *p
-		out = append(out, bp)
+		out = append(out, &Placement{se: se, s: s, Indices: idx, placed: batch})
 	}
 	return out, nil
 }
 
 // fuse merges the shards into the one with the most flows (ties to the
-// oldest), splicing the others' converged arena blocks in and moving
-// their resource routes over, and returns the survivor.
+// oldest), splicing the others' converged arena blocks in and
+// re-pointing their links, and returns the survivor. It costs
+// O(absorbed shards).
 func (se *ShardedEngine) fuse(list []*shard) (*shard, error) {
 	dst := list[0]
 	for _, s := range list[1:] {
@@ -334,47 +262,75 @@ func (se *ShardedEngine) fuse(list []*shard) (*shard, error) {
 		if err := dst.eng.adoptFrom(s.eng); err != nil {
 			return nil, fmt.Errorf("core: shard fusion: %w", err)
 		}
-		for k, n := range s.owned {
-			se.routes[k] = dst
-			dst.owned[k] += n
-		}
-		s.owned = nil // already re-routed; keep drop from deleting them
+		se.point(s.eng, dst)
 		se.drop(s)
 	}
 	return dst, nil
 }
 
-// Resplit re-partitions shards whose flows no longer form a single
-// closure (departures can split what arrivals fused): each closure is
-// spliced out into its own shard at the converged assignment, and the
-// split shards' resource routes are rebuilt exactly. It returns the
-// number of additional shards that now exist. Shards still forming one
-// closure are untouched, so steady-state cost is one memoized closure
-// query per shard. A split is atomic per shard: the replacements are
-// built detached and swapped in only once every closure spliced
-// cleanly, so an error leaves the old shard — and the whole partition —
-// exactly as it was.
+// point names s on every link the flows of eng cross.
+func (se *ShardedEngine) point(eng *Engine, s *shard) {
+	nw := eng.Network()
+	for i := 0; i < nw.NumFlows(); i++ {
+		route := nw.Flow(i).Route
+		for h := 0; h+1 < len(route); h++ {
+			if l := se.res.links[[2]network.NodeID{route[h], route[h+1]}]; l != nil {
+				l.s = s
+			}
+		}
+	}
+}
+
+// Resplit re-partitions shards that hold several of the registry's
+// closures (departures can split what arrivals fused): each closure is
+// spliced out into its own shard at the converged assignment, and its
+// links are re-pointed. It returns the number of additional shards that
+// now exist. One walk of the registry labels every closure, so shards
+// still holding one closure cost nothing more. A split is atomic per
+// shard: the replacements are built detached and swapped in only once
+// every closure spliced cleanly, so an error leaves the old shard — and
+// the whole partition — exactly as it was. Queued departures must have
+// been applied (Remove) first.
 func (se *ShardedEngine) Resplit() (int, error) {
+	rs := se.res
+	rs.newEpoch()
+	closures := make(map[*shard]int)
+	for r := rs.list.next; r != &rs.list; r = r.next {
+		if r.epoch != rs.epoch {
+			rs.walk(r)
+			closures[r.shard()]++
+		}
+	}
 	created := 0
-	for _, s := range append([]*shard(nil), se.shards...) {
-		nw := s.eng.Network()
-		if nw.NumFlows() == 0 {
-			se.drop(s)
+	for _, s := range slices.Clone(se.shards) {
+		if closures[s] < 2 {
 			continue
 		}
-		closures := nw.Closures()
-		if len(closures) <= 1 {
-			continue
+		// Group the shard's flows by registry closure: each group
+		// ascending, ordered by first member. A spec resident twice is
+		// one route, so both copies share a closure.
+		var groups [][]int
+		at := make(map[int]int)
+		for j, fs := range s.eng.Network().Flows() {
+			named := rs.Named(fs.Flow.Name)
+			c := named[slices.IndexFunc(named, func(r *Resident) bool { return r.spec == fs })].comp
+			k, ok := at[c]
+			if !ok {
+				k = len(groups)
+				at[c] = k
+				groups = append(groups, nil)
+			}
+			groups[k] = append(groups[k], j)
 		}
 		// Converge once so every spliced block is a fixpoint.
 		if _, err := s.eng.Analyze(); err != nil {
 			return created, err
 		}
 		// Build the replacement shards detached: nothing below touches
-		// se.shards or the routing table until every closure spliced cleanly.
-		detached := make([]*shard, 0, len(closures))
+		// se.shards or the registry until every closure spliced cleanly.
+		detached := make([]*shard, 0, len(groups))
 		buildErr := func() error {
-			for _, members := range closures {
+			for _, members := range groups {
 				eng, err := NewEngine(network.New(se.topo), se.cfg)
 				if err != nil {
 					return err
@@ -382,16 +338,12 @@ func (se *ShardedEngine) Resplit() (int, error) {
 				if _, err := eng.Analyze(); err != nil { // empty fixpoint: valid for warm adoption
 					return err
 				}
-				ns := &shard{eng: eng, owned: make(map[Resource]int)}
 				for _, j := range members {
-					if err := ns.eng.adoptFlow(s.eng, j); err != nil {
+					if err := eng.adoptFlow(s.eng, j); err != nil {
 						return err
 					}
-					for _, k := range flowResources(nw.Flow(j)) {
-						ns.owned[k]++
-					}
 				}
-				detached = append(detached, ns)
+				detached = append(detached, &shard{eng: eng})
 			}
 			return nil
 		}()
@@ -401,59 +353,57 @@ func (se *ShardedEngine) Resplit() (int, error) {
 		// Commit point: swap the old shard for the replacements.
 		se.drop(s)
 		for _, ns := range detached {
-			ns.seq = se.seq
-			se.seq++
-			se.shards = append(se.shards, ns)
-			for k := range ns.owned {
-				se.routes[k] = ns
-			}
+			se.add(ns)
+			se.point(ns.eng, ns)
 		}
 		created += len(detached) - 1
 	}
 	return created, nil
 }
 
-// Remove departs the committed flow fs, matched by pointer identity
-// (shards re-register the caller's *FlowSpec values, so the pointer
-// survives fusion and re-splitting). Its shard is the route owner of
-// any of its resources, so the lookup costs one scan of that closure,
-// not of every flow. The flow leaves its shard's engine, its resource
-// routes are released — departed flows leave no stale routes that
-// would pull unrelated newcomers into the shard — and the shard is
-// re-converged, or dropped when it is left empty. A shard whose flows
-// no longer form one closure stays whole until Resplit: it decides
-// exactly as its split closures would.
-func (se *ShardedEngine) Remove(fs *network.FlowSpec) error {
-	keys := specKeys(fs)
-	var s *shard
-	if len(keys) > 0 {
-		s = se.routes[keys[0]]
-	}
-	if s == nil {
+// Departure is a resident that Claim took out of the registry and whose
+// removal from its shard has not run yet.
+type Departure struct {
+	fs *network.FlowSpec
+	s  *shard
+}
+
+// Claim takes r out of the registry and returns its departure for
+// Remove, which must run before the next placement or re-split. The
+// departing flow's shard is read here, while r's links still name it:
+// a link r leaves empty names no shard.
+func (se *ShardedEngine) Claim(r *Resident) Departure {
+	d := Departure{fs: r.spec, s: r.shard()}
+	se.res.remove(r)
+	return d
+}
+
+// Remove applies a claimed departure: the flow, matched by pointer
+// identity (shards re-register the caller's *FlowSpec values, so the
+// pointer survives fusion and re-splitting), leaves its shard's engine
+// in one scan of that shard, and the shard is re-converged, or dropped
+// when it is left empty. A shard whose flows no longer form one closure
+// stays whole until Resplit: it decides exactly as its split closures
+// would.
+func (se *ShardedEngine) Remove(d Departure) error {
+	if d.s == nil {
 		return fmt.Errorf("core: Remove of a flow no shard holds")
 	}
-	nw := s.eng.Network()
-	at := -1
-	for i := 0; i < nw.NumFlows(); i++ {
-		if nw.Flow(i) == fs {
-			at = i
-			break
-		}
-	}
+	nw := d.s.eng.Network()
+	at := slices.Index(nw.Flows(), d.fs)
 	if at < 0 {
-		return fmt.Errorf("core: flow %q missing from the shard its routes point to", fs.Flow.Name)
+		return fmt.Errorf("core: flow %q missing from its shard", d.fs.Flow.Name)
 	}
-	if err := s.eng.RemoveFlow(at); err != nil {
+	if err := d.s.eng.RemoveFlow(at); err != nil {
 		return err
 	}
-	se.disown(s, keys)
 	if nw.NumFlows() == 0 {
-		se.drop(s)
+		se.drop(d.s)
 		return nil
 	}
 	// Removal only shrinks interference; Converge re-converges the
 	// survivors without copying a result.
-	s.eng.Converge()
+	d.s.eng.Converge()
 	return nil
 }
 
@@ -469,9 +419,10 @@ func (se *ShardedEngine) NumFlows() int {
 	return n
 }
 
-// Shards returns the live shard engines in creation order. The slice
-// is a copy; the engines are the live shards — treat them as read-only
-// unless you own the ShardedEngine.
+// Shards returns the live shard engines. The order is deterministic:
+// creation order, except that dropping a shard moves the last one into
+// its slot. The slice is a copy; the engines are the live shards —
+// treat them as read-only unless you own the ShardedEngine.
 func (se *ShardedEngine) Shards() []*Engine {
 	out := make([]*Engine, len(se.shards))
 	for i, s := range se.shards {
@@ -480,60 +431,83 @@ func (se *ShardedEngine) Shards() []*Engine {
 	return out
 }
 
-// ValidateSpecs pre-validates a batch against the topology exactly as
-// staging each spec would, without touching any shard. The sharded
-// batch path uses it so a malformed spec fails the whole batch before
-// any decision is made.
-func (se *ShardedEngine) ValidateSpecs(specs []*network.FlowSpec) error {
-	scratch := network.New(se.topo)
-	for _, fs := range specs {
-		if err := scratch.ValidateSpec(fs); err != nil {
-			return err
+// Verify checks the partition against the registry: every resident's
+// links name one live shard whose engine holds it, no link without
+// residents names a shard, and the shards hold exactly the residents.
+// Queued departures must have been applied. Differential tests call it
+// after every operation; it costs O(links + flows).
+func (se *ShardedEngine) Verify() error {
+	held := make(map[*shard]map[*network.FlowSpec]int, len(se.shards))
+	for i, s := range se.shards {
+		if s.at != i || s.eng.Network().NumFlows() == 0 {
+			return fmt.Errorf("core: shard %d records position %d and holds %d flows", i, s.at, s.eng.Network().NumFlows())
+		}
+		held[s] = make(map[*network.FlowSpec]int)
+		for _, fs := range s.eng.Network().Flows() {
+			held[s][fs]++
+		}
+	}
+	for r := se.res.list.next; r != &se.res.list; r = r.next {
+		for _, h := range r.hops {
+			if h.link.s != r.shard() {
+				return fmt.Errorf("core: resident %q crosses links of two shards", r.spec.Flow.Name)
+			}
+		}
+		if held[r.shard()][r.spec] == 0 {
+			return fmt.Errorf("core: resident %q is not in the live shard its links name", r.spec.Flow.Name)
+		}
+		held[r.shard()][r.spec]--
+	}
+	for key, l := range se.res.links {
+		if (len(l.on) == 0) != (l.s == nil) {
+			return fmt.Errorf("core: link %s->%s has %d residents and names shard %p", key[0], key[1], len(l.on), l.s)
+		}
+	}
+	for _, m := range held {
+		for fs, n := range m {
+			if n != 0 {
+				return fmt.Errorf("core: a shard holds %q, which is not its resident", fs.Flow.Name)
+			}
 		}
 	}
 	return nil
 }
 
-// groupByKeys computes PlaceBatch's interference groups from the
-// batch members' precomputed pipeline keys, as index lists, each
-// ascending, ordered by first member.
-func (se *ShardedEngine) groupByKeys(keys [][]Resource) [][]int {
-	if len(keys) == 1 {
+// groupByLinks computes PlaceBatch's interference groups from the batch
+// members' link entries, as index lists, each ascending, ordered by
+// first member.
+func (se *ShardedEngine) groupByLinks(batch []*Resident) [][]int {
+	if len(batch) == 1 {
 		// A single spec is always its own group: skip the union-find
 		// and its maps on the hot single-request path.
 		return [][]int{{0}}
 	}
-	parent := make([]int, len(keys))
+	parent := make([]int, len(batch))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(i int) int {
+	find := func(i int) int {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
 		}
 		return i
 	}
+	// A group's root is its smallest member.
 	union := func(a, b int) {
 		ra, rb := find(a), find(b)
-		if ra != rb {
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
+		parent[max(ra, rb)] = min(ra, rb)
 	}
-	keyOwner := make(map[Resource]int)
+	linkOwner := make(map[*residentLink]int)
 	shardOwner := make(map[*shard]int)
-	for i, ks := range keys {
-		for _, k := range ks {
-			if j, ok := keyOwner[k]; ok {
+	for i, r := range batch {
+		for _, h := range r.hops {
+			if j, ok := linkOwner[h.link]; ok {
 				union(i, j)
 			} else {
-				keyOwner[k] = i
+				linkOwner[h.link] = i
 			}
-			if s := se.routes[k]; s != nil {
+			if s := h.link.s; s != nil {
 				if j, ok := shardOwner[s]; ok {
 					union(i, j)
 				} else {
@@ -542,19 +516,15 @@ func (se *ShardedEngine) groupByKeys(keys [][]Resource) [][]int {
 			}
 		}
 	}
-	groups := make(map[int][]int)
-	var roots []int
-	for i := range keys {
+	var out [][]int
+	group := make([]int, len(batch)) // a root's position in out
+	for i := range batch {
 		r := find(i)
-		if _, ok := groups[r]; !ok {
-			roots = append(roots, r)
+		if r == i {
+			group[i] = len(out)
+			out = append(out, nil)
 		}
-		groups[r] = append(groups[r], i)
-	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, groups[r])
+		out[group[r]] = append(out[group[r]], i)
 	}
 	return out
 }

@@ -291,13 +291,14 @@ func TestResplitAfterDeparture(t *testing.T) {
 	if _, err := p.Engine().AddFlow(bridge); err != nil {
 		t.Fatal(err)
 	}
-	p.Commit(bridge)
+	p.Admit(0)
+	p.Done()
 	if se.NumShards() != 1 {
 		t.Fatalf("%d shards after fusion, want 1", se.NumShards())
 	}
 	analyzeShards(t, se)
 
-	if err := se.Remove(bridge); err != nil {
+	if err := se.Remove(se.Claim(se.Residents().Named("bridge")[0])); err != nil {
 		t.Fatal(err)
 	}
 	delta, err := se.Resplit()

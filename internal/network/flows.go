@@ -88,11 +88,6 @@ type Network struct {
 	resKeys []resourceKey
 	flowRes [][]ResourceID
 
-	// closures tracks the interference-closure partition of the flow set
-	// (see closures.go): a union-find over resource ids, merged
-	// incrementally on insertion and lazily rebuilt after removals.
-	closures closureIndex
-
 	// pipes is the resource graph's edge multiset (see pipegraph.go),
 	// answering PipelinesAcyclic.
 	pipes pipeGraph
@@ -141,7 +136,6 @@ func (nw *Network) AddFlow(fs *FlowSpec) (int, error) {
 	for h := 0; h < len(rids); h += 2 {
 		nw.onLink[rids[h]] = append(nw.onLink[rids[h]], i)
 	}
-	nw.closureAddPipeline(rids)
 	nw.pipeAddPipeline(rids)
 	return i, nil
 }
@@ -158,7 +152,6 @@ func (nw *Network) RemoveFlow(i int) {
 		return
 	}
 	rids := nw.flowRes[i]
-	nw.closureRemove()
 	nw.pipeRemovePipeline(rids)
 	nw.flows = append(nw.flows[:i], nw.flows[i+1:]...)
 	nw.flowRes = append(nw.flowRes[:i], nw.flowRes[i+1:]...)

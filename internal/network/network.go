@@ -12,12 +12,14 @@
 // Beyond the paper's notation, Network maintains the indexes the
 // analysis layer builds on: the reverse link-interference index
 // (FlowsOn, Interferers), dense interned pipeline ResourceIDs
-// (FlowResources), and the interference-closure partition (Closures,
-// ClosureOf) — a union-find over resources that tells the sharded
-// admission controller which flows can never exchange jitter — and the
-// resource graph's acyclicity (PipelinesAcyclic), which tells the
-// incremental engine whether the holistic fixpoint is unique. All are
-// maintained incrementally under AddFlow and RemoveFlow.
+// (FlowResources) and the resource graph's acyclicity
+// (PipelinesAcyclic), which tells the incremental engine whether the
+// holistic fixpoint is unique. All are maintained incrementally under
+// AddFlow and RemoveFlow. The interference-closure partition (Closures,
+// ClosureOf) — which flows can never exchange jitter — is computed on
+// demand from the link index: the sharded admission controller keeps
+// its own in its resident registry, and these queries are its
+// reference.
 // See docs/ARCHITECTURE.md for how the layers fit together.
 package network
 

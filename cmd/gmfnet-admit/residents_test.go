@@ -3,10 +3,12 @@ package main
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gmfnet/internal/admission"
 	"gmfnet/internal/core"
+	"gmfnet/internal/gmf"
 	"gmfnet/internal/network"
 	"gmfnet/internal/workload"
 )
@@ -17,8 +19,8 @@ import (
 // pointers one by one. Whenever no batch is pending, the controller's
 // resident registry must list exactly the cold network's flows, pointer
 // for pointer and in the same order, NumResidents must count them, and
-// the shard partition must agree with the cold network's closures
-// (checkPartition). Under -short only the first half of each trace is
+// the shard partition must agree with the registry and the cold
+// network's closures (checkPartition). Under -short only the first half of each trace is
 // replayed.
 func TestResidentsMatchCold(t *testing.T) {
 	for _, trace := range []string{"backbone", "clos", "fronthaul", "stream"} {
@@ -44,6 +46,7 @@ func TestResidentsMatchCold(t *testing.T) {
 					t.Fatal(err)
 				}
 				var pending []*network.FlowSpec
+				links := make(map[[2]network.NodeID]bool) // every directed link a request crossed
 				flush := func() {
 					if len(pending) == 0 {
 						return
@@ -64,6 +67,9 @@ func TestResidentsMatchCold(t *testing.T) {
 						fs, err := op.Spec(topo)
 						if err != nil {
 							t.Fatal(err)
+						}
+						for h := 0; h+1 < len(fs.Route); h++ {
+							links[[2]network.NodeID{fs.Route[h], fs.Route[h+1]}] = true
 						}
 						if batch > 0 {
 							if pending = append(pending, fs); len(pending) >= batch {
@@ -99,20 +105,22 @@ func TestResidentsMatchCold(t *testing.T) {
 							t.Fatalf("op %d: resident %d is %q, cold network has %q", i, j, got[j].Flow.Name, want[j].Flow.Name)
 						}
 					}
-					checkPartition(t, i, ctl, cold.Network(), i%16 == 15 || i == len(ops)-1)
+					checkPartition(t, i, ctl, cold.Network(), links, i%16 == 15 || i == len(ops)-1)
 				}
 			})
 		}
 	}
 }
 
-// checkPartition holds the controller's shards to the cold network's
-// interference closures after op: every link with residents names the
-// shard whose engine holds each of them (ShardedEngine.Verify, after
-// the queued departures are applied), and every shard's flow set is a
-// union of whole closures. With resplit, NumShards re-splits first and
-// the shards must be the closures one for one.
-func checkPartition(t *testing.T, op int, ctl *admission.ShardedController, cold *network.Network, resplit bool) {
+// checkPartition holds the controller's shards to its registry and to
+// the cold network's interference closures after op, once the queued
+// departures are applied: the shards hold exactly the residents, each
+// in one shard; every link a request crossed routes a one-link probe
+// (Place, then Done) to the shard holding that link's residents, or to
+// a fresh shard when none is left on it; and every shard's flow set is
+// a union of whole closures. With resplit, NumShards re-splits first
+// and the shards must be the closures one for one.
+func checkPartition(t *testing.T, op int, ctl *admission.ShardedController, cold *network.Network, links map[[2]network.NodeID]bool, resplit bool) {
 	t.Helper()
 	if resplit {
 		if n, want := ctl.NumShards(), cold.NumClosures(); n != want {
@@ -120,15 +128,44 @@ func checkPartition(t *testing.T, op int, ctl *admission.ShardedController, cold
 		}
 	}
 	se := ctl.Sharded()
-	if err := se.Verify(); err != nil {
-		t.Fatalf("op %d: %v", op, err)
-	}
-	shardOf := make(map[*network.FlowSpec]int)
 	shards := se.Shards()
+	shardOf := make(map[*network.FlowSpec]int)
+	count := make(map[*network.FlowSpec]int)
 	for k, e := range shards {
 		for _, fs := range e.Network().Flows() {
+			if j, ok := shardOf[fs]; ok && j != k {
+				t.Fatalf("op %d: %q is in shards %d and %d", op, fs.Flow.Name, j, k)
+			}
 			shardOf[fs] = k
+			count[fs]++
 		}
+	}
+	holder := make(map[[2]network.NodeID]int)
+	for _, fs := range se.Residents().Flows() {
+		count[fs]--
+		for h := 0; h+1 < len(fs.Route); h++ {
+			holder[[2]network.NodeID{fs.Route[h], fs.Route[h+1]}] = shardOf[fs]
+		}
+	}
+	for fs, n := range count {
+		if n != 0 {
+			t.Fatalf("op %d: the shards hold %q %+d times more often than the registry", op, fs.Flow.Name, n)
+		}
+	}
+	probe := &gmf.Flow{Name: "probe"}
+	for key := range links {
+		p, err := se.Place(&network.FlowSpec{Flow: probe, Route: key[:]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := holder[key]
+		if !ok {
+			want = -1 // no resident: a fresh shard
+		}
+		if got := slices.Index(shards, p.Engine()); got != want {
+			t.Fatalf("op %d: link %s->%s routes to shard %d, want %d", op, key[0], key[1], got, want)
+		}
+		p.Done()
 	}
 	covered := make([]int, len(shards))
 	for c, members := range cold.Closures() {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gmfnet/internal/network"
@@ -72,13 +73,15 @@ func checkMemo(t *testing.T, ctx string, e *Engine) {
 // FuzzStageMemo drives admission-shaped scripts through a ShardedEngine
 // on the small Clos and the crossing ring of fuzzRouter: requests
 // (Place, which fuses the shards a newcomer bridges, then Snapshot,
-// AddFlow and Analyze, admitted or rolled back by Restore), departures,
-// eviction probes (a newcomer staged in a resident's shard under a
-// snapshot and converged; a removal that must refuse the older flows
-// and so falls on the newcomer; then Restore or Discard), Resplit and
-// cold checks. After every step each shard's stage memo must hold only
-// entries a fresh evaluation reproduces (checkMemo), and every shard's
-// bounds must equal the cold Analyzer's.
+// AddFlow and Analyze, admitted or rolled back by Restore), departures
+// (of the first resident by a name that requests repeat), eviction
+// probes (a newcomer staged in a resident's shard under a snapshot and
+// converged; a removal that must refuse the older flows and so falls on
+// the newcomer; then Restore or Discard), Resplit and cold checks.
+// After every step the registry's indexes and the shard ownership must
+// hold (checkRegistry, checkOwnership), each shard's stage memo must
+// hold only entries a fresh evaluation reproduces (checkMemo), and
+// every shard's bounds must equal the cold Analyzer's.
 func FuzzStageMemo(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 4, 0, 4})          // clos: requests fuse shards, a departure, a request
 	f.Add([]byte{0, 0, 0, 6, 2, 3, 8, 5, 0, 2, 3})    // clos: rejected request, departure, resplit
@@ -102,9 +105,7 @@ func FuzzStageMemo(f *testing.F) {
 		var resident []*network.FlowSpec
 		check := func(ctx string) {
 			t.Helper()
-			if err := se.Verify(); err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
+			checkOwnership(t, se)
 			checkRegistry(t, se.res)
 			for _, e := range se.Shards() {
 				checkMemo(t, ctx, e)
@@ -118,7 +119,7 @@ func FuzzStageMemo(f *testing.F) {
 			ctx := fmt.Sprintf("op %d", pc)
 			switch b % 6 {
 			case 0, 1: // a request: admitted when schedulable (0) or rolled back (1)
-				name := fmt.Sprintf("f%d", pc)
+				name := fmt.Sprintf("f%d", pc%4) // names repeat: departures claim the first of a name
 				fl := trace.VoIP(name, trace.VoIPOptions{Deadline: 100 * units.Millisecond})
 				if b/6%3 == 0 {
 					fl = trace.CBRVideo(name, 30000, 20*units.Millisecond, 200*units.Millisecond)
@@ -152,11 +153,11 @@ func FuzzStageMemo(f *testing.F) {
 				}
 			case 2:
 				if len(resident) > 0 {
-					at := int(b/6) % len(resident)
-					if err := se.Remove(se.Claim(se.res.Named(resident[at].Flow.Name)[0])); err != nil {
+					r := se.res.Named(resident[int(b/6)%len(resident)].Flow.Name)[0]
+					if err := se.Remove(se.Claim(r)); err != nil {
 						t.Fatal(err)
 					}
-					resident = append(resident[:at], resident[at+1:]...)
+					resident = slices.DeleteFunc(resident, func(fs *network.FlowSpec) bool { return fs == r.spec })
 				}
 			case 3:
 				if _, err := se.Resplit(); err != nil {
@@ -167,7 +168,8 @@ func FuzzStageMemo(f *testing.F) {
 					// A copy of a resident's spec stays in its closure,
 					// so it needs no placement.
 					old := resident[int(b/6)%len(resident)]
-					s := se.res.Named(old.Flow.Name)[0].shard()
+					named := se.res.Named(old.Flow.Name)
+					s := named[slices.IndexFunc(named, func(r *Resident) bool { return r.spec == old })].shard()
 					probe := *old
 					probe.Flow = trace.VoIP(fmt.Sprintf("p%d", pc), trace.VoIPOptions{Deadline: 100 * units.Millisecond})
 					snap := s.eng.Snapshot()

@@ -62,7 +62,8 @@ type shard struct {
 }
 
 // NewShardedEngine registers the network's flows as residents, in
-// order, and gives each interference closure a shard. The passed
+// order, and gives each interference closure a shard holding its flows
+// in that order; no analysis runs until a shard is asked. The passed
 // network is only read (topology shared, flow specs re-registered per
 // shard); it is validated once here.
 func NewShardedEngine(nw *network.Network, cfg Config) (*ShardedEngine, error) {
@@ -73,22 +74,31 @@ func NewShardedEngine(nw *network.Network, cfg Config) (*ShardedEngine, error) {
 		return nil, err
 	}
 	se := &ShardedEngine{topo: nw.Topo, cfg: cfg, res: newResidents()}
-	if nw.NumFlows() == 0 {
-		return se, nil
-	}
-	// The flows start in one shard, which Resplit splits by closure.
-	s, err := se.newShard()
-	if err != nil {
-		return nil, err
-	}
+	rs := se.res
 	for _, fs := range nw.Flows() {
-		if _, err := s.eng.AddFlow(fs); err != nil {
+		rs.enter(rs.prepare(fs, true), nil)
+	}
+	// One walk of the registry labels every closure; each gets a shard
+	// and its links are pointed at it.
+	rs.newEpoch()
+	for r := rs.list.next; r != &rs.list; r = r.next {
+		if r.epoch == rs.epoch {
+			continue
+		}
+		members := rs.walk(r)
+		slices.SortFunc(members, AdmissionOrder)
+		s, err := se.newShard()
+		if err != nil {
 			return nil, err
 		}
-		se.res.enter(se.res.prepare(fs, true), s)
-	}
-	if _, err := se.Resplit(); err != nil {
-		return nil, err
+		for _, m := range members {
+			if _, err := s.eng.AddFlow(m.spec); err != nil {
+				return nil, err
+			}
+			for _, h := range m.hops {
+				h.link.s = s
+			}
+		}
 	}
 	return se, nil
 }
@@ -289,17 +299,20 @@ func (se *ShardedEngine) point(eng *Engine, s *shard) {
 // still holding one closure cost nothing more. A split is atomic per
 // shard: the replacements are built detached and swapped in only once
 // every closure spliced cleanly, so an error leaves the old shard — and
-// the whole partition — exactly as it was. Queued departures must have
-// been applied (Remove) first.
+// the whole partition — exactly as it was. Claimed departures must have
+// been applied (Remove) first: a shard still holding a claimed flow
+// that must split is an error.
 func (se *ShardedEngine) Resplit() (int, error) {
 	rs := se.res
 	rs.newEpoch()
+	comp := make(map[*network.FlowSpec]int, rs.n) // a spec resident twice is one route: one closure
 	closures := make(map[*shard]int)
 	for r := rs.list.next; r != &rs.list; r = r.next {
 		if r.epoch != rs.epoch {
 			rs.walk(r)
 			closures[r.shard()]++
 		}
+		comp[r.spec] = r.comp
 	}
 	created := 0
 	for _, s := range slices.Clone(se.shards) {
@@ -307,13 +320,14 @@ func (se *ShardedEngine) Resplit() (int, error) {
 			continue
 		}
 		// Group the shard's flows by registry closure: each group
-		// ascending, ordered by first member. A spec resident twice is
-		// one route, so both copies share a closure.
+		// ascending, ordered by first member.
 		var groups [][]int
 		at := make(map[int]int)
 		for j, fs := range s.eng.Network().Flows() {
-			named := rs.Named(fs.Flow.Name)
-			c := named[slices.IndexFunc(named, func(r *Resident) bool { return r.spec == fs })].comp
+			c, ok := comp[fs]
+			if !ok {
+				return created, fmt.Errorf("core: Resplit: shard flow %q is not resident (a claimed departure was not removed)", fs.Flow.Name)
+			}
 			k, ok := at[c]
 			if !ok {
 				k = len(groups)
@@ -379,15 +393,15 @@ func (se *ShardedEngine) Claim(r *Resident) Departure {
 }
 
 // Remove applies a claimed departure: the flow, matched by pointer
-// identity (shards re-register the caller's *FlowSpec values, so the
-// pointer survives fusion and re-splitting), leaves its shard's engine
-// in one scan of that shard, and the shard is re-converged, or dropped
-// when it is left empty. A shard whose flows no longer form one closure
-// stays whole until Resplit: it decides exactly as its split closures
-// would.
+// identity (shards re-register the caller's *FlowSpec values), leaves
+// the shard Claim read in one scan of that shard, and the shard is
+// re-converged, or dropped when it is left empty. A shard that a
+// placement or re-split since the Claim dropped is an error. A shard
+// whose flows no longer form one closure stays whole until Resplit: it
+// decides exactly as its split closures would.
 func (se *ShardedEngine) Remove(d Departure) error {
-	if d.s == nil {
-		return fmt.Errorf("core: Remove of a flow no shard holds")
+	if d.s == nil || d.s.at >= len(se.shards) || se.shards[d.s.at] != d.s {
+		return fmt.Errorf("core: Remove of a departure whose shard was dropped since its Claim")
 	}
 	nw := d.s.eng.Network()
 	at := slices.Index(nw.Flows(), d.fs)
@@ -429,48 +443,6 @@ func (se *ShardedEngine) Shards() []*Engine {
 		out[i] = s.eng
 	}
 	return out
-}
-
-// Verify checks the partition against the registry: every resident's
-// links name one live shard whose engine holds it, no link without
-// residents names a shard, and the shards hold exactly the residents.
-// Queued departures must have been applied. Differential tests call it
-// after every operation; it costs O(links + flows).
-func (se *ShardedEngine) Verify() error {
-	held := make(map[*shard]map[*network.FlowSpec]int, len(se.shards))
-	for i, s := range se.shards {
-		if s.at != i || s.eng.Network().NumFlows() == 0 {
-			return fmt.Errorf("core: shard %d records position %d and holds %d flows", i, s.at, s.eng.Network().NumFlows())
-		}
-		held[s] = make(map[*network.FlowSpec]int)
-		for _, fs := range s.eng.Network().Flows() {
-			held[s][fs]++
-		}
-	}
-	for r := se.res.list.next; r != &se.res.list; r = r.next {
-		for _, h := range r.hops {
-			if h.link.s != r.shard() {
-				return fmt.Errorf("core: resident %q crosses links of two shards", r.spec.Flow.Name)
-			}
-		}
-		if held[r.shard()][r.spec] == 0 {
-			return fmt.Errorf("core: resident %q is not in the live shard its links name", r.spec.Flow.Name)
-		}
-		held[r.shard()][r.spec]--
-	}
-	for key, l := range se.res.links {
-		if (len(l.on) == 0) != (l.s == nil) {
-			return fmt.Errorf("core: link %s->%s has %d residents and names shard %p", key[0], key[1], len(l.on), l.s)
-		}
-	}
-	for _, m := range held {
-		for fs, n := range m {
-			if n != 0 {
-				return fmt.Errorf("core: a shard holds %q, which is not its resident", fs.Flow.Name)
-			}
-		}
-	}
-	return nil
 }
 
 // groupByLinks computes PlaceBatch's interference groups from the batch

@@ -121,6 +121,7 @@ func TestShardedEngineMatchesMonolithic(t *testing.T) {
 			if se.NumFlows() != nw.NumFlows() {
 				t.Fatalf("%d flows across shards, want %d", se.NumFlows(), nw.NumFlows())
 			}
+			checkOwnership(t, se)
 			got := boundsByName(t, analyzeShards(t, se)...)
 			wantBounds := boundsByName(t, want)
 			if len(got) != len(wantBounds) {
@@ -190,7 +191,7 @@ func TestAdoptFromIsWarm(t *testing.T) {
 // closure tracking: a tentative bridging admission fuses two closures;
 // restoring the pre-request snapshot — after a second window-added flow
 // joined and the bridge departed again — must re-split them, since the
-// union-find rebuild sees only the surviving pipelines.
+// closures are computed from the surviving pipelines.
 func TestSnapshotRestoreResplitsClosures(t *testing.T) {
 	topo, _, err := network.Campus(3, 2)
 	if err != nil {
@@ -308,6 +309,7 @@ func TestResplitAfterDeparture(t *testing.T) {
 	if se.NumShards() != 2 || delta != 1 {
 		t.Fatalf("after resplit: %d shards (delta %d), want 2 (delta 1)", se.NumShards(), delta)
 	}
+	checkOwnership(t, se)
 	got := boundsByName(t, analyzeShards(t, se)...)
 
 	ref := network.New(topo)

@@ -38,7 +38,8 @@ type registry struct {
 	t       testing.TB
 	se      *core.ShardedEngine
 	nw      *network.Network
-	pending []core.Departure // claimed, not yet removed from their shards
+	pending []core.Departure           // claimed, not yet removed from their shards
+	links   map[[2]network.NodeID]bool // every directed link a placed spec crossed
 }
 
 func newRegistry(t testing.TB, nw *network.Network) *registry {
@@ -53,7 +54,18 @@ func newRegistry(t testing.TB, nw *network.Network) *registry {
 			t.Fatal(err)
 		}
 	}
-	return &registry{t: t, se: se, nw: oracle}
+	g := &registry{t: t, se: se, nw: oracle, links: make(map[[2]network.NodeID]bool)}
+	g.cross(nw.Flows()...)
+	return g
+}
+
+// cross records the links the specs cross.
+func (g *registry) cross(specs ...*network.FlowSpec) {
+	for _, fs := range specs {
+		for h := 0; h+1 < len(fs.Route); h++ {
+			g.links[[2]network.NodeID{fs.Route[h], fs.Route[h+1]}] = true
+		}
+	}
 }
 
 // settle applies the claimed departures in claim order.
@@ -72,6 +84,7 @@ func (g *registry) settle() {
 func (g *registry) add(fs *network.FlowSpec) {
 	g.t.Helper()
 	g.settle()
+	g.cross(fs)
 	p, err := g.se.Place(fs)
 	if err != nil {
 		g.t.Fatal(err)
@@ -92,6 +105,7 @@ func (g *registry) add(fs *network.FlowSpec) {
 func (g *registry) batch(specs []*network.FlowSpec, reject []bool) {
 	g.t.Helper()
 	g.settle()
+	g.cross(specs...)
 	groups, err := g.se.PlaceBatch(specs)
 	if err != nil {
 		g.t.Fatal(err)
@@ -168,23 +182,57 @@ func (g *registry) resplit() {
 	g.checkPartition()
 }
 
-// checkPartition settles, verifies the engine's ownership invariants and
-// holds its shards to the oracle: the shards hold every resident once
-// between them, and each shard's flows are a union of whole closures.
+// checkPartition settles and holds the engine's shards to the registry
+// and the oracle: the shards hold exactly the residents between them,
+// each resident in one shard; every link a placed spec crossed routes a
+// one-link probe (Place, then Done) to the shard holding that link's
+// residents, or to a fresh shard when none is left on it; and each
+// shard's flows are a union of whole oracle closures.
 func (g *registry) checkPartition() {
 	g.t.Helper()
 	g.settle()
-	if err := g.se.Verify(); err != nil {
-		g.t.Fatal(err)
-	}
-	if n := g.se.NumFlows(); n != g.se.Residents().Len() {
-		g.t.Fatalf("shards hold %d flows, registry %d residents", n, g.se.Residents().Len())
-	}
+	shards := g.se.Shards()
 	shardOf := make(map[*network.FlowSpec]int)
-	for k, e := range g.se.Shards() {
+	count := make(map[*network.FlowSpec]int)
+	for k, e := range shards {
 		for _, fs := range e.Network().Flows() {
+			if j, ok := shardOf[fs]; ok && j != k {
+				g.t.Fatalf("%q is in shards %d and %d", fs.Flow.Name, j, k)
+			}
 			shardOf[fs] = k
+			count[fs]++
 		}
+	}
+	holder := make(map[[2]network.NodeID]int)
+	for _, fs := range g.se.Residents().Flows() {
+		count[fs]--
+		for h := 0; h+1 < len(fs.Route); h++ {
+			key := [2]network.NodeID{fs.Route[h], fs.Route[h+1]}
+			if k, ok := holder[key]; ok && k != shardOf[fs] {
+				g.t.Fatalf("link %s->%s has residents in shards %d and %d", key[0], key[1], k, shardOf[fs])
+			}
+			holder[key] = shardOf[fs]
+		}
+	}
+	for fs, n := range count {
+		if n != 0 {
+			g.t.Fatalf("the shards hold %q %+d times more often than the registry", fs.Flow.Name, n)
+		}
+	}
+	probe := &gmf.Flow{Name: "probe"}
+	for key := range g.links {
+		p, err := g.se.Place(&network.FlowSpec{Flow: probe, Route: key[:]})
+		if err != nil {
+			g.t.Fatal(err)
+		}
+		want, ok := holder[key]
+		if !ok {
+			want = -1 // no resident: a fresh shard
+		}
+		if got := slices.Index(shards, p.Engine()); got != want {
+			g.t.Fatalf("link %s->%s routes to shard %d, want %d", key[0], key[1], got, want)
+		}
+		p.Done()
 	}
 	for c, members := range g.nw.Closures() {
 		for _, i := range members {

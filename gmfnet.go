@@ -238,10 +238,11 @@ func (s *System) NewParallelAdmissionController(cfg AnalysisConfig) (*admission.
 // snapshots are O(1) undo-log tokens whose window may add flows and
 // remove the flows it added (RemoveFlow refuses an older flow while a
 // snapshot is live), so Restore undoes only additions. Engine.Converge
-// returns the verdict in O(1), read off counters the engine maintains,
-// without copying any per-flow result; Engine.Analyze returns the
-// bounds as a detached AnalysisResult. Mutate the flow set only through the engine
-// (or call Engine.Invalidate after out-of-band changes).
+// returns the verdict in O(1), read off counters the engine maintains
+// over one status per flow; the engine keeps no bounds, and
+// Engine.Analyze computes them as a detached AnalysisResult. Mutate the
+// flow set only through the engine; after an out-of-band change build a
+// new one.
 func (s *System) NewEngine(cfg AnalysisConfig) (*Engine, error) {
 	return core.NewEngine(s.nw, cfg)
 }

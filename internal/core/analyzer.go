@@ -86,12 +86,6 @@ func (a *Analyzer) removeFlowDemand(i int) {
 	}
 }
 
-// resetDemands discards the whole cache; Engine.Invalidate uses it after
-// out-of-band flow-set changes that may have shifted indices.
-func (a *Analyzer) resetDemands() {
-	a.demands = make([][]rateDemand, a.nw.NumFlows())
-}
-
 // jitterState stores GJ_j^{k,resource} for every flow, resource and frame:
 // the generalized jitter with which frame k of flow j enters each stage of
 // its pipeline. It powers the extra_j(N,i) terms of the analysis and the

@@ -24,7 +24,10 @@
 //   - Analyzer is the one-shot reference: a full cold fixpoint per call;
 //   - Engine is the persistent online form: warm-started delta worklists
 //     over an arena-backed jitter state with O(1) undo-journal snapshots
-//     (Snapshot/Restore/Discard) whose window undoes only additions;
+//     (Snapshot/Restore/Discard) whose window undoes only additions. It
+//     keeps a verdict, not bounds — one status per flow, read in O(1) by
+//     Converge — and Analyze computes the bounds off the fixpoint on
+//     demand;
 //   - ShardedEngine partitions the arena by interference closure, one
 //     Engine per closure, with warm shard fusion and re-splitting; its
 //     resident registry (Residents), whose every link with residents
@@ -263,7 +266,10 @@ func (fr *FlowResult) MaxResponse() units.Time {
 	return m
 }
 
-// Result is the outcome of the holistic analysis.
+// Result is the outcome of the holistic analysis. When it did not
+// converge, the bounds of the abandoned iteration are not bounds:
+// Engine.Analyze then gives each flow its name and stage error only,
+// with no frames, and the cold Analyzer's frames are the last sweep's.
 type Result struct {
 	// Flows holds one result per flow, in network order.
 	Flows []FlowResult

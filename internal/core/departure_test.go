@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gmfnet/internal/network"
@@ -64,13 +65,34 @@ func sameBounds(t *testing.T, ctx string, got, want *Result) {
 }
 
 // checkCold converges the engine and compares it with the cold referee.
+// On a converged engine Analyze must also leave the engine as it found
+// it: a second call returns the same result, and neither moves the
+// jitter assignment or the stage memo's counters.
 func checkCold(t *testing.T, ctx string, eng *Engine) {
 	t.Helper()
+	var before *jitterState
+	if eng.Converge().Converged {
+		before = eng.js.clone()
+		before.served, before.evaluated = eng.js.served, eng.js.evaluated
+	}
 	res, err := eng.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameBounds(t, ctx, res, coldReferee(t, eng.Network()))
+	if before == nil {
+		return
+	}
+	again, err := eng.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) {
+		t.Fatalf("%s: two Analyze calls on a converged engine differ", ctx)
+	}
+	if !eng.js.equalAssignment(before) || eng.js.served != before.served || eng.js.evaluated != before.evaluated {
+		t.Fatalf("%s: Analyze moved the jitter assignment or the memo counters", ctx)
+	}
 }
 
 // freshSweeps is the sweep count of admitting fs into a fresh engine
@@ -588,15 +610,11 @@ func bigClosure(t *testing.T, n int) *Engine {
 }
 
 // departureAllocBudget caps one warm departure plus the Converge in the
-// 240-flow closure of bigClosure. What remains is two allocations per
-// re-analysed flow (its frame results and their stage arena, which
-// become the published header) and a constant few for the worklist; the
-// departed flow's closure is never collected into a map, and a flow the
-// stage memo settles entirely is skipped without either. Measured 505
-// on the reference fixture (561 before the stage memo); the cold-reset
-// path it replaced (closure map, seed map, full re-ascent of the
-// closure) measured 953.
-const departureAllocBudget = 580
+// 240-flow closure of bigClosure. Warm passes build no bounds, so what
+// remains is a constant few for the worklist; the departed flow's
+// closure is never collected into a map. Measured 11 on the reference
+// fixture; the budget allows 15 % headroom.
+const departureAllocBudget = 13
 
 // TestDepartureAllocs pins the allocation count of a departure and the
 // Converge that settles it, on a ~200-flow feed-forward closure.

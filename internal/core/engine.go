@@ -44,10 +44,11 @@ import (
 //     adopted from another engine starts with an empty memo. The cold
 //     Analyzer keeps no memo, so it stays an independent referee.
 //
-// Converge returns the verdict of the current flow set in O(1): the
-// engine keeps one live slice of per-flow result headers and counts, as
-// it writes them, the ones that are not schedulable or carry a stage
-// error (see verdict.go). Analyze returns the bounds as a detached copy.
+// The engine keeps a verdict, not bounds: one status per flow — its
+// stage error, and whether a frame misses its deadline — and counters of
+// the statuses that are not schedulable or carry a stage error, so
+// Converge answers in O(1) (see verdict.go). Analyze computes the bounds
+// on demand, in one pass over the converged jitter assignment.
 //
 // Snapshots are O(1) tokens backed by undo journals. A snapshot window
 // — Snapshot until Restore or Discard — may add flows and may remove
@@ -60,14 +61,15 @@ import (
 // total state.
 //
 // Mutate the flow set only through AddFlow/RemoveFlow so the engine can
-// track what changed; after any out-of-band change to the network or its
-// flows, call Invalidate. An Engine is not safe for concurrent use.
+// track what changed: it does not see an out-of-band change to the
+// network or its flows (reassigned priorities, say), so build a new
+// Engine after one. An Engine is not safe for concurrent use.
 type Engine struct {
 	an *Analyzer
 
-	js    *jitterState // last converged jitter assignment when valid
-	flows []FlowResult // live per-flow result headers, aligned with network indices
-	valid bool         // js and flows describe a fixpoint of the current flow set
+	js     *jitterState // last converged jitter assignment when valid
+	status []flowStatus // per-flow status of its last pass, aligned with network indices
+	valid  bool         // js and status describe a fixpoint of the current flow set
 	// descending reports that dirty holds a pending warm descent: the
 	// link-neighbours of flows that departed from a converged fixpoint of
 	// acyclic pipelines. Their inputs shrank but their own jitters did
@@ -77,19 +79,16 @@ type Engine struct {
 	descending bool
 	dirty      map[int]bool // flows changed since the last converged analysis
 
-	// unsched / errcnt count the headers that are currently not
+	// unsched / errcnt count the statuses that are currently not
 	// schedulable / carry a stage error, so Converge answers the verdict
 	// and the holistic-cap probe in O(1).
 	unsched int
 	errcnt  int
 
-	// hdrJournal is the header undo log, mirroring the jitter journal:
-	// it records (slot, old header) for writes below hdrEnd, the header
-	// count at the live snapshot (zero when none). hdrSaved is the slice
-	// a cold pass abandoned inside the window; journaling stops there.
-	hdrJournal []hdrOp
-	hdrEnd     int
-	hdrSaved   []FlowResult
+	// stJournal is the status undo log, mirroring the jitter journal:
+	// it records (slot, old status) for writes to the slots that existed
+	// at the live snapshot.
+	stJournal []statusOp
 
 	// wlMark/wlEpoch/wlNext are the worklist iteration's reusable
 	// next-front scratch: wlMark[f] == wlEpoch marks flow f as already
@@ -109,8 +108,7 @@ type Engine struct {
 
 	// live is the outstanding snapshot, nil when none: each snapshot
 	// truncates the undo journals, so only the most recent one is
-	// restorable, at most once, and Restore, Discard and Invalidate end
-	// it.
+	// restorable, at most once, and Restore and Discard end it.
 	live *Snapshot
 }
 
@@ -122,7 +120,7 @@ func NewEngine(nw *network.Network, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{an: an, dirty: make(map[int]bool)}, nil
+	return &Engine{an: an, status: make([]flowStatus, nw.NumFlows()), dirty: make(map[int]bool)}, nil
 }
 
 // Network returns the underlying network.
@@ -130,22 +128,6 @@ func (e *Engine) Network() *network.Network { return e.an.nw }
 
 // Config returns the analysis configuration, defaults filled in.
 func (e *Engine) Config() Config { return e.an.cfg }
-
-// Invalidate discards all warm state; the next analysis runs cold. Call
-// it after mutating the network or its flows outside AddFlow/RemoveFlow
-// (e.g. reassigning priorities). Outstanding snapshots become
-// unrestorable.
-func (e *Engine) Invalidate() {
-	e.js = nil
-	e.flows = nil
-	e.unsched, e.errcnt = 0, 0
-	e.valid = false
-	e.dirty = make(map[int]bool)
-	e.descending = false
-	e.an.resetDemands()
-	e.live = nil // outstanding snapshots become stale
-	e.endHeaderJournal()
-}
 
 // AddFlow validates the flow against the topology, registers it and marks
 // it for (re-)analysis. Only the incoming flow is validated; the rest of
@@ -161,9 +143,9 @@ func (e *Engine) AddFlow(fs *network.FlowSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	e.status = append(e.status, flowStatus{})
 	if e.valid {
 		e.js.addFlow(i, fs, e.an.nw.FlowResources(i))
-		e.appendHeader(FlowResult{Index: i, Name: fs.Flow.Name})
 	}
 	e.dirty[i] = true
 	return i, nil
@@ -200,6 +182,7 @@ func (e *Engine) RemoveFlow(i int) error {
 	if e.live != nil && i < e.live.numFlows {
 		return fmt.Errorf("core: flow %d predates the live snapshot of %d flows; a snapshot window removes only flows it added", i, e.live.numFlows)
 	}
+	e.spliceStatus(i)
 	if !e.valid {
 		nw.RemoveFlow(i)
 		e.an.removeFlowDemand(i)
@@ -221,7 +204,6 @@ func (e *Engine) RemoveFlow(i int) error {
 	nw.RemoveFlow(i)
 	e.an.removeFlowDemand(i)
 	e.js.removeFlowReindex(i)
-	e.spliceHeader(i)
 	for k, j := range buf {
 		if j > i {
 			buf[k] = j - 1
@@ -265,12 +247,32 @@ func (e *Engine) converge() bool {
 	return e.convergeDelta()
 }
 
-// Analyze brings the engine's bounds up to date and returns them as a
-// detached *Result: later engine calls do not mutate it. The detachment
-// copies O(flows) headers per call; callers that need only the verdict
-// use Converge, which copies none.
+// Analyze brings the engine up to date and returns its bounds as a
+// detached *Result: later engine calls do not mutate it. The engine
+// keeps no bounds, so on a converged engine Analyze computes them with
+// one pass over the fixpoint, which rewrites no jitter and serves no
+// stage from the memo: the result is the cold Analyzer's, bit for bit.
+// On an unconverged engine each flow carries only its name and stage
+// error, with no frames — the bounds of an abandoned iteration are not
+// bounds. Callers that need only the verdict use Converge.
 func (e *Engine) Analyze() (*Result, error) {
-	return e.result(e.converge()), nil
+	converged := e.converge()
+	nw := e.an.nw
+	out := &Result{
+		Flows:         make([]FlowResult, nw.NumFlows()),
+		Iterations:    e.stats.Iterations,
+		Converged:     converged,
+		Stats:         e.stats,
+		NoConvergence: e.noConv,
+	}
+	for i := range out.Flows {
+		if converged {
+			e.an.flowPass(i, e.js, &out.Flows[i])
+		} else {
+			out.Flows[i] = FlowResult{Index: i, Name: nw.Flow(i).Flow.Name, Err: e.status[i].err}
+		}
+	}
+	return out, nil
 }
 
 // convergeDelta converges the flows whose pipelines transitively share a
@@ -303,18 +305,15 @@ func (e *Engine) convergeDelta() bool {
 }
 
 // convergeFull runs the holistic analysis cold over every flow,
-// rebuilding all warm state.
+// rebuilding all warm state. Every status is reset first, so the
+// verdict counts only flows passed in this convergence.
 func (e *Engine) convergeFull() bool {
 	nw := e.an.nw
 	e.js = newJitterState(nw, true)
-	flows := make([]FlowResult, nw.NumFlows())
-	for i := range flows {
-		flows[i] = FlowResult{Index: i, Name: nw.Flow(i).Flow.Name}
-	}
-	e.replaceHeaders(flows)
 	all := make([]int, nw.NumFlows())
 	for i := range all {
 		all[i] = i
+		e.setStatus(i, flowStatus{})
 	}
 	return e.analyzeOver(all)
 }
@@ -349,11 +348,11 @@ func (e *Engine) analyzeOver(work []int) bool {
 		e.js.resetChanged()
 		for _, i := range work {
 			if e.js.settled(i) {
-				continue // its pass would rewrite every slot and header byte-identically
+				continue // its pass would rewrite every slot and its status byte-identically
 			}
-			fr := e.an.flowPass(i, e.js)
-			e.setHeader(i, fr)
-			if fr.Err != nil {
+			st := e.an.flowPass(i, e.js, nil)
+			e.setStatus(i, st)
+			if st.err != nil {
 				// An overloaded or diverging stage dooms the whole
 				// configuration.
 				return finish(false)
@@ -399,20 +398,6 @@ func (e *Engine) nextFrontStart(n int) func(int) {
 	}
 }
 
-// result assembles a detached Result from the live per-flow headers —
-// the O(flows) copy Converge avoids.
-func (e *Engine) result(converged bool) *Result {
-	out := &Result{
-		Flows:         make([]FlowResult, len(e.flows)),
-		Iterations:    e.stats.Iterations,
-		Converged:     converged,
-		Stats:         e.stats,
-		NoConvergence: e.noConv,
-	}
-	copy(out.Flows, e.flows)
-	return out
-}
-
 // affectedSet returns the transitive closure of the seed flows under the
 // "shares a directed link" relation, sorted ascending. Interference in
 // every pipeline stage — first hop, in(N) ingress, prioritised egress —
@@ -453,9 +438,9 @@ func (e *Engine) affectedSet(seed []int) []int {
 }
 
 // Snapshot captures the engine's state for a later Restore as a cheap
-// token: no jitter values and no result headers are copied. Taking it
-// arms both undo journals — every later write to a jitter slot or result
-// header that exists now records its old value. The admission
+// token: no jitter values and no statuses are copied. Taking it arms
+// both undo journals — every later write to a jitter slot or flow
+// status that exists now records its old value. The admission
 // controller snapshots before every tentative admission and rolls back
 // on rejection instead of re-analysing.
 type Snapshot struct {
@@ -468,17 +453,16 @@ type Snapshot struct {
 	stats      ConvergenceStats
 	noConv     *ErrNoConvergence
 	numFlows   int
-	// headers, unsched and errcnt are the header count and the verdict
-	// counters at the snapshot.
-	headers, unsched, errcnt int
+	// unsched and errcnt are the verdict counters at the snapshot.
+	unsched, errcnt int
 }
 
 // Snapshot captures the current engine state for a later Restore. Each
 // call starts a fresh undo epoch: only the most recent snapshot can be
 // restored, at most once (snapshot-once semantics). The window it opens
-// spans AddFlow, analyses and RemoveFlow of the flows added in it; only
-// Invalidate kills it. Call Discard when the snapshot is known dead (the
-// tentative change committed) to stop journaling.
+// spans AddFlow, analyses and RemoveFlow of the flows added in it. Call
+// Discard when the snapshot is known dead (the tentative change
+// committed) to stop journaling.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		valid:      e.valid,
@@ -487,7 +471,6 @@ func (e *Engine) Snapshot() *Snapshot {
 		noConv:     e.noConv,
 		numFlows:   e.an.nw.NumFlows(),
 		dirty:      make([]int, 0, len(e.dirty)),
-		headers:    len(e.flows),
 		unsched:    e.unsched,
 		errcnt:     e.errcnt,
 	}
@@ -499,8 +482,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		s.mark = e.js.beginJournal()
 	}
 	e.live = s
-	e.endHeaderJournal()
-	e.hdrEnd = s.headers
+	e.stJournal = e.stJournal[:0]
 	return s
 }
 
@@ -508,13 +490,13 @@ func (e *Engine) Snapshot() *Snapshot {
 // are disarmed and their memory reclaimed. Discarding a superseded or
 // already consumed snapshot is a no-op. Commit paths should call it —
 // otherwise the journals stay armed and grow with every write until the
-// next Snapshot or Invalidate.
+// next Snapshot.
 func (e *Engine) Discard(s *Snapshot) {
 	if s == nil || s != e.live {
 		return
 	}
 	e.live = nil
-	e.endHeaderJournal()
+	e.stJournal = e.stJournal[:0]
 	if s.jsRef != nil {
 		s.jsRef.endJournal()
 	}
@@ -522,10 +504,10 @@ func (e *Engine) Discard(s *Snapshot) {
 
 // Restore rolls the engine and its network back to the snapshot: the
 // flows added since it are popped — the window removed no older flow —
-// and journaled jitter writes and header writes are undone in reverse,
+// and journaled jitter and status writes are undone in reverse,
 // O(changes since the snapshot), not O(total state). Restoring a stale
-// snapshot (a newer one was taken, it was discarded or already
-// restored, or Invalidate ran) returns an error.
+// snapshot (a newer one was taken, or it was discarded or already
+// restored) returns an error.
 func (e *Engine) Restore(s *Snapshot) error {
 	if s != e.live {
 		return fmt.Errorf("core: stale snapshot: only the most recent snapshot can be restored, once")
@@ -542,7 +524,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 		s.jsRef.undoTo(s.mark)
 	}
 	e.js = s.jsRef
-	e.undoHeaders(s)
+	e.undoStatus(s)
 	e.valid = s.valid
 	e.stats = s.stats
 	e.noConv = s.noConv

@@ -105,7 +105,7 @@ func TestHolisticIterationCap(t *testing.T) {
 // MaxHolisticIter yields Converged == false plus a NoConvergence record
 // carrying a positive residual — with a nil error from Analyze, since
 // cap exhaustion is a verdict, not a failure (the batch fallback in
-// admission depends on that; see Controller.RequestBatch).
+// admission depends on that; see ShardedController.RequestBatch).
 func TestErrNoConvergence(t *testing.T) {
 	topo, specs := deepChainSetup(t)
 	eng, err := NewEngine(network.New(topo), Config{MaxHolisticIter: 2})

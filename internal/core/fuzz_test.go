@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"gmfnet/internal/network"
@@ -65,10 +65,10 @@ func sameNames(a, b []string) bool {
 // FuzzSnapshotRestore drives random interleavings of AddFlow, RemoveFlow,
 // Analyze, Snapshot, Restore and Discard through the engine and checks
 // every Restore against a deep-clone oracle taken at Snapshot time: the
-// jitter assignment, the live result headers and the verdict counters
-// must round-trip bit-identically, and the network's flow list must be
+// jitter assignment, the flow statuses and the verdict counters must
+// round-trip bit-identically, and the network's flow list must be
 // exactly the snapshot's. After every operation the verdict counters
-// must equal a scan of the headers. Inside a window a removal that picks
+// must equal a scan of the statuses. Inside a window a removal that picks
 // a flow older than the snapshot must be refused and falls on a flow the
 // window added instead: removals of those between Snapshot and Restore,
 // with journaled writes before and after them, are the interesting
@@ -94,7 +94,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 			snap        *Snapshot
 			oracle      *jitterState
 			oracleNames []string
-			oracleHdrs  []FlowResult
+			oracleStat  []flowStatus
 			oracleCount [2]int
 			nextFlow    int
 		)
@@ -119,7 +119,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 					oracle = nil
 				}
 				oracleNames = flowNames(eng.Network())
-				oracleHdrs = append([]FlowResult(nil), eng.flows...)
+				oracleStat = slices.Clone(eng.status)
 				oracleCount = [2]int{eng.unsched, eng.errcnt}
 				snap = eng.Snapshot()
 			case 4: // restore
@@ -136,17 +136,17 @@ func FuzzSnapshotRestore(f *testing.F) {
 				if !sameAssignment(eng.js, oracle) {
 					t.Fatalf("op %d: jitter assignment differs from deep-clone oracle", pc)
 				}
-				if len(eng.flows) != len(oracleHdrs) || len(eng.flows) > 0 && !reflect.DeepEqual(eng.flows, oracleHdrs) {
-					t.Fatalf("op %d: result headers after restore differ from the snapshot's:\ngot:  %+v\nwant: %+v",
-						pc, eng.flows, oracleHdrs)
+				if !slices.Equal(eng.status, oracleStat) {
+					t.Fatalf("op %d: flow statuses after restore differ from the snapshot's:\ngot:  %+v\nwant: %+v",
+						pc, eng.status, oracleStat)
 				}
 				if got := [2]int{eng.unsched, eng.errcnt}; got != oracleCount {
 					t.Fatalf("op %d: verdict counters after restore = %v, want %v", pc, got, oracleCount)
 				}
-				snap, oracle, oracleNames, oracleHdrs = nil, nil, nil, nil
+				snap, oracle, oracleNames, oracleStat = nil, nil, nil, nil
 			case 5: // discard
 				eng.Discard(snap)
-				snap, oracle, oracleNames, oracleHdrs = nil, nil, nil, nil
+				snap, oracle, oracleNames, oracleStat = nil, nil, nil, nil
 			}
 			checkCounters(t, fmt.Sprintf("op %d", pc), eng)
 		}

@@ -14,9 +14,8 @@ import (
 // checkMemo asserts the stage memo's contract on a converged-or-pending
 // engine whose jitter state is aligned with its network: every current
 // entry equals a fresh evaluation of its stage against the current
-// arena, the entry jitter after it is the one it produced, and a flow
-// whose every entry is current carries a header that a pass would
-// rewrite byte-identically — what makes skipping that pass exact.
+// arena and the entry jitter after it is the one it produced — what
+// makes skipping a flow whose every entry is current exact.
 func checkMemo(t *testing.T, ctx string, e *Engine) {
 	t.Helper()
 	if !e.valid || e.js == nil {
@@ -26,7 +25,6 @@ func checkMemo(t *testing.T, ctx string, e *Engine) {
 	for j := range js.blocks {
 		b := &js.blocks[j]
 		fs := e.an.nw.Flow(j)
-		settled := true
 		for pos := range b.rids {
 			for k := 0; k < int(b.n); k++ {
 				if pos == 0 && js.get(j, 0, k) != fs.Flow.Frames[k].Jitter {
@@ -35,7 +33,6 @@ func checkMemo(t *testing.T, ctx string, e *Engine) {
 				}
 				off := b.base + int32(pos)*b.n + int32(k)
 				if !js.current(b, pos, off) {
-					settled = false
 					continue
 				}
 				r, err := e.an.stage(j, k, pos, js)
@@ -48,22 +45,6 @@ func checkMemo(t *testing.T, ctx string, e *Engine) {
 						t.Fatalf("%s: flow %q stage %d frame %d: entry jitter %v after a current memo, want %v",
 							ctx, fs.Flow.Name, pos+1, k, got, want)
 					}
-				}
-			}
-		}
-		if !settled {
-			continue
-		}
-		hdr := &e.flows[j]
-		if hdr.Err != nil || len(hdr.Frames) != int(b.n) {
-			t.Fatalf("%s: settled flow %q has header err %v, %d frames", ctx, fs.Flow.Name, hdr.Err, len(hdr.Frames))
-		}
-		for k := range hdr.Frames {
-			for pos, st := range hdr.Frames[k].Stages {
-				off := b.base + int32(pos)*b.n + int32(k)
-				if st.Response != js.memo[off].r || st.EntryJitter != js.get(j, pos, k) {
-					t.Fatalf("%s: settled flow %q stage %d frame %d: header %+v, memo %v entry %v",
-						ctx, fs.Flow.Name, pos, k, st, js.memo[off].r, js.get(j, pos, k))
 				}
 			}
 		}
@@ -226,9 +207,8 @@ func TestStageMemoShare(t *testing.T) {
 	if _, err := eng.AddFlow(fs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Analyze()
-	if err != nil || !res.Schedulable() {
-		t.Fatalf("re-request not admitted (err %v)", err)
+	if !eng.Converge().Schedulable {
+		t.Fatal("re-request not admitted")
 	}
 	eng.Discard(snap)
 	served, evaluated := eng.js.served, eng.js.evaluated

@@ -9,28 +9,30 @@ import (
 
 // flowPass runs Figure 6 for one flow: it walks the route, analyses each
 // stage with the current jitter state, accumulates RSUM/JSUM, and records
-// the flow's new entry jitters for the next holistic iteration. When js
-// keeps a stage memo (the engine's warm passes) a stage whose link group
-// is unchanged since it was last computed is served from it instead of
-// being re-evaluated; the cold Analyzer's state keeps none, so it
-// evaluates every stage.
-func (a *Analyzer) flowPass(i int, js *jitterState) FlowResult {
+// the flow's new entry jitters for the next holistic iteration. It
+// returns the flow's status and, when out is non-nil, fills out with the
+// flow's bounds. The engine's warm passes pass nil: they build no output,
+// and a stage whose link group is unchanged since it was last computed is
+// served from the stage memo instead of being re-evaluated. A pass that
+// builds output evaluates every stage: the cold Analyzer's state keeps no
+// memo, and Engine.Analyze re-reads a fixpoint without disturbing it.
+func (a *Analyzer) flowPass(i int, js *jitterState, out *FlowResult) flowStatus {
 	fs := a.nw.Flow(i)
 	n := fs.Flow.N()
 	route := fs.Route
-	out := FlowResult{
-		Index:  i,
-		Name:   fs.Flow.Name,
-		Frames: make([]FrameResult, n),
-	}
+	memo := js.memoOn && out == nil
+	spf := 1 + 2*(len(route)-2)
 	// All frames' stage records live in one arena, sub-sliced per frame
 	// (capacity-clipped so an append on one frame's view can never bleed
 	// into the next): the stage count per frame is fixed by the route, so
-	// the whole pass costs two allocations instead of an append-grown
-	// slice per frame. The arena escapes into the returned FlowResult,
-	// which is what keeps the per-frame views alive.
-	spf := 1 + 2*(len(route)-2)
-	arena := make([]StageResult, 0, n*spf)
+	// the whole output costs two allocations instead of an append-grown
+	// slice per frame.
+	var arena []StageResult
+	if out != nil {
+		*out = FlowResult{Index: i, Name: fs.Flow.Name, Frames: make([]FrameResult, n)}
+		arena = make([]StageResult, 0, n*spf)
+	}
+	var st flowStatus
 	for k := 0; k < n; k++ {
 		// Figure 6, line 3: both sums start at the source jitter.
 		rsum := fs.Flow.Frames[k].Jitter
@@ -42,30 +44,36 @@ func (a *Analyzer) flowPass(i int, js *jitterState) FlowResult {
 		for pos := 0; pos < spf; pos++ {
 			js.set(i, pos, k, jsum)
 			r, hit := units.Time(0), false
-			if js.memoOn {
+			if memo {
 				r, hit = js.cached(i, pos, k)
 			}
 			if !hit {
 				var err error
 				if r, err = a.stage(i, k, pos, js); err != nil {
-					out.Err = err
-					return out
+					if out != nil {
+						out.Err = err
+					}
+					return flowStatus{err: err}
 				}
-				if js.memoOn {
+				if memo {
 					js.remember(i, pos, k, r)
 				}
 			}
-			arena = append(arena, StageResult{Resource: stageResource(route, pos), Response: r, EntryJitter: jsum})
+			if out != nil {
+				arena = append(arena, StageResult{Resource: stageResource(route, pos), Response: r, EntryJitter: jsum})
+			}
 			rsum = units.SaturatingAdd(rsum, r)
 			jsum = units.SaturatingAdd(jsum, r)
 		}
-		out.Frames[k] = FrameResult{
-			Response: rsum,
-			Deadline: fs.Flow.Frames[k].Deadline,
-			Stages:   arena[base:len(arena):len(arena)],
+		deadline := fs.Flow.Frames[k].Deadline
+		if rsum > deadline {
+			st.miss = true
+		}
+		if out != nil {
+			out.Frames[k] = FrameResult{Response: rsum, Deadline: deadline, Stages: arena[base:len(arena):len(arena)]}
 		}
 	}
-	return out
+	return st
 }
 
 // stage evaluates frame k of flow i at pipeline stage pos: 0 is the
@@ -109,8 +117,7 @@ func (a *Analyzer) Analyze() (*Result, error) {
 		js.resetChanged()
 		flows := make([]FlowResult, a.nw.NumFlows())
 		for i := range flows {
-			flows[i] = a.flowPass(i, js)
-			if flows[i].Err != nil {
+			if a.flowPass(i, js, &flows[i]).err != nil {
 				// An overloaded or diverging stage dooms the whole
 				// configuration: report what we have, naming the rest.
 				for j := i + 1; j < len(flows); j++ {

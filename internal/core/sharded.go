@@ -113,9 +113,7 @@ func (se *ShardedEngine) newShard() (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := eng.Analyze(); err != nil { // empty fixpoint: marks the engine valid
-		return nil, err
-	}
+	eng.Converge() // empty fixpoint: marks the engine valid
 	s := &shard{eng: eng}
 	se.add(s)
 	return s, nil
@@ -337,9 +335,7 @@ func (se *ShardedEngine) Resplit() (int, error) {
 			groups[k] = append(groups[k], j)
 		}
 		// Converge once so every spliced block is a fixpoint.
-		if _, err := s.eng.Analyze(); err != nil {
-			return created, err
-		}
+		s.eng.Converge()
 		// Build the replacement shards detached: nothing below touches
 		// se.shards or the registry until every closure spliced cleanly.
 		detached := make([]*shard, 0, len(groups))
@@ -349,9 +345,7 @@ func (se *ShardedEngine) Resplit() (int, error) {
 				if err != nil {
 					return err
 				}
-				if _, err := eng.Analyze(); err != nil { // empty fixpoint: valid for warm adoption
-					return err
-				}
+				eng.Converge() // empty fixpoint: valid for warm adoption
 				for _, j := range members {
 					if err := eng.adoptFlow(s.eng, j); err != nil {
 						return err
@@ -513,12 +507,8 @@ func (e *Engine) adoptFrom(src *Engine) error {
 	if e.live != nil || src.live != nil {
 		return fmt.Errorf("core: adoptFrom with a live snapshot")
 	}
-	if _, err := src.Analyze(); err != nil {
-		return err
-	}
-	if _, err := e.Analyze(); err != nil {
-		return err
-	}
+	src.Converge()
+	e.Converge()
 	// Adoption copies; src is untouched. On a mid-way error, pop the
 	// flows already copied so e is exactly its pre-call self — fusion
 	// must be all-or-nothing or flows would exist in two shards.
@@ -536,9 +526,9 @@ func (e *Engine) adoptFrom(src *Engine) error {
 
 // adoptFlow splices flow j of src into e: the spec is re-registered,
 // the cached demands copied, and — when both engines hold converged
-// state — the flow's arena block is copied at its converged values so
-// the adopted flow needs no re-analysis. Otherwise the flow is adopted
-// cold and marked dirty.
+// state — the flow's arena block and status are copied at their
+// converged values so the adopted flow needs no re-analysis. Otherwise
+// the flow is adopted cold and marked dirty.
 func (e *Engine) adoptFlow(src *Engine, j int) error {
 	fs := src.an.nw.Flow(j)
 	i, err := e.an.nw.AddFlow(fs)
@@ -553,21 +543,18 @@ func (e *Engine) adoptFlow(src *Engine, j int) error {
 		e.an.demands = append(e.an.demands, nil)
 	}
 	e.an.demands[i] = dem
-	warm := e.valid && src.valid && len(src.dirty) == 0
+	e.status = append(e.status, flowStatus{})
 	if !e.valid {
 		e.dirty[i] = true
 		return nil
 	}
 	e.js.addFlow(i, fs, e.an.nw.FlowResources(i))
-	if !warm {
-		e.appendHeader(FlowResult{Index: i, Name: fs.Flow.Name})
+	if !src.valid || len(src.dirty) > 0 {
 		e.dirty[i] = true
 		return nil
 	}
 	copyJitterBlock(e.js, i, src.js, j)
-	fr := src.flows[j]
-	fr.Index = i
-	e.appendHeader(fr)
+	e.setStatus(i, src.status[j])
 	return nil
 }
 

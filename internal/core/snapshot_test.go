@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"gmfnet/internal/network"
@@ -155,7 +155,7 @@ func TestSnapshotDiscard(t *testing.T) {
 // TestRemoveFlowRefusedBeforeSnapshot pins the snapshot window's rule:
 // under a live snapshot RemoveFlow refuses every flow older than the
 // snapshot and changes nothing — flow list, jitter assignment (against
-// the clone oracle), result headers, verdict counters, pending work —
+// the clone oracle), flow statuses, verdict counters, pending work —
 // while a flow the window added departs as usual. The evictBatch-shaped
 // window around it (stage, converge, cut back, re-stage, converge) still
 // restores bit-identically.
@@ -164,11 +164,11 @@ func TestRemoveFlowRefusedBeforeSnapshot(t *testing.T) {
 	type state struct {
 		names  []string
 		js     *jitterState
-		hdrs   []FlowResult
+		status []flowStatus
 		counts [2]int
 	}
 	capture := func() state {
-		return state{flowNames(eng.Network()), eng.js.clone(), append([]FlowResult(nil), eng.flows...), [2]int{eng.unsched, eng.errcnt}}
+		return state{flowNames(eng.Network()), eng.js.clone(), slices.Clone(eng.status), [2]int{eng.unsched, eng.errcnt}}
 	}
 	same := func(ctx string, want state) {
 		t.Helper()
@@ -179,8 +179,8 @@ func TestRemoveFlowRefusedBeforeSnapshot(t *testing.T) {
 		if !sameAssignment(eng.js, want.js) {
 			t.Fatalf("%s: jitter assignment differs from the clone oracle", ctx)
 		}
-		if !reflect.DeepEqual(got.hdrs, want.hdrs) {
-			t.Fatalf("%s: result headers differ:\ngot:  %+v\nwant: %+v", ctx, got.hdrs, want.hdrs)
+		if !slices.Equal(got.status, want.status) {
+			t.Fatalf("%s: flow statuses differ:\ngot:  %+v\nwant: %+v", ctx, got.status, want.status)
 		}
 		if got.counts != want.counts {
 			t.Fatalf("%s: verdict counters %v, want %v", ctx, got.counts, want.counts)

@@ -1,17 +1,20 @@
 package core
 
-// This file holds the engine's result path: the verdict of a
-// convergence, read off counters maintained per header write, and the
-// header undo journal Restore replays.
+import "slices"
+
+// This file holds the engine's result path: one status per flow, the
+// verdict of a convergence read off counters maintained per status
+// write, and the status undo journal Restore replays.
 //
-// The engine keeps one live slice of per-flow result headers, aligned
-// with network indices. Every write to it goes through the functions
-// below, which keep two counters current — headers that are not
-// schedulable, and headers that carry a stage error — so a verdict is
-// O(1) and never copies a header. A caller that needs the bounds
-// themselves calls Analyze for a detached *Result (O(flows) copy), or
-// re-analyses the flow set cold with an Analyzer: the warm and cold
-// bounds are identical.
+// The engine keeps no bounds. A warm pass over a flow yields its
+// flowStatus — the stage error, if any, and whether a frame misses its
+// deadline — and the engine keeps one per flow, aligned with network
+// indices. Every write goes through setStatus, which keeps two counters
+// current — statuses that are not schedulable, and statuses that carry
+// a stage error — so a verdict is O(1). A caller that needs the bounds
+// themselves calls Analyze, which reads them off the converged jitter
+// assignment in one pass, or re-analyses the flow set cold with an
+// Analyzer: the two are identical.
 
 // Verdict is the outcome of one convergence of the engine: a plain
 // value, unaffected by later engine calls.
@@ -34,9 +37,8 @@ type Verdict struct {
 	NoConvergence *ErrNoConvergence
 }
 
-// Converge brings the engine's bounds up to date and returns the
-// verdict. It copies no result header: the verdict is read off the
-// counters the engine maintains as it writes headers.
+// Converge brings the engine up to date and returns the verdict, read
+// off the counters the engine maintains as it writes statuses.
 func (e *Engine) Converge() Verdict {
 	converged := e.converge()
 	return Verdict{
@@ -48,98 +50,61 @@ func (e *Engine) Converge() Verdict {
 	}
 }
 
-// hdrOp is one entry of the header undo journal (armed by Snapshot,
-// replayed backwards by Restore): header slot i held old. Rollback costs
-// O(headers written since the snapshot), not a copy of every header.
-type hdrOp struct {
-	i   int
-	old FlowResult
+// flowStatus is what the engine keeps of a flow's last pass: its stage
+// error (overload or divergence), nil when every stage was bounded, and
+// whether some frame's bound exceeds its deadline.
+type flowStatus struct {
+	err  error
+	miss bool
 }
 
-// count adds d to the verdict counters for one header.
-func (e *Engine) count(fr *FlowResult, d int) {
-	if !fr.Schedulable() {
+// statusOp is one entry of the status undo journal (armed by Snapshot,
+// replayed backwards by Restore): status slot i held old.
+type statusOp struct {
+	i   int
+	old flowStatus
+}
+
+// count adds d to the verdict counters for one status.
+func (e *Engine) count(st flowStatus, d int) {
+	if st.err != nil || st.miss {
 		e.unsched += d
 	}
-	if fr.Err != nil {
+	if st.err != nil {
 		e.errcnt += d
 	}
 }
 
-// recount rebuilds the verdict counters from the live headers.
-func (e *Engine) recount() {
-	e.unsched, e.errcnt = 0, 0
-	for i := range e.flows {
-		e.count(&e.flows[i], 1)
-	}
-}
-
-// setHeader overwrites header slot i, journaling the old value when the
+// setStatus overwrites status slot i, journaling the old value when the
 // slot predates the live snapshot and maintaining the verdict counters.
-func (e *Engine) setHeader(i int, fr FlowResult) {
-	if i < e.hdrEnd {
-		e.hdrJournal = append(e.hdrJournal, hdrOp{i: i, old: e.flows[i]})
+func (e *Engine) setStatus(i int, st flowStatus) {
+	if e.live != nil && i < e.live.numFlows {
+		e.stJournal = append(e.stJournal, statusOp{i: i, old: e.status[i]})
 	}
-	e.count(&e.flows[i], -1)
-	e.count(&fr, 1)
-	e.flows[i] = fr
+	e.count(e.status[i], -1)
+	e.count(st, 1)
+	e.status[i] = st
 }
 
-// appendHeader grows the header slice by one.
-func (e *Engine) appendHeader(fr FlowResult) {
-	e.count(&fr, 1)
-	e.flows = append(e.flows, fr)
+// spliceStatus removes status slot i, shifting the tail down. Under a
+// live snapshot flow i was added in the window, so no slot that moves
+// predates it and nothing is journaled.
+func (e *Engine) spliceStatus(i int) {
+	e.count(e.status[i], -1)
+	e.status = slices.Delete(e.status, i, i+1)
 }
 
-// spliceHeader removes header slot i, shifting the tail down with
-// per-slot writes (each shifted header's Index is rewritten in the same
-// stroke) and popping the duplicate tail. Removing the last flow — the
-// admission cycle's steady-state departure — costs one pop.
-func (e *Engine) spliceHeader(i int) {
-	n := len(e.flows)
-	for j := i; j < n-1; j++ {
-		fr := e.flows[j+1]
-		fr.Index = j
-		e.setHeader(j, fr)
-	}
-	e.count(&e.flows[n-1], -1)
-	e.flows = e.flows[:n-1]
-}
-
-// replaceHeaders swaps in a freshly built header slice (a cold pass).
-// The old slice is abandoned, not mutated, so inside a snapshot window
-// the first one is kept for Restore and journaling stops.
-func (e *Engine) replaceHeaders(flows []FlowResult) {
-	if e.hdrEnd > 0 {
-		e.hdrSaved = e.flows
-		e.hdrEnd = 0
-	}
-	e.flows = flows
-	e.recount()
-}
-
-// undoHeaders puts back the header slice of snapshot s: the slice a cold
-// pass abandoned, if any, else the live one; the journaled writes
-// replayed backwards; the headers the window appended truncated. The
-// result is the snapshot's slice bit for bit, so its verdict counters
+// undoStatus puts back the statuses of snapshot s: the journaled writes
+// replayed backwards, the slots the window appended truncated. The
+// result is the snapshot's statuses bit for bit, so its verdict counters
 // are the snapshot's.
-func (e *Engine) undoHeaders(s *Snapshot) {
-	flows := e.flows
-	if e.hdrSaved != nil {
-		flows = e.hdrSaved
+func (e *Engine) undoStatus(s *Snapshot) {
+	for k := len(e.stJournal) - 1; k >= 0; k-- {
+		op := &e.stJournal[k]
+		e.status[op.i] = op.old
 	}
-	for k := len(e.hdrJournal) - 1; k >= 0; k-- {
-		op := &e.hdrJournal[k]
-		flows[op.i] = op.old
-	}
-	e.flows = flows[:s.headers]
+	e.stJournal = e.stJournal[:0]
+	clear(e.status[s.numFlows:])
+	e.status = e.status[:s.numFlows]
 	e.unsched, e.errcnt = s.unsched, s.errcnt
-	e.endHeaderJournal()
-}
-
-// endHeaderJournal disarms the header journal and drops its history.
-func (e *Engine) endHeaderJournal() {
-	e.hdrJournal = e.hdrJournal[:0]
-	e.hdrEnd = 0
-	e.hdrSaved = nil
 }

@@ -3,10 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"gmfnet/internal/network"
+	"gmfnet/internal/trace"
+	"gmfnet/internal/units"
 )
 
 // TestVerdictMatchesAnalyze pins the basic contract: the verdict of a
@@ -84,6 +87,7 @@ func TestVerdictSchedulableCounter(t *testing.T) {
 			}
 		}
 		v := eng.Converge()
+		checkCounters(t, fmt.Sprintf("op %d", op), eng)
 		res, err := eng.Analyze()
 		if err != nil {
 			t.Fatal(err)
@@ -103,20 +107,112 @@ func TestVerdictSchedulableCounter(t *testing.T) {
 	}
 }
 
-// checkCounters asserts the engine's verdict counters equal a scan of
-// its live headers.
+// TestVerdictDeadlineAtBound pins the boundary of the miss bit: a frame
+// whose bound equals its deadline meets it, as FrameResult.Meets says.
+// With every deadline set exactly on the cold bounds the engine's
+// verdict is schedulable; one picosecond less, and it is not. The
+// missing flows then depart one by one, and the counters must follow.
+func TestVerdictDeadlineAtBound(t *testing.T) {
+	topo := engineTopo(t)
+	specs := []*network.FlowSpec{
+		voipOn("v1", "a1", "sA", "a2"),
+		voipOn("v2", "a2", "sA", "sB", "b1"),
+	}
+	nw := network.New(topo)
+	for _, fs := range specs {
+		if _, err := nw.AddFlow(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold := coldReferee(t, nw)
+	for _, slack := range []units.Time{0, -1} {
+		eng, err := NewEngine(network.New(topo), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, fs := range specs {
+			fl := *fs.Flow
+			fl.Frames = slices.Clone(fl.Frames)
+			for k := range fl.Frames {
+				fl.Frames[k].Deadline = cold.Flows[i].Frames[k].Response + slack
+			}
+			at := *fs
+			at.Flow = &fl
+			if _, err := eng.AddFlow(&at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := eng.Converge().Schedulable, slack == 0; got != want {
+			t.Fatalf("deadlines at the bounds %+v: schedulable %v, want %v", slack, got, want)
+		}
+		for eng.Network().NumFlows() > 0 {
+			if err := eng.RemoveFlow(0); err != nil {
+				t.Fatal(err)
+			}
+			checkCounters(t, fmt.Sprintf("slack %v, %d flows left", slack, eng.Network().NumFlows()), eng)
+		}
+	}
+}
+
+// TestStageErrorsCountThisPass pins that a cold pass resets every
+// status before it runs: StageErrors counts only the flows passed in
+// this convergence, as the cold Analyzer reports them. The first pass
+// fails on b (overloaded alone); the next one, cold, fails on a before
+// it reaches b again, so b's old error must not count.
+func TestStageErrorsCountThisPass(t *testing.T) {
+	topo := engineTopo(t)
+	eng, err := NewEngine(network.New(topo), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	video := func(name string, bytesPerMs int64, route ...network.NodeID) *network.FlowSpec {
+		fl := trace.CBRVideo(name, bytesPerMs, units.Millisecond, 100*units.Millisecond)
+		return &network.FlowSpec{Flow: fl, Route: route, Priority: 2}
+	}
+	for _, step := range []struct {
+		fs   *network.FlowSpec
+		errs int
+	}{
+		{video("a", 7500, "a1", "sA", "a2"), 0},  // 60 Mbit/s: bounded
+		{video("b", 15000, "b2", "sB", "b3"), 1}, // 120 Mbit/s: overloads its first hop
+		{video("c", 7500, "a1", "sA", "a2"), 1},  // a and c overload theirs; b is not reached
+	} {
+		if _, err := eng.AddFlow(step.fs); err != nil {
+			t.Fatal(err)
+		}
+		v := eng.Converge()
+		cold := coldReferee(t, eng.Network())
+		errs := 0
+		for i := range cold.Flows {
+			if cold.Flows[i].Err != nil {
+				errs++
+			}
+		}
+		if v.StageErrors != step.errs || errs != step.errs {
+			t.Fatalf("after adding %s: StageErrors=%d, cold errors %d, want %d",
+				step.fs.Flow.Name, v.StageErrors, errs, step.errs)
+		}
+		checkCounters(t, "after adding "+step.fs.Flow.Name, eng)
+	}
+}
+
+// checkCounters asserts the engine keeps one status per flow and that
+// its verdict counters equal a scan of them.
 func checkCounters(t *testing.T, label string, eng *Engine) {
 	t.Helper()
+	if len(eng.status) != eng.Network().NumFlows() {
+		t.Fatalf("%s: %d statuses for %d flows", label, len(eng.status), eng.Network().NumFlows())
+	}
 	unsched, errs := 0, 0
-	for i := range eng.flows {
-		if !eng.flows[i].Schedulable() {
+	for _, st := range eng.status {
+		if st.err != nil || st.miss {
 			unsched++
 		}
-		if eng.flows[i].Err != nil {
+		if st.err != nil {
 			errs++
 		}
 	}
 	if eng.unsched != unsched || eng.errcnt != errs {
-		t.Fatalf("%s: counters unsched=%d errcnt=%d, headers scan to %d/%d", label, eng.unsched, eng.errcnt, unsched, errs)
+		t.Fatalf("%s: counters unsched=%d errcnt=%d, statuses scan to %d/%d", label, eng.unsched, eng.errcnt, unsched, errs)
 	}
 }

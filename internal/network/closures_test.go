@@ -66,8 +66,8 @@ func bruteClosures(nw *Network) [][]int {
 	return out
 }
 
-// checkClosures asserts the union-find partition equals the brute-force
-// one, and that ClosureOf/NumClosures agree with Closures.
+// checkClosures asserts the partition Closures computes equals the
+// brute-force one, and that ClosureOf/NumClosures agree with Closures.
 func checkClosures(t *testing.T, nw *Network, ctx string) {
 	t.Helper()
 	got := nw.Closures()
@@ -93,9 +93,9 @@ func checkClosures(t *testing.T, nw *Network, ctx string) {
 }
 
 // TestClosuresDifferentialRandom drives random add/remove churn over
-// random topologies and asserts after every mutation that the
-// incrementally maintained union-find partition equals a brute-force
-// reachability computation over shared directed links.
+// random topologies and asserts after every mutation that the partition
+// Closures computes on demand equals a brute-force reachability
+// computation over shared directed links.
 func TestClosuresDifferentialRandom(t *testing.T) {
 	build := []func() (*Topology, []NodeID, error){
 		func() (*Topology, []NodeID, error) { return Campus(6, 3) },

@@ -240,9 +240,6 @@ func (t *Topology) Links() []*Link {
 	return out
 }
 
-// Neighbors returns the outgoing neighbours of a node, sorted.
-func (t *Topology) Neighbors(id NodeID) []NodeID { return t.adj[id] }
-
 // Interfaces returns NINTERFACES(N): the number of network interfaces on
 // the node. A full-duplex neighbour relation counts as one interface; a
 // neighbour connected in only one direction also occupies an interface.

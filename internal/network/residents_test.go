@@ -536,8 +536,8 @@ func tinyClosures(t testing.TB, n int) (*network.Network, []network.NodeID) {
 
 // residentChurnAllocs is the allocation count of admitting a flow into
 // r0's one-flow shard — Place, the engine's AddFlow, Admit, Done — and
-// claiming and removing it again. Measured 14 with Go 1.24.
-const residentChurnAllocs = 14
+// claiming and removing it again. Measured 10 with Go 1.24.
+const residentChurnAllocs = 10
 
 // TestResidentsChurnAllocs pins that entering and taking out one
 // resident costs the same at any population: the churn allocates the

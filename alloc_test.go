@@ -24,10 +24,10 @@ import (
 // Request+Release cycle on the facade's admission controller (the
 // sharded one, retaining every decision). Scratch-buffer reuse
 // (AppendHEP/VisitInterferers, the epoch-stamped worklist front) and
-// warm passes that build no bounds keep the cycle at 61 allocs/op with
+// warm passes that build no bounds keep the cycle at 55 allocs/op with
 // Go 1.24, most of them the fresh shard the probe opens alone in its
-// closure each cycle; the budget allows 39 % headroom.
-const requestCycleAllocBudget = 85
+// closure each cycle; the budget allows 39 % headroom, rounded up.
+const requestCycleAllocBudget = 77
 
 func steadyProbeSpec() *gmfnet.FlowSpec {
 	return &gmfnet.FlowSpec{
@@ -79,11 +79,11 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 // through the sharded controller under RetainCounters, where the fold
 // keeps no per-decision state: the decision folds into four counters
 // and the resident name FIFO, and the departure is queued for the next
-// call. It measures 61 objects with Go 1.24: the probe is alone in its
+// call. It measures 55 objects with Go 1.24: the probe is alone in its
 // closure, so every cycle drops its emptied shard and the next Request
 // opens a fresh one. The budget allows 100 % headroom; the fold itself
 // must stay O(1) allocations.
-const countersCycleAllocBudget = 122
+const countersCycleAllocBudget = 110
 
 // TestCountersRetentionFoldAllocs pins the allocation count of the
 // counters-retention fold path on the sharded controller — the
@@ -124,9 +124,9 @@ func TestCountersRetentionFoldAllocs(t *testing.T) {
 // shape of the clos-cross workload). The probe's delta analysis
 // re-evaluates the stages its links feed, and the departure the next
 // Request applies descends the closure warm; their passes build no
-// bounds, so neither allocates per re-analysed flow. Measured 44 with
-// Go 1.24; the budget allows 20 % headroom.
-const largeClosureCycleAllocBudget = 53
+// bounds, so neither allocates per re-analysed flow. Measured 33 with
+// Go 1.24; the budget allows 20 % headroom, rounded up.
+const largeClosureCycleAllocBudget = 40
 
 // TestLargeClosureRequestAllocs pins the allocation count of a request
 // into a ~200-flow closure and its departure.
@@ -190,9 +190,9 @@ func TestLargeClosureRequestAllocs(t *testing.T) {
 
 // rejectedRequestAllocBudget caps one rejected Request under
 // RetainCounters: snapshot, tentative add, the delta analysis that finds
-// the deadline miss, and the rollback. Measured 21 with Go 1.24; the
-// budget allows 25 % headroom.
-const rejectedRequestAllocBudget = 26
+// the deadline miss, and the rollback. Measured 18 with Go 1.24; the
+// budget allows 25 % headroom, rounded up.
+const rejectedRequestAllocBudget = 23
 
 // TestRejectedRequestAllocs pins the allocation count of a rejection in
 // a resident closure: a flow whose deadline no bound can meet, refused

@@ -124,8 +124,9 @@ func (r *Record) analysis() *core.Result {
 // decide admits or rejects one request on one engine: snapshot, stage
 // the flow, converge the delta, and keep the flow only when every flow
 // (old and new) stays schedulable — otherwise restore the snapshot. The
-// snapshot is a token arming the engine's undo journals and the verdict
-// is read off the engine's counters, so neither copies a result header.
+// snapshot is a token arming the engine's undo journals, and the engine
+// keeps one status per flow with counters over them, so the verdict is
+// read off those counters: neither step copies per-flow state.
 // keep retains the analysed flow set in the decision's record. The
 // error reports malformed requests (with nothing admitted); a sound
 // rejection returns a Decision with Admitted == false and a nil error.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gmfnet/internal/ether"
 	"gmfnet/internal/gmf"
@@ -10,21 +11,13 @@ import (
 )
 
 // Analyzer computes response-time bounds for all flows of a network. It is
-// not safe for concurrent use; create one per goroutine. Its caches are
-// keyed by flow index, so an Analyzer must not outlive a change to the
-// network's flow set made behind its back (Network.RemoveFlow shifts
-// indices): build a fresh Analyzer per flow set, or use Engine, which
-// keeps the caches aligned across its own AddFlow/RemoveFlow.
+// not safe for concurrent use; create one per goroutine. It keeps no
+// per-flow state between calls: Analyze builds its own jitter state,
+// demands included, so an Analyzer stays correct across changes to its
+// network's flow set.
 type Analyzer struct {
 	nw  *network.Network
 	cfg Config
-
-	// demands caches each flow's per-link-rate demand, indexed by flow.
-	// A flow meets at most a handful of distinct link rates, so the inner
-	// entry is a tiny linear-scanned slice — no hashing on the hot path.
-	// The index alignment is maintained by the engine across removals;
-	// one-shot analyzers are built fresh per flow set.
-	demands [][]rateDemand
 
 	// demScratch/extScratch are reusable buffers for the per-stage hoists
 	// of interferer demands and entry jitters (see stages.go); hepScratch
@@ -40,9 +33,7 @@ type rateDemand struct {
 }
 
 // NewAnalyzer returns an analyzer over the given network. The network must
-// already validate; NewAnalyzer re-checks and returns any error. The
-// analyzer is bound to the network's current flow indices; rebuild it
-// after adding or removing flows directly on the network.
+// already validate; NewAnalyzer re-checks and returns any error.
 func NewAnalyzer(nw *network.Network, cfg Config) (*Analyzer, error) {
 	if nw == nil {
 		return nil, fmt.Errorf("core: nil network")
@@ -50,19 +41,16 @@ func NewAnalyzer(nw *network.Network, cfg Config) (*Analyzer, error) {
 	if err := nw.Validate(); err != nil {
 		return nil, err
 	}
-	return &Analyzer{
-		nw:      nw,
-		cfg:     cfg.withDefaults(),
-		demands: make([][]rateDemand, nw.NumFlows()),
-	}, nil
+	return &Analyzer{nw: nw, cfg: cfg.withDefaults()}, nil
 }
 
-// demand returns the (cached) per-link demand of flow j at the given rate.
-func (a *Analyzer) demand(j int, rate units.BitRate) *gmf.Demand {
-	for len(a.demands) <= j {
-		a.demands = append(a.demands, nil)
-	}
-	for _, rd := range a.demands[j] {
+// demand returns flow j's per-link demand at the given rate, cached in
+// the flow's block of js. A flow meets at most a handful of distinct
+// link rates, so the cache is a tiny linear-scanned slice — no hashing
+// on the hot path.
+func (a *Analyzer) demand(js *jitterState, j int, rate units.BitRate) *gmf.Demand {
+	b := &js.blocks[j]
+	for _, rd := range b.dem {
 		if rd.rate == rate {
 			return rd.d
 		}
@@ -74,47 +62,52 @@ func (a *Analyzer) demand(j int, rate units.BitRate) *gmf.Demand {
 		// reaching this is a programming error.
 		panic(fmt.Sprintf("core: demand for validated flow %q: %v", fs.Flow.Name, err))
 	}
-	a.demands[j] = append(a.demands[j], rateDemand{rate, d})
+	b.dem = append(b.dem, rateDemand{rate, d})
 	return d
 }
 
-// removeFlowDemand drops flow i's demand cache entry and shifts higher
-// flow indices down by one, mirroring Network.RemoveFlow.
-func (a *Analyzer) removeFlowDemand(i int) {
-	if i >= 0 && i < len(a.demands) {
-		a.demands = append(a.demands[:i], a.demands[i+1:]...)
-	}
-}
-
-// jitterState stores GJ_j^{k,resource} for every flow, resource and frame:
-// the generalized jitter with which frame k of flow j enters each stage of
-// its pipeline. It powers the extra_j(N,i) terms of the analysis and the
-// holistic iteration of Section 3.5.
+// jitterState is the analysis state of one flow set, and the one owner
+// of everything the engine keeps per flow. At its core it stores
+// GJ_j^{k,resource} for every flow, resource and frame: the generalized
+// jitter with which frame k of flow j enters each stage of its pipeline.
+// It powers the extra_j(N,i) terms of the analysis and the holistic
+// iteration of Section 3.5.
 //
-// The state is a single flat arena of picosecond values. Flow j's slots
-// form one contiguous block: stage s (position in the flow's pipeline,
-// route order) frame k lives at blocks[j].base + s*n_j + k. Stages address
-// their own flow by position and interfering flows by the network's dense
-// ResourceID, resolved with a short linear scan of the interferer's
-// pipeline — no map hashing anywhere on the analysis hot path.
+// The jitters live in a single flat arena of picosecond values. Flow j's
+// slots form one contiguous block: stage s (position in the flow's
+// pipeline, route order) frame k lives at blocks[j].base + s*n_j + k.
+// Stages address their own flow by position and interfering flows by the
+// network's dense ResourceID, resolved with a short linear scan of the
+// interferer's pipeline — no map hashing anywhere on the analysis hot
+// path.
 //
-// Alongside the arena it maintains:
+// blocks is the flow table, aligned with network indices: flow j's entry
+// holds its arena layout, its demand at each link rate it meets, its
+// status (see verdict.go) and its changed and dirty marks. Adding,
+// removing, undoing or adopting a flow moves the whole entry, so the
+// per-flow facts cannot drift apart. Alongside the table it maintains:
 //
 //   - a per-(flow, stage) cache of max-over-frames entry jitter (the
 //     extra_j term), kept incrementally valid under writes;
-//   - the changed-flow worklist driving the engine's delta iteration;
+//   - the changed list, the flows whose jitters moved since the last
+//     resetChanged, which drives the engine's delta iteration;
+//   - the dirty list, the flows changed since the engine's last
+//     convergence (see Engine);
+//   - the verdict counters over the statuses;
 //   - the engine's stage memo (see Engine): per slot, the stage response
 //     last computed there and the clock value it was computed at, plus
 //     a change stamp per link group;
-//   - an optional undo journal of (offset, old value) pairs, which makes
-//     engine snapshots O(1) and restores O(writes since the snapshot)
-//     instead of a deep copy of the whole assignment.
+//   - optional undo journals of (offset, old value) and (flow, old
+//     status) pairs, which make engine snapshots O(1) and restores
+//     O(writes since the snapshot) instead of a deep copy.
 //
-// The journal serves the engine's snapshot window, which may add flows
-// and remove flows it added but never removes an older one (see
-// Engine.RemoveFlow). The slots that existed at the snapshot therefore
-// never move: the journal records only writes below journalEnd, the
-// arena length at the snapshot, and undoTo replays them and truncates
+// The engine creates one state and keeps it for its whole life; the cold
+// Analyzer creates one per Analyze call. The journals serve the engine's
+// snapshot window, which may add flows and remove flows it added but
+// never removes an older one (see Engine.RemoveFlow). The flows and slots
+// that existed at the snapshot therefore never move: the journals record
+// only writes below journalEnd and journalFlows, the arena length and
+// flow count at the snapshot, and undoTo replays them and truncates
 // everything above.
 type jitterState struct {
 	blocks []flowBlock
@@ -143,11 +136,19 @@ type jitterState struct {
 	served, evaluated int
 
 	changed bool
-	// changedMark/changedList record which flows' jitters changed since
-	// the last resetChanged; the incremental engine's worklist iteration
-	// uses them to re-analyse only the flows whose inputs actually moved.
-	changedMark []bool
+	// changedList lists, once each, the flows whose jitters changed since
+	// the last resetChanged (flowBlock.changed marks them); the engine's
+	// worklist iteration re-analyses only the flows whose inputs moved.
 	changedList []int
+	// dirty lists, once each, the flows added or disturbed since the
+	// engine's last convergence (flowBlock.dirty marks them).
+	dirty []int
+
+	// unsched / errcnt count the statuses that are currently not
+	// schedulable / carry a stage error, so a verdict and the
+	// holistic-cap probe are O(1).
+	unsched int
+	errcnt  int
 
 	// maxDelta is the largest upward move written since the last
 	// resetChanged: the residual ErrNoConvergence reports at cap
@@ -155,10 +156,14 @@ type jitterState struct {
 	maxDelta units.Time
 
 	// journal records (slot, old value) for every write below
-	// journalEnd since the last beginJournal, newest last; undoTo
-	// replays it backwards. journalEnd is zero when no snapshot is live.
-	journal    []undoEntry
-	journalEnd int32
+	// journalEnd since the last beginJournal, newest last; statusJournal
+	// records (flow, old status) for every status write below
+	// journalFlows. undoTo replays both backwards. journalEnd and
+	// journalFlows are zero when no snapshot is live.
+	journal       []undoEntry
+	statusJournal []statusOp
+	journalEnd    int32
+	journalFlows  int
 }
 
 // memoSlot is one arena slot's stage memo: the stage response last
@@ -168,12 +173,21 @@ type memoSlot struct {
 	at uint64
 }
 
-// flowBlock locates one flow's slots inside the arena.
+// flowBlock is one flow's entry in the flow table: where its slots lie
+// inside the arena, and the per-flow facts the analysis keeps beside
+// them.
 type flowBlock struct {
 	base  int32 // arena offset of stage 0, frame 0
 	ebase int32 // extraMax/extraValid offset of stage 0
 	n     int32 // frames per stage
-	rids  []network.ResourceID
+	// changed / dirty mark the flow's membership of changedList / dirty.
+	changed, dirty bool
+	rids           []network.ResourceID
+	// dem caches the flow's demand at each link rate it meets (see
+	// Analyzer.demand).
+	dem []rateDemand
+	// st is the flow's status after its last pass.
+	st flowStatus
 }
 
 // group returns the link group of stage pos: the resource at pos for a
@@ -188,10 +202,13 @@ type undoEntry struct {
 	old  units.Time
 }
 
-// jitterMark freezes the arena extents at snapshot time so undoTo can pop
-// flows added afterwards.
+// jitterMark freezes the state at snapshot time beyond what the journals
+// record: the extents undoTo truncates back to, the dirty list and the
+// verdict counters.
 type jitterMark struct {
 	arenaLen, eLen, numFlows int
+	dirty                    []int
+	unsched, errcnt          int
 }
 
 // newJitterState initialises the holistic starting point: every flow's
@@ -233,7 +250,6 @@ func (js *jitterState) addFlow(j int, fs *network.FlowSpec, rids []network.Resou
 	}
 	js.extraMax = append(js.extraMax, make([]units.Time, len(rids))...)
 	js.extraValid = append(js.extraValid, make([]bool, len(rids))...)
-	js.changedMark = append(js.changedMark, false)
 	var m units.Time
 	for k := 0; k < n; k++ {
 		v := fs.Flow.Frames[k].Jitter
@@ -279,8 +295,8 @@ func (js *jitterState) set(j, pos, k int, v units.Time) {
 	if d := v - old; d > js.maxDelta {
 		js.maxDelta = d
 	}
-	if !js.changedMark[j] {
-		js.changedMark[j] = true
+	if !b.changed {
+		b.changed = true
 		js.changedList = append(js.changedList, j)
 	}
 	if js.extraValid[eidx] {
@@ -407,9 +423,25 @@ func (js *jitterState) resetChanged() {
 	js.changed = false
 	js.maxDelta = 0
 	for _, j := range js.changedList {
-		js.changedMark[j] = false
+		js.blocks[j].changed = false
 	}
 	js.changedList = js.changedList[:0]
+}
+
+// markDirty puts flow j on the dirty list, once.
+func (js *jitterState) markDirty(j int) {
+	if b := &js.blocks[j]; !b.dirty {
+		b.dirty = true
+		js.dirty = append(js.dirty, j)
+	}
+}
+
+// clearDirty empties the dirty list.
+func (js *jitterState) clearDirty() {
+	for _, j := range js.dirty {
+		js.blocks[j].dirty = false
+	}
+	js.dirty = js.dirty[:0]
 }
 
 // coldReset restores flow j's slots to the cold-start assignment. The
@@ -453,16 +485,18 @@ func (js *jitterState) coldReset(j int, fs *network.FlowSpec) {
 	}
 }
 
-// removeFlowReindex drops flow i's slots, compacts the arena and
-// shifts every tracking structure — including the changed-flow
-// worklist, which the pre-arena implementation left unshifted, leaking
-// stale indices into the next delta worklist — down by one, mirroring
-// Network.RemoveFlow. Under a live snapshot flow i was added after it,
-// so every slot that moves lies above journalEnd and the journal stays
-// valid.
+// removeFlowReindex drops flow i's entry and slots, compacts the arena
+// and shifts every flow above i down by one, mirroring
+// Network.RemoveFlow. Entries move whole, marks and status included; the
+// verdict counters drop flow i's status, and the changed and dirty lists
+// are renumbered, so no stale index reaches the next delta worklist.
+// Under a live snapshot flow i was added after it, so every slot and
+// entry that moves lies above journalEnd and journalFlows and the
+// journals stay valid.
 func (js *jitterState) removeFlowReindex(i int) {
 	b := js.blocks[i]
 	js.touchFlow(&b)
+	js.count(b.st, -1)
 	stages := int32(len(b.rids))
 	slots := stages * b.n
 	copy(js.arena[b.base:], js.arena[b.base+slots:])
@@ -473,49 +507,47 @@ func (js *jitterState) removeFlowReindex(i int) {
 	js.extraMax = js.extraMax[:int32(len(js.extraMax))-stages]
 	copy(js.extraValid[b.ebase:], js.extraValid[b.ebase+stages:])
 	js.extraValid = js.extraValid[:int32(len(js.extraValid))-stages]
-	js.blocks = append(js.blocks[:i], js.blocks[i+1:]...)
+	js.blocks = slices.Delete(js.blocks, i, i+1)
 	for j := i; j < len(js.blocks); j++ {
 		js.blocks[j].base -= slots
 		js.blocks[j].ebase -= stages
 	}
-	js.shiftChangedDown(i)
+	js.changedList = shiftDown(js.changedList, i)
+	js.dirty = shiftDown(js.dirty, i)
 }
 
-// shiftChangedDown rewrites the changed-flow worklist after flow i left:
-// entry i is dropped and higher indices shift down by one, keeping
-// changedMark aligned with blocks.
-func (js *jitterState) shiftChangedDown(i int) {
-	list := js.changedList[:0]
-	for _, j := range js.changedList {
+// shiftDown renumbers a flow list after flow i left: entry i is dropped
+// and higher indices shift down by one, in place.
+func shiftDown(list []int, i int) []int {
+	out := list[:0]
+	for _, j := range list {
 		switch {
 		case j == i:
 		case j > i:
-			list = append(list, j-1)
+			out = append(out, j-1)
 		default:
-			list = append(list, j)
+			out = append(out, j)
 		}
 	}
-	js.changedList = list
-	js.changedMark = js.changedMark[:len(js.blocks)]
-	for j := range js.changedMark {
-		js.changedMark[j] = false
-	}
-	for _, j := range js.changedList {
-		js.changedMark[j] = true
-	}
+	return out
 }
 
-// beginJournal starts a fresh undo epoch: the journal is truncated (any
-// older snapshot becomes unrestorable) and later writes to the slots
-// that exist now record their old values. It returns the mark undoTo
-// needs to also pop flows added after the snapshot.
+// beginJournal starts a fresh undo epoch: the journals are truncated
+// (any older snapshot becomes unrestorable) and later writes to the
+// slots and statuses that exist now record their old values. It returns
+// the mark undoTo needs to pop flows added after the snapshot and put
+// back the dirty list and the verdict counters.
 func (js *jitterState) beginJournal() jitterMark {
-	js.journal = js.journal[:0]
+	js.endJournal()
 	js.journalEnd = int32(len(js.arena))
+	js.journalFlows = len(js.blocks)
 	return jitterMark{
 		arenaLen: len(js.arena),
 		eLen:     len(js.extraMax),
 		numFlows: len(js.blocks),
+		dirty:    slices.Clone(js.dirty),
+		unsched:  js.unsched,
+		errcnt:   js.errcnt,
 	}
 }
 
@@ -524,16 +556,20 @@ func (js *jitterState) beginJournal() jitterMark {
 // snapshot-free write stream does not keep accumulating undo entries.
 func (js *jitterState) endJournal() {
 	js.journal = js.journal[:0]
+	js.statusJournal = js.statusJournal[:0]
 	js.journalEnd = 0
+	js.journalFlows = 0
 }
 
-// undoTo rolls the state back to the mark: journaled writes are replayed
-// backwards and every slot, cache entry and block above the mark — the
-// flows added since, whatever they hold — is truncated away. Raising the
-// memo floor voids every memo entry in O(1): the replay moves jitters
-// and membership without touching their groups. Cost is proportional to
-// the writes since beginJournal, plus a changed-mark wipe, not to the
-// arena size.
+// undoTo rolls the state back to the mark: journaled jitter and status
+// writes are replayed backwards, every entry, slot and cache entry above
+// the mark — the flows added since, whatever they hold — is truncated
+// away, and the dirty list and verdict counters are the mark's. The
+// statuses are then the mark's bit for bit, so its counters match them.
+// Raising the memo floor voids every memo entry in O(1): the replay
+// moves jitters and membership without touching their groups. Cost is
+// proportional to the writes since beginJournal and the lengths of the
+// changed and dirty lists, not to the arena size.
 func (js *jitterState) undoTo(m jitterMark) {
 	js.floor = js.now
 	js.now++
@@ -542,16 +578,23 @@ func (js *jitterState) undoTo(m jitterMark) {
 		js.arena[e.off] = e.old
 		js.extraValid[e.eidx] = false
 	}
+	for k := len(js.statusJournal) - 1; k >= 0; k-- {
+		op := js.statusJournal[k]
+		js.blocks[op.i].st = op.old
+	}
 	js.endJournal()
+	js.resetChanged()
+	js.clearDirty()
 	js.arena = js.arena[:m.arenaLen]
 	js.memo = js.memo[:m.arenaLen]
 	js.extraMax = js.extraMax[:m.eLen]
 	js.extraValid = js.extraValid[:m.eLen]
+	clear(js.blocks[m.numFlows:]) // drop the popped flows' demands
 	js.blocks = js.blocks[:m.numFlows]
-	js.changedMark = js.changedMark[:m.numFlows]
-	clear(js.changedMark)
-	js.changedList = js.changedList[:0]
-	js.changed = false
+	for _, j := range m.dirty {
+		js.markDirty(j)
+	}
+	js.unsched, js.errcnt = m.unsched, m.errcnt
 }
 
 // equalAssignment reports whether two states hold bit-identical jitter

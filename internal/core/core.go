@@ -24,10 +24,12 @@
 //   - Analyzer is the one-shot reference: a full cold fixpoint per call;
 //   - Engine is the persistent online form: warm-started delta worklists
 //     over an arena-backed jitter state with O(1) undo-journal snapshots
-//     (Snapshot/Restore/Discard) whose window undoes only additions. It
-//     keeps a verdict, not bounds — one status per flow, read in O(1) by
-//     Converge — and Analyze computes the bounds off the fixpoint on
-//     demand;
+//     (Snapshot/Restore/Discard) whose window undoes only additions. The
+//     jitter state lives as long as the engine and owns everything kept
+//     per flow — jitters, demands, status, worklist marks — in one flow
+//     table. The engine keeps a verdict, not bounds — one status per
+//     flow, read in O(1) by Converge — and Analyze computes the bounds
+//     off the fixpoint on demand;
 //   - ShardedEngine partitions the arena by interference closure, one
 //     Engine per closure, with warm shard fusion and re-splitting; its
 //     resident registry (Residents), whose every link with residents
@@ -35,10 +37,10 @@
 //     route's links.
 //
 // All three compute identical bounds — the repo's differential and fuzz
-// tests pin that. The state layout and its invariants (arena blocks,
-// undo journal, snapshot window, snapshot-once semantics, closure
-// lifecycle) are documented in docs/ARCHITECTURE.md and on jitterState
-// in analyzer.go.
+// tests pin that. The state layout and its invariants (the flow table,
+// arena blocks, undo journals, snapshot window, snapshot-once
+// semantics, closure lifecycle) are documented in docs/ARCHITECTURE.md
+// and on jitterState in analyzer.go.
 package core
 
 import (

@@ -71,6 +71,42 @@ func analyze(t *testing.T, nw *network.Network, cfg Config) *Result {
 	return res
 }
 
+// TestAnalyzerReuseAfterFlowChange pins that an Analyzer keeps no
+// per-flow state between Analyze calls: after its network's flow set
+// changes — a departure shifts indices, an arrival takes a freed one —
+// a reused analyzer answers exactly as a fresh one over the same
+// network.
+func TestAnalyzerReuseAfterFlowChange(t *testing.T) {
+	route := []network.NodeID{"h1", "s", "h2"}
+	spec := func(name string, payloadBits int64) *network.FlowSpec {
+		return &network.FlowSpec{Flow: oneFrameFlow(name, payloadBits, 10*ms, 50*ms, 0), Route: route}
+	}
+	nw := oneSwitchNet(t, spec("heavy", 56_000), spec("light", 4_000))
+	an, err := NewAnalyzer(nw, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(ctx string) {
+		t.Helper()
+		got, err := an.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := analyze(t, nw, Config{})
+		if !want.Schedulable() {
+			t.Fatalf("%s: fixture not schedulable", ctx)
+		}
+		compareResults(t, got, want)
+	}
+	check("initial")
+	nw.RemoveFlow(0)
+	check("after the departure of flow 0")
+	if _, err := nw.AddFlow(spec("medium", 20_000)); err != nil {
+		t.Fatal(err)
+	}
+	check("after an arrival")
+}
+
 // fullFramePayload is the payload whose UDP datagram is exactly one
 // maximum Ethernet frame: 11840 data bits minus the 64-bit UDP header.
 const fullFramePayload = 11840 - 64

@@ -295,8 +295,8 @@ func TestIsolatedDepartureLeavesNothingPending(t *testing.T) {
 	if err := eng.RemoveFlow(1); err != nil {
 		t.Fatal(err)
 	}
-	if eng.descending || len(eng.dirty) != 0 {
-		t.Fatalf("isolated departure left descending=%v dirty=%v", eng.descending, eng.dirty)
+	if eng.descending || len(eng.js.dirty) != 0 {
+		t.Fatalf("isolated departure left descending=%v dirty=%v", eng.descending, eng.js.dirty)
 	}
 	eng.Converge()
 	fs := voipOn("newcomer", "a1", "sA", "a3")
@@ -341,9 +341,9 @@ func TestWarmDepartureEvictPattern(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.descending || len(eng.dirty) != k+1 || !eng.dirty[i] {
+		if eng.descending || len(eng.js.dirty) != k+1 || !eng.js.blocks[i].dirty {
 			t.Fatalf("add %d: descending=%v dirty=%v; the descent must converge before the add",
-				k, eng.descending, eng.dirty)
+				k, eng.descending, eng.js.dirty)
 		}
 	}
 	checkCold(t, "after restage", eng)
@@ -366,7 +366,7 @@ func TestWarmDepartureRestoreKeepsDescent(t *testing.T) {
 	if !eng.descending {
 		t.Fatal("departure did not descend warm")
 	}
-	pending := len(eng.dirty)
+	pending := len(eng.js.dirty)
 	snap := eng.Snapshot()
 	if _, err := eng.AddFlow(gen("probe", true)); err != nil {
 		t.Fatal(err)
@@ -377,15 +377,15 @@ func TestWarmDepartureRestoreKeepsDescent(t *testing.T) {
 	if err := eng.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.descending || len(eng.dirty) != pending {
-		t.Fatalf("Restore: descending=%v with %d dirty, want true with %d", eng.descending, len(eng.dirty), pending)
+	if !eng.descending || len(eng.js.dirty) != pending {
+		t.Fatalf("Restore: descending=%v with %d dirty, want true with %d", eng.descending, len(eng.js.dirty), pending)
 	}
 	i, err := eng.AddFlow(gen("after", false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.descending || len(eng.dirty) != 1 || !eng.dirty[i] {
-		t.Fatalf("second AddFlow: descending=%v dirty=%v", eng.descending, eng.dirty)
+	if eng.descending || len(eng.js.dirty) != 1 || !eng.js.blocks[i].dirty {
+		t.Fatalf("second AddFlow: descending=%v dirty=%v", eng.descending, eng.js.dirty)
 	}
 	checkCold(t, "final", eng)
 }
@@ -436,8 +436,8 @@ func TestColdResetOnCyclicPipelines(t *testing.T) {
 	if eng.descending {
 		t.Fatal("departure on cyclic pipelines descended warm")
 	}
-	if len(eng.dirty) != nw.NumFlows() {
-		t.Fatalf("cold reset covered %d of %d flows in the closure", len(eng.dirty), nw.NumFlows())
+	if len(eng.js.dirty) != nw.NumFlows() {
+		t.Fatalf("cold reset covered %d of %d flows in the closure", len(eng.js.dirty), nw.NumFlows())
 	}
 	checkCold(t, "after cold-reset departure", eng)
 	if err := eng.RemoveFlow(1); err != nil { // b breaks the cycle
@@ -612,9 +612,9 @@ func bigClosure(t *testing.T, n int) *Engine {
 // departureAllocBudget caps one warm departure plus the Converge in the
 // 240-flow closure of bigClosure. Warm passes build no bounds, so what
 // remains is a constant few for the worklist; the departed flow's
-// closure is never collected into a map. Measured 11 on the reference
-// fixture; the budget allows 15 % headroom.
-const departureAllocBudget = 13
+// closure is never collected into a map. Measured 2 on the reference
+// fixture; the budget allows 15 % headroom, rounded up.
+const departureAllocBudget = 3
 
 // TestDepartureAllocs pins the allocation count of a departure and the
 // Converge that settles it, on a ~200-flow feed-forward closure.

@@ -50,15 +50,21 @@ import (
 // Converge answers in O(1) (see verdict.go). Analyze computes the bounds
 // on demand, in one pass over the converged jitter assignment.
 //
-// Snapshots are O(1) tokens backed by undo journals. A snapshot window
-// — Snapshot until Restore or Discard — may add flows and may remove
-// flows it added, as the admission test's tentative additions and batch
-// eviction probes do, but RemoveFlow refuses a flow older than the
-// snapshot. So the state that existed at the snapshot never moves: the
-// journals record (slot, old value) only for writes to it, and Restore
-// replays them backwards and truncates whatever the window appended —
-// cost proportional to the writes since the snapshot, never to the
-// total state.
+// All of this per-flow state has one owner, the jitter state (see
+// jitterState): each flow's entry holds its arena layout, its demands,
+// its status and its worklist marks, so adding, removing, undoing or
+// adopting a flow moves one entry. The engine creates it once and keeps
+// it for its whole life; a cold pass resets it in place.
+//
+// Snapshots are O(1) tokens backed by the jitter state's undo journals.
+// A snapshot window — Snapshot until Restore or Discard — may add flows
+// and may remove flows it added, as the admission test's tentative
+// additions and batch eviction probes do, but RemoveFlow refuses a flow
+// older than the snapshot. So the state that existed at the snapshot
+// never moves: the journals record (slot, old value) only for writes to
+// it, and Restore replays them backwards and truncates whatever the
+// window appended — cost proportional to the writes since the snapshot,
+// never to the total state.
 //
 // Mutate the flow set only through AddFlow/RemoveFlow so the engine can
 // track what changed: it does not see an out-of-band change to the
@@ -67,28 +73,17 @@ import (
 type Engine struct {
 	an *Analyzer
 
-	js     *jitterState // last converged jitter assignment when valid
-	status []flowStatus // per-flow status of its last pass, aligned with network indices
-	valid  bool         // js and status describe a fixpoint of the current flow set
-	// descending reports that dirty holds a pending warm descent: the
-	// link-neighbours of flows that departed from a converged fixpoint of
-	// acyclic pipelines. Their inputs shrank but their own jitters did
-	// not move, so they seed the worklist without their interferers, and
-	// AddFlow converges them before it adds (descend before ascend).
-	// Snapshot state, like dirty.
+	// js holds every flow's jitters, demands, status and marks; its
+	// dirty list holds the flows changed since the last convergence.
+	js    *jitterState
+	valid bool // js describes a fixpoint of the current flow set, dirty flows aside
+	// descending reports that the dirty list holds a pending warm
+	// descent: the link-neighbours of flows that departed from a
+	// converged fixpoint of acyclic pipelines. Their inputs shrank but
+	// their own jitters did not move, so they seed the worklist without
+	// their interferers, and AddFlow converges them before it adds
+	// (descend before ascend). Snapshot state, like the dirty list.
 	descending bool
-	dirty      map[int]bool // flows changed since the last converged analysis
-
-	// unsched / errcnt count the statuses that are currently not
-	// schedulable / carry a stage error, so Converge answers the verdict
-	// and the holistic-cap probe in O(1).
-	unsched int
-	errcnt  int
-
-	// stJournal is the status undo log, mirroring the jitter journal:
-	// it records (slot, old status) for writes to the slots that existed
-	// at the live snapshot.
-	stJournal []statusOp
 
 	// wlMark/wlEpoch/wlNext are the worklist iteration's reusable
 	// next-front scratch: wlMark[f] == wlEpoch marks flow f as already
@@ -115,12 +110,13 @@ type Engine struct {
 // NewEngine validates the network once and returns an engine over it.
 // Unlike the per-request core.NewAnalyzer path, later AddFlow calls
 // validate only the incoming flow against the already-validated network.
+// An engine over no flows is a converged fixpoint from the start.
 func NewEngine(nw *network.Network, cfg Config) (*Engine, error) {
 	an, err := NewAnalyzer(nw, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{an: an, status: make([]flowStatus, nw.NumFlows()), dirty: make(map[int]bool)}, nil
+	return &Engine{an: an, js: newJitterState(nw, true), valid: nw.NumFlows() == 0}, nil
 }
 
 // Network returns the underlying network.
@@ -143,11 +139,8 @@ func (e *Engine) AddFlow(fs *network.FlowSpec) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.status = append(e.status, flowStatus{})
-	if e.valid {
-		e.js.addFlow(i, fs, e.an.nw.FlowResources(i))
-	}
-	e.dirty[i] = true
+	e.js.addFlow(i, fs, e.an.nw.FlowResources(i))
+	e.js.markDirty(i)
 	return i, nil
 }
 
@@ -179,55 +172,42 @@ func (e *Engine) RemoveFlow(i int) error {
 	if i < 0 || i >= nw.NumFlows() {
 		return errIndex(i, nw.NumFlows())
 	}
-	if e.live != nil && i < e.live.numFlows {
-		return fmt.Errorf("core: flow %d predates the live snapshot of %d flows; a snapshot window removes only flows it added", i, e.live.numFlows)
+	if e.live != nil && i < e.live.mark.numFlows {
+		return fmt.Errorf("core: flow %d predates the live snapshot of %d flows; a snapshot window removes only flows it added", i, e.live.mark.numFlows)
 	}
-	e.spliceStatus(i)
+	js := e.js
 	if !e.valid {
 		nw.RemoveFlow(i)
-		e.an.removeFlowDemand(i)
-		e.dirty = make(map[int]bool) // indices shifted; cold pass re-covers all
-		e.descending = false
+		js.removeFlowReindex(i)
+		e.descending = false // a cold pass re-covers all
 		return nil
 	}
-	// Collect the departing flow's neighbours and the pending set in one
-	// scratch slice before the removal renumbers them.
-	buf := e.wlNext[:0]
-	nw.VisitInterferers(i, func(j int) { buf = append(buf, j) })
-	nn := len(buf)
-	for j := range e.dirty {
-		if j != i {
-			buf = append(buf, j)
-		}
-	}
-	warm := len(e.dirty) == 0 || e.descending
+	// Collect the departing flow's neighbours in the scratch slice before
+	// the removal renumbers them.
+	nbrs := e.wlNext[:0]
+	nw.VisitInterferers(i, func(j int) { nbrs = append(nbrs, j) })
+	warm := len(js.dirty) == 0 || e.descending
 	nw.RemoveFlow(i)
-	e.an.removeFlowDemand(i)
-	e.js.removeFlowReindex(i)
-	for k, j := range buf {
+	js.removeFlowReindex(i)
+	for k, j := range nbrs {
 		if j > i {
-			buf[k] = j - 1
+			nbrs[k] = j - 1
 		}
 	}
-	clear(e.dirty)
-	for _, j := range buf[nn:] {
-		e.dirty[j] = true
-	}
-	nbrs := buf[:nn]
 	if warm && nw.PipelinesAcyclic() {
 		for _, j := range nbrs {
-			e.dirty[j] = true
+			js.markDirty(j)
 		}
 		// A departure that shared no link leaves nothing to descend.
-		e.descending = len(e.dirty) > 0
+		e.descending = len(js.dirty) > 0
 	} else {
 		for _, j := range e.affectedSet(nbrs) {
-			e.js.coldReset(j, nw.Flow(j))
-			e.dirty[j] = true
+			js.coldReset(j, nw.Flow(j))
+			js.markDirty(j)
 		}
 		e.descending = false
 	}
-	e.wlNext = buf[:0]
+	e.wlNext = nbrs[:0]
 	return nil
 }
 
@@ -241,7 +221,7 @@ func (e *Engine) converge() bool {
 	if !e.valid {
 		return e.convergeFull()
 	}
-	if len(e.dirty) == 0 {
+	if len(e.js.dirty) == 0 {
 		return true
 	}
 	return e.convergeDelta()
@@ -269,7 +249,7 @@ func (e *Engine) Analyze() (*Result, error) {
 		if converged {
 			e.an.flowPass(i, e.js, &out.Flows[i])
 		} else {
-			out.Flows[i] = FlowResult{Index: i, Name: nw.Flow(i).Flow.Name, Err: e.status[i].err}
+			out.Flows[i] = FlowResult{Index: i, Name: nw.Flow(i).Flow.Name, Err: e.js.blocks[i].st.err}
 		}
 	}
 	return out, nil
@@ -293,7 +273,7 @@ func (e *Engine) convergeDelta() bool {
 	// the whole network. A pending descent's flows are already those
 	// neighbours, so they seed alone.
 	add := e.nextFrontStart(nw.NumFlows())
-	for i := range e.dirty {
+	for _, i := range e.js.dirty {
 		add(i)
 		if !e.descending {
 			nw.VisitInterferers(i, add)
@@ -304,16 +284,18 @@ func (e *Engine) convergeDelta() bool {
 	return e.analyzeOver(work)
 }
 
-// convergeFull runs the holistic analysis cold over every flow,
-// rebuilding all warm state. Every status is reset first, so the
-// verdict counts only flows passed in this convergence.
+// convergeFull runs the holistic analysis cold over every flow. Every
+// flow's jitters and status are reset in place first, through the
+// journaled writers, so a live snapshot still restores the state before
+// the pass, and the verdict counts only flows passed in this
+// convergence.
 func (e *Engine) convergeFull() bool {
 	nw := e.an.nw
-	e.js = newJitterState(nw, true)
 	all := make([]int, nw.NumFlows())
 	for i := range all {
 		all[i] = i
-		e.setStatus(i, flowStatus{})
+		e.js.coldReset(i, nw.Flow(i))
+		e.js.setStatus(i, flowStatus{})
 	}
 	return e.analyzeOver(all)
 }
@@ -351,7 +333,7 @@ func (e *Engine) analyzeOver(work []int) bool {
 				continue // its pass would rewrite every slot and its status byte-identically
 			}
 			st := e.an.flowPass(i, e.js, nil)
-			e.setStatus(i, st)
+			e.js.setStatus(i, st)
 			if st.err != nil {
 				// An overloaded or diverging stage dooms the whole
 				// configuration.
@@ -359,7 +341,7 @@ func (e *Engine) analyzeOver(work []int) bool {
 			}
 		}
 		if len(e.js.changedList) == 0 {
-			e.dirty = make(map[int]bool)
+			e.js.clearDirty()
 			return finish(true)
 		}
 		front := e.nextFrontStart(nw.NumFlows())
@@ -439,22 +421,16 @@ func (e *Engine) affectedSet(seed []int) []int {
 
 // Snapshot captures the engine's state for a later Restore as a cheap
 // token: no jitter values and no statuses are copied. Taking it arms
-// both undo journals — every later write to a jitter slot or flow
-// status that exists now records its old value. The admission
+// the jitter state's undo journals — every later write to a jitter slot
+// or flow status that exists now records its old value. The admission
 // controller snapshots before every tentative admission and rolls back
 // on rejection instead of re-analysing.
 type Snapshot struct {
-	jsRef *jitterState
-	mark  jitterMark
-
-	dirty      []int
+	mark       jitterMark
 	descending bool
 	valid      bool
 	stats      ConvergenceStats
 	noConv     *ErrNoConvergence
-	numFlows   int
-	// unsched and errcnt are the verdict counters at the snapshot.
-	unsched, errcnt int
 }
 
 // Snapshot captures the current engine state for a later Restore. Each
@@ -465,24 +441,13 @@ type Snapshot struct {
 // committed) to stop journaling.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
+		mark:       e.js.beginJournal(),
 		valid:      e.valid,
 		descending: e.descending,
 		stats:      e.stats,
 		noConv:     e.noConv,
-		numFlows:   e.an.nw.NumFlows(),
-		dirty:      make([]int, 0, len(e.dirty)),
-		unsched:    e.unsched,
-		errcnt:     e.errcnt,
-	}
-	for i := range e.dirty {
-		s.dirty = append(s.dirty, i)
-	}
-	if e.js != nil {
-		s.jsRef = e.js
-		s.mark = e.js.beginJournal()
 	}
 	e.live = s
-	e.stJournal = e.stJournal[:0]
 	return s
 }
 
@@ -496,10 +461,7 @@ func (e *Engine) Discard(s *Snapshot) {
 		return
 	}
 	e.live = nil
-	e.stJournal = e.stJournal[:0]
-	if s.jsRef != nil {
-		s.jsRef.endJournal()
-	}
+	e.js.endJournal()
 }
 
 // Restore rolls the engine and its network back to the snapshot: the
@@ -514,24 +476,13 @@ func (e *Engine) Restore(s *Snapshot) error {
 	}
 	e.live = nil
 	nw := e.an.nw
-	for nw.NumFlows() > s.numFlows {
+	for nw.NumFlows() > s.mark.numFlows {
 		nw.RemoveLastFlow()
 	}
-	if len(e.an.demands) > s.numFlows {
-		e.an.demands = e.an.demands[:s.numFlows]
-	}
-	if s.jsRef != nil {
-		s.jsRef.undoTo(s.mark)
-	}
-	e.js = s.jsRef
-	e.undoStatus(s)
+	e.js.undoTo(s.mark)
 	e.valid = s.valid
 	e.stats = s.stats
 	e.noConv = s.noConv
-	e.dirty = make(map[int]bool, len(s.dirty))
-	for _, i := range s.dirty {
-		e.dirty[i] = true
-	}
 	e.descending = s.descending
 	return nil
 }

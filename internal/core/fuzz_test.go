@@ -113,14 +113,10 @@ func FuzzSnapshotRestore(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 3: // snapshot (supersedes any outstanding one)
-				if eng.js != nil {
-					oracle = eng.js.clone()
-				} else {
-					oracle = nil
-				}
+				oracle = eng.js.clone()
 				oracleNames = flowNames(eng.Network())
-				oracleStat = slices.Clone(eng.status)
-				oracleCount = [2]int{eng.unsched, eng.errcnt}
+				oracleStat = statuses(eng)
+				oracleCount = [2]int{eng.js.unsched, eng.js.errcnt}
 				snap = eng.Snapshot()
 			case 4: // restore
 				if snap == nil {
@@ -136,11 +132,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 				if !sameAssignment(eng.js, oracle) {
 					t.Fatalf("op %d: jitter assignment differs from deep-clone oracle", pc)
 				}
-				if !slices.Equal(eng.status, oracleStat) {
+				if got := statuses(eng); !slices.Equal(got, oracleStat) {
 					t.Fatalf("op %d: flow statuses after restore differ from the snapshot's:\ngot:  %+v\nwant: %+v",
-						pc, eng.status, oracleStat)
+						pc, got, oracleStat)
 				}
-				if got := [2]int{eng.unsched, eng.errcnt}; got != oracleCount {
+				if got := [2]int{eng.js.unsched, eng.js.errcnt}; got != oracleCount {
 					t.Fatalf("op %d: verdict counters after restore = %v, want %v", pc, got, oracleCount)
 				}
 				snap, oracle, oracleNames, oracleStat = nil, nil, nil, nil
@@ -183,18 +179,18 @@ func removeFuzzed(t *testing.T, ctx string, eng *Engine, s *Snapshot, pick int) 
 		return
 	}
 	i := pick % n
-	if s != nil && i < s.numFlows {
+	if s != nil && i < s.mark.numFlows {
 		names := flowNames(eng.Network())
 		if err := eng.RemoveFlow(i); err == nil {
-			t.Fatalf("%s: removing flow %d of the %d the snapshot holds succeeded", ctx, i, s.numFlows)
+			t.Fatalf("%s: removing flow %d of the %d the snapshot holds succeeded", ctx, i, s.mark.numFlows)
 		}
 		if !sameNames(flowNames(eng.Network()), names) {
 			t.Fatalf("%s: a refused removal changed the flow list", ctx)
 		}
-		if n == s.numFlows {
+		if n == s.mark.numFlows {
 			return
 		}
-		i = s.numFlows + pick%(n-s.numFlows)
+		i = s.mark.numFlows + pick%(n-s.mark.numFlows)
 	}
 	if err := eng.RemoveFlow(i); err != nil {
 		t.Fatal(err)

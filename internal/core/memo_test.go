@@ -18,8 +18,8 @@ import (
 // makes skipping a flow whose every entry is current exact.
 func checkMemo(t *testing.T, ctx string, e *Engine) {
 	t.Helper()
-	if !e.valid || e.js == nil {
-		return // the state is stale and the next analysis rebuilds it
+	if !e.valid {
+		return // the state is stale and the next analysis resets it
 	}
 	js := e.js
 	for j := range js.blocks {

@@ -1,7 +1,7 @@
-package network_test
+package core_test
 
-// The resident registry lives in core, next to the ShardedEngine that
-// writes it; these tests hold it and the engine's shard partition to
+// These tests drive the resident registry and the ShardedEngine's shard
+// partition through their public API only, and hold them to
 // network.Network, whose on-demand Closures is their oracle.
 
 import (
@@ -536,15 +536,21 @@ func tinyClosures(t testing.TB, n int) (*network.Network, []network.NodeID) {
 
 // residentChurnAllocs is the allocation count of admitting a flow into
 // r0's one-flow shard — Place, the engine's AddFlow, Admit, Done — and
-// claiming and removing it again. Measured 10 with Go 1.24.
-const residentChurnAllocs = 10
+// claiming and removing it again. Measured 8 with Go 1.24, outside the
+// race detector, whose instrumentation moves some values to the heap.
+const residentChurnAllocs = 8
+
+// raceEnabled is set in -race builds.
+var raceEnabled bool
 
 // TestResidentsChurnAllocs pins that entering and taking out one
 // resident costs the same at any population: the churn allocates the
 // same number of objects whether 64 or 4 096 residents (in disjoint
-// closures) are registered; the link entries, the shard list and the
-// walk state are reused.
+// closures) are registered, in every build; the link entries, the shard
+// list and the walk state are reused. Outside race builds the count is
+// also pinned exactly.
 func TestResidentsChurnAllocs(t *testing.T) {
+	var counts []float64
 	for _, n := range []int{64, 4096} {
 		nw, hosts := tinyClosures(t, n)
 		se, err := core.NewShardedEngine(nw, core.Config{})
@@ -568,11 +574,16 @@ func TestResidentsChurnAllocs(t *testing.T) {
 		}
 		cycle()
 		got := testing.AllocsPerRun(200, cycle)
-		if got != residentChurnAllocs {
+		t.Logf("%d residents: the churn allocates %v objects", n, got)
+		counts = append(counts, got)
+		if !raceEnabled && got != residentChurnAllocs {
 			t.Errorf("%d residents: the churn allocates %v objects, want %d", n, got, residentChurnAllocs)
 		}
 		if se.Residents().Len() != n || se.NumShards() != n {
 			t.Fatalf("%d residents in %d shards after the churn, want %d in as many", se.Residents().Len(), se.NumShards(), n)
 		}
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("the churn's allocations depend on the population: %v objects at 64 and 4 096 residents", counts)
 	}
 }

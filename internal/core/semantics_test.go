@@ -188,7 +188,7 @@ func TestFasterLinksNeverHurt(t *testing.T) {
 }
 
 // TestDemandCacheReuse: the analyzer must build each (flow, rate) demand
-// once.
+// once per jitter state, in the flow's entry.
 func TestDemandCacheReuse(t *testing.T) {
 	topo := network.MustFigure1(network.Figure1Options{Rate: 10 * units.Mbps})
 	nw := network.New(topo)
@@ -202,12 +202,13 @@ func TestDemandCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := an.demand(0, 10*units.Mbps)
-	d2 := an.demand(0, 10*units.Mbps)
+	js := newJitterState(nw, false)
+	d1 := an.demand(js, 0, 10*units.Mbps)
+	d2 := an.demand(js, 0, 10*units.Mbps)
 	if d1 != d2 {
 		t.Fatal("demand cache missed")
 	}
-	d3 := an.demand(0, 100*units.Mbps)
+	d3 := an.demand(js, 0, 100*units.Mbps)
 	if d3 == d1 {
 		t.Fatal("different rates shared a demand")
 	}

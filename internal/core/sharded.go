@@ -106,14 +106,14 @@ func NewShardedEngine(nw *network.Network, cfg Config) (*ShardedEngine, error) {
 // Residents returns the resident registry, read-only.
 func (se *ShardedEngine) Residents() *Residents { return se.res }
 
-// newShard opens an empty shard. Its engine is converged trivially so
-// later fusions and splits can adopt warm blocks into it.
+// newShard opens an empty shard. An engine over no flows is a
+// converged fixpoint, so later fusions and splits can adopt warm blocks
+// into it.
 func (se *ShardedEngine) newShard() (*shard, error) {
 	eng, err := NewEngine(network.New(se.topo), se.cfg)
 	if err != nil {
 		return nil, err
 	}
-	eng.Converge() // empty fixpoint: marks the engine valid
 	s := &shard{eng: eng}
 	se.add(s)
 	return s, nil
@@ -341,11 +341,10 @@ func (se *ShardedEngine) Resplit() (int, error) {
 		detached := make([]*shard, 0, len(groups))
 		buildErr := func() error {
 			for _, members := range groups {
-				eng, err := NewEngine(network.New(se.topo), se.cfg)
+				eng, err := NewEngine(network.New(se.topo), se.cfg) // empty: valid for warm adoption
 				if err != nil {
 					return err
 				}
-				eng.Converge() // empty fixpoint: valid for warm adoption
 				for _, j := range members {
 					if err := eng.adoptFlow(s.eng, j); err != nil {
 						return err
@@ -524,52 +523,41 @@ func (e *Engine) adoptFrom(src *Engine) error {
 	return nil
 }
 
-// adoptFlow splices flow j of src into e: the spec is re-registered,
-// the cached demands copied, and — when both engines hold converged
-// state — the flow's arena block and status are copied at their
-// converged values so the adopted flow needs no re-analysis. Otherwise
-// the flow is adopted cold and marked dirty.
+// adoptFlow splices flow j of src into e: the spec is re-registered
+// and — when both engines hold converged state — the flow's entry is
+// copied whole, arena block, demands and status at their converged
+// values, so the adopted flow needs no re-analysis. Otherwise the flow
+// is adopted cold and marked dirty.
 func (e *Engine) adoptFlow(src *Engine, j int) error {
 	fs := src.an.nw.Flow(j)
 	i, err := e.an.nw.AddFlow(fs)
 	if err != nil {
 		return err
 	}
-	var dem []rateDemand
-	if j < len(src.an.demands) {
-		dem = append([]rateDemand(nil), src.an.demands[j]...)
-	}
-	for len(e.an.demands) <= i {
-		e.an.demands = append(e.an.demands, nil)
-	}
-	e.an.demands[i] = dem
-	e.status = append(e.status, flowStatus{})
-	if !e.valid {
-		e.dirty[i] = true
-		return nil
-	}
 	e.js.addFlow(i, fs, e.an.nw.FlowResources(i))
-	if !src.valid || len(src.dirty) > 0 {
-		e.dirty[i] = true
+	if !e.valid || !src.valid || len(src.js.dirty) > 0 {
+		e.js.markDirty(i)
 		return nil
 	}
 	copyJitterBlock(e.js, i, src.js, j)
-	e.setStatus(i, src.status[j])
 	return nil
 }
 
-// copyJitterBlock overwrites dst flow i's (freshly added, cold) arena
-// block with src flow j's values. The two blocks describe the same
-// flow, so their shapes — frames per stage and pipeline length —
-// match; resource ids may differ between the engines' networks, but
-// stage positions are route-ordered in both. The block's memo stamps
-// are cleared: they were counted on src's clock.
+// copyJitterBlock overwrites dst flow i's freshly added, cold entry with
+// src flow j's: its arena block, demands and status. The two entries
+// describe the same flow, so their shapes — frames per stage and
+// pipeline length — match; resource ids may differ between the engines'
+// networks, but stage positions are route-ordered in both. The block's
+// memo stays empty: src's stamps were counted on src's clock. The demand
+// list is capacity-clipped, so an append by either engine never writes
+// into the other's.
 func copyJitterBlock(dst *jitterState, i int, src *jitterState, j int) {
 	db, sb := &dst.blocks[i], &src.blocks[j]
 	stages := len(db.rids)
 	slots := int32(stages) * db.n
 	copy(dst.arena[db.base:db.base+slots], src.arena[sb.base:sb.base+slots])
-	clear(dst.memo[db.base : db.base+slots])
 	copy(dst.extraMax[db.ebase:int(db.ebase)+stages], src.extraMax[sb.ebase:int(sb.ebase)+stages])
 	copy(dst.extraValid[db.ebase:int(db.ebase)+stages], src.extraValid[sb.ebase:int(sb.ebase)+stages])
+	db.dem = slices.Clip(sb.dem)
+	dst.setStatus(i, sb.st)
 }

@@ -163,8 +163,8 @@ func TestAdoptFromIsWarm(t *testing.T) {
 	if err := dst.adoptFrom(src); err != nil {
 		t.Fatal(err)
 	}
-	if !dst.valid || len(dst.dirty) != 0 {
-		t.Fatalf("fused engine not warm: valid=%v dirty=%d", dst.valid, len(dst.dirty))
+	if !dst.valid || len(dst.js.dirty) != 0 {
+		t.Fatalf("fused engine not warm: valid=%v dirty=%d", dst.valid, len(dst.js.dirty))
 	}
 	res, err := dst.Analyze()
 	if err != nil {

@@ -60,9 +60,6 @@ func TestSnapshotUndoMatchesClone(t *testing.T) {
 				if eng.Network().NumFlows() != numFlows {
 					t.Fatalf("round %d: %d flows after restore, want %d", round, eng.Network().NumFlows(), numFlows)
 				}
-				if eng.js == nil {
-					t.Fatal("restore dropped warm state")
-				}
 				if !eng.js.equalAssignment(oracle) {
 					t.Fatalf("round %d: undo-log rollback differs from deep-copy clone", round)
 				}
@@ -168,7 +165,7 @@ func TestRemoveFlowRefusedBeforeSnapshot(t *testing.T) {
 		counts [2]int
 	}
 	capture := func() state {
-		return state{flowNames(eng.Network()), eng.js.clone(), slices.Clone(eng.status), [2]int{eng.unsched, eng.errcnt}}
+		return state{flowNames(eng.Network()), eng.js.clone(), statuses(eng), [2]int{eng.js.unsched, eng.js.errcnt}}
 	}
 	same := func(ctx string, want state) {
 		t.Helper()
@@ -201,8 +198,8 @@ func TestRemoveFlowRefusedBeforeSnapshot(t *testing.T) {
 			t.Fatalf("removing flow %d, older than the snapshot of %d flows, succeeded", i, n0)
 		}
 		same(fmt.Sprintf("after refusing flow %d", i), staged)
-		if eng.descending || len(eng.dirty) != 0 || !eng.valid {
-			t.Fatalf("after refusing flow %d: descending=%v dirty=%v valid=%v", i, eng.descending, eng.dirty, eng.valid)
+		if eng.descending || len(eng.js.dirty) != 0 || !eng.valid {
+			t.Fatalf("after refusing flow %d: descending=%v dirty=%v valid=%v", i, eng.descending, eng.js.dirty, eng.valid)
 		}
 	}
 	if err := eng.RemoveFlow(n0); err != nil {
@@ -254,8 +251,8 @@ func TestRemoveFlowReindexChangedList(t *testing.T) {
 		if j < 0 || j >= js.numFlows() {
 			t.Fatalf("stale flow index %d leaked into the worklist (flows: %d)", j, js.numFlows())
 		}
-		if !js.changedMark[j] {
-			t.Fatalf("changedList/changedMark out of sync at %d", j)
+		if !js.blocks[j].changed {
+			t.Fatalf("changedList and the changed marks out of sync at %d", j)
 		}
 	}
 }
@@ -328,8 +325,10 @@ func (js *jitterState) clone() *jitterState {
 		extraMax:    append([]units.Time(nil), js.extraMax...),
 		extraValid:  append([]bool(nil), js.extraValid...),
 		changed:     js.changed,
-		changedMark: append([]bool(nil), js.changedMark...),
 		changedList: append([]int(nil), js.changedList...),
+		dirty:       append([]int(nil), js.dirty...),
+		unsched:     js.unsched,
+		errcnt:      js.errcnt,
 	}
 	copy(out.blocks, js.blocks)
 	return out

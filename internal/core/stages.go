@@ -17,7 +17,7 @@ func (a *Analyzer) hoistInterference(flows []int, rate units.BitRate, rid networ
 	dems := a.demScratch[:0]
 	exts := a.extScratch[:0]
 	for _, j := range flows {
-		dems = append(dems, a.demand(j, rate))
+		dems = append(dems, a.demand(js, j, rate))
 		exts = append(exts, js.extraOf(j, rid))
 	}
 	a.demScratch, a.extScratch = dems, exts
@@ -48,7 +48,7 @@ func (a *Analyzer) firstHop(i, k int, js *jitterState) (units.Time, error) {
 		return 0, &OverloadError{Resource: res, Utilization: util}
 	}
 
-	di := a.demand(i, link.Rate)
+	di := a.demand(js, i, link.Rate)
 	ci := di.Cost(k)
 
 	// Busy-period length (14)-(15). The paper seeds t⁰ = 0, a trivial
@@ -131,7 +131,7 @@ func (a *Analyzer) ingress(i, k, h int, js *jitterState) (units.Time, error) {
 		return 0, &OverloadError{Resource: res, Utilization: util}
 	}
 
-	di := a.demand(i, link.Rate)
+	di := a.demand(js, i, link.Rate)
 	nf := di.Count(k) // Ethernet fragments of frame k
 
 	// Busy-period length (21)-(22), seeded with one service slot
@@ -206,7 +206,7 @@ func (a *Analyzer) egress(i, k, h int, js *jitterState) (units.Time, error) {
 	a.hepScratch = hep
 	mft := ether.MFT(link.Rate)
 	dems, exts := a.hoistInterference(hep, link.Rate, rid, js)
-	di := a.demand(i, link.Rate)
+	di := a.demand(js, i, link.Rate)
 	selfExt := js.extraOf(i, rid)
 
 	// Convergence condition (35) over hep ∪ {τi} (DESIGN.md F3), widened

@@ -1,20 +1,19 @@
 package core
 
-import "slices"
-
-// This file holds the engine's result path: one status per flow, the
-// verdict of a convergence read off counters maintained per status
-// write, and the status undo journal Restore replays.
+// This file holds the engine's result path: one status per flow, kept in
+// the flow's entry of the jitter state, and the verdict of a convergence
+// read off counters maintained per status write.
 //
 // The engine keeps no bounds. A warm pass over a flow yields its
 // flowStatus — the stage error, if any, and whether a frame misses its
-// deadline — and the engine keeps one per flow, aligned with network
-// indices. Every write goes through setStatus, which keeps two counters
-// current — statuses that are not schedulable, and statuses that carry
-// a stage error — so a verdict is O(1). A caller that needs the bounds
-// themselves calls Analyze, which reads them off the converged jitter
-// assignment in one pass, or re-analyses the flow set cold with an
-// Analyzer: the two are identical.
+// deadline — and the jitter state keeps it in the flow's entry. Every
+// write goes through setStatus, which journals it under a live snapshot
+// beside the jitter writes and keeps two counters current — statuses
+// that are not schedulable, and statuses that carry a stage error — so a
+// verdict is O(1). A caller that needs the bounds themselves calls
+// Analyze, which reads them off the converged jitter assignment in one
+// pass, or re-analyses the flow set cold with an Analyzer: the two are
+// identical.
 
 // Verdict is the outcome of one convergence of the engine: a plain
 // value, unaffected by later engine calls.
@@ -38,13 +37,13 @@ type Verdict struct {
 }
 
 // Converge brings the engine up to date and returns the verdict, read
-// off the counters the engine maintains as it writes statuses.
+// off the counters the jitter state maintains as it writes statuses.
 func (e *Engine) Converge() Verdict {
 	converged := e.converge()
 	return Verdict{
 		Converged:     converged,
-		Schedulable:   converged && e.unsched == 0,
-		StageErrors:   e.errcnt,
+		Schedulable:   converged && e.js.unsched == 0,
+		StageErrors:   e.js.errcnt,
 		Stats:         e.stats,
 		NoConvergence: e.noConv,
 	}
@@ -59,52 +58,31 @@ type flowStatus struct {
 }
 
 // statusOp is one entry of the status undo journal (armed by Snapshot,
-// replayed backwards by Restore): status slot i held old.
+// replayed backwards by Restore): flow i's status was old.
 type statusOp struct {
 	i   int
 	old flowStatus
 }
 
 // count adds d to the verdict counters for one status.
-func (e *Engine) count(st flowStatus, d int) {
+func (js *jitterState) count(st flowStatus, d int) {
 	if st.err != nil || st.miss {
-		e.unsched += d
+		js.unsched += d
 	}
 	if st.err != nil {
-		e.errcnt += d
+		js.errcnt += d
 	}
 }
 
-// setStatus overwrites status slot i, journaling the old value when the
-// slot predates the live snapshot and maintaining the verdict counters.
-func (e *Engine) setStatus(i int, st flowStatus) {
-	if e.live != nil && i < e.live.numFlows {
-		e.stJournal = append(e.stJournal, statusOp{i: i, old: e.status[i]})
+// setStatus overwrites flow j's status, journaling the old value when
+// the flow predates the live snapshot and maintaining the verdict
+// counters.
+func (js *jitterState) setStatus(j int, st flowStatus) {
+	b := &js.blocks[j]
+	if j < js.journalFlows {
+		js.statusJournal = append(js.statusJournal, statusOp{i: j, old: b.st})
 	}
-	e.count(e.status[i], -1)
-	e.count(st, 1)
-	e.status[i] = st
-}
-
-// spliceStatus removes status slot i, shifting the tail down. Under a
-// live snapshot flow i was added in the window, so no slot that moves
-// predates it and nothing is journaled.
-func (e *Engine) spliceStatus(i int) {
-	e.count(e.status[i], -1)
-	e.status = slices.Delete(e.status, i, i+1)
-}
-
-// undoStatus puts back the statuses of snapshot s: the journaled writes
-// replayed backwards, the slots the window appended truncated. The
-// result is the snapshot's statuses bit for bit, so its verdict counters
-// are the snapshot's.
-func (e *Engine) undoStatus(s *Snapshot) {
-	for k := len(e.stJournal) - 1; k >= 0; k-- {
-		op := &e.stJournal[k]
-		e.status[op.i] = op.old
-	}
-	e.stJournal = e.stJournal[:0]
-	clear(e.status[s.numFlows:])
-	e.status = e.status[:s.numFlows]
-	e.unsched, e.errcnt = s.unsched, s.errcnt
+	js.count(b.st, -1)
+	js.count(st, 1)
+	b.st = st
 }

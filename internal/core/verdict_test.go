@@ -196,15 +196,26 @@ func TestStageErrorsCountThisPass(t *testing.T) {
 	}
 }
 
-// checkCounters asserts the engine keeps one status per flow and that
-// its verdict counters equal a scan of them.
+// statuses lists the engine's flow statuses in flow order.
+func statuses(eng *Engine) []flowStatus {
+	out := make([]flowStatus, len(eng.js.blocks))
+	for j := range eng.js.blocks {
+		out[j] = eng.js.blocks[j].st
+	}
+	return out
+}
+
+// checkCounters asserts the engine keeps one flow entry — one status —
+// per flow, that its verdict counters equal a scan of the statuses, and
+// that the changed and dirty lists agree with the entries' marks.
 func checkCounters(t *testing.T, label string, eng *Engine) {
 	t.Helper()
-	if len(eng.status) != eng.Network().NumFlows() {
-		t.Fatalf("%s: %d statuses for %d flows", label, len(eng.status), eng.Network().NumFlows())
+	js := eng.js
+	if len(js.blocks) != eng.Network().NumFlows() {
+		t.Fatalf("%s: %d flow entries for %d flows", label, len(js.blocks), eng.Network().NumFlows())
 	}
 	unsched, errs := 0, 0
-	for _, st := range eng.status {
+	for _, st := range statuses(eng) {
 		if st.err != nil || st.miss {
 			unsched++
 		}
@@ -212,7 +223,28 @@ func checkCounters(t *testing.T, label string, eng *Engine) {
 			errs++
 		}
 	}
-	if eng.unsched != unsched || eng.errcnt != errs {
-		t.Fatalf("%s: counters unsched=%d errcnt=%d, statuses scan to %d/%d", label, eng.unsched, eng.errcnt, unsched, errs)
+	if js.unsched != unsched || js.errcnt != errs {
+		t.Fatalf("%s: counters unsched=%d errcnt=%d, statuses scan to %d/%d", label, js.unsched, js.errcnt, unsched, errs)
+	}
+	for _, l := range []struct {
+		name string
+		list []int
+		mark func(*flowBlock) bool
+	}{
+		{"changed", js.changedList, func(b *flowBlock) bool { return b.changed }},
+		{"dirty", js.dirty, func(b *flowBlock) bool { return b.dirty }},
+	} {
+		seen := make(map[int]bool, len(l.list))
+		for _, j := range l.list {
+			if j < 0 || j >= len(js.blocks) || seen[j] || !l.mark(&js.blocks[j]) {
+				t.Fatalf("%s: %s list %v: flow %d out of range, repeated or unmarked (%d flows)", label, l.name, l.list, j, len(js.blocks))
+			}
+			seen[j] = true
+		}
+		for j := range js.blocks {
+			if l.mark(&js.blocks[j]) && !seen[j] {
+				t.Fatalf("%s: flow %d carries the %s mark but is not on its list %v", label, j, l.name, l.list)
+			}
+		}
 	}
 }

@@ -24,10 +24,10 @@ import (
 // Request+Release cycle on the facade's admission controller (the
 // sharded one, retaining every decision). Scratch-buffer reuse
 // (AppendHEP/VisitInterferers, the epoch-stamped worklist front) and
-// warm passes that build no bounds keep the cycle at 55 allocs/op with
+// warm passes that build no bounds keep the cycle at 53 allocs/op with
 // Go 1.24, most of them the fresh shard the probe opens alone in its
 // closure each cycle; the budget allows 39 % headroom, rounded up.
-const requestCycleAllocBudget = 77
+const requestCycleAllocBudget = 74
 
 func steadyProbeSpec() *gmfnet.FlowSpec {
 	return &gmfnet.FlowSpec{
@@ -79,11 +79,11 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 // through the sharded controller under RetainCounters, where the fold
 // keeps no per-decision state: the decision folds into four counters
 // and the resident name FIFO, and the departure is queued for the next
-// call. It measures 55 objects with Go 1.24: the probe is alone in its
+// call. It measures 53 objects with Go 1.24: the probe is alone in its
 // closure, so every cycle drops its emptied shard and the next Request
 // opens a fresh one. The budget allows 100 % headroom; the fold itself
 // must stay O(1) allocations.
-const countersCycleAllocBudget = 110
+const countersCycleAllocBudget = 106
 
 // TestCountersRetentionFoldAllocs pins the allocation count of the
 // counters-retention fold path on the sharded controller — the
@@ -91,7 +91,7 @@ const countersCycleAllocBudget = 110
 // any per-fold allocation would show up millions of times.
 func TestCountersRetentionFoldAllocs(t *testing.T) {
 	sys := gmfnet.NewSystem(gmfnet.MustFigure1(gmfnet.Figure1Options{Rate: units.Gbps}))
-	ctl, err := sys.NewParallelAdmissionController(gmfnet.AnalysisConfig{})
+	ctl, err := sys.NewAdmissionController(gmfnet.AnalysisConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,9 @@ func (a *Analyzer) demand(js *jitterState, j int, rate units.BitRate) *gmf.Deman
 // of everything the engine keeps per flow. At its core it stores
 // GJ_j^{k,resource} for every flow, resource and frame: the generalized
 // jitter with which frame k of flow j enters each stage of its pipeline.
-// It powers the extra_j(N,i) terms of the analysis and the holistic
-// iteration of Section 3.5.
+// It powers the extra_j(N,i) terms of the analysis — read straight off
+// the arena as the max over a stage's frames (see extraAt) — and the
+// holistic iteration of Section 3.5.
 //
 // The jitters live in a single flat arena of picosecond values. Flow j's
 // slots form one contiguous block: stage s (position in the flow's
@@ -87,10 +88,8 @@ func (a *Analyzer) demand(js *jitterState, j int, rate units.BitRate) *gmf.Deman
 // removing, undoing or adopting a flow moves the whole entry, so the
 // per-flow facts cannot drift apart. Alongside the table it maintains:
 //
-//   - a per-(flow, stage) cache of max-over-frames entry jitter (the
-//     extra_j term), kept incrementally valid under writes;
-//   - the changed list, the flows whose jitters moved since the last
-//     resetChanged, which drives the engine's delta iteration;
+//   - the changed list (moved), the flows whose jitters moved since the
+//     last resetChanged, which drives the engine's delta iteration;
 //   - the dirty list, the flows changed since the engine's last
 //     convergence (see Engine);
 //   - the verdict counters over the statuses;
@@ -106,17 +105,11 @@ func (a *Analyzer) demand(js *jitterState, j int, rate units.BitRate) *gmf.Deman
 // snapshot window, which may add flows and remove flows it added but
 // never removes an older one (see Engine.RemoveFlow). The flows and slots
 // that existed at the snapshot therefore never move: the journals record
-// only writes below journalEnd and journalFlows, the arena length and
-// flow count at the snapshot, and undoTo replays them and truncates
-// everything above.
+// only writes to flows below journalFlows, the flow count at the
+// snapshot, and undoTo replays them and truncates everything above.
 type jitterState struct {
 	blocks []flowBlock
 	arena  []units.Time
-
-	// extraMax[e] caches max over frames of one (flow, stage) block;
-	// extraValid[e] says whether the cache reflects the arena.
-	extraMax   []units.Time
-	extraValid []bool
 
 	// memo is the stage memo, parallel to arena (see memoSlot).
 	// lastChange[g] is the clock value of the last change on link group
@@ -135,11 +128,11 @@ type jitterState struct {
 	// and computed afresh (tests read them).
 	served, evaluated int
 
-	changed bool
-	// changedList lists, once each, the flows whose jitters changed since
-	// the last resetChanged (flowBlock.changed marks them); the engine's
-	// worklist iteration re-analyses only the flows whose inputs moved.
-	changedList []int
+	// moved lists, once each, the flows whose jitters changed since the
+	// last resetChanged (flowBlock.changed marks them), so a sweep
+	// converged when it is empty; the engine's worklist iteration
+	// re-analyses only the flows whose inputs moved.
+	moved []int
 	// dirty lists, once each, the flows added or disturbed since the
 	// engine's last convergence (flowBlock.dirty marks them).
 	dirty []int
@@ -155,14 +148,14 @@ type jitterState struct {
 	// exhaustion.
 	maxDelta units.Time
 
-	// journal records (slot, old value) for every write below
-	// journalEnd since the last beginJournal, newest last; statusJournal
-	// records (flow, old status) for every status write below
-	// journalFlows. undoTo replays both backwards. journalEnd and
-	// journalFlows are zero when no snapshot is live.
+	// journal records (slot, old value) and statusJournal (flow, old
+	// status) for every write to a flow below journalFlows since the last
+	// beginJournal, newest last; undoTo replays both backwards. Those
+	// flows never move inside a snapshot window, so their slots are
+	// exactly the arena below its length at the snapshot. journalFlows is
+	// zero when no snapshot is live.
 	journal       []undoEntry
 	statusJournal []statusOp
-	journalEnd    int32
 	journalFlows  int
 }
 
@@ -177,10 +170,10 @@ type memoSlot struct {
 // inside the arena, and the per-flow facts the analysis keeps beside
 // them.
 type flowBlock struct {
-	base  int32 // arena offset of stage 0, frame 0
-	ebase int32 // extraMax/extraValid offset of stage 0
-	n     int32 // frames per stage
-	// changed / dirty mark the flow's membership of changedList / dirty.
+	base int32 // arena offset of stage 0, frame 0
+	n    int32 // frames per stage
+	// changed / dirty mark the flow's membership of jitterState.moved /
+	// dirty.
 	changed, dirty bool
 	rids           []network.ResourceID
 	// dem caches the flow's demand at each link rate it meets (see
@@ -197,18 +190,17 @@ type flowBlock struct {
 func (b *flowBlock) group(pos int) network.ResourceID { return b.rids[pos&^1] }
 
 type undoEntry struct {
-	off  int32
-	eidx int32
-	old  units.Time
+	off int32
+	old units.Time
 }
 
 // jitterMark freezes the state at snapshot time beyond what the journals
 // record: the extents undoTo truncates back to, the dirty list and the
 // verdict counters.
 type jitterMark struct {
-	arenaLen, eLen, numFlows int
-	dirty                    []int
-	unsched, errcnt          int
+	arenaLen, numFlows int
+	dirty              []int
+	unsched, errcnt    int
 }
 
 // newJitterState initialises the holistic starting point: every flow's
@@ -232,10 +224,9 @@ func (js *jitterState) addFlow(j int, fs *network.FlowSpec, rids []network.Resou
 	}
 	n := fs.Flow.N()
 	b := flowBlock{
-		base:  int32(len(js.arena)),
-		ebase: int32(len(js.extraMax)),
-		n:     int32(n),
-		rids:  rids,
+		base: int32(len(js.arena)),
+		n:    int32(n),
+		rids: rids,
 	}
 	js.blocks = append(js.blocks, b)
 	js.arena = append(js.arena, make([]units.Time, len(rids)*n)...)
@@ -248,23 +239,8 @@ func (js *jitterState) addFlow(j int, fs *network.FlowSpec, rids []network.Resou
 		js.lastChange = append(js.lastChange, make([]uint64, groups-len(js.lastChange))...)
 		js.touchFlow(&b)
 	}
-	js.extraMax = append(js.extraMax, make([]units.Time, len(rids))...)
-	js.extraValid = append(js.extraValid, make([]bool, len(rids))...)
-	var m units.Time
 	for k := 0; k < n; k++ {
-		v := fs.Flow.Frames[k].Jitter
-		js.arena[int(b.base)+k] = v
-		if v > m {
-			m = v
-		}
-	}
-	// All caches start valid: stage 0 holds the max source jitter, the
-	// zeroed downstream stages hold zero.
-	for s := range rids {
-		js.extraValid[int(b.ebase)+s] = true
-	}
-	if len(rids) > 0 {
-		js.extraMax[b.ebase] = m
+		js.arena[int(b.base)+k] = fs.Flow.Frames[k].Jitter
 	}
 }
 
@@ -285,27 +261,17 @@ func (js *jitterState) set(j, pos, k int, v units.Time) {
 	if old == v {
 		return
 	}
-	eidx := b.ebase + int32(pos)
-	if off < js.journalEnd {
-		js.journal = append(js.journal, undoEntry{off: off, eidx: eidx, old: old})
+	if j < js.journalFlows {
+		js.journal = append(js.journal, undoEntry{off: off, old: old})
 	}
 	js.arena[off] = v
 	js.touch(b.group(pos))
-	js.changed = true
 	if d := v - old; d > js.maxDelta {
 		js.maxDelta = d
 	}
 	if !b.changed {
 		b.changed = true
-		js.changedList = append(js.changedList, j)
-	}
-	if js.extraValid[eidx] {
-		switch {
-		case v >= js.extraMax[eidx]:
-			js.extraMax[eidx] = v
-		case old == js.extraMax[eidx]:
-			js.extraValid[eidx] = false
-		}
+		js.moved = append(js.moved, j)
 	}
 }
 
@@ -363,44 +329,17 @@ func (js *jitterState) remember(j, pos, k int, r units.Time) {
 	js.memo[off] = memoSlot{r: r, at: js.now}
 }
 
-// settled reports whether every stage of flow j would be served from
-// the memo. A pass over such a flow changes nothing — every entry
-// jitter it writes is already in place (each one was written from the
-// memoized responses before it, and rewriting one touches its group) —
-// so the engine skips it; its slots count as served.
-func (js *jitterState) settled(j int) bool {
-	b := &js.blocks[j]
-	for pos := range b.rids {
-		lim := max(js.floor, js.lastChange[b.group(pos)])
-		base := b.base + int32(pos)*b.n
-		for _, m := range js.memo[base : base+b.n] {
-			if m.at <= lim {
-				return false
-			}
-		}
-	}
-	js.served += len(b.rids) * int(b.n)
-	return true
-}
-
 // extraAt returns extra_j at stage pos of flow j's own pipeline: the
 // largest entry jitter over the flow's frames, the quantity added to
-// interference windows. It refreshes the cache when a write invalidated it.
+// interference windows, read off the arena.
 func (js *jitterState) extraAt(j, pos int) units.Time {
 	b := &js.blocks[j]
-	eidx := b.ebase + int32(pos)
-	if !js.extraValid[eidx] {
-		var m units.Time
-		base := b.base + int32(pos)*b.n
-		for _, v := range js.arena[base : base+b.n] {
-			if v > m {
-				m = v
-			}
-		}
-		js.extraMax[eidx] = m
-		js.extraValid[eidx] = true
+	base := b.base + int32(pos)*b.n
+	var m units.Time
+	for _, v := range js.arena[base : base+b.n] {
+		m = max(m, v)
 	}
-	return js.extraMax[eidx]
+	return m
 }
 
 // extraOf returns extra_j of flow j at the resource with the given dense
@@ -420,12 +359,11 @@ func (js *jitterState) extraOf(j int, rid network.ResourceID) units.Time {
 }
 
 func (js *jitterState) resetChanged() {
-	js.changed = false
 	js.maxDelta = 0
-	for _, j := range js.changedList {
+	for _, j := range js.moved {
 		js.blocks[j].changed = false
 	}
-	js.changedList = js.changedList[:0]
+	js.moved = js.moved[:0]
 }
 
 // markDirty puts flow j on the dirty list, once.
@@ -465,23 +403,15 @@ func (js *jitterState) coldReset(j int, fs *network.FlowSpec) {
 	}
 	for s := range b.rids {
 		base := int(b.base) + s*n
-		var m units.Time
 		for k := 0; k < n; k++ {
 			v := cold(s, k)
 			if old := js.arena[base+k]; old != v {
-				if int32(base+k) < js.journalEnd {
-					js.journal = append(js.journal, undoEntry{
-						off: int32(base + k), eidx: b.ebase + int32(s), old: old,
-					})
+				if j < js.journalFlows {
+					js.journal = append(js.journal, undoEntry{off: int32(base + k), old: old})
 				}
 				js.arena[base+k] = v
 			}
-			if v > m {
-				m = v
-			}
 		}
-		js.extraMax[int(b.ebase)+s] = m
-		js.extraValid[int(b.ebase)+s] = true
 	}
 }
 
@@ -490,29 +420,22 @@ func (js *jitterState) coldReset(j int, fs *network.FlowSpec) {
 // Network.RemoveFlow. Entries move whole, marks and status included; the
 // verdict counters drop flow i's status, and the changed and dirty lists
 // are renumbered, so no stale index reaches the next delta worklist.
-// Under a live snapshot flow i was added after it, so every slot and
-// entry that moves lies above journalEnd and journalFlows and the
-// journals stay valid.
+// Under a live snapshot flow i was added after it, so every entry that
+// moves lies above journalFlows and the journals stay valid.
 func (js *jitterState) removeFlowReindex(i int) {
 	b := js.blocks[i]
 	js.touchFlow(&b)
 	js.count(b.st, -1)
-	stages := int32(len(b.rids))
-	slots := stages * b.n
+	slots := int32(len(b.rids)) * b.n
 	copy(js.arena[b.base:], js.arena[b.base+slots:])
 	js.arena = js.arena[:int32(len(js.arena))-slots]
 	copy(js.memo[b.base:], js.memo[b.base+slots:])
 	js.memo = js.memo[:len(js.arena)]
-	copy(js.extraMax[b.ebase:], js.extraMax[b.ebase+stages:])
-	js.extraMax = js.extraMax[:int32(len(js.extraMax))-stages]
-	copy(js.extraValid[b.ebase:], js.extraValid[b.ebase+stages:])
-	js.extraValid = js.extraValid[:int32(len(js.extraValid))-stages]
 	js.blocks = slices.Delete(js.blocks, i, i+1)
 	for j := i; j < len(js.blocks); j++ {
 		js.blocks[j].base -= slots
-		js.blocks[j].ebase -= stages
 	}
-	js.changedList = shiftDown(js.changedList, i)
+	js.moved = shiftDown(js.moved, i)
 	js.dirty = shiftDown(js.dirty, i)
 }
 
@@ -539,11 +462,9 @@ func shiftDown(list []int, i int) []int {
 // back the dirty list and the verdict counters.
 func (js *jitterState) beginJournal() jitterMark {
 	js.endJournal()
-	js.journalEnd = int32(len(js.arena))
 	js.journalFlows = len(js.blocks)
 	return jitterMark{
 		arenaLen: len(js.arena),
-		eLen:     len(js.extraMax),
 		numFlows: len(js.blocks),
 		dirty:    slices.Clone(js.dirty),
 		unsched:  js.unsched,
@@ -557,13 +478,11 @@ func (js *jitterState) beginJournal() jitterMark {
 func (js *jitterState) endJournal() {
 	js.journal = js.journal[:0]
 	js.statusJournal = js.statusJournal[:0]
-	js.journalEnd = 0
 	js.journalFlows = 0
 }
 
 // undoTo rolls the state back to the mark: journaled jitter and status
-// writes are replayed backwards, every entry, slot and cache entry above
-// the mark — the flows added since, whatever they hold — is truncated
+// writes are replayed backwards, every entry and slot above the mark — the flows added since, whatever they hold — is truncated
 // away, and the dirty list and verdict counters are the mark's. The
 // statuses are then the mark's bit for bit, so its counters match them.
 // Raising the memo floor voids every memo entry in O(1): the replay
@@ -576,7 +495,6 @@ func (js *jitterState) undoTo(m jitterMark) {
 	for i := len(js.journal) - 1; i >= 0; i-- {
 		e := js.journal[i]
 		js.arena[e.off] = e.old
-		js.extraValid[e.eidx] = false
 	}
 	for k := len(js.statusJournal) - 1; k >= 0; k-- {
 		op := js.statusJournal[k]
@@ -587,8 +505,6 @@ func (js *jitterState) undoTo(m jitterMark) {
 	js.clearDirty()
 	js.arena = js.arena[:m.arenaLen]
 	js.memo = js.memo[:m.arenaLen]
-	js.extraMax = js.extraMax[:m.eLen]
-	js.extraValid = js.extraValid[:m.eLen]
 	clear(js.blocks[m.numFlows:]) // drop the popped flows' demands
 	js.blocks = js.blocks[:m.numFlows]
 	for _, j := range m.dirty {

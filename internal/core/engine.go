@@ -38,11 +38,12 @@ import (
 //     of a flow, and a flow joining or leaving (every link group of its
 //     pipeline). A memo entry newer than its group's stamp therefore
 //     holds exactly the bits a recomputation would return, and a pass
-//     serves it instead; a worklist flow whose every entry is current is
-//     skipped outright, since its pass would write nothing new. Restore
-//     voids the whole memo in O(1) by raising a floor, and a block
-//     adopted from another engine starts with an empty memo. The cold
-//     Analyzer keeps no memo, so it stays an independent referee.
+//     serves it instead: a flow whose every entry is current is passed
+//     like any other, but the pass evaluates nothing and writes nothing
+//     new. Restore voids the whole memo in O(1) by raising a floor, and
+//     a block adopted from another engine starts with an empty memo.
+//     The cold Analyzer keeps no memo, so it stays an independent
+//     referee.
 //
 // The engine keeps a verdict, not bounds: one status per flow — its
 // stage error, and whether a frame misses its deadline — and counters of
@@ -307,9 +308,7 @@ func (e *Engine) convergeFull() bool {
 // only flows whose inputs moved. A flow whose interferers' jitters are all
 // unchanged recomputes to its previous result, so skipping it is exact:
 // the iteration converges to the same least fixpoint as a full sweep over
-// every flow, while touching only the actual propagation front. Within a
-// round, a flow whose every stage the memo serves is skipped too: its
-// pass would write nothing new.
+// every flow, while touching only the actual propagation front.
 func (e *Engine) analyzeOver(work []int) bool {
 	nw := e.an.nw
 	e.noConv = nil
@@ -329,9 +328,6 @@ func (e *Engine) analyzeOver(work []int) bool {
 		sweeps++
 		e.js.resetChanged()
 		for _, i := range work {
-			if e.js.settled(i) {
-				continue // its pass would rewrite every slot and its status byte-identically
-			}
 			st := e.an.flowPass(i, e.js, nil)
 			e.js.setStatus(i, st)
 			if st.err != nil {
@@ -340,12 +336,12 @@ func (e *Engine) analyzeOver(work []int) bool {
 				return finish(false)
 			}
 		}
-		if len(e.js.changedList) == 0 {
+		if len(e.js.moved) == 0 {
 			e.js.clearDirty()
 			return finish(true)
 		}
 		front := e.nextFrontStart(nw.NumFlows())
-		for _, f := range e.js.changedList {
+		for _, f := range e.js.moved {
 			front(f)
 			nw.VisitInterferers(f, front)
 		}
@@ -355,7 +351,7 @@ func (e *Engine) analyzeOver(work []int) bool {
 	e.noConv = &ErrNoConvergence{
 		Iterations: maxIter,
 		Residual:   e.js.maxDelta,
-		Pending:    len(e.js.changedList),
+		Pending:    len(e.js.moved),
 	}
 	return finish(false)
 }

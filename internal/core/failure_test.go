@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gmfnet/internal/gmf"
 	"gmfnet/internal/network"
 	"gmfnet/internal/units"
 )
@@ -242,7 +243,8 @@ func TestJitterStateExtraOfUnknown(t *testing.T) {
 	}
 }
 
-// TestSourceJitterSeedsFirstResource pins the holistic starting point.
+// TestSourceJitterSeedsFirstResource pins the holistic starting point
+// and extra_j: the largest entry jitter over one stage's frames.
 func TestSourceJitterSeedsFirstResource(t *testing.T) {
 	fs := &network.FlowSpec{
 		Flow:  oneFrameFlow("a", fullFramePayload, 100*ms, 100*ms, 3*ms),
@@ -262,6 +264,43 @@ func TestSourceJitterSeedsFirstResource(t *testing.T) {
 	if got := js.extraOf(0, rid0); got != 3*ms {
 		t.Fatalf("extraOf(first hop) = %v, want 3ms", got)
 	}
+
+	// extra_j on its own: the warm/cold differentials share extraOf, so
+	// they cannot see a wrong max. A three-frame flow crosses three
+	// stages; each read must be the max over that stage's frames only.
+	frame := func(jit units.Time) gmf.Frame {
+		return gmf.Frame{MinSep: 100 * ms, Deadline: 100 * ms, Jitter: jit, PayloadBits: fullFramePayload}
+	}
+	nw = oneSwitchNet(t, &network.FlowSpec{
+		Flow:  &gmf.Flow{Name: "m", Frames: []gmf.Frame{frame(1 * ms), frame(3 * ms), frame(2 * ms)}},
+		Route: []network.NodeID{"h1", "s", "h2"},
+	})
+	js = newJitterState(nw, true)
+	rids := nw.FlowResources(0)
+	check := func(when string, want ...units.Time) {
+		t.Helper()
+		for s, rid := range rids {
+			if got := js.extraOf(0, rid); got != want[s] {
+				t.Fatalf("%s: extraOf(stage %d) = %v, want %v", when, s, got, want[s])
+			}
+		}
+	}
+	check("cold start", 3*ms, 0, 0)
+	js.set(0, 1, 0, 5*ms)
+	js.set(0, 1, 2, 7*ms)
+	check("set raises the max", 3*ms, 7*ms, 0)
+	js.set(0, 1, 2, 2*ms)
+	js.set(0, 0, 1, 0)
+	check("set lowers the max", 2*ms, 5*ms, 0)
+	m := js.beginJournal()
+	js.set(0, 2, 1, 9*ms)
+	js.set(0, 1, 0, 1*ms)
+	check("set under a snapshot", 2*ms, 2*ms, 9*ms)
+	js.coldReset(0, nw.Flow(0))
+	check("coldReset", 3*ms, 0, 0)
+	js.set(0, 2, 0, 4*ms)
+	js.undoTo(m)
+	check("undoTo", 2*ms, 5*ms, 0)
 }
 
 // TestFlowResourcesAlignWithNetworkIDs pins the contract between the

@@ -133,7 +133,7 @@ func (a *Analyzer) Analyze() (*Result, error) {
 		res.Flows = flows
 		res.Iterations = iter
 		res.Stats = ConvergenceStats{Iterations: iter, WorklistRounds: iter}
-		if !js.changed {
+		if len(js.moved) == 0 {
 			res.Converged = true
 			return res, nil
 		}
@@ -142,7 +142,7 @@ func (a *Analyzer) Analyze() (*Result, error) {
 	res.NoConvergence = &ErrNoConvergence{
 		Iterations: a.cfg.MaxHolisticIter,
 		Residual:   js.maxDelta,
-		Pending:    len(js.changedList),
+		Pending:    len(js.moved),
 	}
 	return res, nil
 }

@@ -553,11 +553,8 @@ func (e *Engine) adoptFlow(src *Engine, j int) error {
 // into the other's.
 func copyJitterBlock(dst *jitterState, i int, src *jitterState, j int) {
 	db, sb := &dst.blocks[i], &src.blocks[j]
-	stages := len(db.rids)
-	slots := int32(stages) * db.n
+	slots := int32(len(db.rids)) * db.n
 	copy(dst.arena[db.base:db.base+slots], src.arena[sb.base:sb.base+slots])
-	copy(dst.extraMax[db.ebase:int(db.ebase)+stages], src.extraMax[sb.ebase:int(sb.ebase)+stages])
-	copy(dst.extraValid[db.ebase:int(db.ebase)+stages], src.extraValid[sb.ebase:int(sb.ebase)+stages])
 	db.dem = slices.Clip(sb.dem)
 	dst.setStatus(i, sb.st)
 }

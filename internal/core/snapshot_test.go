@@ -119,11 +119,11 @@ func TestSnapshotDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
-	if eng.js.journalEnd == 0 {
+	if eng.js.journalFlows == 0 {
 		t.Fatal("snapshot did not arm the journal")
 	}
 	eng.Discard(snap)
-	if eng.js.journalEnd != 0 {
+	if eng.js.journalFlows != 0 {
 		t.Fatal("discard left the journal armed")
 	}
 	if err := eng.Restore(snap); err == nil {
@@ -141,7 +141,7 @@ func TestSnapshotDiscard(t *testing.T) {
 	// A dead token must not disarm the journal of a newer snapshot.
 	live := eng.Snapshot()
 	eng.Discard(snap)
-	if eng.js.journalEnd == 0 {
+	if eng.js.journalFlows == 0 {
 		t.Fatal("stale discard disarmed the live snapshot's journal")
 	}
 	if err := eng.Restore(live); err != nil {
@@ -244,15 +244,15 @@ func TestRemoveFlowReindexChangedList(t *testing.T) {
 	if got := js.get(1, 0, 0); got != before {
 		t.Fatalf("shifted flow slot = %v, want %v", got, before)
 	}
-	if len(js.changedList) != 2 {
-		t.Fatalf("changedList = %v, want two entries", js.changedList)
+	if len(js.moved) != 2 {
+		t.Fatalf("moved = %v, want two entries", js.moved)
 	}
-	for _, j := range js.changedList {
+	for _, j := range js.moved {
 		if j < 0 || j >= js.numFlows() {
 			t.Fatalf("stale flow index %d leaked into the worklist (flows: %d)", j, js.numFlows())
 		}
 		if !js.blocks[j].changed {
-			t.Fatalf("changedList and the changed marks out of sync at %d", j)
+			t.Fatalf("moved and the changed marks out of sync at %d", j)
 		}
 	}
 }
@@ -317,18 +317,15 @@ func TestEngineInterleavedRemoveAndDelta(t *testing.T) {
 // bit-identical to a deep copy.
 func (js *jitterState) clone() *jitterState {
 	out := &jitterState{
-		blocks:      make([]flowBlock, len(js.blocks)),
-		arena:       append([]units.Time(nil), js.arena...),
-		memoOn:      js.memoOn,
-		memo:        make([]memoSlot, len(js.arena)),
-		lastChange:  make([]uint64, len(js.lastChange)),
-		extraMax:    append([]units.Time(nil), js.extraMax...),
-		extraValid:  append([]bool(nil), js.extraValid...),
-		changed:     js.changed,
-		changedList: append([]int(nil), js.changedList...),
-		dirty:       append([]int(nil), js.dirty...),
-		unsched:     js.unsched,
-		errcnt:      js.errcnt,
+		blocks:     make([]flowBlock, len(js.blocks)),
+		arena:      append([]units.Time(nil), js.arena...),
+		memoOn:     js.memoOn,
+		memo:       make([]memoSlot, len(js.arena)),
+		lastChange: make([]uint64, len(js.lastChange)),
+		moved:      append([]int(nil), js.moved...),
+		dirty:      append([]int(nil), js.dirty...),
+		unsched:    js.unsched,
+		errcnt:     js.errcnt,
 	}
 	copy(out.blocks, js.blocks)
 	return out

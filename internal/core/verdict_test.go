@@ -231,7 +231,7 @@ func checkCounters(t *testing.T, label string, eng *Engine) {
 		list []int
 		mark func(*flowBlock) bool
 	}{
-		{"changed", js.changedList, func(b *flowBlock) bool { return b.changed }},
+		{"changed", js.moved, func(b *flowBlock) bool { return b.changed }},
 		{"dirty", js.dirty, func(b *flowBlock) bool { return b.dirty }},
 	} {
 		seen := make(map[int]bool, len(l.list))

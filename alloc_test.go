@@ -23,7 +23,7 @@ import (
 // requestCycleAllocBudget caps the allocations of one steady-state
 // Request+Release cycle on the facade's admission controller (the
 // sharded one, retaining every decision). Scratch-buffer reuse
-// (AppendHEP/VisitInterferers, the epoch-stamped worklist front) and
+// (the egress hep buffer, VisitInterferers, the epoch-stamped worklist front) and
 // warm passes that build no bounds keep the cycle at 53 allocs/op with
 // Go 1.24, most of them the fresh shard the probe opens alone in its
 // closure each cycle; the budget allows 39 % headroom, rounded up.
@@ -120,35 +120,39 @@ func TestCountersRetentionFoldAllocs(t *testing.T) {
 }
 
 // largeClosureCycleAllocBudget caps one Request+Release cycle under
-// RetainCounters whose probe joins a 200-flow interference closure (the
-// shape of the clos-cross workload). The probe's delta analysis
-// re-evaluates the stages its links feed, and the departure the next
-// Request applies descends the closure warm; their passes build no
+// RetainCounters whose probe joins a 200-flow interference closure on
+// the clos-cross shape (see largeClosureCycle). The probe's delta
+// analysis re-evaluates the stages its links feed, and the departure the
+// next Request applies descends the closure warm; their passes build no
 // bounds, so neither allocates per re-analysed flow. Measured 33 with
 // Go 1.24; the budget allows 20 % headroom, rounded up.
 const largeClosureCycleAllocBudget = 40
 
-// TestLargeClosureRequestAllocs pins the allocation count of a request
-// into a ~200-flow closure and its departure.
-func TestLargeClosureRequestAllocs(t *testing.T) {
-	topo, hosts, err := network.ClosTenant(4, 8, 8)
+// largeClosureCycle admits 200 cross-leaf VoIP flows on a clos fabric of
+// 4 spines and `leaves` leaves of 8 hosts — every flow crosses a spine,
+// so the residents fuse one interference closure — and returns one
+// steady cycle: Request of a probe that joins the closure, then its
+// Release. The controller keeps counters only, like gmfnet-admitd.
+func largeClosureCycle(tb testing.TB, leaves int) func() {
+	tb.Helper()
+	topo, hosts, err := network.ClosTenant(4, leaves, 8)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctl, err := admission.NewShardedController(network.New(topo), core.Config{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctl.SetRetention(admission.RetainCounters)
 	r := rand.New(rand.NewSource(3))
 	voip := func(name string) *network.FlowSpec {
-		src, dst := r.Intn(64), r.Intn(64)
+		src, dst := r.Intn(len(hosts)), r.Intn(len(hosts))
 		if src/8 == dst/8 {
-			dst = (dst + 8) % 64 // cross-leaf: every flow joins one closure
+			dst = (dst + 8) % len(hosts) // cross-leaf: every flow joins one closure
 		}
 		route, err := topo.Route(hosts[src], hosts[dst])
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return &network.FlowSpec{
 			Flow:     trace.VoIP(name, trace.VoIPOptions{Deadline: 100 * units.Millisecond}),
@@ -158,7 +162,7 @@ func TestLargeClosureRequestAllocs(t *testing.T) {
 	}
 	for k := 0; k < 200; k++ {
 		if d, err := ctl.Request(voip(fmt.Sprintf("f%d", k))); err != nil || !d.Admitted {
-			t.Fatalf("resident %d: admitted=%v err=%v", k, d.Admitted, err)
+			tb.Fatalf("resident %d: admitted=%v err=%v", k, d.Admitted, err)
 		}
 	}
 	probes := make([]*network.FlowSpec, 16)
@@ -168,21 +172,29 @@ func TestLargeClosureRequestAllocs(t *testing.T) {
 	i := 0
 	cycle := func() {
 		if d, err := ctl.Request(probes[i%len(probes)]); err != nil || !d.Admitted {
-			t.Fatalf("probe: admitted=%v err=%v", d.Admitted, err)
+			tb.Fatalf("probe: admitted=%v err=%v", d.Admitted, err)
 		}
 		i++
 		if ok, err := ctl.Release("probe"); err != nil || !ok {
-			t.Fatalf("release: ok=%v err=%v", ok, err)
+			tb.Fatalf("release: ok=%v err=%v", ok, err)
 		}
 	}
 	for k := 0; k < len(probes); k++ {
 		cycle()
 	}
 	if n := ctl.NumShards(); n != 1 {
-		t.Fatalf("residents form %d closures, want 1", n)
+		tb.Fatalf("residents form %d closures, want 1", n)
 	}
+	return cycle
+}
+
+// TestLargeClosureRequestAllocs pins the allocation count of a request
+// into a ~200-flow closure and its departure, on the clos-cross shape
+// (16 leaves).
+func TestLargeClosureRequestAllocs(t *testing.T) {
+	cycle := largeClosureCycle(t, 16)
 	allocs := testing.AllocsPerRun(64, cycle)
-	t.Logf("Request+Release in a %d-flow closure: %.1f allocs/op", ctl.NumFlows(), allocs)
+	t.Logf("Request+Release in a 200-flow closure: %.1f allocs/op", allocs)
 	if allocs > largeClosureCycleAllocBudget {
 		t.Fatalf("large-closure cycle allocates %.1f/op, budget %d", allocs, largeClosureCycleAllocBudget)
 	}

@@ -1,4 +1,4 @@
-// Benchmarks regenerating every experiment of DESIGN.md's index (E1-E13),
+// Benchmarks regenerating every experiment of internal/exp's index (E1-E13),
 // plus end-to-end benches of the three pillars: analysis, simulation and
 // admission control. Run with:
 //
@@ -6,7 +6,7 @@
 //
 // Each BenchmarkE* executes the full experiment; custom metrics surface
 // the headline quantity of the experiment so that `go test -bench` output
-// doubles as a compact results table (see EXPERIMENTS.md).
+// doubles as a compact results table (see exp.All in internal/exp).
 package gmfnet_test
 
 import (
@@ -580,6 +580,21 @@ func BenchmarkAdmissionCycle1024(b *testing.B) { benchRingCycle(b, 64, 1024) }
 // Near-equal ns/op with BenchmarkAdmissionCycle1024 is the O(affected)
 // acceptance check of the copy-on-read result path.
 func BenchmarkAdmissionCycle4096(b *testing.B) { benchRingCycle(b, 256, 4096) }
+
+// BenchmarkAdmissionClosCross is one steady Request + Release cycle
+// into the fused ~200-flow closure of the clos-cross shape (4 spines,
+// 16 leaves of 8 hosts, every resident crossing a spine), counters-only
+// retention like gmfnet-admitd: the shape where fixpoint sweeps over
+// one large closure do the work. TestLargeClosureRequestAllocs pins the
+// same cycle's allocations.
+func BenchmarkAdmissionClosCross(b *testing.B) {
+	cycle := largeClosureCycle(b, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
 
 // BenchmarkAdmissionVideoMix256 admits the 256-stream bursty GMF video
 // mix (network.VideoMix: IBBPBBPBB GOPs in three rate profiles, every

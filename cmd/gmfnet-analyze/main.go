@@ -29,7 +29,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("gmfnet-analyze", flag.ContinueOnError)
-	mode := fs.String("mode", "sound", "analysis mode: sound or paper (DESIGN.md F3-F5)")
+	mode := fs.String("mode", "sound", "analysis mode: sound or paper (docs/ARCHITECTURE.md F3-F5)")
 	stages := fs.Bool("stages", false, "print the per-stage decomposition of every frame")
 	util := fs.Bool("util", false, "print the per-resource utilisation (bottleneck) report")
 	example := fs.Bool("example", false, "analyse the built-in Figure 1 scenario")

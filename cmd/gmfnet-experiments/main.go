@@ -1,5 +1,5 @@
 // Command gmfnet-experiments regenerates the experiment tables E1-E13
-// indexed in DESIGN.md and recorded in EXPERIMENTS.md.
+// indexed by exp.All in internal/exp.
 //
 // Usage:
 //

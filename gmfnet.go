@@ -114,7 +114,7 @@ const (
 	Gbps        = units.Gbps
 )
 
-// Analysis modes (DESIGN.md F3-F5).
+// Analysis modes (docs/ARCHITECTURE.md, F3-F5).
 const (
 	// ModeSound is the reconstruction whose bounds the simulator never
 	// violates (default).

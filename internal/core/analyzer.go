@@ -185,8 +185,9 @@ type flowBlock struct {
 
 // group returns the link group of stage pos: the resource at pos for a
 // link stage (first hop or egress), and for an in(N) stage the link it
-// is reached over, at pos-1 — the ingress stage reads FlowsOn of that
-// link, the same flows as the link stage.
+// is reached over, at pos-1 — the ingress stage reads the flows of that
+// link, the same flows as the link stage. It equals the network's
+// Stage(rids[pos]).Group without the lookup.
 func (b *flowBlock) group(pos int) network.ResourceID { return b.rids[pos&^1] }
 
 type undoEntry struct {

@@ -19,6 +19,13 @@
 // fixpoint of Section 3.5, yielding a schedulability verdict usable as an
 // admission test.
 //
+// A stage reads its inputs — link rate and propagation delay, CIRC(N),
+// flows(N1,N2) — through the network's dense ResourceIDs: the flow's
+// pipeline gives each stage's id, network.Stage its resolved record and
+// network.LinkFlows the flows on its link group. No node name is
+// hashed between a flow's admission and the output; names appear only
+// in the Resource an error or a StageResult reports.
+//
 // Three execution vehicles share those equations:
 //
 //   - Analyzer is the one-shot reference: a full cold fixpoint per call;
@@ -51,7 +58,7 @@ import (
 )
 
 // Mode selects between the formulas exactly as printed in the paper and
-// the reconstruction this package argues is sound (see DESIGN.md F3-F5).
+// the reconstruction this package argues is sound (see docs/ARCHITECTURE.md, F3-F5).
 type Mode int
 
 const (

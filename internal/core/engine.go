@@ -69,8 +69,9 @@ import (
 //
 // Mutate the flow set only through AddFlow/RemoveFlow so the engine can
 // track what changed: it does not see an out-of-band change to the
-// network or its flows (reassigned priorities, say), so build a new
-// Engine after one. An Engine is not safe for concurrent use.
+// network or its flows (reassigned priorities, say, or a link added to
+// the topology, which raises CIRC of its switch), so build a new Engine
+// after one. An Engine is not safe for concurrent use.
 type Engine struct {
 	an *Analyzer
 
@@ -400,9 +401,9 @@ func (e *Engine) affectedSet(seed []int) []int {
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		fs := nw.Flow(i)
-		for h := 0; h < len(fs.Route)-1; h++ {
-			for _, j := range nw.FlowsOn(fs.Route[h], fs.Route[h+1]) {
+		rids := nw.FlowResources(i)
+		for h := 0; h < len(rids); h += 2 { // the flow's links
+			for _, j := range nw.LinkFlows(rids[h]) {
 				if !visited[j] {
 					visited[j] = true
 					queue = append(queue, j)

@@ -529,3 +529,86 @@ func compareResults(t *testing.T, got, want *Result) {
 		}
 	}
 }
+
+// TestLinkAddedUnderAdmittedRoute adds a link to a switch that admitted
+// routes cross, so its CIRC rises under resident flows, and checks that
+// the cold Analyzer and a cold-reset Engine then give exactly the bounds
+// of a network built fresh on the grown topology.
+func TestLinkAddedUnderAdmittedRoute(t *testing.T) {
+	specs := []*network.FlowSpec{
+		voipOn("v1", "a1", "sA", "a2"),
+		voipOn("v2", "a2", "sA", "sB", "b1"),
+		voipOn("v3", "b2", "sB", "b3"),
+	}
+	grow := func(topo *network.Topology) {
+		t.Helper()
+		if err := topo.AddHost("a4"); err != nil {
+			t.Fatal(err)
+		}
+		if err := topo.AddDuplexLink("a4", "sA", 100*units.Mbps, units.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topo := engineTopo(t)
+	nw := network.New(topo)
+	eng, err := NewEngine(nw, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fs := range specs {
+		if _, err := eng.AddFlow(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	an, err := NewAnalyzer(nw, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := an.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+
+	grow(topo)
+	freshTopo := engineTopo(t)
+	grow(freshTopo)
+	fresh := network.New(freshTopo)
+	for _, fs := range specs {
+		if _, err := fresh.AddFlow(fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := analyze(t, fresh, Config{})
+	if !want.Schedulable() {
+		t.Fatal("fixture not schedulable after the link was added")
+	}
+	if !(want.Flows[0].MaxResponse() > before.Flows[0].MaxResponse()) {
+		t.Fatalf("flow v1 crosses sA, whose CIRC rose: bound %v, before %v", want.Flows[0].MaxResponse(), before.Flows[0].MaxResponse())
+	}
+
+	cold, err := an.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, cold, want)
+
+	// A topology change is out of band for a warm engine: a cold reset
+	// re-derives every jitter and voids the stage memo.
+	eng.valid = false
+	got, err := eng.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, got, want)
+	rebuilt, err := NewEngine(nw, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = rebuilt.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, got, want)
+}

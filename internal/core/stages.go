@@ -24,6 +24,20 @@ func (a *Analyzer) hoistInterference(flows []int, rate units.BitRate, rid networ
 	return dems, exts
 }
 
+// hepOf appends hep(τi,N1,N2) per eq. (2) to dst and returns the
+// extended slice: the flows j != i of flows(N1,N2), given as the link's
+// flow list, with priority >= the priority of flow i. Egress stages
+// build one per evaluation into a reused scratch buffer.
+func (a *Analyzer) hepOf(dst []int, i int, flows []int) []int {
+	pi := a.nw.Flow(i).Priority
+	for _, j := range flows {
+		if j != i && a.nw.Flow(j).Priority >= pi {
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}
+
 // firstHop implements Section 3.2 (eqs. 14-20): the response time of frame
 // k of flow i on the link out of the source node, where the source's
 // queuing discipline is any work-conserving one and therefore every flow
@@ -32,11 +46,11 @@ func (a *Analyzer) hoistInterference(flows []int, rate units.BitRate, rid networ
 // It returns the bound including the link's propagation delay (eq. 19).
 func (a *Analyzer) firstHop(i, k int, js *jitterState) (units.Time, error) {
 	fs := a.nw.Flow(i)
-	from, to := fs.Route[0], fs.Route[1]
-	link := a.nw.Topo.Link(from, to)
-	res := Resource{Kind: KindLink, Node: from, To: to}
-	rid := a.nw.FlowResources(i)[0]
-	flows := a.nw.FlowsOn(from, to)
+	res := stageResource(fs.Route, 0)
+	rid := js.blocks[i].rids[0]
+	st := a.nw.Stage(rid)
+	link := st.Link
+	flows := a.nw.LinkFlows(st.Group)
 	dems, exts := a.hoistInterference(flows, link.Rate, rid, js)
 
 	// Convergence condition (20): total utilisation strictly below 1.
@@ -52,7 +66,8 @@ func (a *Analyzer) firstHop(i, k int, js *jitterState) (units.Time, error) {
 	ci := di.Cost(k)
 
 	// Busy-period length (14)-(15). The paper seeds t⁰ = 0, a trivial
-	// fixpoint; we seed with the frame's own cost (DESIGN.md F2).
+	// fixpoint; we seed with the frame's own cost (docs/ARCHITECTURE.md,
+	// F2).
 	busy, err := a.fixpoint(res, fs.Flow.Name, k, ci, func(t units.Time) units.Time {
 		var next units.Time
 		for idx := range dems {
@@ -71,15 +86,15 @@ func (a *Analyzer) firstHop(i, k int, js *jitterState) (units.Time, error) {
 		self := units.Time(q) * di.CSUM()
 		// Seed one picosecond above the self demand so that MX counts the
 		// critical-instant releases of interfering flows; a zero-length
-		// window would be a degenerate fixpoint (DESIGN.md F2). The
-		// previous instance's window is an exact warm seed on top of
-		// that: the self term grows with q, so f_q(w) - w = self_q -
-		// self_{q-1} >= 0 at w = w(q-1), and no fixpoint of f_q can hide
-		// below w(q-1) (on [seed, w(q-1)) the previous map already
-		// satisfied f(x) > x, and f_q >= f_{q-1} pointwise). The q loop
-		// therefore telescopes — total staircase work proportional to
-		// the final window, not q1 full climbs — and returns bit-for-bit
-		// the same windows the cold seed would.
+		// window would be a degenerate fixpoint (docs/ARCHITECTURE.md,
+		// F2). The previous instance's window is an exact warm seed on
+		// top of that: the self term grows with q, so f_q(w) - w =
+		// self_q - self_{q-1} >= 0 at w = w(q-1), and no fixpoint of f_q
+		// can hide below w(q-1) (on [seed, w(q-1)) the previous map
+		// already satisfied f(x) > x, and f_q >= f_{q-1} pointwise). The
+		// q loop therefore telescopes — total staircase work
+		// proportional to the final window, not q1 full climbs — and
+		// returns bit-for-bit the same windows the cold seed would.
 		seed := self + 1
 		if w > seed {
 			seed = w
@@ -111,15 +126,11 @@ func (a *Analyzer) firstHop(i, k int, js *jitterState) (units.Time, error) {
 // once every CIRC(N); every fragment costs one service slot.
 func (a *Analyzer) ingress(i, k, h int, js *jitterState) (units.Time, error) {
 	fs := a.nw.Flow(i)
-	node, pred := fs.Route[h], fs.Route[h-1]
-	res := Resource{Kind: KindIngress, Node: node, To: pred}
-	rid := a.nw.FlowResources(i)[2*h-1]
-	link := a.nw.Topo.Link(pred, node)
-	circ, err := a.nw.Topo.CIRC(node)
-	if err != nil {
-		return 0, err
-	}
-	flows := a.nw.FlowsOn(pred, node)
+	res := stageResource(fs.Route, 2*h-1)
+	rid := js.blocks[i].rids[2*h-1]
+	st := a.nw.Stage(rid)
+	link, circ := st.Link, st.CIRC()
+	flows := a.nw.LinkFlows(st.Group)
 	dems, exts := a.hoistInterference(flows, link.Rate, rid, js)
 
 	// Long-run processing demand on the input task must stay below 1.
@@ -135,7 +146,7 @@ func (a *Analyzer) ingress(i, k, h int, js *jitterState) (units.Time, error) {
 	nf := di.Count(k) // Ethernet fragments of frame k
 
 	// Busy-period length (21)-(22), seeded with one service slot
-	// (DESIGN.md F2).
+	// (docs/ARCHITECTURE.md, F2).
 	busy, err := a.fixpoint(res, fs.Flow.Name, k, circ, func(t units.Time) units.Time {
 		var frames int64
 		for idx := range dems {
@@ -149,7 +160,7 @@ func (a *Analyzer) ingress(i, k, h int, js *jitterState) (units.Time, error) {
 
 	// Eqs. (23)-(26). ModePaper finishes the frame with a single CIRC
 	// (eq. 25 as printed); ModeSound charges one slot per fragment
-	// (DESIGN.md F4).
+	// (docs/ARCHITECTURE.md, F4).
 	completion := circ
 	if a.cfg.Mode == ModeSound {
 		completion = units.Time(nf) * circ
@@ -191,26 +202,24 @@ func (a *Analyzer) ingress(i, k, h int, js *jitterState) (units.Time, error) {
 // succ(τi,N) until they are received there. Interference comes from
 // higher-or-equal-priority flows (transmission plus their stride slots), a
 // blocking term of one maximum-size frame already on the wire, and — in
-// ModeSound — the analysed flow's own stride slots (DESIGN.md F5).
+// ModeSound — the analysed flow's own stride slots (docs/ARCHITECTURE.md,
+// F5).
 func (a *Analyzer) egress(i, k, h int, js *jitterState) (units.Time, error) {
 	fs := a.nw.Flow(i)
-	node, to := fs.Route[h], fs.Route[h+1]
-	link := a.nw.Topo.Link(node, to)
-	res := Resource{Kind: KindLink, Node: node, To: to}
-	rid := a.nw.FlowResources(i)[2*h]
-	circ, err := a.nw.Topo.CIRC(node)
-	if err != nil {
-		return 0, err
-	}
-	hep := a.nw.AppendHEP(a.hepScratch[:0], i, node, to)
+	res := stageResource(fs.Route, 2*h)
+	rid := js.blocks[i].rids[2*h]
+	st := a.nw.Stage(rid)
+	link, circ := st.Link, st.CIRC()
+	hep := a.hepOf(a.hepScratch[:0], i, a.nw.LinkFlows(st.Group))
 	a.hepScratch = hep
 	mft := ether.MFT(link.Rate)
 	dems, exts := a.hoistInterference(hep, link.Rate, rid, js)
 	di := a.demand(js, i, link.Rate)
 	selfExt := js.extraOf(i, rid)
 
-	// Convergence condition (35) over hep ∪ {τi} (DESIGN.md F3), widened
-	// with the stride service demand that also enters the busy period.
+	// Convergence condition (35) over hep ∪ {τi} (docs/ARCHITECTURE.md,
+	// F3), widened with the stride service demand that also enters the
+	// busy period.
 	util := di.Utilization() + di.CountUtilization(circ)
 	for _, d := range dems {
 		util += d.Utilization() + d.CountUtilization(circ)
@@ -237,7 +246,7 @@ func (a *Analyzer) egress(i, k, h int, js *jitterState) (units.Time, error) {
 
 	// Level-i busy-period length (28)-(29), including the analysed flow's
 	// own demand so that the busy period covers all its instances
-	// (DESIGN.md F3).
+	// (docs/ARCHITECTURE.md, F3).
 	busy, err := a.fixpoint(res, fs.Flow.Name, k, mft, func(t units.Time) units.Time {
 		return mft + interference(t, true)
 	})

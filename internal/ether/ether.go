@@ -10,7 +10,7 @@
 // delimiter and a 12-byte inter-frame gap, so a maximum-size frame is
 // 1538 bytes = 12304 bits.
 //
-// Faithfulness note (DESIGN.md F1): the paper's partial-frame formula
+// Faithfulness note (docs/ARCHITECTURE.md, F1): the paper's partial-frame formula
 // prints "+304" bits of overhead, but 12304 = 11840 + 464, and 304 would
 // omit the per-fragment IP header that the paper's own 1480-byte figure
 // assumes. We charge rem+464 bits for a partial trailing fragment.
@@ -32,7 +32,7 @@ const (
 	// UDPHeaderBytes is the UDP header carried once per UDP packet.
 	UDPHeaderBytes = 8
 	// RTPHeaderBytes is the RTP header size used by the paper (16 bytes;
-	// RFC 3550 specifies 12 — we follow the paper, DESIGN.md F8).
+	// RFC 3550 specifies 12 — we follow the paper, docs/ARCHITECTURE.md, F8).
 	RTPHeaderBytes = 16
 	// MACHeaderBytes, CRCBytes, PreambleSFDBytes and InterFrameGapBytes
 	// make up the per-frame wire overhead outside the IP payload.

@@ -1,8 +1,8 @@
-// Package exp implements the reproducible experiments E1-E13 indexed in
-// DESIGN.md. Each experiment regenerates one of the paper's worked
-// examples or claims as a report.Table; the tables are printed by
-// cmd/gmfnet-experiments and exercised by the root benchmarks, and their
-// paper-vs-measured comparison is recorded in EXPERIMENTS.md.
+// Package exp implements the reproducible experiments E1-E13, indexed by
+// All. Each experiment regenerates one of the paper's worked examples or
+// claims as a report.Table; the tables are printed by
+// cmd/gmfnet-experiments and exercised by the root benchmarks. Where the
+// paper states a value, the table prints it beside the measured one.
 package exp
 
 import (

@@ -46,8 +46,8 @@ func E1LinkParameters() ([]*report.Table, error) {
 
 	agg := report.NewTable("E1b: aggregates (eqs. 1, 4-6)", "quantity", "value", "paper")
 	agg.AddRowf("TSUM", d.TSUM(), "270ms")
-	agg.AddRowf("CSUM", d.CSUM(), "illegible in source (DESIGN.md F7)")
-	agg.AddRowf("NSUM", d.NSUM(), "illegible in source (DESIGN.md F7)")
+	agg.AddRowf("CSUM", d.CSUM(), "illegible in source (docs/ARCHITECTURE.md F7)")
+	agg.AddRowf("NSUM", d.NSUM(), "illegible in source (docs/ARCHITECTURE.md F7)")
 	agg.AddRowf("MFT(link(0,4))", ether.MFT(rate), "12304 bits / 10^7 bit/s = 1230.4µs")
 	agg.AddRowf("utilisation", fmt.Sprintf("%.4f", d.Utilization()), "")
 	return []*report.Table{perFrame, agg}, nil
@@ -359,7 +359,7 @@ func E8SwitchSizing() ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// E9Ablation compares the two formula variants (DESIGN.md F3-F5) against
+// E9Ablation compares the two formula variants (docs/ARCHITECTURE.md, F3-F5) against
 // each other and against the simulator on the Figure 1 scenario.
 func E9Ablation() ([]*report.Table, error) {
 	nw, err := figure1Scenario(10 * units.Mbps)

@@ -9,7 +9,7 @@ import (
 )
 
 // paperMPEG returns the Figure 3 flow with the defaults documented in
-// DESIGN.md F7.
+// docs/ARCHITECTURE.md, F7.
 func paperMPEG(name string) *network.FlowSpec {
 	return &network.FlowSpec{
 		Flow:     trace.MPEGIBBPBBPBB(name, trace.MPEGOptions{Deadline: 300 * units.Millisecond}),

@@ -73,19 +73,20 @@ type Network struct {
 
 	// onLink is the reverse interference index: for every directed link
 	// (from, to) the ascending indices of the flows whose route uses it.
-	// AddFlow and RemoveFlow maintain it, so FlowsOn and Interferers are
-	// lookups rather than scans — the analysis inner loops and the
-	// incremental engine's affected-set computation depend on that. It
-	// is a dense slice indexed by the link's interned ResourceID (an
-	// ingress id's entry stays empty), so resIDs maps a link to its
-	// slot and the index shift of a departure walks one slice.
+	// AddFlow and RemoveFlow maintain it, so LinkFlows and
+	// VisitInterferers are lookups rather than scans — the analysis
+	// inner loops and the incremental engine's affected-set computation
+	// depend on that. It is a dense slice indexed by the link's interned
+	// ResourceID (an ingress id's entry stays empty), and the index
+	// shift of a departure walks one slice.
 	onLink [][]int
 
-	// resIDs/resKeys intern every pipeline resource a flow has ever used
-	// into a dense ResourceID (see resources.go); flowRes holds each
-	// flow's pipeline ids in route order, aligned with flows.
+	// resIDs interns every pipeline resource a flow has ever used into a
+	// dense ResourceID, and stages holds each resource's stage inputs,
+	// indexed by that id (see resources.go); flowRes holds each flow's
+	// pipeline ids in route order, aligned with flows.
 	resIDs  map[resourceKey]ResourceID
-	resKeys []resourceKey
+	stages  []Stage
 	flowRes [][]ResourceID
 
 	// pipes is the resource graph's edge multiset (see pipegraph.go),
@@ -187,7 +188,7 @@ func (nw *Network) RemoveLastFlow() {
 // links sit at the even positions of its pipeline (see
 // internFlowResources).
 func (nw *Network) growLinkIndex() {
-	if n := len(nw.resKeys); n > len(nw.onLink) {
+	if n := len(nw.stages); n > len(nw.onLink) {
 		nw.onLink = append(nw.onLink, make([][]int, n-len(nw.onLink))...)
 	}
 }
@@ -202,88 +203,24 @@ func (nw *Network) NumFlows() int { return len(nw.flows) }
 // Flow returns the i-th flow spec.
 func (nw *Network) Flow(i int) *FlowSpec { return nw.flows[i] }
 
-// FlowsOn returns flows(N1,N2): the indices of flows whose route uses the
-// directed link from->to, sorted ascending. The returned slice is backed
-// by the network's link index; callers must not mutate it.
-func (nw *Network) FlowsOn(from, to NodeID) []int {
-	if id, ok := nw.LinkResourceID(from, to); ok {
-		return nw.onLink[id]
-	}
-	return nil
-}
-
-// HEP returns hep(τi,N1,N2) per eq. (2): the indices of flows j != i on
-// the link from->to with priority >= the priority of flow i.
-func (nw *Network) HEP(i int, from, to NodeID) []int {
-	return nw.AppendHEP(nil, i, from, to)
-}
-
-// AppendHEP appends hep(τi,N1,N2) to dst and returns the extended
-// slice: the allocation-free form of HEP for hot paths that reuse a
-// scratch buffer across stages (the per-request analysis computes one
-// hep set per egress stage per fixpoint pass — materializing each into
-// a fresh slice was the single largest allocation source of the
-// admission hot path).
-func (nw *Network) AppendHEP(dst []int, i int, from, to NodeID) []int {
-	pi := nw.flows[i].Priority
-	for _, j := range nw.FlowsOn(from, to) {
-		if j != i && nw.flows[j].Priority >= pi {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}
-
-// LP returns lp(τi,N1,N2) per eq. (3): the indices of flows j != i on the
-// link from->to with priority strictly below flow i's.
-func (nw *Network) LP(i int, from, to NodeID) []int {
-	pi := nw.flows[i].Priority
-	var out []int
-	for _, j := range nw.FlowsOn(from, to) {
-		if j != i && nw.flows[j].Priority < pi {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Interferers returns the indices of the flows j != i that share at least
-// one directed link with flow i, sorted ascending. Two flows can influence
-// each other's response-time bounds exactly when they (transitively)
-// interfere through such shared resources: the first hop and the egress
+// VisitInterferers calls fn for every flow j != i sharing a directed
+// link with flow i, in link-walk order. Two flows can influence each
+// other's response-time bounds exactly when they (transitively)
+// interfere through such shared links: the first hop and the egress
 // stages interfere per directed link, and the ingress stage in(N) of a
 // switch is shared by precisely the flows entering N over the same
-// directed link. The incremental engine's affected-set closure walks this
-// relation.
-func (nw *Network) Interferers(i int) []int {
-	if i < 0 || i >= len(nw.flows) {
-		return nil
-	}
-	seen := make(map[int]bool)
-	var out []int
-	nw.VisitInterferers(i, func(j int) {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	})
-	sort.Ints(out)
-	return out
-}
-
-// VisitInterferers calls fn for every flow j != i sharing a directed
-// link with flow i, in link-walk order. Flows sharing several links
-// are visited once per shared link: the allocation-free form for
-// callers folding into a set (the incremental engine's worklist seeds
-// and propagation fronts), where deduplicating here would just build a
-// throwaway map. Interferers is the deduplicated, sorted wrapper.
+// directed link. Flows sharing several links are visited once per
+// shared link: the allocation-free form for callers folding into a set
+// (the incremental engine's worklist seeds and propagation fronts). The
+// walk reads the link index at the even positions of the flow's
+// pipeline, its links.
 func (nw *Network) VisitInterferers(i int, fn func(j int)) {
 	if i < 0 || i >= len(nw.flows) {
 		return
 	}
-	fs := nw.flows[i]
-	for h := 0; h < len(fs.Route)-1; h++ {
-		for _, j := range nw.FlowsOn(fs.Route[h], fs.Route[h+1]) {
+	rids := nw.flowRes[i]
+	for h := 0; h < len(rids); h += 2 {
+		for _, j := range nw.onLink[rids[h]] {
 			if j != i {
 				fn(j)
 			}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"testing"
 
 	"gmfnet/internal/gmf"
@@ -82,52 +83,55 @@ func TestAddFlowErrors(t *testing.T) {
 	}
 }
 
+// flowsOn returns flows(from,to) through the link's resource id, nil
+// when no flow has used the link.
+func flowsOn(nw *Network, from, to NodeID) []int {
+	if g, ok := nw.LinkResourceID(from, to); ok {
+		return nw.LinkFlows(g)
+	}
+	return nil
+}
+
+// interferers returns the flows VisitInterferers reports for flow i,
+// deduplicated and ascending.
+func interferers(nw *Network, i int) []int {
+	seen := map[int]bool{}
+	var out []int
+	nw.VisitInterferers(i, func(j int) {
+		if !seen[j] {
+			seen[j] = true
+			out = append(out, j)
+		}
+	})
+	slices.Sort(out)
+	return out
+}
+
 func TestFlowsOn(t *testing.T) {
 	nw := testNetwork(t)
-	if got := nw.FlowsOn("4", "6"); !equalInts(got, []int{0, 1}) {
-		t.Fatalf("FlowsOn(4,6) = %v", got)
+	if got := flowsOn(nw, "4", "6"); !equalInts(got, []int{0, 1}) {
+		t.Fatalf("flows(4,6) = %v", got)
 	}
-	if got := nw.FlowsOn("6", "3"); !equalInts(got, []int{0, 1}) {
-		t.Fatalf("FlowsOn(6,3) = %v", got)
+	if got := flowsOn(nw, "6", "3"); !equalInts(got, []int{0, 1}) {
+		t.Fatalf("flows(6,3) = %v", got)
 	}
-	if got := nw.FlowsOn("6", "7"); !equalInts(got, []int{2}) {
-		t.Fatalf("FlowsOn(6,7) = %v", got)
+	if got := flowsOn(nw, "6", "7"); !equalInts(got, []int{2}) {
+		t.Fatalf("flows(6,7) = %v", got)
 	}
-	if got := nw.FlowsOn("6", "4"); got != nil {
-		t.Fatalf("FlowsOn(6,4) = %v, want empty", got)
+	if got := flowsOn(nw, "6", "4"); got != nil {
+		t.Fatalf("flows(6,4) = %v, want empty", got)
 	}
-}
-
-func TestHEPAndLP(t *testing.T) {
-	nw := testNetwork(t)
-	// On link 4->6: flow 0 (prio 2) and flow 1 (prio 1).
-	if got := nw.HEP(1, "4", "6"); !equalInts(got, []int{0}) {
-		t.Fatalf("HEP(1) = %v, want [0]", got)
+	// An ingress resource has no flow list of its own: its stage reads
+	// the link it is reached over.
+	in, ok := nw.IngressResourceID("6", "4")
+	if !ok {
+		t.Fatal("in(6) from 4 not interned")
 	}
-	if got := nw.HEP(0, "4", "6"); got != nil {
-		t.Fatalf("HEP(0) = %v, want empty", got)
+	if got := nw.LinkFlows(in); got != nil {
+		t.Fatalf("LinkFlows(in(6) from 4) = %v, want empty", got)
 	}
-	if got := nw.LP(0, "4", "6"); !equalInts(got, []int{1}) {
-		t.Fatalf("LP(0) = %v, want [1]", got)
-	}
-	if got := nw.LP(1, "4", "6"); got != nil {
-		t.Fatalf("LP(1) = %v, want empty", got)
-	}
-}
-
-func TestHEPEqualPriorityCountsBothWays(t *testing.T) {
-	nw := testNetwork(t)
-	// Add a second priority-2 flow on 0's link.
-	if _, err := nw.AddFlow(&FlowSpec{
-		Flow: videoFlow("v3"), Route: []NodeID{"1", "4", "6", "3"}, Priority: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := nw.HEP(0, "4", "6"); !equalInts(got, []int{3}) {
-		t.Fatalf("HEP(0) = %v, want [3]", got)
-	}
-	if got := nw.HEP(3, "4", "6"); !equalInts(got, []int{0}) {
-		t.Fatalf("HEP(3) = %v, want [0]", got)
+	if got := nw.LinkFlows(nw.Stage(in).Group); !equalInts(got, []int{0, 1}) {
+		t.Fatalf("LinkFlows(group of in(6) from 4) = %v, want [0 1]", got)
 	}
 }
 
@@ -141,11 +145,11 @@ func TestRemoveFlowShiftsIndicesAndIndex(t *testing.T) {
 	if nw.Flow(0).Flow.Name != "v0" || nw.Flow(1).Flow.Name != "v2" {
 		t.Fatalf("order after removal: %q, %q", nw.Flow(0).Flow.Name, nw.Flow(1).Flow.Name)
 	}
-	if got := nw.FlowsOn("4", "6"); !equalInts(got, []int{0}) {
-		t.Fatalf("FlowsOn(4,6) = %v, want [0]", got)
+	if got := flowsOn(nw, "4", "6"); !equalInts(got, []int{0}) {
+		t.Fatalf("flows(4,6) = %v, want [0]", got)
 	}
-	if got := nw.FlowsOn("6", "7"); !equalInts(got, []int{1}) {
-		t.Fatalf("FlowsOn(6,7) = %v, want [1]", got)
+	if got := flowsOn(nw, "6", "7"); !equalInts(got, []int{1}) {
+		t.Fatalf("flows(6,7) = %v, want [1]", got)
 	}
 	// Out-of-range removals are no-ops.
 	nw.RemoveFlow(-1)
@@ -159,23 +163,23 @@ func TestInterferers(t *testing.T) {
 	nw := testNetwork(t)
 	// v0 (0->4->6->3) and v1 (1->4->6->3) share links 4->6 and 6->3;
 	// v2 (2->5->6->7) shares nothing with either.
-	if got := nw.Interferers(0); !equalInts(got, []int{1}) {
-		t.Fatalf("Interferers(0) = %v, want [1]", got)
+	if got := interferers(nw, 0); !equalInts(got, []int{1}) {
+		t.Fatalf("interferers(0) = %v, want [1]", got)
 	}
-	if got := nw.Interferers(1); !equalInts(got, []int{0}) {
-		t.Fatalf("Interferers(1) = %v, want [0]", got)
+	if got := interferers(nw, 1); !equalInts(got, []int{0}) {
+		t.Fatalf("interferers(1) = %v, want [0]", got)
 	}
-	if got := nw.Interferers(2); got != nil {
-		t.Fatalf("Interferers(2) = %v, want empty", got)
+	if got := interferers(nw, 2); got != nil {
+		t.Fatalf("interferers(2) = %v, want empty", got)
 	}
-	if got := nw.Interferers(9); got != nil {
-		t.Fatalf("Interferers(9) = %v, want empty", got)
+	if got := interferers(nw, 9); got != nil {
+		t.Fatalf("interferers(9) = %v, want empty", got)
 	}
 }
 
 func TestFlowsOnMatchesScan(t *testing.T) {
-	// The index-backed FlowsOn must agree with a direct route scan for
-	// every link after a mix of additions and removals.
+	// The link index must agree with a direct route scan for every link
+	// after a mix of additions and removals.
 	nw := testNetwork(t)
 	nw.RemoveFlow(0)
 	if _, err := nw.AddFlow(&FlowSpec{
@@ -190,8 +194,8 @@ func TestFlowsOnMatchesScan(t *testing.T) {
 				want = append(want, i)
 			}
 		}
-		if got := nw.FlowsOn(l.From, l.To); !equalInts(got, want) {
-			t.Errorf("FlowsOn(%s,%s) = %v, want %v", l.From, l.To, got, want)
+		if got := flowsOn(nw, l.From, l.To); !equalInts(got, want) {
+			t.Errorf("flows(%s,%s) = %v, want %v", l.From, l.To, got, want)
 		}
 	}
 }

@@ -4,22 +4,26 @@
 // and a propagation delay.
 //
 // The package also provides the notational helpers of Section 3:
-// flows(N1,N2), hep(τi,N1,N2), lp(τi,N), succ(τj,N), prec(τj,N), the
+// flows(N1,N2) (LinkFlows, by link id; the egress stage in package core
+// filters hep(τi,N1,N2) out of it), succ(τj,N), prec(τj,N), the
 // interface count NINTERFACES(N) and the stride-scheduling service period
 // CIRC(N), including the multiprocessor generalisation from the paper's
 // Conclusions.
 //
 // Beyond the paper's notation, Network maintains the indexes the
-// analysis layer builds on: the reverse link-interference index
-// (FlowsOn, Interferers), dense interned pipeline ResourceIDs
-// (FlowResources) and the resource graph's acyclicity
-// (PipelinesAcyclic), which tells the incremental engine whether the
-// holistic fixpoint is unique. All are maintained incrementally under
-// AddFlow and RemoveFlow. The interference-closure partition (Closures,
-// ClosureOf) — which flows can never exchange jitter — is computed on
-// demand from the link index: the sharded admission controller keeps
-// its own in its resident registry, and these queries are its
-// reference.
+// analysis layer builds on, all keyed by dense interned pipeline
+// ResourceIDs (FlowResources): each resource's stage inputs (Stage:
+// its link, the switch whose CIRC serves it, its link group), resolved
+// once when the resource is interned; the reverse link-interference
+// index (LinkFlows, VisitInterferers); and the resource graph's
+// acyclicity (PipelinesAcyclic), which tells the incremental engine
+// whether the holistic fixpoint is unique. All are maintained
+// incrementally under AddFlow and RemoveFlow, so the analysis reads no
+// node name between a flow's admission and the output. The
+// interference-closure partition (Closures, ClosureOf) — which flows
+// can never exchange jitter — is computed on demand from the link
+// index: the sharded admission controller keeps its own in its
+// resident registry, and these queries are its reference.
 // See docs/ARCHITECTURE.md for how the layers fit together.
 package network
 
@@ -95,6 +99,19 @@ type Node struct {
 	ID     NodeID
 	Kind   NodeKind
 	Switch SwitchParams // meaningful only when Kind == Switch
+
+	// ifaces is NINTERFACES(N). AddLink maintains it in place, so a
+	// holder of the *Node (a network's stage record) reads the current
+	// count without a lookup, and reads never write — a Topology shared
+	// by engines on different goroutines stays safe to read.
+	ifaces int
+}
+
+// circ returns CIRC(N) of switch n (see Topology.CIRC). n must be a
+// switch with at least one interface.
+func (n *Node) circ() units.Time {
+	perCPU := units.CeilDiv(int64(n.ifaces), int64(n.Switch.Processors))
+	return units.Time(perCPU) * (n.Switch.CRoute + n.Switch.CSend)
 }
 
 // Link is a directed edge of the topology.
@@ -111,20 +128,14 @@ type Topology struct {
 	nodes map[NodeID]*Node
 	links map[[2]NodeID]*Link
 	adj   map[NodeID][]NodeID // outgoing neighbours, sorted
-
-	// ifCount memoizes Interfaces per node. AddLink updates it eagerly
-	// for both endpoints, so reads never write — a Topology shared by
-	// engines on different goroutines stays safe to read.
-	ifCount map[NodeID]int
 }
 
 // NewTopology returns an empty topology.
 func NewTopology() *Topology {
 	return &Topology{
-		nodes:   make(map[NodeID]*Node),
-		links:   make(map[[2]NodeID]*Link),
-		adj:     make(map[NodeID][]NodeID),
-		ifCount: make(map[NodeID]int),
+		nodes: make(map[NodeID]*Node),
+		links: make(map[[2]NodeID]*Link),
+		adj:   make(map[NodeID][]NodeID),
 	}
 }
 
@@ -162,10 +173,11 @@ func (t *Topology) addNode(n *Node) error {
 
 // AddLink adds a directed link.
 func (t *Topology) AddLink(from, to NodeID, rate units.BitRate, prop units.Time) error {
-	if _, ok := t.nodes[from]; !ok {
+	src, dst := t.nodes[from], t.nodes[to]
+	if src == nil {
 		return fmt.Errorf("network: link source %q unknown", from)
 	}
-	if _, ok := t.nodes[to]; !ok {
+	if dst == nil {
 		return fmt.Errorf("network: link target %q unknown", to)
 	}
 	if from == to {
@@ -184,8 +196,8 @@ func (t *Topology) AddLink(from, to NodeID, rate units.BitRate, prop units.Time)
 	// A new neighbour pair occupies one interface on each endpoint; the
 	// reverse direction of an existing link reuses the same interfaces.
 	if _, back := t.links[[2]NodeID{to, from}]; !back {
-		t.ifCount[from]++
-		t.ifCount[to]++
+		src.ifaces++
+		dst.ifaces++
 	}
 	t.links[key] = &Link{From: from, To: to, Rate: rate, Prop: prop}
 	t.adj[from] = insertSorted(t.adj[from], to)
@@ -243,11 +255,12 @@ func (t *Topology) Links() []*Link {
 // Interfaces returns NINTERFACES(N): the number of network interfaces on
 // the node. A full-duplex neighbour relation counts as one interface; a
 // neighbour connected in only one direction also occupies an interface.
-// The count is maintained incrementally under AddLink, so the analysis
-// hot path (every CIRC query) reads a single map entry instead of
-// scanning all links.
+// The count is maintained incrementally under AddLink.
 func (t *Topology) Interfaces(id NodeID) int {
-	return t.ifCount[id]
+	if n := t.nodes[id]; n != nil {
+		return n.ifaces
+	}
+	return 0
 }
 
 // CIRC returns eq. "CIRC(N)": the worst-case time between two consecutive
@@ -263,12 +276,10 @@ func (t *Topology) CIRC(id NodeID) (units.Time, error) {
 	if n.Kind != Switch {
 		return 0, fmt.Errorf("network: CIRC of non-switch node %q", id)
 	}
-	nif := t.Interfaces(id)
-	if nif == 0 {
+	if n.ifaces == 0 {
 		return 0, fmt.Errorf("network: switch %q has no interfaces", id)
 	}
-	perCPU := units.CeilDiv(int64(nif), int64(n.Switch.Processors))
-	return units.Time(perCPU) * (n.Switch.CRoute + n.Switch.CSend), nil
+	return n.circ(), nil
 }
 
 // Route computes a shortest path from src to dst whose intermediate nodes

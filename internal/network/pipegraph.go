@@ -158,7 +158,7 @@ func (nw *Network) pipeAddPipeline(rids []ResourceID) {
 			continue
 		}
 		g.edges = slices.Insert(g.edges, k, pipeEdge{from: u, to: v, n: 1})
-		if g.state == acyclic && g.reaches(v, u, len(nw.resKeys)) {
+		if g.state == acyclic && g.reaches(v, u, len(nw.stages)) {
 			g.state = cyclic
 		}
 	}
@@ -192,7 +192,7 @@ func (nw *Network) PipelinesAcyclic() bool {
 	g := &nw.pipes
 	if g.state == acyclicityUnknown {
 		g.state = cyclic
-		if g.kahn(len(nw.resKeys)) {
+		if g.kahn(len(nw.stages)) {
 			g.state = acyclic
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // transmitted as UDP packets every 30 ms, repeating every 270 ms.
 //
 // The paper's Figure 4 lists concrete per-frame transmission times that
-// are illegible in the available text (DESIGN.md F7); the defaults below
+// are illegible in the available text (docs/ARCHITECTURE.md, F7); the defaults below
 // are representative MPEG-2 frame sizes at standard definition.
 type MPEGOptions struct {
 	// IPBytes is the payload of the combined "I+P" frame that opens the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 	"strings"
 	"testing"
 
@@ -581,48 +580,5 @@ func BenchmarkAnalyzeFigure1(b *testing.B) {
 		if _, err := an.Analyze(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestHEPFilter pins hep(τi,N1,N2) per eq. (2) as the egress stage builds
-// it from the link's flow list: the other flows on the link with priority
-// >= flow i's. Equal priorities interfere both ways; lower ones do not.
-func TestHEPFilter(t *testing.T) {
-	nw := network.New(network.MustFigure1(network.Figure1Options{}))
-	for _, fs := range []*network.FlowSpec{
-		{Flow: mpegLike("v0"), Route: []network.NodeID{"0", "4", "6", "3"}, Priority: 2},
-		{Flow: mpegLike("v1"), Route: []network.NodeID{"1", "4", "6", "3"}, Priority: 1},
-		{Flow: mpegLike("v2"), Route: []network.NodeID{"2", "5", "6", "7"}, Priority: 2},
-	} {
-		if _, err := nw.AddFlow(fs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	an, err := NewAnalyzer(nw, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hep := func(i int) []int {
-		g, ok := nw.LinkResourceID("4", "6")
-		if !ok {
-			t.Fatal("link 4->6 not interned")
-		}
-		return an.hepOf(nil, i, nw.LinkFlows(g))
-	}
-	if got := hep(1); !slices.Equal(got, []int{0}) {
-		t.Fatalf("hep(1, 4->6) = %v, want [0]", got)
-	}
-	if got := hep(0); got != nil {
-		t.Fatalf("hep(0, 4->6) = %v, want empty", got)
-	}
-	// A second priority-2 flow on the link: v0 and v3 count each other.
-	if _, err := nw.AddFlow(&network.FlowSpec{Flow: mpegLike("v3"), Route: []network.NodeID{"1", "4", "6", "3"}, Priority: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := hep(0); !slices.Equal(got, []int{3}) {
-		t.Fatalf("hep(0, 4->6) = %v, want [3]", got)
-	}
-	if got := hep(3); !slices.Equal(got, []int{0}) {
-		t.Fatalf("hep(3, 4->6) = %v, want [0]", got)
 	}
 }

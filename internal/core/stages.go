@@ -24,20 +24,6 @@ func (a *Analyzer) hoistInterference(flows []int, rate units.BitRate, rid networ
 	return dems, exts
 }
 
-// hepOf appends hep(τi,N1,N2) per eq. (2) to dst and returns the
-// extended slice: the flows j != i of flows(N1,N2), given as the link's
-// flow list, with priority >= the priority of flow i. Egress stages
-// build one per evaluation into a reused scratch buffer.
-func (a *Analyzer) hepOf(dst []int, i int, flows []int) []int {
-	pi := a.nw.Flow(i).Priority
-	for _, j := range flows {
-		if j != i && a.nw.Flow(j).Priority >= pi {
-			dst = append(dst, j)
-		}
-	}
-	return dst
-}
-
 // firstHop implements Section 3.2 (eqs. 14-20): the response time of frame
 // k of flow i on the link out of the source node, where the source's
 // queuing discipline is any work-conserving one and therefore every flow
@@ -210,7 +196,7 @@ func (a *Analyzer) egress(i, k, h int, js *jitterState) (units.Time, error) {
 	rid := js.blocks[i].rids[2*h]
 	st := a.nw.Stage(rid)
 	link, circ := st.Link, st.CIRC()
-	hep := a.hepOf(a.hepScratch[:0], i, a.nw.LinkFlows(st.Group))
+	hep := a.nw.AppendHEP(a.hepScratch[:0], i, st.Group)
 	a.hepScratch = hep
 	mft := ether.MFT(link.Rate)
 	dems, exts := a.hoistInterference(hep, link.Rate, rid, js)

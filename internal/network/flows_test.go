@@ -135,6 +135,73 @@ func TestFlowsOn(t *testing.T) {
 	}
 }
 
+// mustLink returns the id of the directed link from->to.
+func mustLink(t *testing.T, nw *Network, from, to NodeID) ResourceID {
+	t.Helper()
+	g, ok := nw.LinkResourceID(from, to)
+	if !ok {
+		t.Fatalf("link %s->%s not interned", from, to)
+	}
+	return g
+}
+
+// hep returns hep(i,from,to) through AppendHEP on the link's id.
+func hep(t *testing.T, nw *Network, i int, from, to NodeID) []int {
+	t.Helper()
+	return nw.AppendHEP(nil, i, mustLink(t, nw, from, to))
+}
+
+// lp returns lp(i,from,to): the flows of the link other than i that are
+// not in hep(i,from,to).
+func lp(t *testing.T, nw *Network, i int, from, to NodeID) []int {
+	t.Helper()
+	h := hep(t, nw, i, from, to)
+	var out []int
+	for _, j := range flowsOn(nw, from, to) {
+		if j != i && !slices.Contains(h, j) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+func TestHEPAndLP(t *testing.T) {
+	nw := testNetwork(t)
+	// On link 4->6: flow 0 (prio 2) and flow 1 (prio 1).
+	if got := hep(t, nw, 1, "4", "6"); !equalInts(got, []int{0}) {
+		t.Fatalf("HEP(1) = %v, want [0]", got)
+	}
+	if got := hep(t, nw, 0, "4", "6"); got != nil {
+		t.Fatalf("HEP(0) = %v, want empty", got)
+	}
+	if got := lp(t, nw, 0, "4", "6"); !equalInts(got, []int{1}) {
+		t.Fatalf("LP(0) = %v, want [1]", got)
+	}
+	if got := lp(t, nw, 1, "4", "6"); got != nil {
+		t.Fatalf("LP(1) = %v, want empty", got)
+	}
+	// AppendHEP appends: what dst already holds is kept.
+	if got := nw.AppendHEP([]int{7}, 1, mustLink(t, nw, "4", "6")); !equalInts(got, []int{7, 0}) {
+		t.Fatalf("AppendHEP([7], 1) = %v, want [7 0]", got)
+	}
+}
+
+func TestHEPEqualPriorityCountsBothWays(t *testing.T) {
+	nw := testNetwork(t)
+	// Add a second priority-2 flow on 0's link.
+	if _, err := nw.AddFlow(&FlowSpec{
+		Flow: videoFlow("v3"), Route: []NodeID{"1", "4", "6", "3"}, Priority: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := hep(t, nw, 0, "4", "6"); !equalInts(got, []int{3}) {
+		t.Fatalf("HEP(0) = %v, want [3]", got)
+	}
+	if got := hep(t, nw, 3, "4", "6"); !equalInts(got, []int{0}) {
+		t.Fatalf("HEP(3) = %v, want [0]", got)
+	}
+}
+
 func TestRemoveFlowShiftsIndicesAndIndex(t *testing.T) {
 	nw := testNetwork(t)
 	// Remove the middle flow: v2 shifts from index 2 to 1.

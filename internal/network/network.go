@@ -4,8 +4,8 @@
 // and a propagation delay.
 //
 // The package also provides the notational helpers of Section 3:
-// flows(N1,N2) (LinkFlows, by link id; the egress stage in package core
-// filters hep(τi,N1,N2) out of it), succ(τj,N), prec(τj,N), the
+// flows(N1,N2) and hep(τi,N1,N2) (LinkFlows and AppendHEP, by link id),
+// succ(τj,N), prec(τj,N), the
 // interface count NINTERFACES(N) and the stride-scheduling service period
 // CIRC(N), including the multiprocessor generalisation from the paper's
 // Conclusions.

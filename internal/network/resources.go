@@ -117,6 +117,21 @@ func (nw *Network) Stage(rid ResourceID) *Stage { return &nw.stages[rid] }
 // mutate it.
 func (nw *Network) LinkFlows(g ResourceID) []int { return nw.onLink[g] }
 
+// AppendHEP appends hep(τi,N1,N2) per eq. (2) of the link group g to dst
+// and returns the extended slice: the flows j != i of LinkFlows(g) with
+// priority >= the priority of flow i, ascending. Equal priorities count
+// both ways. The egress stage builds one per evaluation into a reused
+// scratch buffer.
+func (nw *Network) AppendHEP(dst []int, i int, g ResourceID) []int {
+	pi := nw.flows[i].Priority
+	for _, j := range nw.onLink[g] {
+		if j != i && nw.flows[j].Priority >= pi {
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}
+
 // LinkResourceID returns the id of the directed link from->to, if any flow
 // has used it.
 func (nw *Network) LinkResourceID(from, to NodeID) (ResourceID, bool) {
